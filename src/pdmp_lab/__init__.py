@@ -9,26 +9,20 @@ from .diagnostics import (
     stability_margin,
     verify_drift_empirically,
 )
-from .flows import AffineExpFlow, ExpandingFlow, FrozenFlow, Semiflow, check_semigroup, flow_evaluate
+from .flows import AffineExpFlow, ExpandingFlow, FrozenFlow, Semiflow, check_semigroup
 from .grid import GridModel, build_grid_model, check_factorization, oracle_correspondence, power_iteration
 from .hazard import (
     ConstantIntensity,
     CumulativeHazard,
     SaturatingIntensity,
-    cumulative_hazard,
     sample_holding_inversion,
     sample_holding_thinning,
-    survival,
 )
 from .jumps import (
     AdditiveBurstKernel,
     FiniteAffineIfs,
     PostJumpKernel,
     SwitchingMatrix,
-    post_jump_sample,
-    sample_jump,
-    sample_regime,
-    sample_theta,
 )
 from .metrics import bl_lower_bound, ks_statistic, measure_distance, wasserstein1_1d
 from .models import (
@@ -48,7 +42,6 @@ from .simulate import (
     count_jumps,
     occupation_from_ensemble,
     occupation_measure,
-    pdmp_evaluate,
     run_chain,
     run_ensemble,
     step_chain,

@@ -42,7 +42,9 @@ class ExperimentConfig:
 
     The seed is mandatory: every run must be reproducible. Tolerances are
     optional expectations; violating one makes the subcommand exit with
-    code 3 after still writing its outputs.
+    code 3 after still writing its outputs. ``threads`` falls back to the
+    PDMP_LAB_THREADS environment variable, then 1, when the document has no
+    ``threads`` entry.
     """
 
     model_name: str
@@ -100,7 +102,8 @@ class ExperimentConfig:
             grid_theta_cells=int(grid.get("theta_cells", 1000)),
             grid_y_max=(None if grid.get("y_max") is None else float(grid["y_max"])),
             eta_time=float(raw.get("eta_time", 2.0)),
-            threads=int(raw.get("threads", 1)),
+            threads=int(raw["threads"] if raw.get("threads") is not None
+                        else os.environ.get("PDMP_LAB_THREADS") or 1),
             out_dir=str(raw.get("out_dir", ".")),
             tolerances=dict(raw.get("tolerances", {})),
             drift_probes=tuple(raw.get("drift_probes", (0.0, 1.0, 2.0, 4.0, 8.0))),
@@ -307,7 +310,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: config, then PDMP_LAB_THREADS, then 1)")
+                       help="worker threads (default: config 'threads', then PDMP_LAB_THREADS, "
+                            "then 1)")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
     args = parser.parse_args(argv)
     try:
@@ -316,8 +320,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.seed = args.seed
         if args.threads is not None:
             cfg.threads = args.threads
-        elif os.environ.get("PDMP_LAB_THREADS"):
-            cfg.threads = int(os.environ["PDMP_LAB_THREADS"])
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:

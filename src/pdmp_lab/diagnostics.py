@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hazard import adaptive_simpson
+from .hazard import adaptive_simpson, survival_horizon
 from .models import ModelSpec
 from .simulate import run_ensemble
 
@@ -95,7 +95,14 @@ def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator,
     t_values = np.asarray(t_values, dtype=float)
     us = rng.uniform(0.0, model.y_max, size=n_pairs)
     vs = rng.uniform(0.0, model.y_max, size=n_pairs)
-    keep = np.abs(us - vs) > 1e-9
+    # Near pairs are dropped so rounding cannot fake expansion. Each flow value
+    # is off by at most 2 ulp of its size (<= y_max * max(1, e^{rate t}) for the
+    # shipped flows), so a pair ratio of true size e^{rate t} carries relative
+    # error <= 4 eps e^{|rate| t} y_max / |u - v|. With |u - v| > 1e-3 y_max,
+    # |rate| <= 1 and t <= 4 that is 4 * 2.2e-16 * e^4 / 1e-3 = 4.8e-11, and a
+    # log-slope over dt >= 0.25 moves by <= 2 * 4.8e-11 / 0.25 = 3.9e-10, inside
+    # the 1e-9 slack of the rate check.
+    keep = np.abs(us - vs) > 1e-3 * model.y_max
     us, vs = us[keep], vs[keep]
     sup_ratio = np.zeros(t_values.size)
     for k, t in enumerate(t_values):
@@ -122,7 +129,7 @@ def flow_displacement_integral(model: ModelSpec, anchor: Optional[float] = None,
     anchor = model.declared.anchor if anchor is None else anchor
     lam_low = model.intensity.lower
     lip, rate = model.flow.contraction
-    t_max = -math.log(1e-13) / lam_low
+    t_max = survival_horizon(model.intensity)
     if rate >= lam_low:
         # integrand need not decay; probe for divergence and report it
         probe = max(abs(float(model.flow.evaluate(i, t_max, anchor)) - anchor)
@@ -224,7 +231,7 @@ def check_flow_gap(model: ModelSpec, rng: np.random.Generator,
     if worst > 1e-9:
         return CheckResult("flow-gap", False, f"bound violated by {worst:.3e}")
     lam_low = model.intensity.lower
-    t_max = -math.log(1e-13) / lam_low
+    t_max = survival_horizon(model.intensity)
     integral = adaptive_simpson(
         lambda t: math.exp(-lam_low * t) * float(model.declared.flow_gap_time(np.array([t]))[0]),
         0.0, t_max, 1e-10)

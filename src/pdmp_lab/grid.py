@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
+from .hazard import quantile_edges, survival_horizon
 from .models import ModelSpec
 from .state import WeightedEmpiricalMeasure
 
-SURVIVAL_TAIL_EPS = 1e-12
 DEFAULT_ROW_TOL = 1e-8
 DEFAULT_MASS_TOL = 1e-4
 
@@ -82,11 +82,6 @@ class GridModel:
     def flat(self, node: int, regime: int) -> int:
         return regime * self.nodes.size + node
 
-    def node_index(self, ys) -> np.ndarray:
-        spacing = self.nodes[1] - self.nodes[0]
-        idx = np.round(np.asarray(ys, dtype=float) / spacing).astype(np.int64)
-        return np.clip(idx, 0, self.nodes.size - 1)
-
     def measure_from_vector(self, v: np.ndarray) -> WeightedEmpiricalMeasure:
         m = self.nodes.size
         ys = np.tile(self.nodes, self.n_regimes)
@@ -111,15 +106,6 @@ class GridModel:
             np.savetxt(path, mat, delimiter=",", fmt="%.17g")
             written.append(path)
         return written
-
-
-def _time_cells(model: ModelSpec, n_cells: int, t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell edges on the quantile scale of the slowest admissible clock."""
-    lam_low = model.intensity.lower
-    edges = -np.log1p(-(1.0 - SURVIVAL_TAIL_EPS) * np.arange(n_cells + 1) / n_cells) / lam_low
-    edges[-1] = t_max
-    reps = 0.5 * (edges[:-1] + edges[1:])
-    return edges, reps
 
 
 def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
@@ -168,12 +154,14 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
         raise ValueError("need at least two grid nodes")
     y_max = model.y_max if y_max is None else y_max
     theta_max = y_max if theta_max is None else theta_max
-    t_max = -np.log(SURVIVAL_TAIL_EPS) / model.intensity.lower if t_max is None else t_max
+    t_max = survival_horizon(model.intensity) if t_max is None else t_max
     nodes = np.linspace(0.0, y_max, m)
     spacing = nodes[1] - nodes[0]
     n_regimes = model.n_regimes
     n_states = m * n_regimes
-    edges, reps = _time_cells(model, time_cells, t_max)
+    # cell edges on the quantile scale of the slowest admissible clock
+    edges = quantile_edges(model.intensity, time_cells, t_max)
+    reps = 0.5 * (edges[:-1] + edges[1:])
 
     post_jump, leak = _jump_rows(model, nodes, n_regimes, theta_cells, theta_max)
     rate_at = np.asarray(model.intensity(nodes), dtype=float)

@@ -19,6 +19,25 @@ from .state import StatePoint
 
 HOLDING_TIME_ABS_TOL = 1e-12
 THINNING_MAX_PROPOSALS = 10**6
+SURVIVAL_TAIL_EPS = 1e-12
+"""Survival mass below which a holding-time tail is truncated."""
+
+
+def survival_horizon(intensity: Intensity) -> float:
+    """Time past which survival is below SURVIVAL_TAIL_EPS, by the lower rate bound."""
+    return -math.log(SURVIVAL_TAIL_EPS) / intensity.lower
+
+
+def quantile_edges(intensity: Intensity, n_cells: int, t_max: float) -> np.ndarray:
+    """n_cells + 1 time-cell edges at equally spaced quantiles of Exp(lower rate).
+
+    Cells are fine near t = 0, where the survival curve bends most, and the
+    last edge is moved to ``t_max``.
+    """
+    levels = (1.0 - SURVIVAL_TAIL_EPS) * np.arange(n_cells + 1) / n_cells
+    edges = -np.log1p(-levels) / intensity.lower
+    edges[-1] = t_max
+    return edges
 
 
 class Intensity:
@@ -104,37 +123,43 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
 def closed_form_hazard(flow: Semiflow, intensity: Intensity):
     """Exact cumulative hazard for the shipped flow/intensity pairs, else None.
 
-    Returns a callable (i, t, y) -> integral of lambda(S_i(h, y)) over [0, t],
-    broadcasting over numpy arrays in t and/or y.
+    Returns a callable (i, y) -> (t -> integral of lambda(S_i(h, y)) over
+    [0, t]). Everything that depends only on the start (i, y) is computed
+    once, so a root finder that evaluates many times t per start pays for it
+    once; the inner callable broadcasts t against the start arrays.
     """
     if isinstance(intensity, ConstantIntensity):
         rate = intensity.rate
 
-        def const_hazard(i, t, y):
-            t = np.asarray(t, dtype=float)
+        def const_hazard(i, y):
             y = np.asarray(y, dtype=float)
-            return np.broadcast_arrays(rate * t, y)[0].copy()
+            return lambda t: np.broadcast_arrays(rate * np.asarray(t, dtype=float), y)[0].copy()
 
         return const_hazard
     if isinstance(intensity, SaturatingIntensity) and isinstance(flow, AffineExpFlow):
         base, gain = intensity.base, intensity.gain
-        rates, anchors = flow.rates, flow.anchors
 
-        def saturating_hazard(i, t, y):
+        def saturating_hazard(i, y):
             # integral of base + gain*(c+w)/(1+c+w) along w_h = (y-c) e^{-kappa h}
-            kappa, c = rates[i], anchors[i]
-            t = np.asarray(t, dtype=float)
-            y = np.asarray(y, dtype=float)
-            w0 = y - c
-            wt = w0 * np.exp(-kappa * t)
-            inv_term = (kappa * t + np.log((1.0 + c + wt) / (1.0 + c + w0))) / (kappa * (1.0 + c))
-            return (base + gain) * t - gain * inv_term
+            kappa, c = flow.rate_of[i], flow.anchor_of[i]
+            w0 = np.asarray(y, dtype=float) - c
+            one_c = 1.0 + c
+            start = one_c + w0
+            scale = kappa * one_c
+
+            def hazard(t):
+                t = np.asarray(t, dtype=float)
+                wt = w0 * np.exp(-kappa * t)
+                inv_term = (kappa * t + np.log((one_c + wt) / start)) / scale
+                return (base + gain) * t - gain * inv_term
+
+            return hazard
 
         return saturating_hazard
     if isinstance(intensity, SaturatingIntensity) and isinstance(flow, FrozenFlow):
-        def frozen_hazard(i, t, y):
-            t = np.asarray(t, dtype=float)
-            return intensity(y) * t
+        def frozen_hazard(i, y):
+            rate = intensity(y)
+            return lambda t: rate * np.asarray(t, dtype=float)
 
         return frozen_hazard
     return None
@@ -145,7 +170,8 @@ class CumulativeHazard:
     """Cumulative hazard H(y, i, t) of the holding-time law along the flow.
 
     Uses the exact antiderivative when one is registered for the
-    flow/intensity pair, otherwise adaptive Simpson at ``quad_tol``.
+    flow/intensity pair, otherwise adaptive Simpson at ``quad_tol``. The
+    regime ``i`` is an int or an int array broadcasting with ``t`` and ``y``.
     """
 
     intensity: Intensity
@@ -158,67 +184,73 @@ class CumulativeHazard:
         return cls(intensity=intensity, flow=flow,
                    closed_form=closed_form_hazard(flow, intensity), quad_tol=quad_tol)
 
-    def value(self, i: int, t, y):
+    def along(self, i, y) -> Callable:
+        """t -> H(y, i, t) for fixed starts, with the per-start terms hoisted."""
+        self.flow.check_regime(i)
+        if self.closed_form is not None:
+            return self.closed_form(i, y)
+        return lambda t: self._quadrature(i, t, y)
+
+    def value(self, i, t, y):
         """H(y, i, t); broadcasts over arrays. Rejects t < 0."""
         if np.any(np.asarray(t) < 0):
             raise ValueError("hazard time must be >= 0")
-        if self.closed_form is not None:
-            return self.closed_form(i, t, y)
-        return self._quadrature(i, t, y)
+        return self.along(i, y)(t)
 
     def _quadrature(self, i, t, y):
-        t_arr = np.asarray(t, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
-        tb, yb = np.broadcast_arrays(t_arr, y_arr)
+        tb, yb, ib = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float),
+                                         np.asarray(i))
         out = np.empty(tb.shape, dtype=float)
-        it = np.nditer(tb, flags=["multi_index"])
-        for tv in it:
-            yv = float(yb[it.multi_index])
-            out[it.multi_index] = adaptive_simpson(
-                lambda h: float(self.intensity(self.flow.evaluate(i, h, yv))),
-                0.0, float(tv), self.quad_tol,
+        for idx in np.ndindex(tb.shape):
+            yv, iv = float(yb[idx]), int(ib[idx])
+            out[idx] = adaptive_simpson(
+                lambda h: float(self.intensity(self.flow.evaluate(iv, h, yv))),
+                0.0, float(tb[idx]), self.quad_tol,
             )
         if out.shape == ():
             return float(out)
         return out
 
-    def survival(self, i: int, t, y):
+    def survival(self, i, t, y):
         """P(holding time > t) = exp(-H(y, i, t)) in (0, 1]."""
         return np.exp(-np.asarray(self.value(i, t, y), dtype=float))
 
 
-def cumulative_hazard(h: CumulativeHazard, x: StatePoint, t: float) -> float:
-    return float(h.value(x.i, t, x.y))
-
-
-def survival(h: CumulativeHazard, x: StatePoint, t: float) -> float:
-    return float(h.survival(x.i, t, x.y))
-
-
-def invert_holding(h: CumulativeHazard, i: int, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Solve H(y, i, t) = target elementwise by bracketed bisection.
 
     The rate bounds guarantee the bracket [target/upper, target/lower];
-    bisection on a monotone hazard needs no derivative. A final residual
-    check guards against hazards inconsistent with their declared bounds.
+    bisection on a monotone hazard needs no derivative. It stops once every
+    bracket is narrower than HOLDING_TIME_ABS_TOL, or once a step moves no
+    bracket: past t ~ 8192 one float step exceeds that tolerance, and a
+    float bracket can only shrink so often. A final residual check guards
+    against hazards inconsistent with their declared bounds.
     """
     ys = np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if np.any(targets < 0):
-        raise ValueError("hazard targets must be >= 0")
+    if not (np.isfinite(targets) & (targets >= 0)).all():
+        raise ValueError("hazard targets must be finite and >= 0")
     if isinstance(h.intensity, ConstantIntensity):
+        h.flow.check_regime(i)
         return targets / h.intensity.rate
+    hazard = h.along(i, ys)
     lo = targets / h.intensity.upper
     hi = targets / h.intensity.lower
+    width = math.inf
     while True:
         mid = 0.5 * (lo + hi)
-        above = np.asarray(h.value(i, mid, ys)) > targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if float(np.max(hi - lo, initial=0.0)) < HOLDING_TIME_ABS_TOL:
+        above = np.asarray(hazard(mid)) > targets
+        new_hi = np.where(above, mid, hi)
+        new_lo = np.where(above, lo, mid)
+        new_width = float(np.max(new_hi - new_lo, initial=0.0))
+        # a step that moves no bracket can only happen when the widest one stays put
+        stalled = (new_width >= width and np.array_equal(new_hi, hi)
+                   and np.array_equal(new_lo, lo))
+        hi, lo, width = new_hi, new_lo, new_width
+        if stalled or width < HOLDING_TIME_ABS_TOL:
             break
     out = 0.5 * (lo + hi)
-    residual = np.abs(np.asarray(h.value(i, out, ys)) - targets)
+    residual = np.abs(np.asarray(hazard(out)) - targets)
     worst = int(np.argmax(residual)) if residual.size else 0
     if residual.size and residual.flat[worst] > 1e-8 * (1.0 + targets.flat[worst]):
         raise RuntimeError(
@@ -256,11 +288,12 @@ def sample_holding_thinning(h: CumulativeHazard, x: StatePoint,
                        "check the declared intensity bounds")
 
 
-def sample_holding_thinning_vec(h: CumulativeHazard, i: int, ys: np.ndarray,
+def sample_holding_thinning_vec(h: CumulativeHazard, i, ys: np.ndarray,
                                 rng: np.random.Generator,
                                 max_rounds: int = 10_000) -> np.ndarray:
     """Vectorized thinning: one holding time per entry of ``ys``."""
     ys = np.asarray(ys, dtype=float)
+    regimes = np.broadcast_to(np.asarray(i), ys.shape)
     upper = h.intensity.upper
     t = np.zeros(ys.shape, dtype=float)
     pending = np.ones(ys.shape, dtype=bool)
@@ -269,7 +302,7 @@ def sample_holding_thinning_vec(h: CumulativeHazard, i: int, ys: np.ndarray,
         if idx.size == 0:
             return t
         t[idx] += rng.exponential(1.0 / upper, size=idx.size)
-        points = h.flow.evaluate(i, t[idx], ys[idx])
+        points = h.flow.evaluate(regimes[idx], t[idx], ys[idx])
         accept = rng.random(idx.size) * upper <= h.intensity(points)
         pending[idx[accept]] = False
     raise RuntimeError("thinning exceeded the proposal budget; check intensity bounds")

@@ -175,15 +175,6 @@ class FiniteAffineIfs(IfsKernel):
         return ThetaQuadrature(points=points, _masses=lambda y: self._prob_vector(y))
 
 
-def sample_theta(kernel: IfsKernel, y: float, rng: np.random.Generator):
-    return kernel.sample(y, rng)
-
-
-def sample_jump(kernel: IfsKernel, y: float, rng: np.random.Generator) -> float:
-    """Post-jump location: apply a map drawn from the place-dependent law."""
-    return float(kernel.apply(kernel.sample(y, rng), y))
-
-
 class SwitchingMatrix:
     """Row-stochastic matrix of continuous functions of the location.
 
@@ -242,10 +233,6 @@ class SwitchingMatrix:
         return np.minimum(out, self.n_regimes - 1).astype(np.int64)
 
 
-def sample_regime(pi: SwitchingMatrix, i: int, y_post: float, rng: np.random.Generator) -> int:
-    return pi.sample(i, y_post, rng)
-
-
 @dataclass(frozen=True)
 class PostJumpKernel:
     """Composite jump: location jump, then regime switch at the new location.
@@ -259,7 +246,8 @@ class PostJumpKernel:
     intensity: Intensity
 
     def sample(self, x: StatePoint, rng: np.random.Generator) -> StatePoint:
-        y_post = sample_jump(self.ifs, x.y, rng)
+        # apply a map drawn from the place-dependent law at the origin
+        y_post = float(self.ifs.apply(self.ifs.sample(x.y, rng), x.y))
         j = self.switching.sample(x.i, y_post, rng)
         return StatePoint(y=y_post, i=j)
 
@@ -273,7 +261,3 @@ class PostJumpKernel:
     def intensity_weight(self, x: StatePoint) -> float:
         """Importance weight of the intensity-weighted jump kernel at x."""
         return float(self.intensity(x.y))
-
-
-def post_jump_sample(kernel: PostJumpKernel, x: StatePoint, rng: np.random.Generator) -> StatePoint:
-    return kernel.sample(x, rng)

@@ -23,7 +23,9 @@ from .models import ModelSpec
 from .state import ExtendedState, StatePoint, WeightedEmpiricalMeasure
 
 REPLICA_CHUNK = 512
-"""Replicas per RNG stream; fixed so outputs do not depend on threading."""
+"""Replicas per RNG stream in ``run_ensemble``; fixed so outputs do not depend on threading."""
+PMF_CHUNK = 4096
+"""Replicas per RNG stream in ``jump_count_pmf``."""
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,13 @@ class PdmpPath:
             raise ValueError("evaluation time outside the covered horizon")
         seg = np.searchsorted(taus, ts, side="right") - 1
         seg = np.minimum(seg, taus.size - 1)
-        dt = ts - taus[seg]
-        ys = np.empty(ts.shape, dtype=float)
         regimes = self.trajectory.regimes[seg]
-        for i in range(self.model.n_regimes):
-            mask = regimes == i
-            if mask.any():
-                ys[mask] = self.model.flow.evaluate(i, dt[mask], self.trajectory.ys[seg[mask]])
+        ys = self.model.flow.evaluate(regimes, ts - taus[seg], self.trajectory.ys[seg])
         return ys, regimes
 
     def evaluate(self, t: float) -> StatePoint:
         ys, regimes = self.evaluate_many(np.array([t]))
         return StatePoint(float(ys[0]), int(regimes[0]))
-
-
-def pdmp_evaluate(path: PdmpPath, t: float) -> StatePoint:
-    return path.evaluate(t)
 
 
 def count_jumps(traj: JumpTrajectory, t: float) -> int:
@@ -182,13 +175,8 @@ def _advance(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
     independent of the regime mix, which keeps streams reproducible.
     """
     targets = -np.log1p(-rng.random(ys.shape))
-    dts = np.empty(ys.shape)
-    pre = np.empty(ys.shape)
-    for i in range(model.n_regimes):
-        mask = regimes == i
-        if mask.any():
-            dts[mask] = invert_holding(model.hazard, i, ys[mask], targets[mask])
-            pre[mask] = model.flow.evaluate(i, dts[mask], ys[mask])
+    dts = invert_holding(model.hazard, regimes, ys, targets)
+    pre = model.flow.evaluate(regimes, dts, ys)
     ys_post, regimes_post = model.jump.sample_vec(pre, regimes, rng)
     return dts, ys_post, regimes_post
 
@@ -218,9 +206,30 @@ def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
             np.column_stack(regimes_hist))
 
 
+def _chunk_sizes(n_replicas: int, chunk: int) -> list[int]:
+    """Full chunks of ``chunk`` replicas, then the remainder."""
+    sizes = [chunk] * (n_replicas // chunk)
+    if n_replicas % chunk:
+        sizes.append(n_replicas % chunk)
+    return sizes
+
+
+def _map_streams(work, items: Sequence, seed, threads: int = 1) -> list:
+    """``work(item, stream_seed)`` for each item, in order, one spawned stream per item.
+
+    The streams depend only on ``seed`` and the item count, so the results
+    do not depend on ``threads``.
+    """
+    seeds = np.random.SeedSequence(seed).spawn(len(items))
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, items, seeds))
+    return [work(item, s) for item, s in zip(items, seeds)]
+
+
 def run_ensemble(model: ModelSpec, n_replicas: int, seed, y0: float = 0.0, i0: int = 0,
                  n_steps: Optional[int] = None, t_end: Optional[float] = None,
-                 threads: int = 1, chunk_size: int = REPLICA_CHUNK) -> ChainEnsemble:
+                 threads: int = 1) -> ChainEnsemble:
     """Simulate independent replicas of the chain from a common start.
 
     Either a fixed step count or a time horizon must be given; in horizon
@@ -230,19 +239,9 @@ def run_ensemble(model: ModelSpec, n_replicas: int, seed, y0: float = 0.0, i0: i
         raise ValueError("give exactly one of n_steps or t_end")
     if n_replicas <= 0:
         raise ValueError("n_replicas must be > 0")
-    sizes = [chunk_size] * (n_replicas // chunk_size)
-    if n_replicas % chunk_size:
-        sizes.append(n_replicas % chunk_size)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def work(k):
-        return _run_chunk(model, sizes[k], y0, i0, seeds[k], n_steps, t_end)
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, range(len(sizes))))
-    else:
-        chunks = [work(k) for k in range(len(sizes))]
+    chunks = _map_streams(
+        lambda size, s: _run_chunk(model, size, y0, i0, s, n_steps, t_end),
+        _chunk_sizes(n_replicas, REPLICA_CHUNK), seed, threads)
     return ChainEnsemble(model=model, chunks=tuple(chunks))
 
 
@@ -314,36 +313,30 @@ def occupation_from_ensemble(ens: ChainEnsemble, horizon: float, samples_per_rep
         raise ValueError("horizon must exceed burn_in")
     if ens.min_horizon < horizon:
         raise ValueError("ensemble was not simulated up to the requested horizon")
-    model = ens.model
-    seeds = np.random.SeedSequence(seed).spawn(len(ens.chunks))
-    times_out, ys_out, regimes_out = [], [], []
-    for (taus, ys, regimes), chunk_seed in zip(ens.chunks, seeds):
-        rng = np.random.default_rng(chunk_seed)
+
+    def sample_chunk(chunk, chunk_seed):
+        taus, ys, regimes = chunk
         rows = taus.shape[0]
-        ts = _occupation_times(burn_in, horizon, samples_per_replica, rng, rows)
+        ts = _occupation_times(burn_in, horizon, samples_per_replica,
+                               np.random.default_rng(chunk_seed), rows)
         seg = np.empty(ts.shape, dtype=np.int64)
         for r in range(rows):
             seg[r] = np.searchsorted(taus[r], ts[r], side="right") - 1
         row_idx = np.repeat(np.arange(rows), samples_per_replica)
         seg_flat = seg.ravel()
-        dt = ts.ravel() - taus[row_idx, seg_flat]
-        y_seg = ys[row_idx, seg_flat]
         xi_seg = regimes[row_idx, seg_flat]
-        y_at = np.empty(dt.shape)
-        for i in range(model.n_regimes):
-            mask = xi_seg == i
-            if mask.any():
-                y_at[mask] = model.flow.evaluate(i, dt[mask], y_seg[mask])
-        times_out.append(ts.ravel())
-        ys_out.append(y_at)
-        regimes_out.append(xi_seg)
-    return OccupationSample(times=np.concatenate(times_out), ys=np.concatenate(ys_out),
-                            regimes=np.concatenate(regimes_out))
+        y_at = ens.model.flow.evaluate(xi_seg, ts.ravel() - taus[row_idx, seg_flat],
+                                       ys[row_idx, seg_flat])
+        return ts.ravel(), y_at, xi_seg
+
+    times, ys, regimes = zip(*_map_streams(sample_chunk, ens.chunks, seed))
+    return OccupationSample(times=np.concatenate(times), ys=np.concatenate(ys),
+                            regimes=np.concatenate(regimes))
 
 
 def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int, seed,
                    y0: float = 0.0, i0: int = 0, max_count: int = 30,
-                   threads: int = 1, chunk_size: int = 4096) -> dict[float, np.ndarray]:
+                   threads: int = 1) -> dict[float, np.ndarray]:
     """Empirical pmf of the jump count at each requested time.
 
     Returns, per time t, the vector of relative frequencies of {count = n}
@@ -352,23 +345,15 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
     counts in the millions stay cheap.
     """
     t_max = max(t_values)
-    sizes = [chunk_size] * (n_replicas // chunk_size)
-    if n_replicas % chunk_size:
-        sizes.append(n_replicas % chunk_size)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def work(k):
-        taus, _, _ = _run_chunk(model, sizes[k], y0, i0, seeds[k], None, t_max)
-        counts = np.empty((len(t_values), sizes[k]), dtype=np.int64)
+    def work(size, chunk_seed):
+        taus, _, _ = _run_chunk(model, size, y0, i0, chunk_seed, None, t_max)
+        counts = np.empty((len(t_values), size), dtype=np.int64)
         for j, t in enumerate(t_values):
             counts[j] = (taus <= t).sum(axis=1) - 1
         return np.stack([np.bincount(np.minimum(row, max_count), minlength=max_count + 1)
                          for row in counts])
 
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, range(len(sizes))))
-    else:
-        partials = [work(k) for k in range(len(sizes))]
+    partials = _map_streams(work, _chunk_sizes(n_replicas, PMF_CHUNK), seed, threads)
     totals = np.sum(partials, axis=0)
     return {t: totals[j] / n_replicas for j, t in enumerate(t_values)}

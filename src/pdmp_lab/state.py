@@ -66,10 +66,6 @@ class LyapunovFunction:
         return np.abs(np.asarray(ys, dtype=float) - self.anchor)
 
 
-def lyapunov_value(v: LyapunovFunction, x: StatePoint) -> float:
-    return v(x)
-
-
 class ZeroMassError(ValueError):
     """Raised when a transform or normalization receives an empty measure.
 

@@ -11,17 +11,14 @@ maps a chain-stationary law to the flow-stationary law and back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hazard import adaptive_simpson, invert_holding
+from .hazard import adaptive_simpson, invert_holding, quantile_edges, survival_horizon
 from .models import ModelSpec
 from .state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
-
-SURVIVAL_TAIL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,11 +41,6 @@ class TransformReport:
         }
 
 
-def _horizon(model: ModelSpec) -> float:
-    # survival beyond this time is below SURVIVAL_TAIL_EPS by the rate bound
-    return -math.log(SURVIVAL_TAIL_EPS) / model.intensity.lower
-
-
 def expected_holding_time(model: ModelSpec, x: StatePoint, tol: float = 1e-10) -> float:
     """Integral of the survival function: mean holding time at x.
 
@@ -56,7 +48,7 @@ def expected_holding_time(model: ModelSpec, x: StatePoint, tol: float = 1e-10) -
     the bracket-midpoint tail estimate; always lands inside
     [1/upper-rate, 1/lower-rate].
     """
-    t_max = _horizon(model)
+    t_max = survival_horizon(model.intensity)
     body = adaptive_simpson(lambda t: float(model.hazard.survival(x.i, t, x.y)), 0.0, t_max, tol)
     tail_surv = float(model.hazard.survival(x.i, t_max, x.y))
     tail = tail_surv * 0.5 * (1.0 / model.intensity.lower + 1.0 / model.intensity.upper)
@@ -103,56 +95,35 @@ def holding_occupation_transform(
         regimes = np.repeat(mu.regimes, reps)
         weights = np.repeat(mu.weights, reps) / reps
         targets = -np.log1p(-rng.random(ys.shape))
-        holding = np.empty(ys.shape)
-        out_ys = np.empty(ys.shape)
-        for i in range(model.n_regimes):
-            mask = regimes == i
-            if mask.any():
-                holding[mask] = invert_holding(model.hazard, i, ys[mask], targets[mask])
-        fractions = rng.random(ys.shape)
-        for i in range(model.n_regimes):
-            mask = regimes == i
-            if mask.any():
-                out_ys[mask] = model.flow.evaluate(i, fractions[mask] * holding[mask], ys[mask])
+        holding = invert_holding(model.hazard, regimes, ys, targets)
+        out_ys = model.flow.evaluate(regimes, rng.random(ys.shape) * holding, ys)
         out_w = weights * holding
         out = WeightedEmpiricalMeasure(out_ys, regimes, out_w)
         # variance of the output mass: independent holding draws, delta method
         mean_holding = float(np.dot(weights, holding) / weights.sum())
         stderr = float(np.sqrt(np.sum((weights * (holding - mean_holding)) ** 2)))
     elif variant == "quadrature":
-        t_max = _horizon(model)
-        lam_low = model.intensity.lower
+        t_max = survival_horizon(model.intensity)
         # hybrid grid: quantile edges resolve t ~ 0, uniform edges cap the
         # cell width so the 5-point Boole rule stays sharp in the tail
         half = max(time_cells // 2, 2)
-        quant = -np.log1p(-(1.0 - SURVIVAL_TAIL_EPS) * np.arange(half + 1) / half) / lam_low
-        quant[-1] = t_max
-        edges = np.unique(np.concatenate([quant, np.linspace(0.0, t_max, half + 1)]))
+        edges = np.unique(np.concatenate([quantile_edges(model.intensity, half, t_max),
+                                          np.linspace(0.0, t_max, half + 1)]))
         widths = np.diff(edges)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        out_ys_parts, out_regimes_parts, out_w_parts = [], [], []
-        for i in range(model.n_regimes):
-            mask = mu.regimes == i
-            if not mask.any():
-                continue
-            ys_i = mu.ys[mask]
-            w_i = mu.weights[mask]
-            # occupation mass of each cell: Boole's rule on the survival curve
-            cell = np.zeros((ys_i.size, widths.size))
-            for k, coeff in enumerate((7.0, 32.0, 12.0, 32.0, 7.0)):
-                pts_t = edges[:-1] + widths * (k / 4.0)
-                cell += coeff * model.hazard.survival(i, pts_t[None, :], ys_i[:, None])
-            cell *= widths[None, :] / 90.0
-            tail_surv = np.asarray(model.hazard.survival(i, t_max, ys_i))
-            cell[:, -1] += tail_surv * 0.5 * (1.0 / model.intensity.lower
-                                              + 1.0 / model.intensity.upper)
-            pts = model.flow.evaluate(i, mids[None, :], ys_i[:, None])
-            out_ys_parts.append(pts.ravel())
-            out_regimes_parts.append(np.full(pts.size, i, dtype=np.int64))
-            out_w_parts.append((w_i[:, None] * cell).ravel())
-        out = WeightedEmpiricalMeasure(np.concatenate(out_ys_parts),
-                                       np.concatenate(out_regimes_parts),
-                                       np.concatenate(out_w_parts))
+        regimes, ys = mu.regimes[:, None], mu.ys[:, None]
+        # occupation mass of each cell: Boole's rule on the survival curve
+        cell = np.zeros((mu.n_atoms, widths.size))
+        for k, coeff in enumerate((7.0, 32.0, 12.0, 32.0, 7.0)):
+            pts_t = edges[:-1] + widths * (k / 4.0)
+            cell += coeff * model.hazard.survival(regimes, pts_t[None, :], ys)
+        cell *= widths[None, :] / 90.0
+        tail_surv = np.asarray(model.hazard.survival(mu.regimes, t_max, mu.ys))
+        cell[:, -1] += tail_surv * 0.5 * (1.0 / model.intensity.lower
+                                          + 1.0 / model.intensity.upper)
+        pts = model.flow.evaluate(regimes, mids[None, :], ys)
+        out = WeightedEmpiricalMeasure(pts.ravel(), np.repeat(mu.regimes, mids.size),
+                                       (mu.weights[:, None] * cell).ravel())
         stderr = 0.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -183,12 +154,8 @@ def chain_step_transform(
     """One exact chain step applied to every atom, weights unchanged."""
     _require_mass(mu)
     targets = -np.log1p(-rng.random(mu.ys.shape))
-    pre = np.empty(mu.ys.shape)
-    for i in range(model.n_regimes):
-        mask = mu.regimes == i
-        if mask.any():
-            holding = invert_holding(model.hazard, i, mu.ys[mask], targets[mask])
-            pre[mask] = model.flow.evaluate(i, holding, mu.ys[mask])
+    holding = invert_holding(model.hazard, mu.regimes, mu.ys, targets)
+    pre = model.flow.evaluate(mu.regimes, holding, mu.ys)
     ys_post, regimes_post = model.jump.sample_vec(pre, mu.regimes, rng)
     return WeightedEmpiricalMeasure(ys_post, regimes_post, mu.weights.copy())
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pdmp_lab import cli
 from pdmp_lab.cli import ExperimentConfig, ConfigError, main
 
 BASE_CONFIG = {
@@ -176,3 +177,19 @@ def test_config_validation_rules():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"model": {"name": "gene",
                                               "params": {"kappa": -2.0}}, "seed": 1})
+
+
+def test_thread_count_precedence(tmp_path, monkeypatch):
+    # --threads, then the config's "threads", then PDMP_LAB_THREADS, then 1
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "simulate", lambda cfg, out_dir: seen.append(cfg.threads))
+    with_threads = write_config(tmp_path, {"threads": 2}, name="with.json")
+    without = write_config(tmp_path, name="without.json")
+    out = ["--out", str(tmp_path / "o")]
+    monkeypatch.delenv("PDMP_LAB_THREADS", raising=False)
+    assert main(["simulate", "--config", str(without)] + out) == 0
+    monkeypatch.setenv("PDMP_LAB_THREADS", "3")
+    assert main(["simulate", "--config", str(without)] + out) == 0
+    assert main(["simulate", "--config", str(with_threads)] + out) == 0
+    assert main(["simulate", "--config", str(with_threads), "--threads", "4"] + out) == 0
+    assert seen == [1, 3, 2, 4]

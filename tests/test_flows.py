@@ -9,7 +9,6 @@ from pdmp_lab.flows import (
     FrozenFlow,
     Semiflow,
     check_semigroup,
-    flow_evaluate,
 )
 
 
@@ -24,23 +23,23 @@ class QuadraticDriftFlow(Semiflow):
 
 def test_time_zero_is_identity():
     flow = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
-    assert flow_evaluate(flow, 0, 0.0, 5.0) == 5.0
+    assert flow.evaluate(0, 0.0, 5.0) == 5.0
 
 
 def test_closed_form_decay():
     flow = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
-    assert flow_evaluate(flow, 0, math.log(2.0), 4.0) == pytest.approx(2.0, rel=1e-14)
+    assert flow.evaluate(0, math.log(2.0), 4.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_attractor_limit():
     flow = AffineExpFlow(rates=(1.0,), anchors=(1.0,))
-    assert flow_evaluate(flow, 0, 50.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert flow.evaluate(0, 50.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_negative_time_rejected():
     flow = AffineExpFlow()
     with pytest.raises(ValueError):
-        flow_evaluate(flow, 0, -0.1, 1.0)
+        flow.evaluate(0, -0.1, 1.0)
 
 
 def test_invalid_parameters_rejected():
@@ -89,3 +88,27 @@ def test_affine_flow_contraction_is_exact():
     assert np.abs(lhs - rhs).max() < 1e-12
     lip, rate = flow.contraction
     assert (lip, rate) == (1.0, -1.0)
+
+
+def test_regime_array_matches_per_regime_calls():
+    flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
+    rng = np.random.default_rng(21)
+    regimes = rng.integers(0, 2, 1000)
+    ts, ys = rng.uniform(0, 5, 1000), rng.uniform(0, 15, 1000)
+    batch = flow.evaluate(regimes, ts, ys)
+    for i in (0, 1):
+        mask = regimes == i
+        assert np.array_equal(batch[mask], flow.evaluate(i, ts[mask], ys[mask]))
+
+
+@pytest.mark.parametrize("flow", [AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0)),
+                                  FrozenFlow(n_regimes=2), ExpandingFlow(rate=1.0)])
+def test_out_of_range_regime_rejected(flow):
+    with pytest.raises(ValueError, match="regime"):
+        flow.evaluate(flow.n_regimes, 1.0, 1.0)
+    with pytest.raises(ValueError, match="regime"):
+        flow.evaluate(-1, 1.0, 1.0)
+    regimes = np.zeros(5, dtype=np.int64)
+    regimes[3] = flow.n_regimes
+    with pytest.raises(ValueError, match="regime"):
+        flow.evaluate(regimes, np.ones(5), np.ones(5))

@@ -1,22 +1,23 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.hazard import (
+    HOLDING_TIME_ABS_TOL,
     ConstantIntensity,
     CumulativeHazard,
     SaturatingIntensity,
     adaptive_simpson,
-    cumulative_hazard,
     invert_holding,
     sample_holding_inversion,
     sample_holding_thinning,
     sample_holding_thinning_vec,
-    survival,
 )
 from pdmp_lab.metrics import ks_critical, ks_statistic
+from pdmp_lab.models import build_model
 from pdmp_lab.state import StatePoint
 
 FLOW = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
@@ -31,17 +32,17 @@ def closed_gene_hazard(y, t):
 
 
 def test_constant_hazard_is_linear():
-    assert cumulative_hazard(CONST2, StatePoint(3.3, 0), 3.0) == pytest.approx(6.0)
+    assert CONST2.value(0, 3.0, 3.3) == pytest.approx(6.0)
 
 
 def test_hazard_zero_time():
-    assert cumulative_hazard(WIDE, StatePoint(1.0, 0), 0.0) == 0.0
+    assert WIDE.value(0, 0.0, 1.0) == 0.0
 
 
 def test_closed_form_value():
     expected = 1.0 + math.log(2.0 / (1.0 + math.exp(-1.0)))
     assert expected == pytest.approx(1.37988549, abs=1e-7)
-    assert cumulative_hazard(WIDE, StatePoint(1.0, 0), 1.0) == pytest.approx(expected, rel=1e-12)
+    assert WIDE.value(0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_quadrature_matches_closed_form():
@@ -52,17 +53,17 @@ def test_quadrature_matches_closed_form():
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        cumulative_hazard(WIDE, StatePoint(1.0, 0), -1.0)
+        WIDE.value(0, -1.0, 1.0)
 
 
 def test_survival_examples_and_bracket():
-    assert survival(WIDE, StatePoint(1.0, 0), 0.0) == 1.0
-    assert survival(CONST2, StatePoint(0.0, 0), 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert WIDE.survival(0, 0.0, 1.0) == 1.0
+    assert CONST2.survival(0, 1.0, 0.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(200):
         x = StatePoint(rng.uniform(0, 10), 0)
         t = rng.uniform(0, 5)
-        s = survival(WIDE, x, t)
+        s = WIDE.survival(x.i, t, x.y)
         assert math.exp(-2.0 * t) - 1e-12 <= s <= math.exp(-1.0 * t) + 1e-12
 
 
@@ -70,7 +71,7 @@ def test_hazard_bracket_property():
     rng = np.random.default_rng(1)
     for _ in range(500):
         y, t = rng.uniform(0, 10), rng.uniform(0, 5)
-        val = cumulative_hazard(WIDE, StatePoint(y, 0), t)
+        val = WIDE.value(0, t, y)
         assert 1.0 * t - 1e-12 <= val <= 2.0 * t + 1e-12
 
 
@@ -174,3 +175,45 @@ def test_inversion_detects_invalid_rate_bounds():
 def test_adaptive_simpson_known_integrals():
     assert adaptive_simpson(math.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-10)
     assert adaptive_simpson(lambda t: math.exp(-t), 0.0, 30.0, 1e-12) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_regime_array_matches_per_regime_calls():
+    flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
+    hz = CumulativeHazard.for_model(flow, SaturatingIntensity(base=1.0, gain=0.5))
+    rng = np.random.default_rng(22)
+    n = 2000
+    regimes = rng.integers(0, 2, n)
+    ts, ys = rng.uniform(0, 5, n), rng.uniform(0, 15, n)
+    targets = -np.log1p(-rng.random(n))
+    values = hz.value(regimes, ts, ys)
+    times = invert_holding(hz, regimes, ys, targets)
+    for i in (0, 1):
+        mask = regimes == i
+        assert np.array_equal(values[mask], hz.value(i, ts[mask], ys[mask]))
+        assert np.abs(times[mask] - invert_holding(hz, i, ys[mask], targets[mask])).max() <= 2e-12
+
+
+def test_out_of_range_regime_entry_rejected():
+    flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
+    regimes = np.array([0, 1, 2, 0])
+    ys = np.ones(4)
+    for intensity in (SaturatingIntensity(base=1.0, gain=0.5), ConstantIntensity(1.0)):
+        hz = CumulativeHazard.for_model(flow, intensity)
+        with pytest.raises(ValueError, match="regime"):
+            hz.value(regimes, 1.0, ys)
+        with pytest.raises(ValueError, match="regime"):
+            hz.survival(np.array([-1, 0, 0, 0]), 1.0, ys)
+        with pytest.raises(ValueError, match="regime"):
+            invert_holding(hz, regimes, ys, np.ones(4))
+
+
+def test_inversion_terminates_where_float_steps_exceed_tolerance():
+    # at t ~ 8192 one float step (1.8e-12) is wider than the 1e-12 stop, so
+    # the bracket can stop shrinking before it meets the tolerance
+    model = build_model("gene", {"intensity": "saturating", "lam_low": 1e-3, "lam_high": 2e-3})
+    ys, targets = np.array([1.0]), np.array([30.0])
+    start = time.perf_counter()
+    t = invert_holding(model.hazard, 0, ys, targets)
+    assert time.perf_counter() - start < 1.0
+    assert t[0] > 8192.0 and np.spacing(t[0]) > HOLDING_TIME_ABS_TOL
+    assert abs(float(model.hazard.value(0, t, ys)[0]) - 30.0) <= 1e-8

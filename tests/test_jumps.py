@@ -9,10 +9,6 @@ from pdmp_lab.jumps import (
     FiniteAffineIfs,
     PostJumpKernel,
     SwitchingMatrix,
-    post_jump_sample,
-    sample_jump,
-    sample_regime,
-    sample_theta,
 )
 from pdmp_lab.state import StatePoint
 
@@ -27,7 +23,7 @@ def test_sample_theta_exponential_mean():
 def test_sample_theta_singleton_support():
     rng = np.random.default_rng(1)
     kernel = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    assert sample_theta(kernel, 2.0, rng) == 0
+    assert kernel.sample(2.0, rng) == 0
     assert np.array_equal(kernel.sample_vec(np.zeros(10), rng), np.zeros(10, dtype=np.int64))
 
 
@@ -49,7 +45,7 @@ def test_sample_jump_additive_bursts():
 def test_sample_jump_deterministic_map():
     rng = np.random.default_rng(4)
     kernel = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    assert sample_jump(kernel, 4.0, rng) == pytest.approx(2.0)
+    assert kernel.apply(kernel.sample(4.0, rng), 4.0) == pytest.approx(2.0)
 
 
 def test_jump_displacement_from_anchor():
@@ -71,7 +67,7 @@ def test_density_normalization_over_quadrature():
 def test_switching_single_regime():
     rng = np.random.default_rng(7)
     pi = SwitchingMatrix([[1.0]])
-    assert sample_regime(pi, 0, 3.0, rng) == 0
+    assert pi.sample(0, 3.0, rng) == 0
 
 
 def test_switching_uniform_frequencies():
@@ -85,8 +81,8 @@ def test_switching_absorbing_row():
     rng = np.random.default_rng(9)
     pi = SwitchingMatrix.constant([[1.0, 0.0], [1.0, 0.0]])
     for y in (0.0, 2.0, 7.5):
-        assert sample_regime(pi, 0, y, rng) == 0
-        assert sample_regime(pi, 1, y, rng) == 0
+        assert pi.sample(0, y, rng) == 0
+        assert pi.sample(1, y, rng) == 0
 
 
 def test_switching_row_sum_validation():
@@ -145,7 +141,7 @@ def test_post_jump_deterministic_composition():
     ifs = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
     pi = SwitchingMatrix.constant([[0.0, 1.0], [0.0, 1.0]])
     kernel = PostJumpKernel(ifs=ifs, switching=pi, intensity=ConstantIntensity(1.0))
-    out = post_jump_sample(kernel, StatePoint(4.0, 0), np.random.default_rng(13))
+    out = kernel.sample(StatePoint(4.0, 0), np.random.default_rng(13))
     assert (out.y, out.i) == (2.0, 1)
 
 

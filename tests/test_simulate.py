@@ -16,7 +16,6 @@ from pdmp_lab.simulate import (
     jump_count_pmf,
     occupation_from_ensemble,
     occupation_measure,
-    pdmp_evaluate,
     run_chain,
     run_ensemble,
     step_chain,
@@ -99,7 +98,7 @@ def test_pdmp_evaluate_at_jump_times():
     traj = run_chain(TWO, ExtendedState(StatePoint(0.3, 0), 0.0), 50, rng)
     path = PdmpPath(TWO, traj)
     for n in (0, 10, 50):
-        pt = pdmp_evaluate(path, float(traj.taus[n]))
+        pt = path.evaluate(float(traj.taus[n]))
         assert pt.y == pytest.approx(traj.ys[n], rel=1e-12)
         assert pt.i == traj.regimes[n]
 
@@ -108,7 +107,7 @@ def test_pdmp_evaluate_single_segment_flow():
     traj = JumpTrajectory(taus=np.array([0.0, 10.0]), ys=np.array([4.0, 0.0]),
                           regimes=np.zeros(2, dtype=int))
     path = PdmpPath(GENE, traj)
-    assert pdmp_evaluate(path, math.log(2.0)).y == pytest.approx(2.0, rel=1e-12)
+    assert path.evaluate(math.log(2.0)).y == pytest.approx(2.0, rel=1e-12)
 
 
 def test_pdmp_evaluate_left_limit_before_jump():
@@ -116,10 +115,10 @@ def test_pdmp_evaluate_left_limit_before_jump():
                           regimes=np.zeros(3, dtype=int))
     path = PdmpPath(GENE, traj)
     eps = 1e-9
-    val = pdmp_evaluate(path, 1.0 - eps).y
+    val = path.evaluate(1.0 - eps).y
     assert val == pytest.approx(1.0 * math.exp(-(1.0 - eps)), rel=1e-9)
     # right-continuity: at the jump, the post-jump value rules
-    assert pdmp_evaluate(path, 1.0).y == pytest.approx(3.0)
+    assert path.evaluate(1.0).y == pytest.approx(3.0)
 
 
 def test_pdmp_evaluate_outside_horizon():
@@ -127,9 +126,9 @@ def test_pdmp_evaluate_outside_horizon():
                           regimes=np.zeros(2, dtype=int))
     path = PdmpPath(GENE, traj)
     with pytest.raises(ValueError):
-        pdmp_evaluate(path, 1.5)
+        path.evaluate(1.5)
     with pytest.raises(ValueError):
-        pdmp_evaluate(path, 0.2)
+        path.evaluate(0.2)
 
 
 def test_count_jumps_examples():
