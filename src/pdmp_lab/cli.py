@@ -4,13 +4,15 @@ Four subcommands (simulate, correspondence, oracle, diagnostics) read one
 JSON config document, run a batch experiment, and write plot-ready CSV/JSON
 files. Outputs are byte-identical for identical (config, seed) and do not
 depend on the thread count. Exit codes: 0 success, 2 config error, 3 a
-declared tolerance or positive-model check failed.
+declared tolerance or positive-model check failed, 4 a numerical solver
+failed (hazard inversion or thinning hit its iteration cap, adaptive
+quadrature did not converge, power iteration did not converge); the last
+prints one ``solver failure: ...`` line to stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -136,15 +138,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+CSV_BLOCK_ROWS = 1024
+"""Rows formatted per write, so the text of a large table is never held at once."""
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns as CSV rows: integers as-is, floats with 17 significant digits."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("{}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}"
+                   for c in columns) + "\n"
+    n_rows = min((c.size for c in columns), default=0)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([v if isinstance(v, str) else
-                             (str(int(v)) if np.issubdtype(type(v), np.integer) or isinstance(v, int)
-                              else f"{v:.17g}")
-                             for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join([row.format(*cells) for cells in block]))
 
 
 def _check_range(tolerances: dict, key: str, value: float, failures: list[str]) -> None:
@@ -333,6 +341,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -17,7 +17,12 @@ import numpy as np
 from .flows import AffineExpFlow, FrozenFlow, Semiflow
 from .state import StatePoint
 
-HOLDING_TIME_ABS_TOL = 1e-12
+HOLDING_TIME_RTOL = 1e-12
+"""An inverted holding time stops once its Newton step is at most this times max(1, t)."""
+HOLDING_NEWTON_MAX_ITER = 100
+HOLDING_NEWTON_BLOCK = 8192
+"""Atoms solved together. Bounds the scratch memory, and the passes over atoms
+that converged before the slowest atom of their block."""
 THINNING_MAX_PROPOSALS = 10**6
 SURVIVAL_TAIL_EPS = 1e-12
 """Survival mass below which a holding-time tail is truncated."""
@@ -217,47 +222,73 @@ class CumulativeHazard:
 
 
 def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Solve H(y, i, t) = target elementwise by bracketed bisection.
+    """Solve H(y, i, t) = target elementwise by safeguarded Newton ("rtsafe").
 
-    The rate bounds guarantee the bracket [target/upper, target/lower];
-    bisection on a monotone hazard needs no derivative. It stops once every
-    bracket is narrower than HOLDING_TIME_ABS_TOL, or once a step moves no
-    bracket: past t ~ 8192 one float step exceeds that tolerance, and a
-    float bracket can only shrink so often. A final residual check guards
-    against hazards inconsistent with their declared bounds.
+    The rate bounds guarantee the bracket [target/upper, target/lower], and
+    the t-derivative of H is the rate along the flow, lambda(S_i(t, y)) >=
+    lower > 0. Each iteration narrows the bracket by the sign of H(t) -
+    target, then takes the Newton step if it lies in the bracket, ends
+    included (a step from an exact hit stays put), else the midpoint. An
+    atom stops once its step is at most HOLDING_TIME_RTOL * max(1, t) and is
+    then frozen, so its result does not depend on the rest of the batch,
+    which is solved in blocks of HOLDING_NEWTON_BLOCK. A final residual
+    check guards against hazards inconsistent with their declared bounds.
     """
     ys = np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if not (np.isfinite(targets) & (targets >= 0)).all():
         raise ValueError("hazard targets must be finite and >= 0")
+    if not np.isfinite(ys).all():
+        raise ValueError("start locations must be finite")
+    h.flow.check_regime(i)
     if isinstance(h.intensity, ConstantIntensity):
-        h.flow.check_regime(i)
         return targets / h.intensity.rate
-    hazard = h.along(i, ys)
-    lo = targets / h.intensity.upper
-    hi = targets / h.intensity.lower
-    width = math.inf
-    while True:
-        mid = 0.5 * (lo + hi)
-        above = np.asarray(hazard(mid)) > targets
-        new_hi = np.where(above, mid, hi)
-        new_lo = np.where(above, lo, mid)
-        new_width = float(np.max(new_hi - new_lo, initial=0.0))
-        # a step that moves no bracket can only happen when the widest one stays put
-        stalled = (new_width >= width and np.array_equal(new_hi, hi)
-                   and np.array_equal(new_lo, lo))
-        hi, lo, width = new_hi, new_lo, new_width
-        if stalled or width < HOLDING_TIME_ABS_TOL:
-            break
-    out = 0.5 * (lo + hi)
-    residual = np.abs(np.asarray(hazard(out)) - targets)
+    ys, targets, regimes = np.broadcast_arrays(ys, targets, np.asarray(i))
+    flat_ys, flat_targets, flat_regimes = ys.ravel(), targets.ravel(), regimes.ravel()
+    out = np.empty(flat_ys.size)
+    for start in range(0, out.size, HOLDING_NEWTON_BLOCK):
+        block = slice(start, start + HOLDING_NEWTON_BLOCK)
+        out[block] = _newton_holding(h, flat_ys[block], flat_regimes[block], flat_targets[block])
+    out = out.reshape(targets.shape)
+    residual = np.abs(np.asarray(h.along(i, ys)(out)) - targets)
     worst = int(np.argmax(residual)) if residual.size else 0
     if residual.size and residual.flat[worst] > 1e-8 * (1.0 + targets.flat[worst]):
+        target = targets.flat[worst]
         raise RuntimeError(
             f"hazard inversion missed its target by {residual.flat[worst]:.3e} "
-            f"(bracket [{lo.flat[worst]:.6g}, {hi.flat[worst]:.6g}], "
-            f"target {targets.flat[worst]:.6g}); are the declared rate bounds valid?")
+            f"(root {out.flat[worst]:.6g}, bracket [{target / h.intensity.upper:.6g}, "
+            f"{target / h.intensity.lower:.6g}], target {target:.6g}); "
+            "are the declared rate bounds valid?")
     return out
+
+
+def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
+                    targets: np.ndarray) -> np.ndarray:
+    """The Newton iterations of invert_holding on one block of 1-D atoms."""
+    rate = h.intensity
+    hazard = h.along(regimes, ys)
+    lo = targets / rate.upper
+    hi = targets / rate.lower
+    t = np.clip(targets / rate(ys), lo, hi)
+    moving = np.ones(t.shape, dtype=bool)
+    for _ in range(HOLDING_NEWTON_MAX_ITER):
+        excess = hazard(t) - targets
+        above = excess > 0
+        hi = np.where(above, t, hi)
+        lo = np.where(above, lo, t)
+        step = t - excess / rate(h.flow.evaluate(regimes, t, ys))
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        converged = np.abs(step - t) <= HOLDING_TIME_RTOL * np.maximum(1.0, t)
+        # a converged atom keeps its last step; later passes over it change nothing
+        t = np.where(moving, step, t)
+        moving &= ~converged
+        if not moving.any():
+            return t
+    k = int(np.argmax(np.where(moving, hi - lo, -1.0)))
+    raise RuntimeError(
+        f"hazard inversion did not converge in {HOLDING_NEWTON_MAX_ITER} iterations for "
+        f"{int(moving.sum())} atom(s); widest bracket [{lo[k]:.17g}, {hi[k]:.17g}] at "
+        f"y={ys[k]:.17g}, regime {regimes[k]}, target {targets[k]:.17g}")
 
 
 def sample_holding_inversion(h: CumulativeHazard, x: StatePoint, u: float) -> float:

@@ -1,10 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmp_lab import cli
+from pdmp_lab import hazard as hazard_module
 from pdmp_lab.cli import ExperimentConfig, ConfigError, main
+from pdmp_lab.flows import AffineExpFlow
+from pdmp_lab.grid import power_iteration
+from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, adaptive_simpson, invert_holding
 
 BASE_CONFIG = {
     "model": {"name": "gene", "params": {"kappa": 1.0, "burst_mean": 1.0,
@@ -193,3 +198,23 @@ def test_thread_count_precedence(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(with_threads)] + out) == 0
     assert main(["simulate", "--config", str(with_threads), "--threads", "4"] + out) == 0
     assert seen == [1, 3, 2, 4]
+
+
+def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = ["--out", str(tmp_path / "o")]
+    monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_MAX_ITER", 1)
+    wide = CumulativeHazard.for_model(AffineExpFlow(), SaturatingIntensity(base=1.0, gain=1.0))
+    solvers = (lambda: power_iteration(np.array([[0.5, 0.5], [0.9, 0.1]]), max_iter=1),
+               lambda: invert_holding(wide, 0, np.array([2.5]), np.array([3.0])),
+               lambda: adaptive_simpson(lambda t: abs(t) ** 0.5, -1.0, 1.0, 1e-14, max_depth=3))
+    for solve in solvers:
+        monkeypatch.setitem(cli.COMMANDS, "oracle", lambda cfg, out_dir, solve=solve: solve())
+        assert main(["oracle", "--config", str(cfg)] + out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and err.count("\n") == 1
+
+    def tolerance(cfg, out_dir):
+        raise cli.ToleranceFailure("w1_forward_max exceeded")
+    monkeypatch.setitem(cli.COMMANDS, "oracle", tolerance)
+    assert main(["oracle", "--config", str(cfg)] + out) == 3

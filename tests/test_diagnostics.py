@@ -233,6 +233,22 @@ def test_suite_flow_contraction_ignores_rounding_of_near_pairs():
     assert report.estimates["flow_rate"] == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_flow_contraction_resolves_fast_decay_toward_nonzero_attractor():
+    # regime 1 relaxes to c = 1 at kappa = 3, so by t = 4 two flow values near 1
+    # differ by ~e^-12 |u - v|; these seeds once fitted a rate 1.07e-9 and
+    # 1.03e-9 above the declared -3, past the 1e-9 slack of the rate check
+    model = two_regime_model(kappa=3.0)
+    for seed in (157, 208):
+        lip, rate = estimate_flow_contraction(model, np.random.default_rng((seed, 1)))
+        assert rate <= -3.0 + 1e-9
+        assert rate == pytest.approx(-3.0, abs=1e-9) and lip == pytest.approx(1.0, abs=1e-9)
+    # at kappa = 10 with both attractors off zero every t = 4 difference is
+    # below rounding; that time is left out of the fit instead of faking a rate
+    lip, rate = estimate_flow_contraction(two_regime_model(kappa=10.0, c0=0.5),
+                                          np.random.default_rng(0))
+    assert rate == pytest.approx(-10.0, abs=1e-9)
+
+
 def test_suite_negative_controls_fail_exactly_designated():
     expected = {
         "control-expanding-flow": ["flow-contraction"],

@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
+from pdmp_lab import hazard as hazard_module
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.hazard import (
-    HOLDING_TIME_ABS_TOL,
     ConstantIntensity,
     CumulativeHazard,
     SaturatingIntensity,
@@ -208,12 +208,50 @@ def test_out_of_range_regime_entry_rejected():
 
 
 def test_inversion_terminates_where_float_steps_exceed_tolerance():
-    # at t ~ 8192 one float step (1.8e-12) is wider than the 1e-12 stop, so
-    # the bracket can stop shrinking before it meets the tolerance
+    # at t ~ 8192 one float step (1.8e-12) is wider than 1e-12, so an
+    # absolute 1e-12 stop could never be met there
     model = build_model("gene", {"intensity": "saturating", "lam_low": 1e-3, "lam_high": 2e-3})
     ys, targets = np.array([1.0]), np.array([30.0])
     start = time.perf_counter()
     t = invert_holding(model.hazard, 0, ys, targets)
     assert time.perf_counter() - start < 1.0
-    assert t[0] > 8192.0 and np.spacing(t[0]) > HOLDING_TIME_ABS_TOL
+    assert t[0] > 8192.0 and np.spacing(t[0]) > 1e-12
     assert abs(float(model.hazard.value(0, t, ys)[0]) - 30.0) <= 1e-8
+
+
+def test_inversion_rejects_non_finite_starts():
+    model = build_model("gene", {"intensity": "saturating"})
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            invert_holding(model.hazard, 0, np.array([bad, 1.0]), np.array([1.0, 1.0]))
+
+
+def test_newton_residual_on_gene_saturating():
+    model = build_model("gene", {"intensity": "saturating"})
+    rng = np.random.default_rng(8)
+    ys = np.concatenate([[0.0, 1e-9, 1e3], rng.uniform(0.0, 50.0, 4000)])
+    targets = np.concatenate([[0.0, 1e-14, 40.0], -np.log1p(-rng.random(4000))])
+    t = invert_holding(model.hazard, 0, ys, targets)
+    residual = np.abs(model.hazard.value(0, t, ys) - targets)
+    assert (residual <= 1e-12 * (1.0 + targets)).all()
+
+
+def test_inversion_of_an_atom_does_not_depend_on_its_batch():
+    flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
+    hz = CumulativeHazard.for_model(flow, SaturatingIntensity(base=1.0, gain=0.5))
+    rng = np.random.default_rng(9)
+    n = 300
+    regimes = rng.integers(0, 2, n)
+    ys = rng.uniform(0.0, 15.0, n)
+    targets = np.concatenate([[0.0, 35.0], -np.log1p(-rng.random(n - 2))])
+    batch = invert_holding(hz, regimes, ys, targets)
+    single = np.array([invert_holding(hz, int(r), np.array([y]), np.array([g]))[0]
+                       for r, y, g in zip(regimes, ys, targets)])
+    assert (np.abs(batch - single) <= 1e-15 * np.abs(single)).all()
+
+
+def test_inversion_iteration_cap_names_the_atom(monkeypatch):
+    monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match=r"did not converge in 1 iterations.*y=2.5, regime 0, "
+                                           r"target 3"):
+        invert_holding(WIDE, 0, np.array([0.0, 2.5]), np.array([0.0, 3.0]))

@@ -136,3 +136,60 @@ def test_effective_sample_size():
     assert effective_sample_size(np.ones(100)) == pytest.approx(100.0)
     w = np.array([1.0, 0.0, 0.0])
     assert effective_sample_size(w) == pytest.approx(1.0)
+
+
+def brute_force_bl_lower_bound(mu, nu, n_anchors=64):
+    # the ramp dictionary spelled out: both mirror ramps at every anchor,
+    # regime-blind and restricted to each regime present in either measure
+    mu, nu = mu.normalize(), nu.normalize()
+    anchors = np.linspace(min(mu.ys.min(), nu.ys.min()), max(mu.ys.max(), nu.ys.max()), n_anchors)
+    fns = []
+    for a in anchors:
+        fns.append(lambda y, a=a: np.clip(y - a, -1.0, 1.0))
+        fns.append(lambda y, a=a: np.clip(a - y, -1.0, 1.0))
+    regimes = sorted(set(np.unique(mu.regimes)) | set(np.unique(nu.regimes)))
+    best = 0.0
+    for f in fns:
+        best = max(best, abs(float(np.dot(mu.weights, f(mu.ys)) - np.dot(nu.weights, f(nu.ys)))))
+        for i in regimes:
+            ya, wa = mu.restrict_regime(i)
+            yb, wb = nu.restrict_regime(i)
+            ga = float(np.dot(wa, f(ya))) if ya.size else 0.0
+            gb = float(np.dot(wb, f(yb))) if yb.size else 0.0
+            best = max(best, abs(ga - gb))
+    return best
+
+
+def test_bl_lower_bound_matches_brute_force_dictionary():
+    rng = np.random.default_rng(5)
+    for n_regimes in (1, 2, 3):
+        for trial in range(15):
+            n_a, n_b = rng.integers(1, 200, 2)
+            ya = rng.normal(0.0, 2.0, n_a)
+            yb = rng.normal(0.5, 1.5, n_b)
+            ra = rng.integers(0, n_regimes, n_a)
+            # the last regime is present only in mu
+            rb = rng.integers(0, max(n_regimes - 1, 1), n_b)
+            n_anchors = int(rng.integers(1, 70))
+            lo, hi = min(ya.min(), yb.min()), max(ya.max(), yb.max())
+            anchors = np.linspace(lo, hi, n_anchors)
+            # atoms exactly on ramp breakpoints a +- 1
+            on_breaks = rng.choice(np.concatenate([anchors - 1.0, anchors + 1.0]), 10)
+            ya = np.concatenate([ya, np.clip(on_breaks, lo, hi)])
+            ra = np.concatenate([ra, rng.integers(0, n_regimes, 10)])
+            yb = np.concatenate([yb, np.clip(on_breaks[::-1], lo, hi)])
+            rb = np.concatenate([rb, np.zeros(10, dtype=int)])
+            mu = WeightedEmpiricalMeasure.from_samples(ya, ra, rng.random(ya.size))
+            nu = WeightedEmpiricalMeasure.from_samples(yb, rb, rng.random(yb.size))
+            expect = brute_force_bl_lower_bound(mu, nu, n_anchors)
+            assert abs(bl_lower_bound(mu, nu, n_anchors) - expect) <= 1e-12
+
+
+def test_bl_lower_bound_atoms_on_breakpoints():
+    # anchors 0, 1, 2 put breakpoints at -1, 0, 1, 1, 2, 3; every atom sits on one
+    mu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], regimes=[0, 1, 0])
+    nu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 1.0, 2.0], regimes=[1, 1, 0, 0],
+                                               weights=[0.5, 1.0, 1.0, 0.5])
+    for n_anchors in (1, 2, 3, 5):
+        expect = brute_force_bl_lower_bound(mu, nu, n_anchors)
+        assert abs(bl_lower_bound(mu, nu, n_anchors) - expect) <= 1e-12
