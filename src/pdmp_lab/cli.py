@@ -5,9 +5,11 @@ JSON config document, run a batch experiment, and write plot-ready CSV/JSON
 files. Outputs are byte-identical for identical (config, seed) and do not
 depend on the thread count. Exit codes: 0 success, 2 config error, 3 a
 declared tolerance or positive-model check failed, 4 a numerical solver
-failed (hazard inversion or thinning hit its iteration cap, adaptive
-quadrature did not converge, power iteration did not converge); the last
-prints one ``solver failure: ...`` line to stderr instead of a traceback.
+failed (hazard inversion or thinning hit its iteration cap, a horizon run hit
+its step cap, adaptive quadrature or power iteration did not converge, the
+grid matrices failed their stochasticity, occupation or window-leak check);
+the last prints one ``solver failure: ...`` line to stderr instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -38,6 +40,28 @@ class ToleranceFailure(RuntimeError):
     pass
 
 
+CONFIG_KEYS = frozenset({
+    "model", "seed", "replicas", "chain_steps", "chain_burn_in_steps", "horizon",
+    "time_burn_in", "occupation_samples_per_replica", "grid", "eta_time", "threads",
+    "out_dir", "tolerances", "drift_probes", "drift_replicas", "dump_grid_matrices"})
+MODEL_KEYS = frozenset({"name", "params"})
+GRID_KEYS = frozenset({"nodes", "time_cells", "theta_cells", "y_max"})
+TOLERANCE_KEYS = frozenset({
+    "occupation_mean", "chain_mean", "w1_forward_max", "w1_backward_max", "w1_roundtrip_max",
+    "factorization_max", "correspondence_max"})
+
+
+def _known_keys(block, known: frozenset, where: str) -> dict:
+    """``block`` itself, once it is an object whose keys are all in ``known``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; "
+                          f"known keys: {', '.join(sorted(known))}")
+    return block
+
+
 @dataclass
 class ExperimentConfig:
     """Validated form of the JSON config document.
@@ -46,7 +70,9 @@ class ExperimentConfig:
     optional expectations; violating one makes the subcommand exit with
     code 3 after still writing its outputs. ``threads`` falls back to the
     PDMP_LAB_THREADS environment variable, then 1, when the document has no
-    ``threads`` entry.
+    ``threads`` entry. A key unknown at the top level or inside ``model``,
+    ``grid`` or ``tolerances`` is a config error, so a typo cannot fall back
+    to a default.
     """
 
     model_name: str
@@ -81,14 +107,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+        _known_keys(raw, CONFIG_KEYS, "the config")
         model = raw.get("model")
         if not isinstance(model, dict) or "name" not in model:
             raise ConfigError("config needs a 'model' object with a 'name'")
+        _known_keys(model, MODEL_KEYS, "'model'")
         if "seed" not in raw:
             raise ConfigError("config needs an explicit 'seed' (reproducibility contract)")
-        grid = raw.get("grid", {})
+        grid = _known_keys(raw.get("grid", {}), GRID_KEYS, "'grid'")
+        tolerances = _known_keys(raw.get("tolerances", {}), TOLERANCE_KEYS, "'tolerances'")
         cfg = cls(
             model_name=str(model["name"]),
             model_params=dict(model.get("params", {})),
@@ -107,7 +134,7 @@ class ExperimentConfig:
             threads=int(raw["threads"] if raw.get("threads") is not None
                         else os.environ.get("PDMP_LAB_THREADS") or 1),
             out_dir=str(raw.get("out_dir", ".")),
-            tolerances=dict(raw.get("tolerances", {})),
+            tolerances=dict(tolerances),
             drift_probes=tuple(raw.get("drift_probes", (0.0, 1.0, 2.0, 4.0, 8.0))),
             drift_replicas=int(raw.get("drift_replicas", 20_000)),
             dump_grid_matrices=bool(raw.get("dump_grid_matrices", False)),
@@ -118,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("chain_burn_in_steps must be below chain_steps")
         if cfg.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        if cfg.grid_nodes < 2:
+            raise ConfigError("grid nodes must be at least 2")
         try:
             cfg.build()
         except (KeyError, TypeError, ValueError) as exc:

@@ -3,10 +3,16 @@
 Locations are discretized to M nodes on [0, y_max]; the regime label stays
 exact, so states are flat indices i*M + m. Time and map-index integrals are
 replaced by quadrature cells whose masses come from the exact survival
-function; images are projected to the nearest node. The transition matrix is
-assembled through its own time aggregation but shares the jump rows with the
-post-jump matrix, making the discrete factorization identity exact up to
-round-off, which is what the factorization check verifies.
+function; images are projected to the nearest node. Rows are assembled
+GRID_NODE_BLOCK nodes at a time, each block's cells binned into its rows by
+one ``np.bincount``.
+
+The transition matrix is pre_jump @ post_jump per regime block by
+construction, so the plain factorization identity holds up to matmul
+round-off. The weighted identity occupation @ weighted_post_jump =
+transition is the one with content: occupation divides each cell's mass by
+the rate at the node the flow reaches, weighted_post_jump multiplies each
+jump row by the rate at its origin node, and the two must cancel.
 """
 
 from __future__ import annotations
@@ -22,6 +28,17 @@ from .state import WeightedEmpiricalMeasure
 
 DEFAULT_ROW_TOL = 1e-8
 DEFAULT_MASS_TOL = 1e-4
+GRID_NODE_BLOCK = 128
+"""Nodes assembled together, and matrix rows per factorization residual block.
+At 2000 time cells one (block, cell) array is 2 MB."""
+
+
+class GridAssemblyError(RuntimeError, ValueError):
+    """The assembled matrices failed a check: stochastic rows, occupation bracket, window leak.
+
+    A RuntimeError, so the CLI reports it as a solver failure (exit 4); also a
+    ValueError, the type these checks raised before.
+    """
 
 
 class ConvergenceError(RuntimeError):
@@ -60,6 +77,9 @@ class GridModel:
     post_jump:           jump plus regime switch
     occupation:          expected time spent per node before the next jump
     weighted_post_jump:  post_jump scaled by the jump rate at the origin
+
+    ``fixed_point`` is the left fixed point of ``transition``, computed once
+    for the leak check and reused by ``oracle_correspondence``.
     """
 
     model: ModelSpec
@@ -74,6 +94,7 @@ class GridModel:
     row_tol: float
     leak_per_row: np.ndarray
     stationary_leak: float
+    fixed_point: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -108,6 +129,11 @@ class GridModel:
         return written
 
 
+def _node_blocks(m: int):
+    """Consecutive slices of at most GRID_NODE_BLOCK nodes covering 0..m-1."""
+    return [slice(s, min(s + GRID_NODE_BLOCK, m)) for s in range(0, m, GRID_NODE_BLOCK)]
+
+
 def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
                theta_cells: int, theta_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Post-jump matrix rows from every (node, regime), plus clipped mass.
@@ -119,23 +145,31 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     m = nodes.size
     n_states = m * n_regimes
     quad = model.jump.ifs.discretize(theta_cells, theta_max)
+    k = quad.points.size
     rows = np.zeros((n_states, n_states))
     clipped = np.zeros(n_states)
     spacing = nodes[1] - nodes[0]
-    for node in range(m):
-        y = nodes[node]
-        masses = quad.masses_at(y)
-        images = np.asarray(model.jump.ifs.apply(quad.points, y), dtype=float)
+    for blk in _node_blocks(m):
+        ys = nodes[blk]
+        b = ys.size
+        if quad.state_independent:
+            masses = np.broadcast_to(quad.masses_at(ys[0]), (b, k))
+        else:
+            masses = np.stack([quad.masses_at(y) for y in ys])
+        images = np.asarray(model.jump.ifs.apply(quad.points[None, :], ys[:, None]), dtype=float)
         idx = np.clip(np.round(images / spacing).astype(np.int64), 0, m - 1)
         out_of_window = (images > nodes[-1] + 0.5 * spacing) | (images < nodes[0] - 0.5 * spacing)
-        leak = float(masses[out_of_window].sum())
-        switch = model.jump.switching.rows_at(nodes[idx])  # (theta, |I|, |I|)
+        leak = np.where(out_of_window, masses, 0.0).sum(axis=1)
+        switch = model.jump.switching.rows_at(nodes[idx.ravel()]).reshape(b, k, n_regimes, n_regimes)
+        # bin of (row r, target regime j, theta): r*n_states + j*m + idx; the
+        # flat (r, j, theta) order adds each bin's terms in theta order
+        bins = (np.arange(b)[:, None, None] * n_states + np.arange(n_regimes)[None, :, None] * m
+                + idx[:, None, :]).ravel()
         for i in range(n_regimes):
-            row = np.zeros(n_states)
-            for j in range(n_regimes):
-                np.add.at(row, j * m + idx, masses * switch[:, i, j])
-            rows[i * m + node] = row
-            clipped[i * m + node] = leak
+            weights = masses[:, None, :] * switch[:, :, i, :].transpose(0, 2, 1)
+            rows[i * m + blk.start: i * m + blk.stop] = np.bincount(
+                bins, weights.ravel(), minlength=b * n_states).reshape(b, n_states)
+            clipped[i * m + blk.start: i * m + blk.stop] = leak
     return rows, clipped
 
 
@@ -148,7 +182,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
 
     The window check weighs each row's clipped jump mass by the stationary
     fixed point, so a y_max too small for the model fails loudly with the
-    offending rows named.
+    offending rows named. Failed checks raise GridAssemblyError.
     """
     if m < 2:
         raise ValueError("need at least two grid nodes")
@@ -161,7 +195,8 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
     n_states = m * n_regimes
     # cell edges on the quantile scale of the slowest admissible clock
     edges = quantile_edges(model.intensity, time_cells, t_max)
-    reps = 0.5 * (edges[:-1] + edges[1:])
+    # each cell's midpoint, then t_max, where the survival tail is placed
+    times = np.append(0.5 * (edges[:-1] + edges[1:]), t_max)
 
     post_jump, leak = _jump_rows(model, nodes, n_regimes, theta_cells, theta_max)
     rate_at = np.asarray(model.intensity(nodes), dtype=float)
@@ -171,43 +206,50 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
     occupation = np.zeros((n_states, n_states))
     transition = np.zeros((n_states, n_states))
     for i in range(n_regimes):
-        for node in range(m):
-            y = nodes[node]
-            surv = np.asarray(model.hazard.survival(i, edges, np.full(edges.shape, y)), dtype=float)
-            cell_mass = surv[:-1] - surv[1:]
-            img = np.clip(np.round(model.flow.evaluate(i, reps, np.full(reps.shape, y)) / spacing)
-                          .astype(np.int64), 0, m - 1)
-            tail_img = int(np.clip(round(float(model.flow.evaluate(i, t_max, y)) / spacing), 0, m - 1))
-            row_arrival = np.zeros(m)
-            np.add.at(row_arrival, img, cell_mass)
-            row_arrival[tail_img] += surv[-1]
-            pre_jump[i * m + node, i * m: (i + 1) * m] = row_arrival
-            row_occupation = np.zeros(m)
-            np.add.at(row_occupation, img, cell_mass / rate_at[img])
-            row_occupation[tail_img] += surv[-1] / rate_at[tail_img]
-            occupation[i * m + node, i * m: (i + 1) * m] = row_occupation
-            transition[i * m + node] = row_arrival @ post_jump[i * m: (i + 1) * m]
+        band = slice(i * m, (i + 1) * m)
+        for blk in _node_blocks(m):
+            ys = nodes[blk]
+            b = ys.size
+            # survival at the edges becomes, in place, each cell's mass with
+            # the tail survival(t_max) as the last column
+            mass = np.asarray(model.hazard.survival(i, edges[None, :], ys[:, None]), dtype=float)
+            mass[:, :-1] -= mass[:, 1:]
+            pos = model.flow.evaluate(i, times[None, :], ys[:, None])
+            pos /= spacing
+            img = np.round(pos, out=pos).astype(np.int64)
+            del pos
+            np.clip(img, 0, m - 1, out=img)
+            occ_mass = rate_at[img]
+            np.divide(mass, occ_mass, out=occ_mass)
+            # bin r*m + img of row r; each bin adds its cells in time order
+            img += m * np.arange(b)[:, None]
+            rows = slice(i * m + blk.start, i * m + blk.stop)
+            pre_jump[rows, band] = np.bincount(img.ravel(), mass.ravel(),
+                                               minlength=b * m).reshape(b, m)
+            occupation[rows, band] = np.bincount(img.ravel(), occ_mass.ravel(),
+                                                 minlength=b * m).reshape(b, m)
+        np.matmul(pre_jump[band, band], post_jump[band], out=transition[band])
 
     for name, mat in (("transition", transition), ("pre_jump", pre_jump), ("post_jump", post_jump)):
         gap = np.abs(mat.sum(axis=1) - 1.0).max()
         if gap > row_tol:
-            raise ValueError(f"{name} rows deviate from stochasticity by {gap:.3e}")
+            raise GridAssemblyError(f"{name} rows deviate from stochasticity by {gap:.3e}")
     occ_rows = occupation.sum(axis=1)
     if occ_rows.min() < 1.0 / model.intensity.upper - row_tol or \
        occ_rows.max() > 1.0 / model.intensity.lower + row_tol:
-        raise ValueError("occupation row masses leave the admissible bracket")
+        raise GridAssemblyError("occupation row masses leave the admissible bracket")
 
     fixed = power_iteration(transition, tol=1e-12, row_tol=row_tol)
     stationary_leak = float(np.dot(fixed, leak))
     if stationary_leak > mass_tol:
         worst = np.argsort(fixed * leak)[::-1][:5]
-        raise ValueError(
+        raise GridAssemblyError(
             f"boundary leakage {stationary_leak:.3e} exceeds {mass_tol:.1e}; "
             f"worst rows {worst.tolist()}; increase y_max")
     return GridModel(model=model, nodes=nodes, n_regimes=n_regimes, transition=transition,
                      pre_jump=pre_jump, post_jump=post_jump, occupation=occupation,
                      weighted_post_jump=weighted_post_jump, t_max=t_max, row_tol=row_tol,
-                     leak_per_row=leak, stationary_leak=stationary_leak)
+                     leak_per_row=leak, stationary_leak=stationary_leak, fixed_point=fixed)
 
 
 @dataclass(frozen=True)
@@ -228,10 +270,25 @@ class FactorizationReport:
                 "tol": self.tol, "passed": self.passed}
 
 
+def _max_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> float:
+    """max |left @ right - target|, GRID_NODE_BLOCK rows at a time in one reused buffer."""
+    n = target.shape[0]
+    buf = np.empty((min(GRID_NODE_BLOCK, n), target.shape[1]))
+    worst = 0.0
+    for start in range(0, n, GRID_NODE_BLOCK):
+        rows = slice(start, start + GRID_NODE_BLOCK)
+        out = buf[:min(GRID_NODE_BLOCK, n - start)]
+        np.matmul(left[rows], right, out=out)
+        np.subtract(out, target[rows], out=out)
+        np.abs(out, out=out)
+        worst = np.maximum(worst, out.max())  # np.maximum keeps a NaN
+    return float(worst)
+
+
 def check_factorization(grid: GridModel, tol: float = 1e-6) -> FactorizationReport:
     """Verify pre_jump@post_jump and occupation@weighted_post_jump equal transition."""
-    res_plain = float(np.abs(grid.pre_jump @ grid.post_jump - grid.transition).max())
-    res_weighted = float(np.abs(grid.occupation @ grid.weighted_post_jump - grid.transition).max())
+    res_plain = _max_residual(grid.pre_jump, grid.post_jump, grid.transition)
+    res_weighted = _max_residual(grid.occupation, grid.weighted_post_jump, grid.transition)
     return FactorizationReport(residual_plain=res_plain, residual_weighted=res_weighted, tol=tol)
 
 
@@ -269,16 +326,16 @@ class OracleReport:
         }
 
 
-def oracle_correspondence(grid: GridModel, tol: float = 1e-6,
-                          fp_tol: float = 1e-12) -> OracleReport:
+def oracle_correspondence(grid: GridModel, tol: float = 1e-6) -> OracleReport:
     """Check both correspondence directions at the matrix level.
 
     From the chain fixed point, the normalized occupation image must be
     invariant for the composite weighted-jump/occupation kernel, its
     weighted-jump image must normalize back to the chain fixed point, and
-    the two normalizers must be reciprocal.
+    the two normalizers must be reciprocal. The chain fixed point is the
+    one build_grid_model computed.
     """
-    chain_fp = power_iteration(grid.transition, tol=fp_tol, row_tol=grid.row_tol)
+    chain_fp = grid.fixed_point
     raw_flow = chain_fp @ grid.occupation
     normalizer_to_flow = float(raw_flow.sum())
     flow_vec = raw_flow / normalizer_to_flow

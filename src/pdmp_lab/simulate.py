@@ -181,6 +181,24 @@ def _advance(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
     return dts, ys_post, regimes_post
 
 
+def horizon_step_cap(mu: float) -> int:
+    """Step cap of a horizon run with mu = lambda_high * t_end jumps expected at most.
+
+    A holding time solves H(y, i, t) = E with E ~ Exp(1), and H grows at
+    most at rate lambda_high, so it is at least E / lambda_high. A replica
+    still short of t_end after n steps therefore has E_1 + ... + E_n <
+    mu, and P(E_1 + ... + E_n < mu) = P(Poisson(mu) >= n). The Chernoff
+    bound P(Poisson(mu) >= n) <= exp(-mu) (e mu / n)^n for n > mu gives,
+    at n >= e^2 mu, at most exp(-mu - n) <= exp(-n). With n = ceil(e^2 mu)
+    + 64 an honest replica reaches the cap with probability below exp(-64)
+    ~ 1.6e-28, so hitting it means the holding times are shorter than the
+    rate bound allows.
+    """
+    if not math.isfinite(mu):
+        raise ValueError(f"horizon run needs a finite t_end (lambda_high * t_end = {mu})")
+    return math.ceil(math.e ** 2 * mu) + 64
+
+
 def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
                n_steps: Optional[int], t_end: Optional[float]):
     rng = np.random.default_rng(seed)
@@ -190,18 +208,23 @@ def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
     ys_hist = [ys.copy()]
     regimes_hist = [regimes.copy()]
     taus_hist = [taus.copy()]
-    step = 0
-    while True:
-        if n_steps is not None and step >= n_steps:
-            break
-        if n_steps is None and float(taus.min()) >= t_end:
+    horizon_mode = n_steps is None
+    cap = horizon_step_cap(model.intensity.upper * t_end) if horizon_mode else n_steps
+    for _ in range(cap):
+        if horizon_mode and float(taus.min()) >= t_end:
             break
         dts, ys, regimes = _advance(model, ys, regimes, rng)
         taus = taus + dts
         ys_hist.append(ys.copy())
         regimes_hist.append(regimes.copy())
         taus_hist.append(taus.copy())
-        step += 1
+    else:
+        if horizon_mode and float(taus.min()) < t_end:
+            slow = int(np.argmin(taus))
+            raise RuntimeError(
+                f"horizon run hit its cap of {cap} steps short of t_end={t_end:.6g}: slowest "
+                f"replica {slow} of its chunk of {size} is at clock {taus[slow]:.17g} "
+                f"(y={ys[slow]:.17g}, regime {regimes[slow]}); are the declared rate bounds valid?")
     return (np.column_stack(taus_hist), np.column_stack(ys_hist),
             np.column_stack(regimes_hist))
 

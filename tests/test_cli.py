@@ -184,6 +184,32 @@ def test_config_validation_rules():
                                               "params": {"kappa": -2.0}}, "seed": 1})
 
 
+def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    # a typo must not silently run the default of 200 replicas
+    cfg = write_config(tmp_path, {"replica": 10})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'replica'" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+    base = {"model": {"name": "gene"}, "seed": 1}
+    for block, typo in (("grid", {"node": 40}), ("tolerances", {"w1_forwrd_max": 0.05}),
+                        ("model", {"name": "gene", "param": {"lam": 2.0}})):
+        with pytest.raises(ConfigError, match=f"unknown key '{list(typo)[-1]}' in '{block}'"):
+            ExperimentConfig.from_dict({**base, block: typo})
+    with pytest.raises(ConfigError, match="'grid' must be a JSON object"):
+        ExperimentConfig.from_dict({**base, "grid": 40})
+    with pytest.raises(ConfigError, match="grid nodes"):
+        ExperimentConfig.from_dict({**base, "grid": {"nodes": 1}})
+
+
+def test_grid_assembly_failure_exit_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {"nodes": 50, "y_max": 2.0}})
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: boundary leakage") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_thread_count_precedence(tmp_path, monkeypatch):
     # --threads, then the config's "threads", then PDMP_LAB_THREADS, then 1
     seen = []

@@ -8,11 +8,13 @@ from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.metrics import ks_critical, ks_statistic
 from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model, two_regime_model
+from pdmp_lab import simulate
 from pdmp_lab.simulate import (
     JumpTrajectory,
     PdmpPath,
     chain_measure,
     count_jumps,
+    horizon_step_cap,
     jump_count_pmf,
     occupation_from_ensemble,
     occupation_measure,
@@ -188,6 +190,24 @@ def test_ensemble_horizon_mode_covers_t_end():
     occ = occupation_from_ensemble(ens, horizon=25.0, samples_per_replica=40, seed=13)
     assert occ.ys.size == 300 * 40
     assert (occ.times >= 5.0).all() and (occ.times <= 25.0).all()  # default 20% burn-in
+
+
+def test_horizon_mode_step_cap_names_slowest_replica(monkeypatch):
+    # holding times of zero never move the clocks: the capped loop must end
+    monkeypatch.setattr(simulate, "invert_holding",
+                        lambda h, i, ys, targets: np.zeros(np.shape(ys)))
+    cap = horizon_step_cap(GENE_SAT.intensity.upper * 2.0)
+    assert cap == math.ceil(math.e ** 2 * 3.0) + 64
+    with pytest.raises(RuntimeError, match=rf"cap of {cap} steps .*slowest replica 0 of its "
+                                           r"chunk of 8 is at clock 0\b"):
+        run_ensemble(GENE_SAT, 8, 15, t_end=2.0)
+    with pytest.raises(RuntimeError, match="slowest replica"):
+        jump_count_pmf(GENE_SAT, [1.0, 2.0], 8, 15)
+
+
+def test_horizon_step_cap_rejects_infinite_horizon():
+    with pytest.raises(ValueError, match="finite t_end"):
+        run_ensemble(GENE, 4, 16, t_end=math.inf)
 
 
 def test_chain_measure_counts_and_normalization():
