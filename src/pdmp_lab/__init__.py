@@ -15,8 +15,8 @@ from .hazard import (
     ConstantIntensity,
     CumulativeHazard,
     SaturatingIntensity,
-    sample_holding_inversion,
-    sample_holding_thinning,
+    invert_holding,
+    sample_holding_thinning_vec,
 )
 from .jumps import (
     AdditiveBurstKernel,
@@ -36,24 +36,13 @@ from .models import (
 )
 from .simulate import (
     ChainEnsemble,
-    JumpTrajectory,
-    PdmpPath,
     chain_measure,
     count_jumps,
+    evaluate_paths,
     occupation_from_ensemble,
-    occupation_measure,
-    run_chain,
     run_ensemble,
-    step_chain,
 )
-from .state import (
-    ExtendedState,
-    LyapunovFunction,
-    StatePoint,
-    WeightedEmpiricalMeasure,
-    ZeroMassError,
-    metric,
-)
+from .state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
 from .transforms import (
     TransformReport,
     chain_step_transform,

@@ -28,7 +28,8 @@ from .diagnostics import drift_constants, run_assumption_suite, verify_drift_emp
 from .grid import build_grid_model, check_factorization, oracle_correspondence
 from .metrics import measure_distance
 from .models import ModelSpec, build_model
-from .simulate import chain_measure, occupation_from_ensemble, run_ensemble
+from .simulate import (ChainEnsemble, OccupationSample, chain_measure, count_jumps,
+                       occupation_from_ensemble, run_ensemble)
 from .transforms import chain_to_flow_stationary, flow_to_chain_stationary
 
 
@@ -43,7 +44,7 @@ class ToleranceFailure(RuntimeError):
 CONFIG_KEYS = frozenset({
     "model", "seed", "replicas", "chain_steps", "chain_burn_in_steps", "horizon",
     "time_burn_in", "occupation_samples_per_replica", "grid", "eta_time", "threads",
-    "out_dir", "tolerances", "drift_probes", "drift_replicas", "dump_grid_matrices"})
+    "out_dir", "tolerances", "drift_probes", "drift_replicas"})
 MODEL_KEYS = frozenset({"name", "params"})
 GRID_KEYS = frozenset({"nodes", "time_cells", "theta_cells", "y_max"})
 TOLERANCE_KEYS = frozenset({
@@ -94,7 +95,6 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     drift_probes: tuple = (0.0, 1.0, 2.0, 4.0, 8.0)
     drift_replicas: int = 20_000
-    dump_grid_matrices: bool = False
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -137,7 +137,6 @@ class ExperimentConfig:
             tolerances=dict(tolerances),
             drift_probes=tuple(raw.get("drift_probes", (0.0, 1.0, 2.0, 4.0, 8.0))),
             drift_replicas=int(raw.get("drift_replicas", 20_000)),
-            dump_grid_matrices=bool(raw.get("dump_grid_matrices", False)),
         )
         if cfg.replicas <= 0 or cfg.chain_steps < 0:
             raise ConfigError("replicas must be positive and chain_steps >= 0")
@@ -199,22 +198,35 @@ def _check_max(tolerances: dict, key: str, value: float, failures: list[str]) ->
         failures.append(f"{key}={value:.6g} exceeds {float(cap):.6g}")
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    model = cfg.build()
+def _simulate_both_routes(
+    cfg: ExperimentConfig, model: ModelSpec,
+) -> tuple[ChainEnsemble, ChainEnsemble, OccupationSample]:
+    """The chain ensemble, the horizon ensemble and its occupation draw.
+
+    Streams (seed, 1), (seed, 2) and (seed, 3) respectively, so simulate and
+    correspondence see the same runs.
+    """
     ens = run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps,
                        threads=cfg.threads)
-    ens.trajectory(0).to_csv(out_dir / "chain.csv")
     occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon,
                            threads=cfg.threads)
     occ = occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
                                    (cfg.seed, 3), burn_in=cfg.burn_in)
+    return ens, occ_ens, occ
+
+
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    model = cfg.build()
+    ens, occ_ens, occ = _simulate_both_routes(cfg, model)
+    taus, ys, regimes = (column[0] for column in ens.chunks[0])
+    _write_csv(out_dir / "chain.csv", ["n", "tau", "y", "xi"],
+               [np.arange(taus.size), taus, ys, regimes])
     _write_csv(out_dir / "occupation.csv", ["t", "y", "xi"],
                [occ.times, occ.ys, occ.regimes.astype(int)])
     chain = chain_measure(ens, cfg.chain_burn_in_steps) if cfg.chain_steps > 0 else None
     jumps_per_time = [
         (chunk[0].shape[1] - 1) / chunk[0][:, -1].mean() for chunk in occ_ens.chunks]
-    eta_counts = np.concatenate([(chunk[0] <= cfg.eta_time).sum(axis=1) - 1
-                                 for chunk in occ_ens.chunks])
+    eta_counts = np.concatenate([count_jumps(chunk[0], cfg.eta_time) for chunk in occ_ens.chunks])
     hist = np.bincount(eta_counts, minlength=11)[:11] / eta_counts.size
     summary = {
         "model": model.name,
@@ -239,13 +251,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     model = cfg.build()
-    ens = run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps,
-                       threads=cfg.threads)
+    ens, _, occ = _simulate_both_routes(cfg, model)
     mu_chain = chain_measure(ens, cfg.chain_burn_in_steps)
-    occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon,
-                           threads=cfg.threads)
-    mu_flow = occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
-                                       (cfg.seed, 3), burn_in=cfg.burn_in).measure()
+    mu_flow = occ.measure()
     rng_f = np.random.default_rng(np.random.SeedSequence((cfg.seed, 4)))
     rng_b = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5)))
     rng_r = np.random.default_rng(np.random.SeedSequence((cfg.seed, 6)))
@@ -293,8 +301,6 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
                [np.tile(grid.nodes, grid.n_regimes),
                 np.repeat(np.arange(grid.n_regimes), grid.nodes.size).astype(int),
                 corr.chain_fixed_point])
-    if cfg.dump_grid_matrices:
-        grid.dump_matrices(out_dir / "matrices")
     failures: list[str] = []
     if not fact.passed:
         failures.append(f"factorization residuals {fact.residual_plain:.3e}/"

@@ -27,7 +27,9 @@ from .models import ModelSpec
 from .state import WeightedEmpiricalMeasure
 
 DEFAULT_ROW_TOL = 1e-8
+"""Allowed deviation of a grid matrix row sum from 1, and of occupation rows from their bracket."""
 DEFAULT_MASS_TOL = 1e-4
+"""Largest stationary mass that jumps may carry out of the location window."""
 GRID_NODE_BLOCK = 128
 """Nodes assembled together, and matrix rows per factorization residual block.
 At 2000 time cells one (block, cell) array is 2 MB."""
@@ -91,7 +93,6 @@ class GridModel:
     occupation: np.ndarray
     weighted_post_jump: np.ndarray
     t_max: float
-    row_tol: float
     leak_per_row: np.ndarray
     stationary_leak: float
     fixed_point: np.ndarray
@@ -99,9 +100,6 @@ class GridModel:
     @property
     def n_states(self) -> int:
         return self.nodes.size * self.n_regimes
-
-    def flat(self, node: int, regime: int) -> int:
-        return regime * self.nodes.size + node
 
     def measure_from_vector(self, v: np.ndarray) -> WeightedEmpiricalMeasure:
         m = self.nodes.size
@@ -112,21 +110,6 @@ class GridModel:
     def mean_location(self, v: np.ndarray) -> float:
         ys = np.tile(self.nodes, self.n_regimes)
         return float(np.dot(v, ys) / np.sum(v))
-
-    def dump_matrices(self, directory) -> list:
-        """Write every kernel matrix to CSV (debugging aid); returns the paths."""
-        from pathlib import Path
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, mat in (("transition", self.transition), ("pre_jump", self.pre_jump),
-                          ("post_jump", self.post_jump), ("occupation", self.occupation),
-                          ("weighted_post_jump", self.weighted_post_jump)):
-            path = directory / f"{name}.csv"
-            np.savetxt(path, mat, delimiter=",", fmt="%.17g")
-            written.append(path)
-        return written
 
 
 def _node_blocks(m: int):
@@ -175,19 +158,17 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
 
 def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
                      time_cells: int = 2000, theta_cells: int = 1000,
-                     theta_max: Optional[float] = None, t_max: Optional[float] = None,
-                     row_tol: float = DEFAULT_ROW_TOL,
-                     mass_tol: float = DEFAULT_MASS_TOL) -> GridModel:
+                     t_max: Optional[float] = None) -> GridModel:
     """Assemble all five matrices; validates stochasticity and window leakage.
 
-    The window check weighs each row's clipped jump mass by the stationary
+    The map-index law is discretized on [0, y_max], like the locations. The
+    window check weighs each row's clipped jump mass by the stationary
     fixed point, so a y_max too small for the model fails loudly with the
     offending rows named. Failed checks raise GridAssemblyError.
     """
     if m < 2:
         raise ValueError("need at least two grid nodes")
     y_max = model.y_max if y_max is None else y_max
-    theta_max = y_max if theta_max is None else theta_max
     t_max = survival_horizon(model.intensity) if t_max is None else t_max
     nodes = np.linspace(0.0, y_max, m)
     spacing = nodes[1] - nodes[0]
@@ -198,7 +179,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
     # each cell's midpoint, then t_max, where the survival tail is placed
     times = np.append(0.5 * (edges[:-1] + edges[1:]), t_max)
 
-    post_jump, leak = _jump_rows(model, nodes, n_regimes, theta_cells, theta_max)
+    post_jump, leak = _jump_rows(model, nodes, n_regimes, theta_cells, y_max)
     rate_at = np.asarray(model.intensity(nodes), dtype=float)
     weighted_post_jump = post_jump * np.tile(rate_at, n_regimes)[:, None]
 
@@ -232,23 +213,23 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
 
     for name, mat in (("transition", transition), ("pre_jump", pre_jump), ("post_jump", post_jump)):
         gap = np.abs(mat.sum(axis=1) - 1.0).max()
-        if gap > row_tol:
+        if gap > DEFAULT_ROW_TOL:
             raise GridAssemblyError(f"{name} rows deviate from stochasticity by {gap:.3e}")
     occ_rows = occupation.sum(axis=1)
-    if occ_rows.min() < 1.0 / model.intensity.upper - row_tol or \
-       occ_rows.max() > 1.0 / model.intensity.lower + row_tol:
+    if occ_rows.min() < 1.0 / model.intensity.upper - DEFAULT_ROW_TOL or \
+       occ_rows.max() > 1.0 / model.intensity.lower + DEFAULT_ROW_TOL:
         raise GridAssemblyError("occupation row masses leave the admissible bracket")
 
-    fixed = power_iteration(transition, tol=1e-12, row_tol=row_tol)
+    fixed = power_iteration(transition, tol=1e-12)
     stationary_leak = float(np.dot(fixed, leak))
-    if stationary_leak > mass_tol:
+    if stationary_leak > DEFAULT_MASS_TOL:
         worst = np.argsort(fixed * leak)[::-1][:5]
         raise GridAssemblyError(
-            f"boundary leakage {stationary_leak:.3e} exceeds {mass_tol:.1e}; "
+            f"boundary leakage {stationary_leak:.3e} exceeds {DEFAULT_MASS_TOL:.1e}; "
             f"worst rows {worst.tolist()}; increase y_max")
     return GridModel(model=model, nodes=nodes, n_regimes=n_regimes, transition=transition,
                      pre_jump=pre_jump, post_jump=post_jump, occupation=occupation,
-                     weighted_post_jump=weighted_post_jump, t_max=t_max, row_tol=row_tol,
+                     weighted_post_jump=weighted_post_jump, t_max=t_max,
                      leak_per_row=leak, stationary_leak=stationary_leak, fixed_point=fixed)
 
 

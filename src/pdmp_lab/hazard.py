@@ -3,7 +3,7 @@
 The jump rate is a bounded continuous function of the location with
 0 < lambda_low <= lambda(y) <= lambda_high. The holding time from (y, i)
 has CDF 1 - exp(-H(y, i, t)) where H integrates the rate along the flow;
-two independent samplers (CDF inversion and thinning) target that law.
+two independent batch samplers (hazard inversion and thinning) target that law.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flows import AffineExpFlow, FrozenFlow, Semiflow
-from .state import StatePoint
 
 HOLDING_TIME_RTOL = 1e-12
 """An inverted holding time stops once its Newton step is at most this times max(1, t)."""
@@ -23,7 +22,8 @@ HOLDING_NEWTON_MAX_ITER = 100
 HOLDING_NEWTON_BLOCK = 8192
 """Atoms solved together. Bounds the scratch memory, and the passes over atoms
 that converged before the slowest atom of their block."""
-THINNING_MAX_PROPOSALS = 10**6
+HAZARD_QUAD_TOL = 1e-10
+"""Absolute tolerance of the adaptive-Simpson hazard, used when no closed form is registered."""
 SURVIVAL_TAIL_EPS = 1e-12
 """Survival mass below which a holding-time tail is truncated."""
 
@@ -175,19 +175,17 @@ class CumulativeHazard:
     """Cumulative hazard H(y, i, t) of the holding-time law along the flow.
 
     Uses the exact antiderivative when one is registered for the
-    flow/intensity pair, otherwise adaptive Simpson at ``quad_tol``. The
+    flow/intensity pair, otherwise adaptive Simpson at HAZARD_QUAD_TOL. The
     regime ``i`` is an int or an int array broadcasting with ``t`` and ``y``.
     """
 
     intensity: Intensity
     flow: Semiflow
     closed_form: Optional[Callable] = None
-    quad_tol: float = 1e-10
 
     @classmethod
-    def for_model(cls, flow: Semiflow, intensity: Intensity, quad_tol: float = 1e-10):
-        return cls(intensity=intensity, flow=flow,
-                   closed_form=closed_form_hazard(flow, intensity), quad_tol=quad_tol)
+    def for_model(cls, flow: Semiflow, intensity: Intensity):
+        return cls(intensity=intensity, flow=flow, closed_form=closed_form_hazard(flow, intensity))
 
     def along(self, i, y) -> Callable:
         """t -> H(y, i, t) for fixed starts, with the per-start terms hoisted."""
@@ -210,7 +208,7 @@ class CumulativeHazard:
             yv, iv = float(yb[idx]), int(ib[idx])
             out[idx] = adaptive_simpson(
                 lambda h: float(self.intensity(self.flow.evaluate(iv, h, yv))),
-                0.0, float(tb[idx]), self.quad_tol,
+                0.0, float(tb[idx]), HAZARD_QUAD_TOL,
             )
         if out.shape == ():
             return float(out)
@@ -289,34 +287,6 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
         f"hazard inversion did not converge in {HOLDING_NEWTON_MAX_ITER} iterations for "
         f"{int(moving.sum())} atom(s); widest bracket [{lo[k]:.17g}, {hi[k]:.17g}] at "
         f"y={ys[k]:.17g}, regime {regimes[k]}, target {targets[k]:.17g}")
-
-
-def sample_holding_inversion(h: CumulativeHazard, x: StatePoint, u: float) -> float:
-    """Quantile of the holding-time law at u in (0, 1) via hazard inversion."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
-    target = -math.log1p(-u)
-    return float(invert_holding(h, x.i, np.array([x.y]), np.array([target]))[0])
-
-
-def sample_holding_thinning(h: CumulativeHazard, x: StatePoint,
-                            rng: np.random.Generator,
-                            max_proposals: int = THINNING_MAX_PROPOSALS) -> float:
-    """First event of the rate-lambda(S_i(., y)) clock via thinning.
-
-    Proposes Exp(upper-rate) increments along the flow and accepts with
-    probability lambda(flow point)/upper; terminates a.s. because the rate
-    is bounded below. The proposal cap flags misconfigured bounds.
-    """
-    upper = h.intensity.upper
-    t = 0.0
-    for _ in range(max_proposals):
-        t += rng.exponential(1.0 / upper)
-        point = h.flow.evaluate(x.i, t, x.y)
-        if rng.random() * upper <= float(h.intensity(point)):
-            return t
-    raise RuntimeError(f"thinning failed to accept within {max_proposals} proposals; "
-                       "check the declared intensity bounds")
 
 
 def sample_holding_thinning_vec(h: CumulativeHazard, i, ys: np.ndarray,

@@ -10,12 +10,9 @@ order is fixed here on purpose: it is easy to get wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-from .hazard import Intensity
-from .state import StatePoint
 
 ROW_SUM_TOL = 1e-9
 
@@ -39,9 +36,6 @@ class ThetaQuadrature:
 
 class IfsKernel:
     """Family of continuous maps indexed by theta plus a sampling density."""
-
-    def sample(self, y: float, rng: np.random.Generator):
-        raise NotImplementedError
 
     def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -79,9 +73,6 @@ class AdditiveBurstKernel(IfsKernel):
     def __post_init__(self):
         if self.mean <= 0:
             raise ValueError("burst mean must be > 0")
-
-    def sample(self, y: float, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean))
 
     def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(self.mean, size=np.asarray(ys).shape)
@@ -131,19 +122,21 @@ class FiniteAffineIfs(IfsKernel):
             raise ValueError("selection probabilities must be a probability vector")
         return p
 
-    def sample(self, y: float, rng: np.random.Generator) -> int:
-        return int(rng.choice(len(self.maps), p=self._prob_vector(y)))
-
     def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Map indices by inverse CDF, one uniform per atom.
+
+        State-dependent probabilities are evaluated once per distinct location.
+        """
         ys = np.asarray(ys, dtype=float)
         if self.probs is None or not callable(self.probs):
             cdf = np.cumsum(self._prob_vector(0.0))
             return np.searchsorted(cdf, rng.random(ys.shape), side="right").astype(np.int64)
-        out = np.empty(ys.shape, dtype=np.int64)
         us = rng.random(ys.shape)
-        for idx, y in np.ndenumerate(ys):
-            out[idx] = int(np.searchsorted(np.cumsum(self._prob_vector(y)), us[idx], side="right"))
-        return out
+        locs, inverse = np.unique(ys.ravel(), return_inverse=True)
+        cdfs = np.array([np.cumsum(self._prob_vector(y)) for y in locs])
+        # entries of a nondecreasing cdf at or below u: searchsorted(cdf, u, side="right")
+        out = (cdfs[inverse] <= us.reshape(-1, 1)).sum(axis=1)
+        return out.reshape(ys.shape).astype(np.int64)
 
     def apply(self, theta, y):
         theta = np.asarray(theta, dtype=np.int64)
@@ -179,10 +172,11 @@ class SwitchingMatrix:
     """Row-stochastic matrix of continuous functions of the location.
 
     ``entries[i][j]`` is either a number or a callable y -> probability.
-    Rows are validated to sum to 1 on a probe grid at construction.
+    ``check_rows`` validates the rows at given locations; ``ModelSpec``
+    checks them on its own location window, and ``constant`` at once.
     """
 
-    def __init__(self, entries: Sequence[Sequence], probe_ys: Optional[np.ndarray] = None):
+    def __init__(self, entries: Sequence[Sequence]):
         self.n_regimes = len(entries)
         if any(len(row) != self.n_regimes for row in entries):
             raise ValueError("switching matrix must be square")
@@ -191,16 +185,23 @@ class SwitchingMatrix:
                   for e in row)
             for row in entries
         )
-        probe = np.linspace(0.0, 15.0, 64) if probe_ys is None else np.asarray(probe_ys, dtype=float)
-        rows = self.rows_at(probe)
-        if np.abs(rows.sum(axis=2) - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError("switching rows must sum to 1 over the probe grid")
-        if rows.min() < -ROW_SUM_TOL or rows.max() > 1.0 + ROW_SUM_TOL:
-            raise ValueError("switching entries must lie in [0, 1]")
 
     @classmethod
     def constant(cls, matrix) -> "SwitchingMatrix":
-        return cls([[float(v) for v in row] for row in np.asarray(matrix, dtype=float)])
+        pi = cls([[float(v) for v in row] for row in np.asarray(matrix, dtype=float)])
+        pi.check_rows(np.zeros(1))  # rows that ignore the location: one location checks them
+        return pi
+
+    def check_rows(self, ys) -> None:
+        """Raise ValueError unless every row is a probability vector at each of ``ys``."""
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        rows = self.rows_at(ys)
+        gaps = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
+        if gaps.max() > ROW_SUM_TOL:
+            k = int(np.argmax(gaps))
+            raise ValueError(f"switching rows must sum to 1; off by {gaps[k]:.3e} at y={ys[k]:.6g}")
+        if rows.min() < -ROW_SUM_TOL or rows.max() > 1.0 + ROW_SUM_TOL:
+            raise ValueError("switching entries must lie in [0, 1]")
 
     def rows_at(self, ys) -> np.ndarray:
         """Stacked matrices: shape (len(ys), n_regimes, n_regimes)."""
@@ -210,14 +211,6 @@ class SwitchingMatrix:
             for j, fn in enumerate(row):
                 out[:, i, j] = fn(ys)
         return out
-
-    def row(self, i: int, y: float) -> np.ndarray:
-        return self.rows_at(np.array([y]))[0, i]
-
-    def sample(self, i: int, y_post: float, rng: np.random.Generator) -> int:
-        if not 0 <= i < self.n_regimes:
-            raise ValueError(f"regime {i} outside 0..{self.n_regimes - 1}")
-        return int(np.searchsorted(np.cumsum(self.row(i, y_post)), rng.random(), side="right"))
 
     def sample_vec(self, regimes: np.ndarray, ys_post: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
@@ -235,21 +228,10 @@ class SwitchingMatrix:
 
 @dataclass(frozen=True)
 class PostJumpKernel:
-    """Composite jump: location jump, then regime switch at the new location.
-
-    The intensity is carried along to expose the weight of the
-    intensity-weighted variant of this kernel.
-    """
+    """Composite jump: location jump, then regime switch at the new location."""
 
     ifs: IfsKernel
     switching: SwitchingMatrix
-    intensity: Intensity
-
-    def sample(self, x: StatePoint, rng: np.random.Generator) -> StatePoint:
-        # apply a map drawn from the place-dependent law at the origin
-        y_post = float(self.ifs.apply(self.ifs.sample(x.y, rng), x.y))
-        j = self.switching.sample(x.i, y_post, rng)
-        return StatePoint(y=y_post, i=j)
 
     def sample_vec(self, ys: np.ndarray, regimes: np.ndarray,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +239,3 @@ class PostJumpKernel:
         ys_post = self.ifs.apply(thetas, ys)
         regimes_post = self.switching.sample_vec(regimes, ys_post, rng)
         return ys_post, regimes_post
-
-    def intensity_weight(self, x: StatePoint) -> float:
-        """Importance weight of the intensity-weighted jump kernel at x."""
-        return float(self.intensity(x.y))

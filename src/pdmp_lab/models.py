@@ -62,6 +62,10 @@ class ModelSpec:
     y_max: float = 15.0
     positive: bool = True
 
+    def __post_init__(self):
+        # switching rows are checked where the model lives: its location window
+        self.jump.switching.check_rows(np.linspace(0.0, self.y_max, 64))
+
     @property
     def n_regimes(self) -> int:
         return self.flow.n_regimes
@@ -69,7 +73,7 @@ class ModelSpec:
 
 def _bundle(name, flow, intensity, ifs, switching, declared, y_max=15.0, positive=True):
     hazard = CumulativeHazard.for_model(flow, intensity)
-    jump = PostJumpKernel(ifs=ifs, switching=switching, intensity=intensity)
+    jump = PostJumpKernel(ifs=ifs, switching=switching)
     return ModelSpec(name=name, flow=flow, intensity=intensity, hazard=hazard,
                      jump=jump, declared=declared, y_max=y_max, positive=positive)
 

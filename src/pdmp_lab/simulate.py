@@ -10,7 +10,6 @@ worker-thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .hazard import invert_holding
 from .models import ModelSpec
-from .state import ExtendedState, StatePoint, WeightedEmpiricalMeasure
+from .state import WeightedEmpiricalMeasure
 
 REPLICA_CHUNK = 512
 """Replicas per RNG stream in ``run_ensemble``; fixed so outputs do not depend on threading."""
@@ -28,117 +27,30 @@ PMF_CHUNK = 4096
 """Replicas per RNG stream in ``jump_count_pmf``."""
 
 
-@dataclass(frozen=True)
-class JumpTrajectory:
-    """One realization of the embedded chain: (tau_n, y_n, xi_n) for n = 0..N."""
-
-    taus: np.ndarray
-    ys: np.ndarray
-    regimes: np.ndarray
-
-    def __post_init__(self):
-        taus = np.ascontiguousarray(self.taus, dtype=float)
-        ys = np.ascontiguousarray(self.ys, dtype=float)
-        regimes = np.ascontiguousarray(self.regimes, dtype=np.int64)
-        if not (taus.size == ys.size == regimes.size >= 1):
-            raise ValueError("trajectory arrays must align and be nonempty")
-        if not (np.isfinite(taus).all() and np.isfinite(ys).all()):
-            raise ValueError("trajectory entries must be finite")
-        if taus.size > 1 and not (np.diff(taus) > 0).all():
-            raise ValueError("jump times must be strictly increasing")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "regimes", regimes)
-
-    @property
-    def n_steps(self) -> int:
-        return self.taus.size - 1
-
-    def state(self, n: int) -> ExtendedState:
-        return ExtendedState(StatePoint(float(self.ys[n]), int(self.regimes[n])), float(self.taus[n]))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "tau", "y", "xi"])
-            for n in range(self.taus.size):
-                writer.writerow([n, f"{self.taus[n]:.17g}", f"{self.ys[n]:.17g}", int(self.regimes[n])])
-
-
-@dataclass(frozen=True)
-class PdmpPath:
-    """Piecewise-deterministic path interpolating a jump trajectory.
-
-    On [tau_n, tau_{n+1}) the location follows the regime-n flow started at
-    y_n; the path is right-continuous at jump times and covers times up to
-    the last recorded jump.
-    """
-
-    model: ModelSpec
-    trajectory: JumpTrajectory
-
-    @property
-    def horizon(self) -> float:
-        return float(self.trajectory.taus[-1])
-
-    def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.asarray(ts, dtype=float)
-        taus = self.trajectory.taus
-        if np.any(ts < taus[0]) or np.any(ts > taus[-1]):
-            raise ValueError("evaluation time outside the covered horizon")
-        seg = np.searchsorted(taus, ts, side="right") - 1
-        seg = np.minimum(seg, taus.size - 1)
-        regimes = self.trajectory.regimes[seg]
-        ys = self.model.flow.evaluate(regimes, ts - taus[seg], self.trajectory.ys[seg])
-        return ys, regimes
-
-    def evaluate(self, t: float) -> StatePoint:
-        ys, regimes = self.evaluate_many(np.array([t]))
-        return StatePoint(float(ys[0]), int(regimes[0]))
-
-
-def count_jumps(traj: JumpTrajectory, t: float) -> int:
-    """Number of jumps up to and including time t (boundary inclusive)."""
-    if t < traj.taus[0]:
+def count_jumps(taus: np.ndarray, t: float) -> np.ndarray:
+    """Jumps up to and including time t (boundary inclusive), one count per row of ``taus``."""
+    if np.any(t < taus[:, 0]):
         raise ValueError("time precedes the start of the trajectory")
-    return int(np.searchsorted(traj.taus, t, side="right") - 1)
+    return (taus <= t).sum(axis=1) - 1
 
 
-def step_chain(model: ModelSpec, state: ExtendedState, rng: np.random.Generator,
-               holding_time: Optional[float] = None) -> ExtendedState:
-    """One transition of the extended chain.
+def evaluate_paths(model: ModelSpec, chunk, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Location and regime of each replica path of ``chunk`` at times ``ts`` of shape (rows, k).
 
-    Draws the holding time from the hazard law (unless forced through
-    ``holding_time``), moves along the current regime's flow, then jumps and
-    switches. The clock advances strictly.
+    ``chunk`` is one (taus, ys, regimes) triple of ``ChainEnsemble.chunks``.
+    On [tau_n, tau_{n+1}) a row follows the regime-n flow started at y_n;
+    the path is right-continuous at jump times and covers times up to its
+    last recorded jump.
     """
-    x = state.x
-    if holding_time is None:
-        target = -math.log1p(-rng.random())
-        dt = float(invert_holding(model.hazard, x.i, np.array([x.y]), np.array([target]))[0])
-    else:
-        if holding_time <= 0:
-            raise ValueError("forced holding time must be > 0")
-        dt = float(holding_time)
-    pre_jump = float(model.flow.evaluate(x.i, dt, x.y))
-    ys_post, regimes_post = model.jump.sample_vec(np.array([pre_jump]), np.array([x.i]), rng)
-    return ExtendedState(StatePoint(float(ys_post[0]), int(regimes_post[0])), state.s + dt)
-
-
-def run_chain(model: ModelSpec, init: ExtendedState, n_steps: int,
-              rng: np.random.Generator) -> JumpTrajectory:
-    """Iterate the chain n_steps times from the given initial state."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    taus = np.empty(n_steps + 1)
-    ys = np.empty(n_steps + 1)
-    regimes = np.empty(n_steps + 1, dtype=np.int64)
-    state = init
-    taus[0], ys[0], regimes[0] = state.s, state.x.y, state.x.i
-    for n in range(1, n_steps + 1):
-        state = step_chain(model, state, rng)
-        taus[n], ys[n], regimes[n] = state.s, state.x.y, state.x.i
-    return JumpTrajectory(taus=taus, ys=ys, regimes=regimes)
+    taus, ys, regimes = chunk
+    if np.any(ts < taus[:, :1]) or np.any(ts > taus[:, -1:]):
+        raise ValueError("evaluation time outside the covered horizon")
+    seg = np.empty(ts.shape, dtype=np.int64)
+    for r in range(ts.shape[0]):
+        seg[r] = np.searchsorted(taus[r], ts[r], side="right") - 1
+    rows = np.arange(ts.shape[0])[:, None]
+    regimes_at = regimes[rows, seg]
+    return model.flow.evaluate(regimes_at, ts - taus[rows, seg], ys[rows, seg]), regimes_at
 
 
 @dataclass(frozen=True)
@@ -155,16 +67,6 @@ class ChainEnsemble:
     @property
     def min_horizon(self) -> float:
         return min(float(c[0][:, -1].min()) for c in self.chunks)
-
-    def trajectory(self, r: int) -> JumpTrajectory:
-        for taus, ys, regimes in self.chunks:
-            if r < taus.shape[0]:
-                return JumpTrajectory(taus=taus[r], ys=ys[r], regimes=regimes[r])
-            r -= taus.shape[0]
-        raise IndexError("replica index out of range")
-
-    def holding_times(self) -> np.ndarray:
-        return np.concatenate([np.diff(c[0], axis=1).ravel() for c in self.chunks])
 
 
 def _advance(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
@@ -289,28 +191,6 @@ def _occupation_times(burn_in: float, horizon: float, k: int,
     return burn_in + offsets * (horizon - burn_in)
 
 
-def occupation_measure(paths: Sequence[PdmpPath], burn_in: float, horizon: float,
-                       samples_per_path: int, rng: np.random.Generator) -> WeightedEmpiricalMeasure:
-    """Time-average estimate of the flow-process law over an observation window.
-
-    Samples each path at stratified-uniform times in [burn_in, horizon] with
-    equal weights and returns the normalized pooled measure.
-    """
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn_in")
-    short = [p.horizon for p in paths if p.horizon < horizon]
-    if short:
-        raise ValueError(f"{len(short)} path(s) end before the horizon {horizon}")
-    ys_all, regimes_all = [], []
-    for path in paths:
-        ts = _occupation_times(burn_in, horizon, samples_per_path, rng, 1)[0]
-        ys, regimes = path.evaluate_many(ts)
-        ys_all.append(ys)
-        regimes_all.append(regimes)
-    return WeightedEmpiricalMeasure.from_samples(
-        np.concatenate(ys_all), np.concatenate(regimes_all)).normalize()
-
-
 @dataclass(frozen=True)
 class OccupationSample:
     """Occupation draw with the sampling times kept for serialization."""
@@ -338,19 +218,10 @@ def occupation_from_ensemble(ens: ChainEnsemble, horizon: float, samples_per_rep
         raise ValueError("ensemble was not simulated up to the requested horizon")
 
     def sample_chunk(chunk, chunk_seed):
-        taus, ys, regimes = chunk
-        rows = taus.shape[0]
         ts = _occupation_times(burn_in, horizon, samples_per_replica,
-                               np.random.default_rng(chunk_seed), rows)
-        seg = np.empty(ts.shape, dtype=np.int64)
-        for r in range(rows):
-            seg[r] = np.searchsorted(taus[r], ts[r], side="right") - 1
-        row_idx = np.repeat(np.arange(rows), samples_per_replica)
-        seg_flat = seg.ravel()
-        xi_seg = regimes[row_idx, seg_flat]
-        y_at = ens.model.flow.evaluate(xi_seg, ts.ravel() - taus[row_idx, seg_flat],
-                                       ys[row_idx, seg_flat])
-        return ts.ravel(), y_at, xi_seg
+                               np.random.default_rng(chunk_seed), chunk[0].shape[0])
+        ys, regimes = evaluate_paths(ens.model, chunk, ts)
+        return ts.ravel(), ys.ravel(), regimes.ravel()
 
     times, ys, regimes = zip(*_map_streams(sample_chunk, ens.chunks, seed))
     return OccupationSample(times=np.concatenate(times), ys=np.concatenate(ys),
@@ -373,7 +244,7 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
         taus, _, _ = _run_chunk(model, size, y0, i0, chunk_seed, None, t_max)
         counts = np.empty((len(t_values), size), dtype=np.int64)
         for j, t in enumerate(t_values):
-            counts[j] = (taus <= t).sum(axis=1) - 1
+            counts[j] = count_jumps(taus, t)
         return np.stack([np.bincount(np.minimum(row, max_count), minlength=max_count + 1)
                          for row in counts])
 

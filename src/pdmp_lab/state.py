@@ -8,14 +8,10 @@ finite-grid oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
-
-REGIME_GAP = 1.0
-"""Default distance contributed by a regime mismatch in the product metric."""
 
 
 @dataclass(frozen=True)
@@ -30,40 +26,6 @@ class StatePoint:
             raise ValueError(f"location must be finite, got {self.y!r}")
         if int(self.i) != self.i or self.i < 0:
             raise ValueError(f"regime label must be a nonnegative integer, got {self.i!r}")
-
-
-@dataclass(frozen=True)
-class ExtendedState:
-    """A state point plus the cumulative jump clock ``s >= 0``."""
-
-    x: StatePoint
-    s: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.s) or self.s < 0:
-            raise ValueError(f"jump clock must be finite and >= 0, got {self.s!r}")
-
-
-def metric(x1: StatePoint, x2: StatePoint, regime_gap: float = REGIME_GAP) -> float:
-    """Product metric: |y1 - y2| plus ``regime_gap`` when the regimes differ."""
-    return abs(x1.y - x2.y) + (regime_gap if x1.i != x2.i else 0.0)
-
-
-@dataclass(frozen=True)
-class LyapunovFunction:
-    """Distance of the location coordinate to a fixed anchor; regime-blind.
-
-    Evaluates to 0 at (anchor, i) for every regime i and is nonnegative
-    everywhere, which makes it a valid drift/moment gauge for the chain.
-    """
-
-    anchor: float = 0.0
-
-    def __call__(self, x: StatePoint) -> float:
-        return abs(x.y - self.anchor)
-
-    def values(self, ys: np.ndarray) -> np.ndarray:
-        return np.abs(np.asarray(ys, dtype=float) - self.anchor)
 
 
 class ZeroMassError(ValueError):
@@ -107,15 +69,6 @@ class WeightedEmpiricalMeasure:
         object.__setattr__(self, "total_mass", float(weights.sum()))
 
     @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[StatePoint, float]]) -> "WeightedEmpiricalMeasure":
-        pts = list(atoms)
-        return cls(
-            ys=np.array([p.y for p, _ in pts], dtype=float),
-            regimes=np.array([p.i for p, _ in pts], dtype=np.int64),
-            weights=np.array([w for _, w in pts], dtype=float),
-        )
-
-    @classmethod
     def from_samples(cls, ys, regimes=None, weights=None) -> "WeightedEmpiricalMeasure":
         ys = np.asarray(ys, dtype=float)
         if regimes is None:
@@ -152,30 +105,3 @@ class WeightedEmpiricalMeasure:
         """Locations and weights of the atoms carried by regime ``i``."""
         mask = self.regimes == i
         return self.ys[mask], self.weights[mask]
-
-    @classmethod
-    def merge(cls, measures: Sequence["WeightedEmpiricalMeasure"]) -> "WeightedEmpiricalMeasure":
-        """Associative concatenation; order affects only float round-off."""
-        return cls(
-            ys=np.concatenate([m.ys for m in measures]),
-            regimes=np.concatenate([m.regimes for m in measures]),
-            weights=np.concatenate([m.weights for m in measures]),
-        )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["y", "i", "weight"])
-            for y, i, w in zip(self.ys, self.regimes, self.weights):
-                writer.writerow([f"{y:.17g}", int(i), f"{w:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "WeightedEmpiricalMeasure":
-        ys, regimes, weights = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                ys.append(float(row["y"]))
-                regimes.append(int(row["i"]))
-                weights.append(float(row["weight"]))
-        return cls(np.array(ys), np.array(regimes, dtype=np.int64), np.array(weights))

@@ -202,6 +202,12 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
         ExperimentConfig.from_dict({**base, "grid": {"nodes": 1}})
 
 
+def test_dump_grid_matrices_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dump_grid_matrices": True})
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'dump_grid_matrices'" in capsys.readouterr().err
+
+
 def test_grid_assembly_failure_exit_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grid": {"nodes": 50, "y_max": 2.0}})
     assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4

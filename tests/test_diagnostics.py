@@ -42,8 +42,7 @@ def test_flow_contraction_frozen_flow():
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                       hazard=CumulativeHazard.for_model(flow, intensity),
-                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]]),
-                                          intensity),
+                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(flow_rate=0.0))
     lip, rate = estimate_flow_contraction(model, np.random.default_rng(1))
     assert lip == pytest.approx(1.0, abs=1e-9)
@@ -79,7 +78,7 @@ def test_jump_displacement_identity_map():
     model = ModelSpec(name="idmap", flow=flow, intensity=intensity,
                       hazard=CumulativeHazard.for_model(flow, intensity),
                       jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
-                                          SwitchingMatrix([[1.0]]), intensity),
+                                          SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(flow_rate=0.0, jump_displacement=0.0))
     assert jump_displacement_bound(model, np.random.default_rng(4)) == pytest.approx(0.0, abs=1e-12)
 
@@ -116,7 +115,7 @@ def test_ifs_constants_state_dependent_density():
         name="state-dep", flow=flow, intensity=intensity,
         hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs),
-                            SwitchingMatrix([[1.0]]), intensity),
+                            SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0, jump_mean_contraction=0.5,
                                    density_lipschitz=0.4, density_overlap=0.6))
     lw, lp, dp = estimate_ifs_constants(model, np.random.default_rng(8), n_pairs=100,
@@ -207,8 +206,7 @@ def test_empirical_drift_detects_false_constants():
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="no-drift", flow=flow, intensity=intensity,
                       hazard=CumulativeHazard.for_model(flow, intensity),
-                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]]),
-                                          intensity),
+                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(flow_rate=0.0))
     from pdmp_lab.diagnostics import DriftConstants
     false_constants = DriftConstants(multiplier=0.5, offset=1.0, jump_multiplier=1.0,

@@ -7,17 +7,11 @@ import pytest
 
 from pdmp_lab.diagnostics import run_assumption_suite, stability_margin
 from pdmp_lab.grid import build_grid_model
-from pdmp_lab.hazard import sample_holding_thinning
+from pdmp_lab.hazard import sample_holding_thinning_vec
 from pdmp_lab.metrics import ks_statistic, measure_distance
 from pdmp_lab.models import gene_expression_model, two_regime_model
-from pdmp_lab.simulate import (
-    JumpTrajectory,
-    PdmpPath,
-    occupation_measure,
-    run_chain,
-    run_ensemble,
-)
-from pdmp_lab.state import ExtendedState, StatePoint, WeightedEmpiricalMeasure
+from pdmp_lab.simulate import evaluate_paths, occupation_from_ensemble, run_ensemble
+from pdmp_lab.state import WeightedEmpiricalMeasure
 
 GENE = gene_expression_model()
 
@@ -49,15 +43,10 @@ def test_measure_distance_with_absent_regime():
 
 
 def test_occupation_measure_pools_paths():
-    rng = np.random.default_rng(4)
-    paths = []
-    for k in range(3):
-        traj = run_chain(GENE, ExtendedState(StatePoint(0.0, 0), 0.0), 80,
-                         np.random.default_rng(100 + k))
-        paths.append(PdmpPath(GENE, traj))
-    horizon = min(p.horizon for p in paths)
-    mu = occupation_measure(paths, burn_in=0.2 * horizon, horizon=horizon,
-                            samples_per_path=200, rng=rng)
+    ens = run_ensemble(GENE, 3, 4, n_steps=80)
+    horizon = ens.min_horizon
+    mu = occupation_from_ensemble(ens, horizon=horizon, samples_per_replica=200, seed=4,
+                                  burn_in=0.2 * horizon).measure()
     assert mu.n_atoms == 600
     assert mu.total_mass == pytest.approx(1.0)
 
@@ -67,36 +56,25 @@ def test_pdmp_path_two_regime_segments():
     taus = np.array([0.0, 1.0, 3.0])
     ys = np.array([0.0, 2.0, 0.5])
     regimes = np.array([0, 1, 0])
-    path = PdmpPath(model, JumpTrajectory(taus=taus, ys=ys, regimes=regimes))
+    ys_at, regimes_at = evaluate_paths(model, (taus[None], ys[None], regimes[None]),
+                                       np.array([[2.0, 0.5]]))
     # inside segment 1 the motion relaxes toward attractor 1
-    pt = path.evaluate(2.0)
-    assert pt.i == 1
-    assert pt.y == pytest.approx(2.0 * math.exp(-1.0) + 1.0 * (1.0 - math.exp(-1.0)))
-    pt0 = path.evaluate(0.5)
-    assert pt0.i == 0
-    assert pt0.y == pytest.approx(0.0)
+    assert regimes_at[0, 0] == 1
+    assert ys_at[0, 0] == pytest.approx(2.0 * math.exp(-1.0) + 1.0 * (1.0 - math.exp(-1.0)))
+    assert regimes_at[0, 1] == 0
+    assert ys_at[0, 1] == pytest.approx(0.0)
 
 
-def test_scalar_thinning_agrees_with_law():
+def test_thinning_agrees_with_law_gene_saturating():
     model = gene_expression_model(intensity="saturating")
     rng = np.random.default_rng(5)
-    draws = np.array([sample_holding_thinning(model.hazard, StatePoint(1.0, 0), rng)
-                      for _ in range(20_000)])
+    draws = sample_holding_thinning_vec(model.hazard, 0, np.full(20_000, 1.0), rng)
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
         return 1.0 - np.exp(-model.hazard.value(0, t, np.full(t.shape, 1.0)))
 
     assert ks_statistic(draws, cdf=cdf) <= 1.36 / math.sqrt(draws.size)
-
-
-def test_grid_dump_matrices_shapes(tmp_path):
-    grid = build_grid_model(GENE, 30, time_cells=200, theta_cells=100)
-    paths = grid.dump_matrices(tmp_path)
-    assert len(paths) == 5
-    loaded = np.loadtxt(paths[0], delimiter=",")
-    assert loaded.shape == (30, 30)
-    assert np.allclose(loaded, grid.transition, atol=1e-15)
 
 
 def test_ensemble_rejects_bad_arguments():
@@ -108,17 +86,18 @@ def test_ensemble_rejects_bad_arguments():
         run_ensemble(GENE, 0, 1, n_steps=5)
 
 
+def test_trajectory_access_by_replica_index():
+    # replica r is row r of the concatenated chunks, every row as long as the run
+    ens = run_ensemble(GENE, 600, 7, n_steps=4)
+    assert [c[0].shape for c in ens.chunks] == [(512, 5), (88, 5)]
+    assert ens.n_replicas == 600
+    first = tuple(a[0] for a in ens.chunks[0])
+    last = tuple(a[-1] for a in ens.chunks[1])
+    assert first[0][0] == last[0][0] == 0.0 and (np.diff(last[0]) > 0).all()
+
+
 def test_ensemble_chunk_boundary_sizes():
     for n in (1, 511, 512, 513, 1025):
         ens = run_ensemble(GENE, n, 6, n_steps=3)
         assert ens.n_replicas == n
         assert sum(c[0].shape[0] for c in ens.chunks) == n
-
-
-def test_trajectory_access_by_replica_index():
-    ens = run_ensemble(GENE, 600, 7, n_steps=4)
-    first = ens.trajectory(0)
-    last = ens.trajectory(599)
-    assert first.n_steps == last.n_steps == 4
-    with pytest.raises(IndexError):
-        ens.trajectory(600)

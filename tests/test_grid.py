@@ -96,7 +96,7 @@ def state_dependent_ifs_model():
     return ModelSpec(
         name="state-dependent-ifs", flow=flow, intensity=intensity,
         hazard=CumulativeHazard.for_model(flow, intensity),
-        jump=PostJumpKernel(ifs, switching, intensity),
+        jump=PostJumpKernel(ifs, switching),
         declared=DeclaredConstants(), y_max=1.0)
 
 
@@ -146,7 +146,7 @@ def two_node_model():
         name="two-node", flow=flow, intensity=intensity,
         hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.0, 1.0),), probs=(1.0,)),
-                            SwitchingMatrix([[1.0]]), intensity),
+                            SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0), y_max=1.0)
 
 

@@ -12,8 +12,6 @@ from pdmp_lab.hazard import (
     SaturatingIntensity,
     adaptive_simpson,
     invert_holding,
-    sample_holding_inversion,
-    sample_holding_thinning,
     sample_holding_thinning_vec,
 )
 from pdmp_lab.metrics import ks_critical, ks_statistic
@@ -81,32 +79,38 @@ def test_hazard_strictly_increasing_in_time():
     assert (np.diff(vals) > 0).all()
 
 
+def quantile(hz, y, u):
+    """Holding-time quantile at u from location y in regime 0, by hazard inversion."""
+    return float(invert_holding(hz, 0, np.array([y]), np.array([-math.log1p(-u)]))[0])
+
+
 def test_inversion_constant_rate_quantile():
     u = 1.0 - math.exp(-1.0)
-    assert sample_holding_inversion(CONST2, StatePoint(0.0, 0), u) == pytest.approx(0.5, abs=1e-10)
+    assert quantile(CONST2, 0.0, u) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_inversion_small_u_goes_to_zero():
-    t = sample_holding_inversion(WIDE, StatePoint(1.0, 0), 1e-14)
+    t = quantile(WIDE, 1.0, 1e-14)
     assert 0.0 <= t < 1e-12
 
 
 def test_inversion_recovers_closed_form_time():
     u = 1.0 - math.exp(-closed_gene_hazard(1.0, 1.0))
-    assert sample_holding_inversion(WIDE, StatePoint(1.0, 0), u) == pytest.approx(1.0, abs=1e-9)
+    assert quantile(WIDE, 1.0, u) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inversion_u_domain():
-    for bad in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ValueError):
-            sample_holding_inversion(WIDE, StatePoint(1.0, 0), bad)
+    # u = 1 and u outside [0, 1] give hazard targets that are infinite, NaN or negative
+    for bad in (math.inf, math.nan, -math.log1p(0.2)):
+        with pytest.raises(ValueError, match="targets must be finite and >= 0"):
+            invert_holding(WIDE, 0, np.array([1.0]), np.array([bad]))
+    assert quantile(WIDE, 1.0, 0.0) == 0.0
 
 
 def test_thinning_constant_rate_is_exponential():
     # every proposal is accepted, so the output is exactly the proposal law
     rng = np.random.default_rng(2)
-    draws = np.array([sample_holding_thinning(CONST2, StatePoint(0.0, 0), rng)
-                      for _ in range(20_000)])
+    draws = sample_holding_thinning_vec(CONST2, 0, np.zeros(20_000), rng)
     stat = ks_statistic(draws, cdf=lambda t: 1.0 - np.exp(-2.0 * t))
     assert stat <= 1.36 / math.sqrt(draws.size)
 

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pdmp_lab.hazard import ConstantIntensity, SaturatingIntensity
 from pdmp_lab.jumps import (
     AdditiveBurstKernel,
     FiniteAffineIfs,
     PostJumpKernel,
     SwitchingMatrix,
 )
-from pdmp_lab.state import StatePoint
 
 
 def test_sample_theta_exponential_mean():
@@ -23,14 +21,28 @@ def test_sample_theta_exponential_mean():
 def test_sample_theta_singleton_support():
     rng = np.random.default_rng(1)
     kernel = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    assert kernel.sample(2.0, rng) == 0
-    assert np.array_equal(kernel.sample_vec(np.zeros(10), rng), np.zeros(10, dtype=np.int64))
+    assert np.array_equal(kernel.sample_vec(np.full(10, 2.0), rng), np.zeros(10, dtype=np.int64))
 
 
 def test_sample_theta_degenerate_two_atom_density():
     rng = np.random.default_rng(2)
     kernel = FiniteAffineIfs(maps=((1.0, 0.0), (1.0, 5.0)), probs=(1.0, 0.0))
     assert np.array_equal(kernel.sample_vec(np.zeros(100), rng), np.zeros(100, dtype=np.int64))
+
+
+def test_state_dependent_selection_is_per_atom_inverse_cdf():
+    # one uniform per atom, looked up in the cdf at that atom's own location
+    def probs(y):
+        q = 0.2 + 0.6 * float(y) / (1.0 + float(y))
+        return np.array([q, 0.5 * (1.0 - q), 0.5 * (1.0 - q)])
+
+    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=probs)
+    ys = np.random.default_rng(20).choice([0.0, 0.5, 3.0, 7.25], size=2000)
+    draws = kernel.sample_vec(ys, np.random.default_rng(21))
+    us = np.random.default_rng(21).random(ys.size)
+    expect = [np.searchsorted(np.cumsum(probs(y)), u, side="right") for y, u in zip(ys, us)]
+    assert draws.dtype == np.int64
+    assert np.array_equal(draws, expect)
 
 
 def test_sample_jump_additive_bursts():
@@ -45,7 +57,8 @@ def test_sample_jump_additive_bursts():
 def test_sample_jump_deterministic_map():
     rng = np.random.default_rng(4)
     kernel = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    assert kernel.apply(kernel.sample(4.0, rng), 4.0) == pytest.approx(2.0)
+    ys = np.full(10, 4.0)
+    assert kernel.apply(kernel.sample_vec(ys, rng), ys) == pytest.approx(np.full(10, 2.0))
 
 
 def test_jump_displacement_from_anchor():
@@ -67,7 +80,8 @@ def test_density_normalization_over_quadrature():
 def test_switching_single_regime():
     rng = np.random.default_rng(7)
     pi = SwitchingMatrix([[1.0]])
-    assert pi.sample(0, 3.0, rng) == 0
+    assert np.array_equal(pi.sample_vec(np.zeros(10, dtype=np.int64), np.full(10, 3.0), rng),
+                          np.zeros(10, dtype=np.int64))
 
 
 def test_switching_uniform_frequencies():
@@ -80,9 +94,9 @@ def test_switching_uniform_frequencies():
 def test_switching_absorbing_row():
     rng = np.random.default_rng(9)
     pi = SwitchingMatrix.constant([[1.0, 0.0], [1.0, 0.0]])
-    for y in (0.0, 2.0, 7.5):
-        assert pi.sample(0, y, rng) == 0
-        assert pi.sample(1, y, rng) == 0
+    ys = np.repeat([0.0, 2.0, 7.5], 2)
+    draws = pi.sample_vec(np.tile([0, 1], 3), ys, rng)
+    assert np.array_equal(draws, np.zeros(6, dtype=np.int64))
 
 
 def test_switching_row_sum_validation():
@@ -105,7 +119,7 @@ def _toy_post_jump():
     # two maps, two regimes, everything hand-computable
     ifs = FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 1.0)), probs=(0.3, 0.7))
     pi = SwitchingMatrix.constant([[0.25, 0.75], [0.6, 0.4]])
-    return PostJumpKernel(ifs=ifs, switching=pi, intensity=ConstantIntensity(1.0))
+    return PostJumpKernel(ifs=ifs, switching=pi)
 
 
 def test_post_jump_evaluates_switch_at_post_location():
@@ -115,13 +129,13 @@ def test_post_jump_evaluates_switch_at_post_location():
 
     ifs = FiniteAffineIfs(maps=((1.0, 2.0),), probs=(1.0,))  # y -> y + 2
     pi = SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)],
-                          [stay, lambda y: 1.0 - stay(y)]], probe_ys=np.linspace(0, 10, 32))
-    kernel = PostJumpKernel(ifs=ifs, switching=pi, intensity=ConstantIntensity(1.0))
+                          [stay, lambda y: 1.0 - stay(y)]])
+    kernel = PostJumpKernel(ifs=ifs, switching=pi)
     rng = np.random.default_rng(11)
     # origin y = 0 (stay prob there would be 0) but post-jump y = 2 forces regime 0
-    out = kernel.sample(StatePoint(0.0, 1), rng)
-    assert out.y == pytest.approx(2.0)
-    assert out.i == 0
+    ys, regimes = kernel.sample_vec(np.zeros(10), np.ones(10, dtype=np.int64), rng)
+    assert ys == pytest.approx(np.full(10, 2.0))
+    assert np.array_equal(regimes, np.zeros(10, dtype=np.int64))
 
 
 def test_post_jump_joint_law_factorizes():
@@ -140,20 +154,9 @@ def test_post_jump_joint_law_factorizes():
 def test_post_jump_deterministic_composition():
     ifs = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
     pi = SwitchingMatrix.constant([[0.0, 1.0], [0.0, 1.0]])
-    kernel = PostJumpKernel(ifs=ifs, switching=pi, intensity=ConstantIntensity(1.0))
-    out = kernel.sample(StatePoint(4.0, 0), np.random.default_rng(13))
-    assert (out.y, out.i) == (2.0, 1)
-
-
-def test_intensity_weight_values():
-    kernel = _toy_post_jump()
-    assert kernel.intensity_weight(StatePoint(9.0, 0)) == pytest.approx(1.0)
-    sat = PostJumpKernel(ifs=AdditiveBurstKernel(), switching=SwitchingMatrix([[1.0]]),
-                         intensity=SaturatingIntensity(base=1.0, gain=1.0))
-    assert sat.intensity_weight(StatePoint(1.0, 0)) == pytest.approx(1.5)
-    rng = np.random.default_rng(14)
-    for y in rng.uniform(0, 20, 100):
-        assert 1.0 <= sat.intensity_weight(StatePoint(y, 0)) <= 2.0
+    kernel = PostJumpKernel(ifs=ifs, switching=pi)
+    ys, regimes = kernel.sample_vec(np.array([4.0]), np.array([0]), np.random.default_rng(13))
+    assert (ys[0], regimes[0]) == (2.0, 1)
 
 
 def test_mean_contraction_of_shipped_kernels():

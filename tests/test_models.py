@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from pdmp_lab.diagnostics import stability_margin
+from pdmp_lab.flows import AffineExpFlow
+from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard
+from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import (
+    DeclaredConstants,
+    ModelSpec,
     build_model,
     control_degenerate_switching,
     control_expanding_flow,
@@ -80,3 +85,51 @@ def test_registry_covers_all_shipped_models():
                  "control-expanding-flow", "control-supercritical",
                  "control-degenerate-switching"):
         assert build_model(name) is not None
+
+
+def switching_window_model(edge, y_max):
+    """Two-regime model whose switching rows sum to 1 up to ``edge`` and to 1.5 above."""
+    def stay(y):
+        return np.where(np.asarray(y, dtype=float) <= edge, 0.5, 1.0)
+
+    def leave(y):
+        return np.full_like(np.asarray(y, dtype=float), 0.5)
+
+    flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
+    intensity = ConstantIntensity(1.0)
+    return ModelSpec(name="switching-window", flow=flow, intensity=intensity,
+                     hazard=CumulativeHazard.for_model(flow, intensity),
+                     jump=PostJumpKernel(AdditiveBurstKernel(1.0),
+                                         SwitchingMatrix([[stay, leave], [0.5, 0.5]])),
+                     declared=DeclaredConstants(), y_max=y_max)
+
+
+def test_switching_rows_checked_on_the_whole_model_window():
+    # stochastic on [0, 15] only: a window reaching 20 must be rejected
+    with pytest.raises(ValueError, match="switching rows must sum to 1"):
+        switching_window_model(edge=15.0, y_max=20.0)
+
+
+def test_switching_rows_checked_only_on_the_model_window():
+    # rows fail only above 10, outside a window of [0, 10]
+    model = switching_window_model(edge=10.0, y_max=10.0)
+    rows = model.jump.switching.rows_at(np.linspace(0.0, 10.0, 101))
+    assert np.abs(rows.sum(axis=2) - 1.0).max() == 0.0
+
+
+def test_switching_entries_checked_on_the_model_window():
+    def stay(y):
+        return np.where(np.asarray(y, dtype=float) <= 12.0, 0.5, 1.5)
+
+    def leave(y):
+        return np.where(np.asarray(y, dtype=float) <= 12.0, 0.5, -0.5)
+
+    # rows sum to 1 everywhere, but entries leave [0, 1] above 12
+    switching = SwitchingMatrix([[stay, leave], [0.5, 0.5]])
+    flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
+    intensity = ConstantIntensity(1.0)
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+        ModelSpec(name="switching-entries", flow=flow, intensity=intensity,
+                  hazard=CumulativeHazard.for_model(flow, intensity),
+                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), switching),
+                  declared=DeclaredConstants(), y_max=15.0)

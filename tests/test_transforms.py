@@ -35,7 +35,7 @@ def linear_rate_model():
         name="hand", flow=flow, intensity=intensity,
         hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,)),
-                            SwitchingMatrix([[1.0]]), intensity),
+                            SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0))
 
 
@@ -82,7 +82,7 @@ def test_occupation_transform_frozen_flow_point_mass():
     m = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                   hazard=CumulativeHazard.for_model(flow, intensity),
                   jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
-                                      SwitchingMatrix([[1.0]]), intensity),
+                                      SwitchingMatrix([[1.0]])),
                   declared=DeclaredConstants(flow_rate=0.0))
     mu = WeightedEmpiricalMeasure.from_samples([2.5])
     out, rep = holding_occupation_transform(m, mu, variant="quadrature")
