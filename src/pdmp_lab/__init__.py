@@ -37,6 +37,7 @@ from .models import (
 from .simulate import (
     ChainEnsemble,
     chain_measure,
+    chain_step,
     count_jumps,
     evaluate_paths,
     occupation_from_ensemble,

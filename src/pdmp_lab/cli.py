@@ -2,8 +2,9 @@
 
 Four subcommands (simulate, correspondence, oracle, diagnostics) read one
 JSON config document, run a batch experiment, and write plot-ready CSV/JSON
-files. Outputs are byte-identical for identical (config, seed) and do not
-depend on the thread count. Exit codes: 0 success, 2 config error, 3 a
+files. Outputs are byte-identical for identical (config, seed). Ensembles run
+serially; ``--threads`` and the config key ``threads`` are accepted and
+ignored with one note on stderr. Exit codes: 0 success, 2 config error, 3 a
 declared tolerance or positive-model check failed, 4 a numerical solver
 failed (hazard inversion or thinning hit its iteration cap, a horizon run hit
 its step cap, adaptive quadrature or power iteration did not converge, the
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,11 +69,10 @@ class ExperimentConfig:
 
     The seed is mandatory: every run must be reproducible. Tolerances are
     optional expectations; violating one makes the subcommand exit with
-    code 3 after still writing its outputs. ``threads`` falls back to the
-    PDMP_LAB_THREADS environment variable, then 1, when the document has no
-    ``threads`` entry. A key unknown at the top level or inside ``model``,
-    ``grid`` or ``tolerances`` is a config error, so a typo cannot fall back
-    to a default.
+    code 3 after still writing its outputs. A ``threads`` entry is accepted
+    and ignored, with a note on stderr. A key unknown at the top level or
+    inside ``model``, ``grid`` or ``tolerances`` is a config error, so a typo
+    cannot fall back to a default.
     """
 
     model_name: str
@@ -90,7 +89,6 @@ class ExperimentConfig:
     grid_theta_cells: int = 1000
     grid_y_max: Optional[float] = None
     eta_time: float = 2.0
-    threads: int = 1
     out_dir: str = "."
     tolerances: dict = field(default_factory=dict)
     drift_probes: tuple = (0.0, 1.0, 2.0, 4.0, 8.0)
@@ -131,8 +129,6 @@ class ExperimentConfig:
             grid_theta_cells=int(grid.get("theta_cells", 1000)),
             grid_y_max=(None if grid.get("y_max") is None else float(grid["y_max"])),
             eta_time=float(raw.get("eta_time", 2.0)),
-            threads=int(raw["threads"] if raw.get("threads") is not None
-                        else os.environ.get("PDMP_LAB_THREADS") or 1),
             out_dir=str(raw.get("out_dir", ".")),
             tolerances=dict(tolerances),
             drift_probes=tuple(raw.get("drift_probes", (0.0, 1.0, 2.0, 4.0, 8.0))),
@@ -142,14 +138,26 @@ class ExperimentConfig:
             raise ConfigError("replicas must be positive and chain_steps >= 0")
         if cfg.chain_burn_in_steps >= cfg.chain_steps and cfg.chain_steps > 0:
             raise ConfigError("chain_burn_in_steps must be below chain_steps")
-        if cfg.horizon <= 0:
+        if not cfg.horizon > 0:
             raise ConfigError("horizon must be positive")
+        if cfg.time_burn_in is not None and not 0 <= cfg.time_burn_in < cfg.horizon:
+            raise ConfigError("time_burn_in must be >= 0 and below horizon")
+        if not 0 <= cfg.eta_time <= cfg.horizon:  # the horizon ensemble must cover eta_time
+            raise ConfigError("eta_time must be >= 0 and at most horizon")
         if cfg.grid_nodes < 2:
             raise ConfigError("grid nodes must be at least 2")
+        for name, count in (("occupation_samples_per_replica", cfg.occupation_samples_per_replica),
+                            ("drift_replicas", cfg.drift_replicas),
+                            ("grid time_cells", cfg.grid_time_cells),
+                            ("grid theta_cells", cfg.grid_theta_cells)):
+            if count < 1:
+                raise ConfigError(f"{name} must be at least 1")
         try:
             cfg.build()
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model block: {exc}") from exc
+        if "threads" in raw:
+            print("note: config key 'threads' is ignored; ensembles run serially", file=sys.stderr)
         return cfg
 
     def build(self) -> ModelSpec:
@@ -206,10 +214,8 @@ def _simulate_both_routes(
     Streams (seed, 1), (seed, 2) and (seed, 3) respectively, so simulate and
     correspondence see the same runs.
     """
-    ens = run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps,
-                       threads=cfg.threads)
-    occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon,
-                           threads=cfg.threads)
+    ens = run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps)
+    occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon)
     occ = occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
                                    (cfg.seed, 3), burn_in=cfg.burn_in)
     return ens, occ_ens, occ
@@ -224,8 +230,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _write_csv(out_dir / "occupation.csv", ["t", "y", "xi"],
                [occ.times, occ.ys, occ.regimes.astype(int)])
     chain = chain_measure(ens, cfg.chain_burn_in_steps) if cfg.chain_steps > 0 else None
-    jumps_per_time = [
-        (chunk[0].shape[1] - 1) / chunk[0][:, -1].mean() for chunk in occ_ens.chunks]
+    # every replica of a horizon chunk makes that chunk's step count of jumps
+    final_clocks = np.concatenate([taus[:, -1] for taus, _, _ in occ_ens.chunks])
+    n_jumps = sum(taus.shape[0] * (taus.shape[1] - 1) for taus, _, _ in occ_ens.chunks)
     eta_counts = np.concatenate([count_jumps(chunk[0], cfg.eta_time) for chunk in occ_ens.chunks])
     hist = np.bincount(eta_counts, minlength=11)[:11] / eta_counts.size
     summary = {
@@ -234,7 +241,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "replicas": cfg.replicas,
         "occupation_mean": float(occ.ys.mean()),
         "chain_mean": (None if chain is None else chain.mean_location()),
-        "jump_rate": float(np.mean(jumps_per_time)),
+        "jump_rate": float(n_jumps / final_clocks.size / final_clocks.mean()),
         "eta_time": cfg.eta_time,
         "eta_histogram": [float(v) for v in hist],
     }
@@ -321,8 +328,7 @@ def cmd_diagnostics(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if report.stability_margin is not None and report.stability_margin > 0:
         constants = drift_constants(model)
         drift = verify_drift_empirically(model, constants, probe_ys=cfg.drift_probes,
-                                         replicas=cfg.drift_replicas, seed=(cfg.seed, 2),
-                                         threads=cfg.threads)
+                                         replicas=cfg.drift_replicas, seed=(cfg.seed, 2))
         payload["drift"] = drift.to_json()
         drift_ok = drift.passed
     else:
@@ -353,8 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: config 'threads', then PDMP_LAB_THREADS, "
-                            "then 1)")
+                       help="accepted and ignored: ensembles run serially")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
     args = parser.parse_args(argv)
     try:
@@ -362,7 +367,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.threads is not None:
-            cfg.threads = args.threads
+            print("note: --threads is ignored; ensembles run serially", file=sys.stderr)
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:

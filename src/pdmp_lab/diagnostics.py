@@ -328,13 +328,12 @@ class DriftReport:
 def verify_drift_empirically(model: ModelSpec, constants: DriftConstants,
                              probe_ys: Sequence[float] = (0.0, 1.0, 2.0, 4.0, 8.0),
                              replicas: int = 100_000, seed=0,
-                             regime: int = 0, threads: int = 1) -> DriftReport:
+                             regime: int = 0) -> DriftReport:
     """Single-step Monte Carlo check of the drift inequality at probe points."""
     anchor = model.declared.anchor
     probes = []
     for k, y in enumerate(probe_ys):
-        ens = run_ensemble(model, replicas, (seed, k), y0=float(y), i0=regime,
-                           n_steps=1, threads=threads)
+        ens = run_ensemble(model, replicas, (seed, k), y0=float(y), i0=regime, n_steps=1)
         vals = np.concatenate([np.abs(chunk[1][:, 1] - anchor) for chunk in ens.chunks])
         gauge = abs(float(y) - anchor)
         probes.append(DriftProbe(

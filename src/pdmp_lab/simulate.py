@@ -3,15 +3,14 @@
 The embedded chain records post-jump states and cumulative jump times; the
 continuous-time process interpolates it deterministically along the regime
 flow of each segment. Heavy Monte Carlo runs as an ensemble of replicas,
-vectorized across replicas and split into fixed-size chunks with one spawned
-RNG stream per chunk, so results are reproducible and independent of the
-worker-thread count.
+vectorized across replicas and split into chunks of ``REPLICA_CHUNK`` with one
+spawned RNG stream per chunk, run serially in chunk order, so results depend
+only on the seed and the replica count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,10 +20,8 @@ from .hazard import invert_holding
 from .models import ModelSpec
 from .state import WeightedEmpiricalMeasure
 
-REPLICA_CHUNK = 512
-"""Replicas per RNG stream in ``run_ensemble``; fixed so outputs do not depend on threading."""
-PMF_CHUNK = 4096
-"""Replicas per RNG stream in ``jump_count_pmf``."""
+REPLICA_CHUNK = 4096
+"""Replicas per spawned RNG stream in ``run_ensemble`` and ``jump_count_pmf``."""
 
 
 def count_jumps(taus: np.ndarray, t: float) -> np.ndarray:
@@ -69,9 +66,9 @@ class ChainEnsemble:
         return min(float(c[0][:, -1].min()) for c in self.chunks)
 
 
-def _advance(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One vectorized chain step for a block of replicas.
+def chain_step(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One vectorized chain step: (holding times, post-jump locations, post-jump regimes).
 
     Exactly three RNG vectors are consumed per step (holding, jump, switch),
     independent of the regime mix, which keeps streams reproducible.
@@ -115,7 +112,7 @@ def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
     for _ in range(cap):
         if horizon_mode and float(taus.min()) >= t_end:
             break
-        dts, ys, regimes = _advance(model, ys, regimes, rng)
+        dts, ys, regimes = chain_step(model, ys, regimes, rng)
         taus = taus + dts
         ys_hist.append(ys.copy())
         regimes_hist.append(regimes.copy())
@@ -131,30 +128,22 @@ def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
             np.column_stack(regimes_hist))
 
 
-def _chunk_sizes(n_replicas: int, chunk: int) -> list[int]:
-    """Full chunks of ``chunk`` replicas, then the remainder."""
-    sizes = [chunk] * (n_replicas // chunk)
-    if n_replicas % chunk:
-        sizes.append(n_replicas % chunk)
+def _chunk_sizes(n_replicas: int) -> list[int]:
+    """Full chunks of ``REPLICA_CHUNK`` replicas, then the remainder."""
+    sizes = [REPLICA_CHUNK] * (n_replicas // REPLICA_CHUNK)
+    if n_replicas % REPLICA_CHUNK:
+        sizes.append(n_replicas % REPLICA_CHUNK)
     return sizes
 
 
-def _map_streams(work, items: Sequence, seed, threads: int = 1) -> list:
-    """``work(item, stream_seed)`` for each item, in order, one spawned stream per item.
-
-    The streams depend only on ``seed`` and the item count, so the results
-    do not depend on ``threads``.
-    """
+def _map_streams(work, items: Sequence, seed) -> list:
+    """``work(item, stream_seed)`` for each item, in order, one spawned stream per item."""
     seeds = np.random.SeedSequence(seed).spawn(len(items))
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, items, seeds))
     return [work(item, s) for item, s in zip(items, seeds)]
 
 
 def run_ensemble(model: ModelSpec, n_replicas: int, seed, y0: float = 0.0, i0: int = 0,
-                 n_steps: Optional[int] = None, t_end: Optional[float] = None,
-                 threads: int = 1) -> ChainEnsemble:
+                 n_steps: Optional[int] = None, t_end: Optional[float] = None) -> ChainEnsemble:
     """Simulate independent replicas of the chain from a common start.
 
     Either a fixed step count or a time horizon must be given; in horizon
@@ -166,7 +155,7 @@ def run_ensemble(model: ModelSpec, n_replicas: int, seed, y0: float = 0.0, i0: i
         raise ValueError("n_replicas must be > 0")
     chunks = _map_streams(
         lambda size, s: _run_chunk(model, size, y0, i0, s, n_steps, t_end),
-        _chunk_sizes(n_replicas, REPLICA_CHUNK), seed, threads)
+        _chunk_sizes(n_replicas), seed)
     return ChainEnsemble(model=model, chunks=tuple(chunks))
 
 
@@ -236,7 +225,9 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
     Returns, per time t, the vector of relative frequencies of {count = n}
     for n = 0..max_count (the last bin absorbs any overflow), pooled over
     all replicas. Chunks are processed and discarded one by one, so replica
-    counts in the millions stay cheap.
+    counts in the millions stay cheap. The chunks and streams are those of
+    ``run_ensemble(model, n_replicas, seed, y0, i0, t_end=max(t_values))``.
+    ``threads`` is ignored; it stays for the callers in ``perfbench/workloads.py``.
     """
     t_max = max(t_values)
 
@@ -248,6 +239,6 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
         return np.stack([np.bincount(np.minimum(row, max_count), minlength=max_count + 1)
                          for row in counts])
 
-    partials = _map_streams(work, _chunk_sizes(n_replicas, PMF_CHUNK), seed, threads)
+    partials = _map_streams(work, _chunk_sizes(n_replicas), seed)
     totals = np.sum(partials, axis=0)
     return {t: totals[j] / n_replicas for j, t in enumerate(t_values)}

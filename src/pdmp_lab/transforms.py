@@ -18,6 +18,7 @@ import numpy as np
 
 from .hazard import adaptive_simpson, invert_holding, quantile_edges, survival_horizon
 from .models import ModelSpec
+from .simulate import chain_step
 from .state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
 
 
@@ -151,12 +152,9 @@ def weighted_jump_transform(
 def chain_step_transform(
     model: ModelSpec, mu: WeightedEmpiricalMeasure, rng: np.random.Generator,
 ) -> WeightedEmpiricalMeasure:
-    """One exact chain step applied to every atom, weights unchanged."""
+    """The simulator's ``chain_step`` applied to every atom, weights unchanged."""
     _require_mass(mu)
-    targets = -np.log1p(-rng.random(mu.ys.shape))
-    holding = invert_holding(model.hazard, mu.regimes, mu.ys, targets)
-    pre = model.flow.evaluate(mu.regimes, holding, mu.ys)
-    ys_post, regimes_post = model.jump.sample_vec(pre, mu.regimes, rng)
+    _, ys_post, regimes_post = chain_step(model, mu.ys, mu.regimes, rng)
     return WeightedEmpiricalMeasure(ys_post, regimes_post, mu.weights.copy())
 
 

@@ -337,4 +337,5 @@ def test_criterion_13_cli_determinism(tmp_path):
             ok = ok and code == 0
             outs.append({f: (out_dir / f).read_bytes() for f in files})
         ok = ok and outs[0] == outs[1] == outs[2]
-    _report(13, ok, "all four subcommands byte-identical across reruns and thread counts")
+    _report(13, ok, "all four subcommands byte-identical across reruns and with "
+                    "--threads 4, which is ignored")

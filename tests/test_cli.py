@@ -133,7 +133,7 @@ def test_config_seed_and_threads_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("PDMP_LAB_THREADS", "3")
     out1 = tmp_path / "a"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    # env var must not change the numbers, only the worker count
+    # PDMP_LAB_THREADS is not read: it must not change the numbers
     monkeypatch.delenv("PDMP_LAB_THREADS")
     out2 = tmp_path / "b"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
@@ -184,6 +184,25 @@ def test_config_validation_rules():
                                               "params": {"kappa": -2.0}}, "seed": 1})
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"time_burn_in": -5.0}, "time_burn_in"),
+    ({"time_burn_in": 60.0}, "time_burn_in"),
+    ({"eta_time": -1.0}, "eta_time"),
+    ({"eta_time": 61.0}, "eta_time"),
+    ({"occupation_samples_per_replica": 0}, "occupation_samples_per_replica"),
+    ({"drift_replicas": 0}, "drift_replicas"),
+    ({"grid": {"time_cells": 0}}, "time_cells"),
+    ({"grid": {"theta_cells": 0}}, "theta_cells"),
+], ids=["negative-burn-in", "burn-in-at-horizon", "negative-eta-time", "eta-time-past-horizon",
+        "no-occupation-samples", "no-drift-replicas", "no-time-cells", "no-theta-cells"])
+def test_bad_config_values_exit_2_at_load(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, overrides)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
     # a typo must not silently run the default of 200 replicas
     cfg = write_config(tmp_path, {"replica": 10})
@@ -216,20 +235,27 @@ def test_grid_assembly_failure_exit_4(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_thread_count_precedence(tmp_path, monkeypatch):
-    # --threads, then the config's "threads", then PDMP_LAB_THREADS, then 1
-    seen = []
-    monkeypatch.setitem(cli.COMMANDS, "simulate", lambda cfg, out_dir: seen.append(cfg.threads))
-    with_threads = write_config(tmp_path, {"threads": 2}, name="with.json")
+def test_thread_settings_are_ignored(tmp_path, monkeypatch, capsys):
+    # --threads and the config key are accepted with one note; PDMP_LAB_THREADS is not read
     without = write_config(tmp_path, name="without.json")
-    out = ["--out", str(tmp_path / "o")]
+    with_threads = write_config(tmp_path, {"threads": 2}, name="with.json")
+    files = ["chain.csv", "occupation.csv", "summary.json"]
     monkeypatch.delenv("PDMP_LAB_THREADS", raising=False)
-    assert main(["simulate", "--config", str(without)] + out) == 0
-    monkeypatch.setenv("PDMP_LAB_THREADS", "3")
-    assert main(["simulate", "--config", str(without)] + out) == 0
-    assert main(["simulate", "--config", str(with_threads)] + out) == 0
-    assert main(["simulate", "--config", str(with_threads), "--threads", "4"] + out) == 0
-    assert seen == [1, 3, 2, 4]
+    runs = {"plain": (without, [], {}), "flag": (without, ["--threads", "4"], {}),
+            "config": (with_threads, [], {}), "env": (without, [], {"PDMP_LAB_THREADS": "3"})}
+    outputs, notes = {}, {}
+    for run, (cfg, extra, env) in runs.items():
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            out = tmp_path / run
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)] + extra) == 0
+        outputs[run] = read_bytes(out, files)
+        notes[run] = capsys.readouterr().err.splitlines()
+    assert all(outputs[run] == outputs["plain"] for run in runs)
+    assert notes["plain"] == notes["env"] == []
+    assert notes["flag"] == ["note: --threads is ignored; ensembles run serially"]
+    assert notes["config"] == ["note: config key 'threads' is ignored; ensembles run serially"]
 
 
 def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):

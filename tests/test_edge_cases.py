@@ -10,7 +10,7 @@ from pdmp_lab.grid import build_grid_model
 from pdmp_lab.hazard import sample_holding_thinning_vec
 from pdmp_lab.metrics import ks_statistic, measure_distance
 from pdmp_lab.models import gene_expression_model, two_regime_model
-from pdmp_lab.simulate import evaluate_paths, occupation_from_ensemble, run_ensemble
+from pdmp_lab.simulate import REPLICA_CHUNK, evaluate_paths, occupation_from_ensemble, run_ensemble
 from pdmp_lab.state import WeightedEmpiricalMeasure
 
 GENE = gene_expression_model()
@@ -88,16 +88,18 @@ def test_ensemble_rejects_bad_arguments():
 
 def test_trajectory_access_by_replica_index():
     # replica r is row r of the concatenated chunks, every row as long as the run
-    ens = run_ensemble(GENE, 600, 7, n_steps=4)
-    assert [c[0].shape for c in ens.chunks] == [(512, 5), (88, 5)]
-    assert ens.n_replicas == 600
+    ens = run_ensemble(GENE, REPLICA_CHUNK + 88, 7, n_steps=4)
+    assert [c[0].shape for c in ens.chunks] == [(REPLICA_CHUNK, 5), (88, 5)]
+    assert ens.n_replicas == REPLICA_CHUNK + 88
     first = tuple(a[0] for a in ens.chunks[0])
     last = tuple(a[-1] for a in ens.chunks[1])
     assert first[0][0] == last[0][0] == 0.0 and (np.diff(last[0]) > 0).all()
 
 
 def test_ensemble_chunk_boundary_sizes():
-    for n in (1, 511, 512, 513, 1025):
+    # full chunks of REPLICA_CHUNK replicas, then the remainder
+    c = REPLICA_CHUNK
+    for n, sizes in ((1, [1]), (c - 1, [c - 1]), (c, [c]), (c + 1, [c, 1]), (2 * c + 1, [c, c, 1])):
         ens = run_ensemble(GENE, n, 6, n_steps=3)
         assert ens.n_replicas == n
-        assert sum(c[0].shape[0] for c in ens.chunks) == n
+        assert [chunk[0].shape for chunk in ens.chunks] == [(size, 4) for size in sizes]

@@ -12,6 +12,7 @@ from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model,
 from pdmp_lab import simulate
 from pdmp_lab.cli import main as cli_main
 from pdmp_lab.simulate import (
+    REPLICA_CHUNK,
     ChainEnsemble,
     chain_measure,
     count_jumps,
@@ -202,13 +203,6 @@ def test_ensemble_matches_scalar_chain_in_distribution():
     assert ks_statistic(scalar_final, ens_final) <= ks_critical(600, 20_000, alpha=0.01)
 
 
-def test_ensemble_threads_do_not_change_results():
-    a = run_ensemble(GENE_SAT, 1500, 11, n_steps=30, threads=1)
-    b = run_ensemble(GENE_SAT, 1500, 11, n_steps=30, threads=4)
-    for (ta, ya, ra), (tb, yb, rb) in zip(a.chunks, b.chunks):
-        assert np.array_equal(ta, tb) and np.array_equal(ya, yb) and np.array_equal(ra, rb)
-
-
 def test_ensemble_horizon_mode_covers_t_end():
     ens = run_ensemble(GENE, 300, 12, t_end=25.0)
     assert ens.min_horizon >= 25.0
@@ -258,6 +252,18 @@ def test_jump_count_bound_and_poisson_equality():
             poisson = math.exp(-t) * t ** n / math.factorial(n)
             se = math.sqrt(max(poisson * (1 - poisson), 1e-12) / n_rep)
             assert abs(pmf[n] - poisson) <= 3 * se + 1e-12, (t, n)
+
+
+def test_jump_count_pmf_matches_run_ensemble_counts():
+    # same chunks and streams as the horizon ensemble, across a chunk boundary
+    n, ts, max_count = REPLICA_CHUNK + 904, (0.5, 1.0, 2.0), 6
+    pmf = jump_count_pmf(GENE_SAT, ts, n, 18, max_count=max_count)
+    ens = run_ensemble(GENE_SAT, n, 18, t_end=max(ts))
+    assert len(ens.chunks) == 2
+    for t in ts:
+        counts = np.concatenate([count_jumps(taus, t) for taus, _, _ in ens.chunks])
+        expected = np.bincount(np.minimum(counts, max_count), minlength=max_count + 1) / n
+        assert np.array_equal(pmf[t], expected), t
 
 
 def test_discounted_jump_time_transform_bound():

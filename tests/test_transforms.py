@@ -204,6 +204,16 @@ def test_moment_propagation_bounds():
     assert jump_moment <= bound_jump + 0.05
 
 
+def test_chain_step_transform_is_the_simulator_step():
+    # atoms at y0 stepped with a chunk's stream land where run_ensemble's first step does
+    ens = run_ensemble(GENE_SAT, 300, 29, y0=2.0, n_steps=1)
+    stream = np.random.default_rng(np.random.SeedSequence(29).spawn(1)[0])
+    out = chain_step_transform(GENE_SAT, WeightedEmpiricalMeasure.from_samples(np.full(300, 2.0)),
+                               stream)
+    _, ys, regimes = ens.chunks[0]
+    assert np.array_equal(out.ys, ys[:, 1]) and np.array_equal(out.regimes, regimes[:, 1])
+
+
 def test_chain_step_transform_preserves_weights():
     mu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], weights=[0.2, 0.3, 0.5])
     out = chain_step_transform(GENE, mu, np.random.default_rng(28))
