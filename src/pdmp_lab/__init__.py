@@ -9,7 +9,7 @@ from .diagnostics import (
     stability_margin,
     verify_drift_empirically,
 )
-from .flows import AffineExpFlow, ExpandingFlow, FrozenFlow, Semiflow, check_semigroup
+from .flows import AffineExpFlow, ExpandingFlow, FrozenFlow, Semiflow
 from .grid import GridModel, build_grid_model, check_factorization, oracle_correspondence, power_iteration
 from .hazard import (
     ConstantIntensity,
@@ -24,7 +24,7 @@ from .jumps import (
     PostJumpKernel,
     SwitchingMatrix,
 )
-from .metrics import bl_lower_bound, ks_statistic, measure_distance, wasserstein1_1d
+from .metrics import bl_lower_bound, measure_distance, wasserstein1_1d
 from .models import (
     ModelSpec,
     build_model,
@@ -43,12 +43,10 @@ from .simulate import (
     occupation_from_ensemble,
     run_ensemble,
 )
-from .state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
+from .state import WeightedEmpiricalMeasure, ZeroMassError
 from .transforms import (
     TransformReport,
-    chain_step_transform,
     chain_to_flow_stationary,
-    expected_holding_time,
     flow_to_chain_stationary,
     holding_occupation_transform,
     weighted_jump_transform,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,9 +48,11 @@ CONFIG_KEYS = frozenset({
     "out_dir", "tolerances", "drift_probes", "drift_replicas"})
 MODEL_KEYS = frozenset({"name", "params"})
 GRID_KEYS = frozenset({"nodes", "time_cells", "theta_cells", "y_max"})
-TOLERANCE_KEYS = frozenset({
-    "occupation_mean", "chain_mean", "w1_forward_max", "w1_backward_max", "w1_roundtrip_max",
-    "factorization_max", "correspondence_max"})
+RANGE_TOLERANCE_KEYS = frozenset({"occupation_mean", "chain_mean"})
+"""Tolerances given as [lo, hi]; every other tolerance is a single cap."""
+TOLERANCE_KEYS = RANGE_TOLERANCE_KEYS | {
+    "w1_forward_max", "w1_backward_max", "w1_roundtrip_max", "factorization_max",
+    "correspondence_max"}
 
 
 def _known_keys(block, known: frozenset, where: str) -> dict:
@@ -61,6 +64,30 @@ def _known_keys(block, known: frozenset, where: str) -> dict:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}; "
                           f"known keys: {', '.join(sorted(known))}")
     return block
+
+
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is finite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _checked_seed(seed) -> int:
+    """The seed as an int; numpy's SeedSequence takes only integers >= 0."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _check_tolerances(tolerances: dict) -> None:
+    for key, value in tolerances.items():
+        if key in RANGE_TOLERANCE_KEYS:
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(_finite(v) for v in value) and value[0] <= value[1]):
+                raise ConfigError(f"tolerance {key!r} must be [lo, hi] with finite lo <= hi")
+        elif not _finite(value):
+            raise ConfigError(f"tolerance {key!r} must be a finite number")
 
 
 @dataclass
@@ -112,12 +139,20 @@ class ExperimentConfig:
         _known_keys(model, MODEL_KEYS, "'model'")
         if "seed" not in raw:
             raise ConfigError("config needs an explicit 'seed' (reproducibility contract)")
+        if not isinstance(model.get("params", {}), dict):
+            raise ConfigError("'model' params must be a JSON object")
         grid = _known_keys(raw.get("grid", {}), GRID_KEYS, "'grid'")
         tolerances = _known_keys(raw.get("tolerances", {}), TOLERANCE_KEYS, "'tolerances'")
+        _check_tolerances(tolerances)
+        drift_probes = raw.get("drift_probes", cls.drift_probes)
+        # no probes would pass the drift check without checking anything
+        if not (isinstance(drift_probes, (list, tuple)) and drift_probes
+                and all(_finite(y) and y >= 0 for y in drift_probes)):
+            raise ConfigError("drift_probes must be a non-empty list of finite locations >= 0")
         cfg = cls(
             model_name=str(model["name"]),
             model_params=dict(model.get("params", {})),
-            seed=int(raw["seed"]),
+            seed=_checked_seed(raw["seed"]),
             replicas=int(raw.get("replicas", 200)),
             chain_steps=int(raw.get("chain_steps", 400)),
             chain_burn_in_steps=int(raw.get("chain_burn_in_steps", 80)),
@@ -131,21 +166,24 @@ class ExperimentConfig:
             eta_time=float(raw.get("eta_time", 2.0)),
             out_dir=str(raw.get("out_dir", ".")),
             tolerances=dict(tolerances),
-            drift_probes=tuple(raw.get("drift_probes", (0.0, 1.0, 2.0, 4.0, 8.0))),
+            drift_probes=tuple(drift_probes),
             drift_replicas=int(raw.get("drift_replicas", 20_000)),
         )
         if cfg.replicas <= 0 or cfg.chain_steps < 0:
             raise ConfigError("replicas must be positive and chain_steps >= 0")
         if cfg.chain_burn_in_steps >= cfg.chain_steps and cfg.chain_steps > 0:
             raise ConfigError("chain_burn_in_steps must be below chain_steps")
-        if not cfg.horizon > 0:
-            raise ConfigError("horizon must be positive")
+        if not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
+            raise ConfigError("horizon must be positive and finite")
         if cfg.time_burn_in is not None and not 0 <= cfg.time_burn_in < cfg.horizon:
             raise ConfigError("time_burn_in must be >= 0 and below horizon")
         if not 0 <= cfg.eta_time <= cfg.horizon:  # the horizon ensemble must cover eta_time
             raise ConfigError("eta_time must be >= 0 and at most horizon")
         if cfg.grid_nodes < 2:
             raise ConfigError("grid nodes must be at least 2")
+        if cfg.grid_y_max is not None and not (math.isfinite(cfg.grid_y_max)
+                                               and cfg.grid_y_max > 0):
+            raise ConfigError("grid y_max must be positive and finite")
         for name, count in (("occupation_samples_per_replica", cfg.occupation_samples_per_replica),
                             ("drift_replicas", cfg.drift_replicas),
                             ("grid time_cells", cfg.grid_time_cells),
@@ -365,7 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _checked_seed(args.seed)
         if args.threads is not None:
             print("note: --threads is ignored; ensembles run serially", file=sys.stderr)
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)

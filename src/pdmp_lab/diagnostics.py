@@ -22,6 +22,16 @@ from .simulate import run_ensemble
 ESTIMATE_RTOL = 0.05
 FLOW_RATE_SLACK = 1e-9
 """Excess of the fitted contraction rate over the declared one that still passes."""
+QUAD_TOL = 1e-10
+"""Absolute tolerance of the adaptive-Simpson time integrals of the flow checks."""
+# Sample sizes of the estimators; probe locations are evenly spaced over the model window.
+FLOW_CONTRACTION_PAIRS = 2000
+FLOW_CONTRACTION_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)
+FLOW_GAP_SAMPLES = 4000
+JUMP_DISPLACEMENT_PROBES = 16
+JUMP_DISPLACEMENT_SAMPLES = 20_000  # jumps drawn at each probe
+SWITCH_PROBES = 200
+INTENSITY_SCAN_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -85,18 +95,15 @@ class AssumptionReport:
         }
 
 
-def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator,
-                              n_pairs: int = 2000,
-                              t_values: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0)
-                              ) -> tuple[float, float]:
+def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator) -> tuple[float, float]:
     """Fit the tightest envelope lipschitz * exp(rate * t) over sampled pairs.
 
     The log-slope of the per-time sup ratio gives the rate; the lipschitz
     factor is the sup of ratios deflated by that rate.
     """
-    t_values = np.asarray(t_values, dtype=float)
-    us = rng.uniform(0.0, model.y_max, size=n_pairs)
-    vs = rng.uniform(0.0, model.y_max, size=n_pairs)
+    t_values = np.asarray(FLOW_CONTRACTION_TIMES, dtype=float)
+    us = rng.uniform(0.0, model.y_max, size=FLOW_CONTRACTION_PAIRS)
+    vs = rng.uniform(0.0, model.y_max, size=FLOW_CONTRACTION_PAIRS)
     dist = np.abs(us - vs)
     # Only pairs whose ratio rounding is certified small enter a sup. Each flow
     # value is off by at most 2 ulp of its size, so |S_u - S_v| is off by at
@@ -132,14 +139,13 @@ def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator,
     return lip_hat, rate_hat
 
 
-def flow_displacement_integral(model: ModelSpec, anchor: Optional[float] = None,
-                               tol: float = 1e-10) -> float:
+def flow_displacement_integral(model: ModelSpec) -> float:
     """Discounted displacement of the anchor under each flow; max over regimes.
 
     Integrates exp(-lower_rate * t) * |S_i(t, anchor) - anchor| over time,
     truncating when the survival discount makes the remainder negligible.
     """
-    anchor = model.declared.anchor if anchor is None else anchor
+    anchor = model.declared.anchor
     lam_low = model.intensity.lower
     lip, rate = model.flow.contraction
     t_max = survival_horizon(model.intensity)
@@ -153,14 +159,12 @@ def flow_displacement_integral(model: ModelSpec, anchor: Optional[float] = None,
     for i in range(model.n_regimes):
         val = adaptive_simpson(
             lambda t: math.exp(-lam_low * t) * abs(float(model.flow.evaluate(i, t, anchor)) - anchor),
-            0.0, t_max, tol)
+            0.0, t_max, QUAD_TOL)
         best = max(best, val)
     return best
 
 
-def jump_displacement_bound(model: ModelSpec, rng: np.random.Generator,
-                            n_samples: int = 20_000,
-                            probe_ys: Optional[np.ndarray] = None) -> float:
+def jump_displacement_bound(model: ModelSpec, rng: np.random.Generator) -> float:
     """Sup over probe locations of the mean jump distance of the anchor.
 
     Estimate plus three standard errors, so a passing declared bound is
@@ -168,12 +172,12 @@ def jump_displacement_bound(model: ModelSpec, rng: np.random.Generator,
     state-independent selection densities.
     """
     anchor = model.declared.anchor
-    probes = np.linspace(0.0, model.y_max, 16) if probe_ys is None else probe_ys
+    n = JUMP_DISPLACEMENT_SAMPLES
     worst = 0.0
-    for y in probes:
-        thetas = model.jump.ifs.sample_vec(np.full(n_samples, y), rng)
-        dist = np.abs(np.asarray(model.jump.ifs.apply(thetas, np.full(n_samples, anchor))) - anchor)
-        worst = max(worst, float(dist.mean() + 3.0 * dist.std() / math.sqrt(n_samples)))
+    for y in np.linspace(0.0, model.y_max, JUMP_DISPLACEMENT_PROBES):
+        thetas = model.jump.ifs.sample_vec(np.full(n, y), rng)
+        dist = np.abs(np.asarray(model.jump.ifs.apply(thetas, np.full(n, anchor))) - anchor)
+        worst = max(worst, float(dist.mean() + 3.0 * dist.std() / math.sqrt(n)))
     return worst
 
 
@@ -204,36 +208,33 @@ def estimate_ifs_constants(model: ModelSpec, rng: np.random.Generator,
     return lw_hat, lp_hat, dp_hat
 
 
-def estimate_switch_constants(model: ModelSpec,
-                              probe_ys: Optional[np.ndarray] = None) -> tuple[float, float]:
-    """Enumerate (L1 modulus, pairwise minorization) of the switching rows."""
-    probes = np.linspace(0.0, model.y_max, 200) if probe_ys is None else np.asarray(probe_ys)
+def estimate_switch_constants(model: ModelSpec) -> tuple[float, float]:
+    """Enumerate (L1 modulus, pairwise minorization) of the switching rows.
+
+    The modulus is the largest max_i ||row_i(u) - row_i(v)||_1 / |u - v| over
+    the probe pairs u < v; the minorization is the smallest overlap
+    sum_j min(row_i(u)_j, row_k(v)_j) over all probe pairs and row pairs.
+    """
+    probes = np.linspace(0.0, model.y_max, SWITCH_PROBES)
     rows = model.jump.switching.rows_at(probes)  # (p, |I|, |I|)
-    n = model.n_regimes
-    lip_hat = 0.0
-    for a in range(probes.size):
-        for b in range(a + 1, probes.size):
-            gap = abs(probes[a] - probes[b])
-            if gap < 1e-12:
-                continue
-            diff = np.abs(rows[a] - rows[b]).sum(axis=1).max()
-            lip_hat = max(lip_hat, float(diff) / gap)
-    overlap = math.inf
-    for i in range(n):
-        for k in range(n):
-            pair = np.minimum(rows[:, None, i, :], rows[None, :, k, :]).sum(axis=2)
-            overlap = min(overlap, float(pair.min()))
+    # (p, p) arrays over the probe pairs (u, v); gap is zero on and below the diagonal
+    diff = np.abs(rows[:, None] - rows[None, :]).sum(axis=3).max(axis=2)
+    gap = np.triu(np.abs(probes[:, None] - probes[None, :]), k=1)
+    resolved = gap >= 1e-12
+    lip_hat = float(np.max(diff[resolved] / gap[resolved], initial=0.0))
+    # per row i at the first probe, (p, p, |I|) overlaps with every row k at the second
+    overlap = min(float(np.minimum(rows[:, None, i, None, :], rows[None]).sum(axis=3).min())
+                  for i in range(model.n_regimes))
     return lip_hat, overlap
 
 
-def check_flow_gap(model: ModelSpec, rng: np.random.Generator,
-                   n_samples: int = 4000) -> CheckResult:
+def check_flow_gap(model: ModelSpec, rng: np.random.Generator) -> CheckResult:
     """Sampled bound |S_i(t,y) - S_j(t,y)| <= gap_time(t) * gap_scale(y),
     plus quadrature finiteness of the discounted gap_time integral."""
     if model.n_regimes == 1:
         return CheckResult("flow-gap", True, "single regime: gap identically 0")
-    ts = rng.uniform(0.0, 8.0, size=n_samples)
-    ys = rng.uniform(0.0, model.y_max, size=n_samples)
+    ts = rng.uniform(0.0, 8.0, size=FLOW_GAP_SAMPLES)
+    ys = rng.uniform(0.0, model.y_max, size=FLOW_GAP_SAMPLES)
     bound = np.asarray(model.declared.flow_gap_time(ts)) * np.asarray(model.declared.flow_gap_scale(ys))
     worst = -math.inf
     for i in range(model.n_regimes):
@@ -247,15 +248,15 @@ def check_flow_gap(model: ModelSpec, rng: np.random.Generator,
     t_max = survival_horizon(model.intensity)
     integral = adaptive_simpson(
         lambda t: math.exp(-lam_low * t) * float(model.declared.flow_gap_time(np.array([t]))[0]),
-        0.0, t_max, 1e-10)
+        0.0, t_max, QUAD_TOL)
     if not math.isfinite(integral):
         return CheckResult("flow-gap", False, "discounted gap integral diverges")
     return CheckResult("flow-gap", True, f"discounted gap integral {integral:.6g}")
 
 
-def intensity_lipschitz_scan(model: ModelSpec, n_points: int = 4000) -> float:
+def intensity_lipschitz_scan(model: ModelSpec) -> float:
     """Finite-difference slope scan of the jump rate over the working window."""
-    ys = np.linspace(0.0, model.y_max, n_points)
+    ys = np.linspace(0.0, model.y_max, INTENSITY_SCAN_POINTS)
     vals = np.asarray(model.intensity(ys), dtype=float)
     return float(np.abs(np.diff(vals) / np.diff(ys)).max())
 
@@ -292,8 +293,9 @@ def drift_constants(model: ModelSpec) -> DriftConstants:
 
 @dataclass(frozen=True)
 class DriftProbe:
+    """One probe of the drift inequality, started at (location, regime 0)."""
+
     location: float
-    regime: int
     gauge: float
     estimate: float
     bound: float
@@ -317,7 +319,7 @@ class DriftReport:
         return {
             "constants": self.constants.to_json(),
             "probes": [
-                {"location": p.location, "regime": p.regime, "gauge": p.gauge,
+                {"location": p.location, "regime": 0, "gauge": p.gauge,
                  "estimate": p.estimate, "bound": p.bound, "stderr": p.stderr, "ok": p.ok}
                 for p in self.probes
             ],
@@ -327,17 +329,16 @@ class DriftReport:
 
 def verify_drift_empirically(model: ModelSpec, constants: DriftConstants,
                              probe_ys: Sequence[float] = (0.0, 1.0, 2.0, 4.0, 8.0),
-                             replicas: int = 100_000, seed=0,
-                             regime: int = 0) -> DriftReport:
-    """Single-step Monte Carlo check of the drift inequality at probe points."""
+                             replicas: int = 100_000, seed=0) -> DriftReport:
+    """Single-step Monte Carlo check of the drift inequality at probe points in regime 0."""
     anchor = model.declared.anchor
     probes = []
     for k, y in enumerate(probe_ys):
-        ens = run_ensemble(model, replicas, (seed, k), y0=float(y), i0=regime, n_steps=1)
+        ens = run_ensemble(model, replicas, (seed, k), y0=float(y), i0=0, n_steps=1)
         vals = np.concatenate([np.abs(chunk[1][:, 1] - anchor) for chunk in ens.chunks])
         gauge = abs(float(y) - anchor)
         probes.append(DriftProbe(
-            location=float(y), regime=regime, gauge=gauge,
+            location=float(y), gauge=gauge,
             estimate=float(vals.mean()),
             bound=constants.multiplier * gauge + constants.offset,
             stderr=float(vals.std() / math.sqrt(vals.size))))

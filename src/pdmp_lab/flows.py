@@ -102,39 +102,3 @@ class ExpandingFlow(Semiflow):
     def evaluate(self, i, t, y):
         t = self._checked_time(i, t)
         return np.asarray(y, dtype=float) * np.exp(self.rate * t)
-
-
-@dataclass(frozen=True)
-class SemigroupReport:
-    max_violation: float
-    n_samples: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.tol
-
-
-def check_semigroup(
-    flow: Semiflow,
-    n_samples: int = 10_000,
-    tol: float = 1e-10,
-    rng: Optional[np.random.Generator] = None,
-    y_range: tuple[float, float] = (0.0, 15.0),
-    t_range: tuple[float, float] = (0.0, 3.0),
-) -> SemigroupReport:
-    """Probe S_i(s, S_i(t, y)) = S_i(s + t, y) on random (s, t, y, i) triples.
-
-    Violations are reported, not raised: the caller decides what is fatal.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    rng = np.random.default_rng(0) if rng is None else rng
-    ys = rng.uniform(*y_range, size=n_samples)
-    ss = rng.uniform(*t_range, size=n_samples)
-    ts = rng.uniform(*t_range, size=n_samples)
-    regimes = rng.integers(0, flow.n_regimes, size=n_samples)
-    two_step = flow.evaluate(regimes, ss, flow.evaluate(regimes, ts, ys))
-    one_step = flow.evaluate(regimes, ss + ts, ys)
-    worst = float(np.abs(two_step - one_step).max(initial=0.0))
-    return SemigroupReport(max_violation=worst, n_samples=n_samples, tol=tol)

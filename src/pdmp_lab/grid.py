@@ -24,7 +24,6 @@ import numpy as np
 
 from .hazard import quantile_edges, survival_horizon
 from .models import ModelSpec
-from .state import WeightedEmpiricalMeasure
 
 DEFAULT_ROW_TOL = 1e-8
 """Allowed deviation of a grid matrix row sum from 1, and of occupation rows from their bracket."""
@@ -36,7 +35,8 @@ At 2000 time cells one (block, cell) array is 2 MB."""
 
 
 class GridAssemblyError(RuntimeError, ValueError):
-    """The assembled matrices failed a check: stochastic rows, occupation bracket, window leak.
+    """The grid failed a check: switching rows at its nodes, stochastic rows,
+    occupation bracket, window leak.
 
     A RuntimeError, so the CLI reports it as a solver failure (exit 4); also a
     ValueError, the type these checks raised before.
@@ -52,10 +52,10 @@ class ConvergenceError(RuntimeError):
 
 
 def power_iteration(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
-                    v0: Optional[np.ndarray] = None, row_tol: float = DEFAULT_ROW_TOL) -> np.ndarray:
+                    v0: Optional[np.ndarray] = None) -> np.ndarray:
     """Left fixed-point probability vector of a row-stochastic matrix."""
     matrix = np.asarray(matrix, dtype=float)
-    if np.abs(matrix.sum(axis=1) - 1.0).max() > row_tol:
+    if np.abs(matrix.sum(axis=1) - 1.0).max() > DEFAULT_ROW_TOL:
         raise ValueError("matrix is not row-stochastic within tolerance")
     n = matrix.shape[0]
     v = np.full(n, 1.0 / n) if v0 is None else np.asarray(v0, dtype=float) / np.sum(v0)
@@ -92,7 +92,6 @@ class GridModel:
     post_jump: np.ndarray
     occupation: np.ndarray
     weighted_post_jump: np.ndarray
-    t_max: float
     leak_per_row: np.ndarray
     stationary_leak: float
     fixed_point: np.ndarray
@@ -100,12 +99,6 @@ class GridModel:
     @property
     def n_states(self) -> int:
         return self.nodes.size * self.n_regimes
-
-    def measure_from_vector(self, v: np.ndarray) -> WeightedEmpiricalMeasure:
-        m = self.nodes.size
-        ys = np.tile(self.nodes, self.n_regimes)
-        regimes = np.repeat(np.arange(self.n_regimes, dtype=np.int64), m)
-        return WeightedEmpiricalMeasure(ys, regimes, np.asarray(v, dtype=float))
 
     def mean_location(self, v: np.ndarray) -> float:
         ys = np.tile(self.nodes, self.n_regimes)
@@ -164,13 +157,19 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
     The map-index law is discretized on [0, y_max], like the locations. The
     window check weighs each row's clipped jump mass by the stationary
     fixed point, so a y_max too small for the model fails loudly with the
-    offending rows named. Failed checks raise GridAssemblyError.
+    offending rows named. The switching rows are checked at every node,
+    since the jump rows evaluate them there, also past the model's own
+    window. Failed checks raise GridAssemblyError.
     """
     if m < 2:
         raise ValueError("need at least two grid nodes")
     y_max = model.y_max if y_max is None else y_max
     t_max = survival_horizon(model.intensity) if t_max is None else t_max
     nodes = np.linspace(0.0, y_max, m)
+    try:
+        model.jump.switching.check_rows(nodes)
+    except ValueError as exc:
+        raise GridAssemblyError(f"on the grid nodes up to y_max={y_max:.6g}: {exc}") from exc
     spacing = nodes[1] - nodes[0]
     n_regimes = model.n_regimes
     n_states = m * n_regimes
@@ -229,7 +228,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
             f"worst rows {worst.tolist()}; increase y_max")
     return GridModel(model=model, nodes=nodes, n_regimes=n_regimes, transition=transition,
                      pre_jump=pre_jump, post_jump=post_jump, occupation=occupation,
-                     weighted_post_jump=weighted_post_jump, t_max=t_max,
+                     weighted_post_jump=weighted_post_jump,
                      leak_per_row=leak, stationary_leak=stationary_leak, fixed_point=fixed)
 
 

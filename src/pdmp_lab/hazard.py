@@ -26,6 +26,8 @@ HAZARD_QUAD_TOL = 1e-10
 """Absolute tolerance of the adaptive-Simpson hazard, used when no closed form is registered."""
 SURVIVAL_TAIL_EPS = 1e-12
 """Survival mass below which a holding-time tail is truncated."""
+THINNING_MAX_ROUNDS = 10_000
+"""Proposal rounds after which thinning gives up on the atoms still pending."""
 
 
 def survival_horizon(intensity: Intensity) -> float:
@@ -290,15 +292,14 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
 
 
 def sample_holding_thinning_vec(h: CumulativeHazard, i, ys: np.ndarray,
-                                rng: np.random.Generator,
-                                max_rounds: int = 10_000) -> np.ndarray:
+                                rng: np.random.Generator) -> np.ndarray:
     """Vectorized thinning: one holding time per entry of ``ys``."""
     ys = np.asarray(ys, dtype=float)
     regimes = np.broadcast_to(np.asarray(i), ys.shape)
     upper = h.intensity.upper
     t = np.zeros(ys.shape, dtype=float)
     pending = np.ones(ys.shape, dtype=bool)
-    for _ in range(max_rounds):
+    for _ in range(THINNING_MAX_ROUNDS):
         idx = np.flatnonzero(pending)
         if idx.size == 0:
             return t

@@ -44,10 +44,6 @@ class IfsKernel:
         """w_theta(y), broadcasting over theta and/or y."""
         raise NotImplementedError
 
-    def density(self, theta, y):
-        """p_theta(y) against the reference measure."""
-        raise NotImplementedError
-
     def density_l1_gap(self, u: float, v: float) -> float:
         """Integral of |p_theta(u) - p_theta(v)| over the reference measure."""
         raise NotImplementedError
@@ -79,10 +75,6 @@ class AdditiveBurstKernel(IfsKernel):
 
     def apply(self, theta, y):
         return np.asarray(y, dtype=float) + np.asarray(theta, dtype=float)
-
-    def density(self, theta, y):
-        theta = np.asarray(theta, dtype=float)
-        return np.where(theta >= 0, np.exp(-theta / self.mean) / self.mean, 0.0)
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return 0.0
@@ -143,9 +135,6 @@ class FiniteAffineIfs(IfsKernel):
         scales = np.array([m[0] for m in self.maps])
         shifts = np.array([m[1] for m in self.maps])
         return scales[theta] * np.asarray(y, dtype=float) + shifts[theta]
-
-    def density(self, theta, y):
-        return self._prob_vector(y)[np.asarray(theta, dtype=np.int64)]
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return float(np.abs(self._prob_vector(u) - self._prob_vector(v)).sum())

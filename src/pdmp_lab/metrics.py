@@ -2,15 +2,13 @@
 
 The headline quantity is the exact 1-D Wasserstein-1 distance per regime,
 combined into a product-space score, bracketed from below by a dictionary
-estimate of the bounded-Lipschitz distance. Kolmogorov-Smirnov statistics
-validate samplers against analytic laws.
+estimate of the bounded-Lipschitz distance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,58 +39,6 @@ def wasserstein1_1d(values_a: np.ndarray, weights_a: np.ndarray,
     pos = pos[order]
     cdf_gap = np.cumsum(contrib[order])[:-1]
     return float(np.dot(np.abs(cdf_gap), np.diff(pos))) * mass_a
-
-
-def ks_statistic(samples_a: np.ndarray, samples_b: Optional[np.ndarray] = None,
-                 cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
-    """Sup-norm of the empirical CDF difference.
-
-    One-sample form against an analytic CDF, or two-sample form when a
-    second sample set is given.
-    """
-    a = np.sort(np.asarray(samples_a, dtype=float))
-    if a.size == 0:
-        raise ValueError("empty sample set")
-    if (samples_b is None) == (cdf is None):
-        raise ValueError("give exactly one of samples_b or cdf")
-    if cdf is not None:
-        grid = np.arange(1, a.size + 1) / a.size
-        f = np.asarray(cdf(a), dtype=float)
-        return float(max(np.abs(grid - f).max(), np.abs(grid - 1.0 / a.size - f).max()))
-    b = np.sort(np.asarray(samples_b, dtype=float))
-    pooled = np.concatenate([a, b])
-    ca = np.searchsorted(a, pooled, side="right") / a.size
-    cb = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.abs(ca - cb).max())
-
-
-def ks_statistic_weighted(values_a, weights_a, values_b, weights_b) -> float:
-    """Two-sample KS between weighted (self-normalized) empirical CDFs."""
-    va = np.asarray(values_a, dtype=float)
-    vb = np.asarray(values_b, dtype=float)
-    wa = np.asarray(weights_a, dtype=float)
-    wb = np.asarray(weights_b, dtype=float)
-    oa, ob = np.argsort(va, kind="mergesort"), np.argsort(vb, kind="mergesort")
-    va, wa = va[oa], np.cumsum(wa[oa]) / wa.sum()
-    vb, wb = vb[ob], np.cumsum(wb[ob]) / wb.sum()
-    pooled = np.concatenate([va, vb])
-    ia = np.searchsorted(va, pooled, side="right")
-    ib = np.searchsorted(vb, pooled, side="right")
-    ca = np.where(ia > 0, wa[np.maximum(ia - 1, 0)], 0.0)
-    cb = np.where(ib > 0, wb[np.maximum(ib - 1, 0)], 0.0)
-    return float(np.abs(ca - cb).max())
-
-
-def effective_sample_size(weights: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=float)
-    return float(w.sum() ** 2 / np.dot(w, w))
-
-
-def ks_critical(n: float, m: Optional[float] = None, alpha: float = 0.01) -> float:
-    """Asymptotic KS critical value c(alpha) * sqrt(1/n [+ 1/m])."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
-    scale = 1.0 / n if m is None else 1.0 / n + 1.0 / m
-    return c * math.sqrt(scale)
 
 
 BL_SUM_BLOCK = 1024
@@ -155,9 +101,10 @@ def bl_lower_bound(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
 class DistanceReport:
     """Product-space distance bracket between two probability measures.
 
-    combined = sum_i min(mass_i) * W1(conditional_i) + gap * sum_i |mass gap|
-    upper-bounds every dictionary member's action, while ``bl_lower`` bounds
-    the bounded-Lipschitz distance from below.
+    combined = sum_i min(mass_i) * W1(conditional_i) + sum_i |mass gap|, with
+    distinct regimes at distance 1, upper-bounds every dictionary member's
+    action, while ``bl_lower`` bounds the bounded-Lipschitz distance from
+    below.
     """
 
     per_regime_w1: dict[int, float]
@@ -175,8 +122,7 @@ class DistanceReport:
 
 
 def measure_distance(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
-                     n_regimes: Optional[int] = None, regime_gap: float = 1.0,
-                     n_anchors: int = 64) -> DistanceReport:
+                     n_regimes: Optional[int] = None) -> DistanceReport:
     """Per-regime W1 composite plus the dictionary lower bound."""
     mu, nu = mu.normalize(), nu.normalize()
     if n_regimes is None:
@@ -194,8 +140,8 @@ def measure_distance(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
             per_regime[i] = w1
             combined += shared * w1
     mass_gap = float(np.abs(mass_mu - mass_nu).sum())
-    combined += regime_gap * mass_gap
-    bl = bl_lower_bound(mu, nu, n_anchors=n_anchors)
+    combined += mass_gap
+    bl = bl_lower_bound(mu, nu)
     if bl > combined + 1e-9:
         raise AssertionError(
             f"dictionary lower bound {bl} exceeds the combined score {combined}")

@@ -14,20 +14,6 @@ from typing import Callable
 import numpy as np
 
 
-@dataclass(frozen=True)
-class StatePoint:
-    """A point (y, i): location ``y`` together with a regime label ``i``."""
-
-    y: float
-    i: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.y):
-            raise ValueError(f"location must be finite, got {self.y!r}")
-        if int(self.i) != self.i or self.i < 0:
-            raise ValueError(f"regime label must be a nonnegative integer, got {self.i!r}")
-
-
 class ZeroMassError(ValueError):
     """Raised when a transform or normalization receives an empty measure.
 

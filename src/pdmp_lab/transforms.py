@@ -16,52 +16,18 @@ from typing import Optional
 
 import numpy as np
 
-from .hazard import adaptive_simpson, invert_holding, quantile_edges, survival_horizon
+from .hazard import invert_holding, quantile_edges, survival_horizon
 from .models import ModelSpec
-from .simulate import chain_step
-from .state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
+from .state import WeightedEmpiricalMeasure, ZeroMassError
 
 
 @dataclass(frozen=True)
 class TransformReport:
     """Mass accounting of one measure transform."""
 
-    input_mass: float
     output_mass: float
     normalizer: float
-    n_atoms: int
     stderr: float
-
-    def to_json(self) -> dict:
-        return {
-            "input_mass": self.input_mass,
-            "output_mass": self.output_mass,
-            "normalizer": self.normalizer,
-            "n_atoms": self.n_atoms,
-            "stderr": self.stderr,
-        }
-
-
-def expected_holding_time(model: ModelSpec, x: StatePoint, tol: float = 1e-10) -> float:
-    """Integral of the survival function: mean holding time at x.
-
-    Truncates where the survival tail is provably below tolerance and adds
-    the bracket-midpoint tail estimate; always lands inside
-    [1/upper-rate, 1/lower-rate].
-    """
-    t_max = survival_horizon(model.intensity)
-    body = adaptive_simpson(lambda t: float(model.hazard.survival(x.i, t, x.y)), 0.0, t_max, tol)
-    tail_surv = float(model.hazard.survival(x.i, t_max, x.y))
-    tail = tail_surv * 0.5 * (1.0 / model.intensity.lower + 1.0 / model.intensity.upper)
-    return body + tail
-
-
-def expected_holding_time_gl(model: ModelSpec, x: StatePoint, n_nodes: int = 96) -> float:
-    """Gauss-Laguerre evaluation of the same integral; independent oracle."""
-    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
-    hazard = np.asarray(model.hazard.value(x.i, nodes, np.full(nodes.shape, x.y)))
-    # combined exponent keeps large nodes finite (hazard grows at least linearly)
-    return float(np.dot(weights, np.exp(nodes - hazard)))
 
 
 def _require_mass(mu: WeightedEmpiricalMeasure) -> None:
@@ -84,6 +50,8 @@ def holding_occupation_transform(
     occupation of a set over one holding period equals E[T * indicator at a
     uniformly placed time]. quadrature: deterministic time cells with exact
     survival-mass weights; serves as the independent oracle for the MC path.
+    Its output mass per unit input weight is the mean holding time of the
+    atom, the integral of its survival function.
     """
     _require_mass(mu)
     if variant == "monte-carlo":
@@ -128,9 +96,8 @@ def holding_occupation_transform(
         stderr = 0.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    report = TransformReport(input_mass=mu.total_mass, output_mass=out.total_mass,
-                             normalizer=out.total_mass / mu.total_mass,
-                             n_atoms=out.n_atoms, stderr=stderr)
+    report = TransformReport(output_mass=out.total_mass,
+                             normalizer=out.total_mass / mu.total_mass, stderr=stderr)
     return out, report
 
 
@@ -143,19 +110,9 @@ def weighted_jump_transform(
     weights = mu.weights * np.asarray(model.intensity(mu.ys), dtype=float)
     out = WeightedEmpiricalMeasure(ys_post, regimes_post, weights)
     stderr = 0.0  # the output mass is a deterministic function of the input
-    report = TransformReport(input_mass=mu.total_mass, output_mass=out.total_mass,
-                             normalizer=out.total_mass / mu.total_mass,
-                             n_atoms=out.n_atoms, stderr=stderr)
+    report = TransformReport(output_mass=out.total_mass,
+                             normalizer=out.total_mass / mu.total_mass, stderr=stderr)
     return out, report
-
-
-def chain_step_transform(
-    model: ModelSpec, mu: WeightedEmpiricalMeasure, rng: np.random.Generator,
-) -> WeightedEmpiricalMeasure:
-    """The simulator's ``chain_step`` applied to every atom, weights unchanged."""
-    _require_mass(mu)
-    _, ys_post, regimes_post = chain_step(model, mu.ys, mu.regimes, rng)
-    return WeightedEmpiricalMeasure(ys_post, regimes_post, mu.weights.copy())
 
 
 def chain_to_flow_stationary(

@@ -1,0 +1,121 @@
+"""Test oracles: statistics and reference computations the tests check the
+package against. Nothing here runs in the command-line program.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from pdmp_lab.flows import Semiflow
+from pdmp_lab.grid import GridModel
+from pdmp_lab.models import ModelSpec
+from pdmp_lab.simulate import chain_step
+from pdmp_lab.state import WeightedEmpiricalMeasure, ZeroMassError
+
+
+def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """One-sample KS: sup-norm of the empirical CDF minus an analytic CDF."""
+    a = np.sort(np.asarray(samples, dtype=float))
+    if a.size == 0:
+        raise ValueError("empty sample set")
+    grid = np.arange(1, a.size + 1) / a.size
+    f = np.asarray(cdf(a), dtype=float)
+    return float(max(np.abs(grid - f).max(), np.abs(grid - 1.0 / a.size - f).max()))
+
+
+def ks_statistic_weighted(values_a, weights_a, values_b, weights_b) -> float:
+    """Two-sample KS between weighted (self-normalized) empirical CDFs.
+
+    With unit weights the cumulative sums are exact, so this is the plain
+    two-sample statistic.
+    """
+    va = np.asarray(values_a, dtype=float)
+    vb = np.asarray(values_b, dtype=float)
+    wa = np.asarray(weights_a, dtype=float)
+    wb = np.asarray(weights_b, dtype=float)
+    oa, ob = np.argsort(va, kind="mergesort"), np.argsort(vb, kind="mergesort")
+    va, wa = va[oa], np.cumsum(wa[oa]) / wa.sum()
+    vb, wb = vb[ob], np.cumsum(wb[ob]) / wb.sum()
+    pooled = np.concatenate([va, vb])
+    ia = np.searchsorted(va, pooled, side="right")
+    ib = np.searchsorted(vb, pooled, side="right")
+    ca = np.where(ia > 0, wa[np.maximum(ia - 1, 0)], 0.0)
+    cb = np.where(ib > 0, wb[np.maximum(ib - 1, 0)], 0.0)
+    return float(np.abs(ca - cb).max())
+
+
+def effective_sample_size(weights: np.ndarray) -> float:
+    w = np.asarray(weights, dtype=float)
+    return float(w.sum() ** 2 / np.dot(w, w))
+
+
+def ks_critical(n: float, m: Optional[float] = None, alpha: float = 0.01) -> float:
+    """Asymptotic KS critical value c(alpha) * sqrt(1/n [+ 1/m])."""
+    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
+    scale = 1.0 / n if m is None else 1.0 / n + 1.0 / m
+    return c * math.sqrt(scale)
+
+
+def expected_holding_time_gl(model: ModelSpec, y: float, i: int = 0, n_nodes: int = 96) -> float:
+    """Mean holding time from (y, i), the integral of the survival function, by Gauss-Laguerre."""
+    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
+    hazard = np.asarray(model.hazard.value(i, nodes, np.full(nodes.shape, y)))
+    # combined exponent keeps large nodes finite (hazard grows at least linearly)
+    return float(np.dot(weights, np.exp(nodes - hazard)))
+
+
+@dataclass(frozen=True)
+class SemigroupReport:
+    max_violation: float
+    n_samples: int
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tol
+
+
+def check_semigroup(
+    flow: Semiflow,
+    n_samples: int = 10_000,
+    tol: float = 1e-10,
+    rng: Optional[np.random.Generator] = None,
+    y_range: tuple[float, float] = (0.0, 15.0),
+    t_range: tuple[float, float] = (0.0, 3.0),
+) -> SemigroupReport:
+    """Probe S_i(s, S_i(t, y)) = S_i(s + t, y) on random (s, t, y, i) triples.
+
+    Violations are reported, not raised: the caller decides what is fatal.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    rng = np.random.default_rng(0) if rng is None else rng
+    ys = rng.uniform(*y_range, size=n_samples)
+    ss = rng.uniform(*t_range, size=n_samples)
+    ts = rng.uniform(*t_range, size=n_samples)
+    regimes = rng.integers(0, flow.n_regimes, size=n_samples)
+    two_step = flow.evaluate(regimes, ss, flow.evaluate(regimes, ts, ys))
+    one_step = flow.evaluate(regimes, ss + ts, ys)
+    worst = float(np.abs(two_step - one_step).max(initial=0.0))
+    return SemigroupReport(max_violation=worst, n_samples=n_samples, tol=tol)
+
+
+def grid_measure(grid: GridModel, v: np.ndarray) -> WeightedEmpiricalMeasure:
+    """The measure with weight v[i * M + m] at (node m, regime i) of the grid."""
+    m = grid.nodes.size
+    ys = np.tile(grid.nodes, grid.n_regimes)
+    regimes = np.repeat(np.arange(grid.n_regimes, dtype=np.int64), m)
+    return WeightedEmpiricalMeasure(ys, regimes, np.asarray(v, dtype=float))
+
+
+def chain_step_transform(model: ModelSpec, mu: WeightedEmpiricalMeasure,
+                         rng: np.random.Generator) -> WeightedEmpiricalMeasure:
+    """The simulator's ``chain_step`` applied to every atom, weights unchanged."""
+    if mu.total_mass <= 0.0:
+        raise ZeroMassError("transform input has zero mass")
+    _, ys_post, regimes_post = chain_step(model, mu.ys, mu.regimes, rng)
+    return WeightedEmpiricalMeasure(ys_post, regimes_post, mu.weights.copy())

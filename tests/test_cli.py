@@ -11,6 +11,8 @@ from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.grid import power_iteration
 from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, adaptive_simpson, invert_holding
 
+ROOT = Path(__file__).resolve().parent.parent
+
 BASE_CONFIG = {
     "model": {"name": "gene", "params": {"kappa": 1.0, "burst_mean": 1.0,
                                          "intensity": "constant", "lam": 1.0}},
@@ -184,23 +186,60 @@ def test_config_validation_rules():
                                               "params": {"kappa": -2.0}}, "seed": 1})
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"time_burn_in": -5.0}, "time_burn_in"),
-    ({"time_burn_in": 60.0}, "time_burn_in"),
-    ({"eta_time": -1.0}, "eta_time"),
-    ({"eta_time": 61.0}, "eta_time"),
-    ({"occupation_samples_per_replica": 0}, "occupation_samples_per_replica"),
-    ({"drift_replicas": 0}, "drift_replicas"),
-    ({"grid": {"time_cells": 0}}, "time_cells"),
-    ({"grid": {"theta_cells": 0}}, "theta_cells"),
+@pytest.mark.parametrize("overrides, flags, message", [
+    ({"time_burn_in": -5.0}, [], "time_burn_in"),
+    ({"time_burn_in": 60.0}, [], "time_burn_in"),
+    ({"eta_time": -1.0}, [], "eta_time"),
+    ({"eta_time": 61.0}, [], "eta_time"),
+    ({"occupation_samples_per_replica": 0}, [], "occupation_samples_per_replica"),
+    ({"drift_replicas": 0}, [], "drift_replicas"),
+    ({"grid": {"time_cells": 0}}, [], "time_cells"),
+    ({"grid": {"theta_cells": 0}}, [], "theta_cells"),
+    ({"horizon": float("inf")}, [], "horizon"),
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+    ({"grid": {"y_max": 0.0}}, [], "y_max"),
+    ({"grid": {"y_max": -3.0}}, [], "y_max"),
+    ({"grid": {"y_max": float("nan")}}, [], "y_max"),
+    ({"drift_probes": "abc"}, [], "drift_probes"),
+    ({"drift_probes": 3.0}, [], "drift_probes"),
+    ({"drift_probes": [-1.0]}, [], "drift_probes"),
+    ({"drift_probes": [0.0, float("nan")]}, [], "drift_probes"),
+    ({"drift_probes": []}, [], "drift_probes"),
+    ({"tolerances": {"w1_forward_max": "x"}}, [], "w1_forward_max"),
+    ({"tolerances": {"w1_forward_max": [1.0]}}, [], "w1_forward_max"),
+    ({"tolerances": {"occupation_mean": "x"}}, [], "occupation_mean"),
+    ({"tolerances": {"occupation_mean": [1.0]}}, [], "occupation_mean"),
+    ({"tolerances": {"occupation_mean": [1.2, 0.8]}}, [], "occupation_mean"),
+    ({"model": {"params": [1.0]}}, [], "params"),
 ], ids=["negative-burn-in", "burn-in-at-horizon", "negative-eta-time", "eta-time-past-horizon",
-        "no-occupation-samples", "no-drift-replicas", "no-time-cells", "no-theta-cells"])
-def test_bad_config_values_exit_2_at_load(tmp_path, capsys, overrides, message):
+        "no-occupation-samples", "no-drift-replicas", "no-time-cells", "no-theta-cells",
+        "infinite-horizon", "negative-seed", "negative-seed-flag", "zero-grid-y-max",
+        "negative-grid-y-max", "nan-grid-y-max", "drift-probes-string", "drift-probes-number",
+        "negative-drift-probe", "nan-drift-probe", "no-drift-probes", "cap-string", "cap-list", "range-string",
+        "range-one-entry", "range-reversed", "params-not-object"])
+def test_bad_config_values_exit_2_at_load(tmp_path, capsys, overrides, flags, message):
     cfg = write_config(tmp_path, overrides)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def readme_config_example() -> dict:
+    """The JSON block under the README's "Config document" heading."""
+    text = (ROOT / "README.md").read_text().split("### Config document", 1)[1]
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("source", sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+                         + ["README.md"])
+def test_shipped_configs_load_quietly(source, capsys):
+    if source == "README.md":
+        ExperimentConfig.from_dict(readme_config_example())
+    else:
+        ExperimentConfig.from_file(str(ROOT / "configs" / source))
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_config_keys_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,34 @@ def test_switch_constants_single_regime():
     lip, overlap = estimate_switch_constants(GENE)
     assert lip == 0.0
     assert overlap == pytest.approx(1.0)
+
+
+def switch_constants_pair_loop(model):
+    """The pair-by-pair enumeration estimate_switch_constants replaced."""
+    probes = np.linspace(0.0, model.y_max, 200)
+    rows = model.jump.switching.rows_at(probes)
+    lip_hat = 0.0
+    for a in range(probes.size):
+        for b in range(a + 1, probes.size):
+            gap = abs(probes[a] - probes[b])
+            if gap < 1e-12:
+                continue
+            diff = np.abs(rows[a] - rows[b]).sum(axis=1).max()
+            lip_hat = max(lip_hat, float(diff) / gap)
+    overlap = math.inf
+    for i in range(model.n_regimes):
+        for k in range(model.n_regimes):
+            pair = np.minimum(rows[:, None, i, :], rows[None, :, k, :]).sum(axis=2)
+            overlap = min(overlap, float(pair.min()))
+    return lip_hat, overlap
+
+
+@pytest.mark.parametrize("model", [GENE_SAT, TWO, two_regime_model(switching="uniform"),
+                                   control_degenerate_switching()],
+                         ids=["gene-saturating", "two-regime-ramp", "two-regime-uniform",
+                              "control-degenerate-switching"])
+def test_switch_constants_match_pair_loop(model):
+    assert estimate_switch_constants(model) == switch_constants_pair_loop(model)
 
 
 def test_switch_constants_ramp_enumerated():

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pdmp_lab.flows import (
-    AffineExpFlow,
-    ExpandingFlow,
-    FrozenFlow,
-    Semiflow,
-    check_semigroup,
-)
+from pdmp_lab.flows import AffineExpFlow, ExpandingFlow, FrozenFlow, Semiflow
+
+from oracles import check_semigroup
 
 
 class QuadraticDriftFlow(Semiflow):

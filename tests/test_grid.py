@@ -20,10 +20,12 @@ from pdmp_lab.hazard import (
     quantile_edges,
     survival_horizon,
 )
-from pdmp_lab.jumps import FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model, two_regime_model
 from pdmp_lab.simulate import chain_measure, run_ensemble
+
+from oracles import grid_measure
 
 GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
@@ -177,6 +179,23 @@ def test_boundary_leak_error_when_window_too_small():
         build_grid_model(GENE, 50, y_max=2.0)
 
 
+def test_switching_rows_are_checked_on_the_grid_nodes():
+    # stay-probability 1 - y/20 is a valid row on the model window [0, 15] only
+    flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
+    intensity = ConstantIntensity(1.0)
+    stay = lambda y: 1.0 - np.asarray(y, dtype=float) / 20.0  # noqa: E731
+    model = ModelSpec(
+        name="stay-ramp", flow=flow, intensity=intensity,
+        hazard=CumulativeHazard.for_model(flow, intensity),
+        jump=PostJumpKernel(AdditiveBurstKernel(1.0),
+                            SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
+        declared=DeclaredConstants(), y_max=15.0)
+    grid = build_grid_model(model, 120, time_cells=400, theta_cells=300)
+    assert grid.post_jump.min() >= 0.0
+    with pytest.raises(GridAssemblyError, match=r"y_max=30: switching entries must lie in"):
+        build_grid_model(model, 120, y_max=30.0, time_cells=400, theta_cells=300)
+
+
 def test_assembly_failures_are_solver_errors():
     with pytest.raises(GridAssemblyError, match="boundary leakage") as exc:
         build_grid_model(GENE, 50, y_max=2.0)
@@ -265,7 +284,7 @@ def test_grid_refinement_converges_to_mc_law():
     for m in (50, 100, 200, 400):
         grid = build_grid_model(GENE, m)
         fp = power_iteration(grid.transition, tol=1e-12)
-        vec = grid.measure_from_vector(fp)
+        vec = grid_measure(grid, fp)
         gap = wasserstein1_1d(vec.ys, vec.weights, mu.ys, mu.weights / mu.total_mass)
         if prev_gap is not None:
             assert gap <= prev_gap + 0.002

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from pdmp_lab.state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
-
-
-def test_state_point_validation():
-    with pytest.raises(ValueError):
-        StatePoint(float("nan"), 0)
-    with pytest.raises(ValueError):
-        StatePoint(0.0, -1)
+from pdmp_lab.state import WeightedEmpiricalMeasure, ZeroMassError
 
 
 def test_integrate_normalization_and_hand_sum():

@@ -4,23 +4,23 @@ import pytest
 from pdmp_lab.flows import FrozenFlow
 from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard, SaturatingIntensity
 from pdmp_lab.jumps import FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
-from pdmp_lab.metrics import (
-    effective_sample_size,
-    ks_critical,
-    ks_statistic_weighted,
-    wasserstein1_1d,
-)
+from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model
 from pdmp_lab.simulate import chain_measure, run_ensemble
-from pdmp_lab.state import StatePoint, WeightedEmpiricalMeasure, ZeroMassError
+from pdmp_lab.state import WeightedEmpiricalMeasure, ZeroMassError
 from pdmp_lab.transforms import (
-    chain_step_transform,
     chain_to_flow_stationary,
-    expected_holding_time,
-    expected_holding_time_gl,
     flow_to_chain_stationary,
     holding_occupation_transform,
     weighted_jump_transform,
+)
+
+from oracles import (
+    chain_step_transform,
+    effective_sample_size,
+    expected_holding_time_gl,
+    ks_critical,
+    ks_statistic_weighted,
 )
 
 GENE = gene_expression_model()
@@ -44,23 +44,29 @@ def chain_stationary(model, seed, replicas=2000, steps=120, burn=40):
     return chain_measure(ens, burn)
 
 
+def expected_holding_times(model, ys):
+    """Mean holding time from each (y, 0): the quadrature occupation mass of a unit atom at y."""
+    out, _ = holding_occupation_transform(model, WeightedEmpiricalMeasure.from_samples(ys),
+                                          variant="quadrature")
+    return out.weights.reshape(len(ys), -1).sum(axis=1)
+
+
 def test_expected_holding_time_constant_rate():
     m = gene_expression_model(lam=2.0)
-    assert expected_holding_time(m, StatePoint(3.0, 0)) == pytest.approx(0.5, abs=1e-9)
+    assert expected_holding_times(m, [3.0])[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_expected_holding_time_bracket():
     rng = np.random.default_rng(0)
-    for y in rng.uniform(0, 12, 25):
-        val = expected_holding_time(GENE_SAT, StatePoint(y, 0))
+    for val in expected_holding_times(GENE_SAT, rng.uniform(0, 12, 25)):
         assert 1.0 / 1.5 - 1e-9 <= val <= 1.0 + 1e-9
 
 
 def test_expected_holding_time_dual_quadrature():
-    # adaptive Simpson against Gauss-Laguerre, two independent rules
-    for y in (0.0, 0.5, 1.0, 4.0, 10.0):
-        a = expected_holding_time(GENE_SAT, StatePoint(y, 0))
-        b = expected_holding_time_gl(GENE_SAT, StatePoint(y, 0))
+    # Boole-rule occupation cells against Gauss-Laguerre, two independent rules
+    ys = (0.0, 0.5, 1.0, 4.0, 10.0)
+    for y, a in zip(ys, expected_holding_times(GENE_SAT, ys)):
+        b = expected_holding_time_gl(GENE_SAT, y)
         assert a == pytest.approx(b, abs=1e-8)
 
 
