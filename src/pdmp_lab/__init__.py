@@ -48,6 +48,7 @@ from .transforms import (
     TransformReport,
     chain_to_flow_stationary,
     flow_to_chain_stationary,
+    holding_occupation_quadrature,
     holding_occupation_transform,
     weighted_jump_transform,
 )

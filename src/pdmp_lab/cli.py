@@ -19,9 +19,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,84 +42,153 @@ class ToleranceFailure(RuntimeError):
     pass
 
 
-CONFIG_KEYS = frozenset({
-    "model", "seed", "replicas", "chain_steps", "chain_burn_in_steps", "horizon",
-    "time_burn_in", "occupation_samples_per_replica", "grid", "eta_time", "threads",
-    "out_dir", "tolerances", "drift_probes", "drift_replicas"})
-MODEL_KEYS = frozenset({"name", "params"})
-GRID_KEYS = frozenset({"nodes", "time_cells", "theta_cells", "y_max"})
-RANGE_TOLERANCE_KEYS = frozenset({"occupation_mean", "chain_mean"})
-"""Tolerances given as [lo, hi]; every other tolerance is a single cap."""
-TOLERANCE_KEYS = RANGE_TOLERANCE_KEYS | {
-    "w1_forward_max", "w1_backward_max", "w1_roundtrip_max", "factorization_max",
-    "correspondence_max"}
-
-
-def _known_keys(block, known: frozenset, where: str) -> dict:
-    """``block`` itself, once it is an object whose keys are all in ``known``."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - known)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; "
-                          f"known keys: {', '.join(sorted(known))}")
-    return block
-
-
 def _finite(value) -> bool:
     """A JSON number (not a bool) that is finite."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
 
 
-def _checked_seed(seed) -> int:
-    """The seed as an int; numpy's SeedSequence takes only integers >= 0."""
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+def _typed(value, kind, label: str):
+    """``value`` checked against the field type ``kind``: an integer for a count or
+    seed, a finite number for a real (a bool is neither), null or a value for
+    ``Optional``, an object of the dataclass's keys for a dataclass."""
+    if get_origin(kind) is Union:  # Optional[X]
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if is_dataclass(kind):
+        return _parse_block(kind, value, label)
+    if get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)) and all(_finite(v) for v in value):
+            return tuple(value)
+        want = "a list of finite numbers"
+    elif kind is float:
+        if _finite(value):
+            return float(value)  # a JSON integer is a valid real; store it as one
+        want = "a finite number"
+    elif isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    else:
+        want = {int: "an integer", str: "a string", dict: "a JSON object"}[kind]
+    raise ConfigError(f"{label} must be {want}, got {json.dumps(value, default=repr)}")
 
 
-def _check_tolerances(tolerances: dict) -> None:
-    for key, value in tolerances.items():
-        if key in RANGE_TOLERANCE_KEYS:
-            if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(_finite(v) for v in value) and value[0] <= value[1]):
-                raise ConfigError(f"tolerance {key!r} must be [lo, hi] with finite lo <= hi")
-        elif not _finite(value):
-            raise ConfigError(f"tolerance {key!r} must be a finite number")
+def _parse_block(cls, raw, name: Optional[str] = None):
+    """The dataclass ``cls`` from the JSON object ``raw`` of block ``name`` (None: top
+    level): each key a field, each value of its field's type, a key left out its default."""
+    where = "the config" if name is None else repr(name)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; "
+                          f"known keys: {', '.join(sorted(known))}")
+    for f in known.values():
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} needs the key {f.name!r}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _typed(value, hints[key], key if name is None else f"{name} {key}")
+                  for key, value in raw.items()})
 
 
-@dataclass
+@dataclass(frozen=True)
+class ModelBlock:
+    """The ``model`` object: a registered model name and its keyword parameters."""
+
+    name: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        try:
+            self.build()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model block: {exc}") from exc
+
+    def build(self) -> ModelSpec:
+        return build_model(self.name, self.params)
+
+
+@dataclass(frozen=True)
+class GridBlock:
+    """The ``grid`` object of the matrix oracle; ``y_max`` null is the model's window."""
+
+    nodes: int = 200
+    time_cells: int = 2000
+    theta_cells: int = 1000
+    y_max: Optional[float] = None
+
+    def __post_init__(self):
+        for key, least in (("nodes", 2), ("time_cells", 1), ("theta_cells", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"grid {key} must be at least {least}, got {getattr(self, key)}")
+        if self.y_max is not None and not self.y_max > 0:
+            raise ConfigError("grid y_max must be positive and finite")
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The ``tolerances`` object: ranges [lo, hi] and caps; one left out never fails,
+    except the two grid residual caps."""
+
+    occupation_mean: tuple[float, float] = (-math.inf, math.inf)
+    chain_mean: tuple[float, float] = (-math.inf, math.inf)
+    w1_forward_max: float = math.inf
+    w1_backward_max: float = math.inf
+    w1_roundtrip_max: float = math.inf
+    factorization_max: float = 1e-6
+    correspondence_max: float = 1e-6
+
+    def __post_init__(self):
+        for f in fields(self):
+            bounds = getattr(self, f.name)
+            if isinstance(bounds, tuple) and not (len(bounds) == 2 and bounds[0] <= bounds[1]):
+                raise ConfigError(f"tolerances {f.name} must be [lo, hi] with lo <= hi")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated form of the JSON config document.
+    """The JSON config document: one field per key, with its type and default.
 
-    The seed is mandatory: every run must be reproducible. Tolerances are
-    optional expectations; violating one makes the subcommand exit with
-    code 3 after still writing its outputs. A ``threads`` entry is accepted
-    and ignored, with a note on stderr. A key unknown at the top level or
-    inside ``model``, ``grid`` or ``tolerances`` is a config error, so a typo
-    cannot fall back to a default.
+    The seed is mandatory: every run must be reproducible. A violated
+    tolerance makes the subcommand exit with code 3 after still writing its
+    outputs. ``threads`` is accepted and ignored, with a note on stderr. An
+    unknown key is a config error, so a typo cannot fall back to a default.
     """
 
-    model_name: str
-    model_params: dict
+    model: ModelBlock
     seed: int
     replicas: int = 200
     chain_steps: int = 400
     chain_burn_in_steps: int = 80
     horizon: float = 200.0
-    time_burn_in: Optional[float] = None
+    time_burn_in: Optional[float] = None  # null: 20% of the horizon
     occupation_samples_per_replica: int = 400
-    grid_nodes: int = 200
-    grid_time_cells: int = 2000
-    grid_theta_cells: int = 1000
-    grid_y_max: Optional[float] = None
+    grid: GridBlock = field(default_factory=GridBlock)
     eta_time: float = 2.0
+    threads: Optional[int] = None
     out_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
-    drift_probes: tuple = (0.0, 1.0, 2.0, 4.0, 8.0)
+    tolerances: Tolerances = field(default_factory=Tolerances)
+    drift_probes: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0)
     drift_replicas: int = 20_000
+
+    def __post_init__(self):
+        for key, least in (("seed", 0), ("replicas", 1), ("chain_steps", 0),  # numpy seeds are >= 0
+                           ("chain_burn_in_steps", 0), ("occupation_samples_per_replica", 1),
+                           ("drift_replicas", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.chain_burn_in_steps >= self.chain_steps > 0:
+            raise ConfigError("chain_burn_in_steps must be below chain_steps")
+        if not self.horizon > 0:
+            raise ConfigError("horizon must be positive and finite")
+        if self.time_burn_in is not None and not 0 <= self.time_burn_in < self.horizon:
+            raise ConfigError("time_burn_in must be >= 0 and below horizon")
+        if not 0 <= self.eta_time <= self.horizon:  # the horizon ensemble must cover eta_time
+            raise ConfigError("eta_time must be >= 0 and at most horizon")
+        # no probes would pass the drift check without checking anything
+        if not (self.drift_probes and min(self.drift_probes) >= 0):
+            raise ConfigError("drift_probes must be a non-empty list of finite locations >= 0")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -132,74 +201,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _known_keys(raw, CONFIG_KEYS, "the config")
-        model = raw.get("model")
-        if not isinstance(model, dict) or "name" not in model:
-            raise ConfigError("config needs a 'model' object with a 'name'")
-        _known_keys(model, MODEL_KEYS, "'model'")
-        if "seed" not in raw:
-            raise ConfigError("config needs an explicit 'seed' (reproducibility contract)")
-        if not isinstance(model.get("params", {}), dict):
-            raise ConfigError("'model' params must be a JSON object")
-        grid = _known_keys(raw.get("grid", {}), GRID_KEYS, "'grid'")
-        tolerances = _known_keys(raw.get("tolerances", {}), TOLERANCE_KEYS, "'tolerances'")
-        _check_tolerances(tolerances)
-        drift_probes = raw.get("drift_probes", cls.drift_probes)
-        # no probes would pass the drift check without checking anything
-        if not (isinstance(drift_probes, (list, tuple)) and drift_probes
-                and all(_finite(y) and y >= 0 for y in drift_probes)):
-            raise ConfigError("drift_probes must be a non-empty list of finite locations >= 0")
-        cfg = cls(
-            model_name=str(model["name"]),
-            model_params=dict(model.get("params", {})),
-            seed=_checked_seed(raw["seed"]),
-            replicas=int(raw.get("replicas", 200)),
-            chain_steps=int(raw.get("chain_steps", 400)),
-            chain_burn_in_steps=int(raw.get("chain_burn_in_steps", 80)),
-            horizon=float(raw.get("horizon", 200.0)),
-            time_burn_in=(None if raw.get("time_burn_in") is None else float(raw["time_burn_in"])),
-            occupation_samples_per_replica=int(raw.get("occupation_samples_per_replica", 400)),
-            grid_nodes=int(grid.get("nodes", 200)),
-            grid_time_cells=int(grid.get("time_cells", 2000)),
-            grid_theta_cells=int(grid.get("theta_cells", 1000)),
-            grid_y_max=(None if grid.get("y_max") is None else float(grid["y_max"])),
-            eta_time=float(raw.get("eta_time", 2.0)),
-            out_dir=str(raw.get("out_dir", ".")),
-            tolerances=dict(tolerances),
-            drift_probes=tuple(drift_probes),
-            drift_replicas=int(raw.get("drift_replicas", 20_000)),
-        )
-        if cfg.replicas <= 0 or cfg.chain_steps < 0:
-            raise ConfigError("replicas must be positive and chain_steps >= 0")
-        if cfg.chain_burn_in_steps >= cfg.chain_steps and cfg.chain_steps > 0:
-            raise ConfigError("chain_burn_in_steps must be below chain_steps")
-        if not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
-            raise ConfigError("horizon must be positive and finite")
-        if cfg.time_burn_in is not None and not 0 <= cfg.time_burn_in < cfg.horizon:
-            raise ConfigError("time_burn_in must be >= 0 and below horizon")
-        if not 0 <= cfg.eta_time <= cfg.horizon:  # the horizon ensemble must cover eta_time
-            raise ConfigError("eta_time must be >= 0 and at most horizon")
-        if cfg.grid_nodes < 2:
-            raise ConfigError("grid nodes must be at least 2")
-        if cfg.grid_y_max is not None and not (math.isfinite(cfg.grid_y_max)
-                                               and cfg.grid_y_max > 0):
-            raise ConfigError("grid y_max must be positive and finite")
-        for name, count in (("occupation_samples_per_replica", cfg.occupation_samples_per_replica),
-                            ("drift_replicas", cfg.drift_replicas),
-                            ("grid time_cells", cfg.grid_time_cells),
-                            ("grid theta_cells", cfg.grid_theta_cells)):
-            if count < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        try:
-            cfg.build()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model block: {exc}") from exc
+        cfg = _parse_block(cls, raw)
         if "threads" in raw:
             print("note: config key 'threads' is ignored; ensembles run serially", file=sys.stderr)
         return cfg
-
-    def build(self) -> ModelSpec:
-        return build_model(self.model_name, self.model_params)
 
     @property
     def burn_in(self) -> float:
@@ -229,19 +234,16 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write("".join([row.format(*cells) for cells in block]))
 
 
-def _check_range(tolerances: dict, key: str, value: float, failures: list[str]) -> None:
-    bounds = tolerances.get(key)
-    if bounds is None:
-        return
-    lo, hi = float(bounds[0]), float(bounds[1])
+def _check_range(tolerances: Tolerances, key: str, value: float, failures: list[str]) -> None:
+    lo, hi = getattr(tolerances, key)
     if not lo <= value <= hi:
         failures.append(f"{key}={value:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
 
-def _check_max(tolerances: dict, key: str, value: float, failures: list[str]) -> None:
-    cap = tolerances.get(key)
-    if cap is not None and value > float(cap):
-        failures.append(f"{key}={value:.6g} exceeds {float(cap):.6g}")
+def _check_max(tolerances: Tolerances, key: str, value: float, failures: list[str]) -> None:
+    cap = getattr(tolerances, key)
+    if value > cap:
+        failures.append(f"{key}={value:.6g} exceeds {cap:.6g}")
 
 
 def _simulate_both_routes(
@@ -260,7 +262,7 @@ def _simulate_both_routes(
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    model = cfg.build()
+    model = cfg.model.build()
     ens, occ_ens, occ = _simulate_both_routes(cfg, model)
     taus, ys, regimes = (column[0] for column in ens.chunks[0])
     _write_csv(out_dir / "chain.csv", ["n", "tau", "y", "xi"],
@@ -295,7 +297,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    model = cfg.build()
+    if cfg.chain_steps < 1:  # the chain measure needs a step past the burn-in
+        raise ConfigError(f"correspondence needs chain_steps >= 1, got {cfg.chain_steps}")
+    model = cfg.model.build()
     ens, _, occ = _simulate_both_routes(cfg, model)
     mu_chain = chain_measure(ens, cfg.chain_burn_in_steps)
     mu_flow = occ.measure()
@@ -330,14 +334,14 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    model = cfg.build()
-    grid = build_grid_model(model, cfg.grid_nodes, y_max=cfg.grid_y_max,
-                            time_cells=cfg.grid_time_cells, theta_cells=cfg.grid_theta_cells)
-    fact = check_factorization(grid, tol=float(cfg.tolerances.get("factorization_max", 1e-6)))
-    corr = oracle_correspondence(grid, tol=float(cfg.tolerances.get("correspondence_max", 1e-6)))
+    model = cfg.model.build()
+    grid = build_grid_model(model, cfg.grid.nodes, y_max=cfg.grid.y_max,
+                            time_cells=cfg.grid.time_cells, theta_cells=cfg.grid.theta_cells)
+    fact = check_factorization(grid, tol=cfg.tolerances.factorization_max)
+    corr = oracle_correspondence(grid, tol=cfg.tolerances.correspondence_max)
     payload = {
         "model": model.name,
-        "grid_nodes": cfg.grid_nodes,
+        "grid_nodes": cfg.grid.nodes,
         "factorization": fact.to_json(),
         "correspondence": corr.to_json(),
         "stationary_leak": grid.stationary_leak,
@@ -360,7 +364,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_diagnostics(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    model = cfg.build()
+    model = cfg.model.build()
     report = run_assumption_suite(model, seed=(cfg.seed, 1))
     payload = {"assumptions": report.to_json(), "model": model.name, "positive": model.positive}
     if report.stability_margin is not None and report.stability_margin > 0:
@@ -403,19 +407,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.seed = _checked_seed(args.seed)
+            cfg = replace(cfg, seed=args.seed)
         if args.threads is not None:
             print("note: --threads is ignored; ensembles run serially", file=sys.stderr)
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         COMMANDS[args.command](cfg, out_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 3

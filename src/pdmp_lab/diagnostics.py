@@ -31,6 +31,8 @@ FLOW_GAP_SAMPLES = 4000
 JUMP_DISPLACEMENT_PROBES = 16
 JUMP_DISPLACEMENT_SAMPLES = 20_000  # jumps drawn at each probe
 SWITCH_PROBES = 200
+IFS_PAIRS = 300  # location pairs, before coincident ones are dropped
+IFS_THETA_SAMPLES = 20_000  # map indices drawn at each pair
 INTENSITY_SCAN_POINTS = 4000
 
 
@@ -181,16 +183,15 @@ def jump_displacement_bound(model: ModelSpec, rng: np.random.Generator) -> float
     return worst
 
 
-def estimate_ifs_constants(model: ModelSpec, rng: np.random.Generator,
-                           n_pairs: int = 300, n_theta: int = 20_000
+def estimate_ifs_constants(model: ModelSpec, rng: np.random.Generator
                            ) -> tuple[float, float, float]:
     """Estimate (mean contraction, density L1 modulus, contracting overlap).
 
     Pairs with coincident locations are skipped; the declared mean
     contraction defines which maps count as contracting for the overlap.
     """
-    us = rng.uniform(0.0, model.y_max, size=n_pairs)
-    vs = rng.uniform(0.0, model.y_max, size=n_pairs)
+    us = rng.uniform(0.0, model.y_max, size=IFS_PAIRS)
+    vs = rng.uniform(0.0, model.y_max, size=IFS_PAIRS)
     keep = np.abs(us - vs) > 1e-9
     us, vs = us[keep], vs[keep]
     declared_lw = model.declared.jump_mean_contraction
@@ -199,9 +200,9 @@ def estimate_ifs_constants(model: ModelSpec, rng: np.random.Generator,
     dp_hat = math.inf
     for u, v in zip(us, vs):
         gap = abs(u - v)
-        thetas = model.jump.ifs.sample_vec(np.full(n_theta, u), rng)
-        spread = np.abs(np.asarray(model.jump.ifs.apply(thetas, np.full(n_theta, u)))
-                        - np.asarray(model.jump.ifs.apply(thetas, np.full(n_theta, v))))
+        thetas = model.jump.ifs.sample_vec(np.full(IFS_THETA_SAMPLES, u), rng)
+        spread = np.abs(np.asarray(model.jump.ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, u)))
+                        - np.asarray(model.jump.ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, v))))
         lw_hat = max(lw_hat, float(spread.mean()) / gap)
         lp_hat = max(lp_hat, model.jump.ifs.density_l1_gap(u, v) / gap)
         dp_hat = min(dp_hat, model.jump.ifs.overlap_on(u, v, declared_lw))
@@ -328,8 +329,7 @@ class DriftReport:
 
 
 def verify_drift_empirically(model: ModelSpec, constants: DriftConstants,
-                             probe_ys: Sequence[float] = (0.0, 1.0, 2.0, 4.0, 8.0),
-                             replicas: int = 100_000, seed=0) -> DriftReport:
+                             probe_ys: Sequence[float], replicas: int, seed) -> DriftReport:
     """Single-step Monte Carlo check of the drift inequality at probe points in regime 0."""
     anchor = model.declared.anchor
     probes = []
@@ -353,7 +353,7 @@ def _consistent_lower(estimate: float, declared: float) -> bool:
     return estimate >= declared * (1.0 - ESTIMATE_RTOL) - 1e-9
 
 
-def run_assumption_suite(model: ModelSpec, seed=0) -> AssumptionReport:
+def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
     """Estimate every constant and compare against the declaration.
 
     The stability margin is reported as not-applicable when the flow

@@ -7,12 +7,13 @@ function; images are projected to the nearest node. Rows are assembled
 GRID_NODE_BLOCK nodes at a time, each block's cells binned into its rows by
 one ``np.bincount``.
 
-The transition matrix is pre_jump @ post_jump per regime block by
-construction, so the plain factorization identity holds up to matmul
-round-off. The weighted identity occupation @ weighted_post_jump =
-transition is the one with content: occupation divides each cell's mass by
-the rate at the node the flow reaches, weighted_post_jump multiplies each
-jump row by the rate at its origin node, and the two must cancel.
+Both factorization identities hold by construction: transition is
+pre_jump @ post_jump per regime block, and occupation divides each cell's
+mass by the rate at the node the flow reaches while weighted_post_jump
+multiplies each jump row by the rate at that same node. Their residuals
+catch assembly faults, not a wrong hazard, flow or rate. What stays
+independent is the MC-vs-grid comparison of acceptance criteria 02 (W1 of
+the Monte Carlo chain law to the fixed point) and 03 (stationary means).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ DEFAULT_ROW_TOL = 1e-8
 """Allowed deviation of a grid matrix row sum from 1, and of occupation rows from their bracket."""
 DEFAULT_MASS_TOL = 1e-4
 """Largest stationary mass that jumps may carry out of the location window."""
+POWER_ITERATION_TOL = 1e-12
+"""L1 change between successive power-iteration vectors at which the iteration stops."""
 GRID_NODE_BLOCK = 128
 """Nodes assembled together, and matrix rows per factorization residual block.
 At 2000 time cells one (block, cell) array is 2 MB."""
@@ -51,7 +54,7 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def power_iteration(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
+def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
                     v0: Optional[np.ndarray] = None) -> np.ndarray:
     """Left fixed-point probability vector of a row-stochastic matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -64,7 +67,7 @@ def power_iteration(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 100_
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - v).sum())
         v = nxt
-        if residual <= tol:
+        if residual <= POWER_ITERATION_TOL:
             return v
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations (residual {residual:.3e})", residual)
@@ -150,8 +153,7 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
 
 
 def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
-                     time_cells: int = 2000, theta_cells: int = 1000,
-                     t_max: Optional[float] = None) -> GridModel:
+                     time_cells: int = 2000, theta_cells: int = 1000) -> GridModel:
     """Assemble all five matrices; validates stochasticity and window leakage.
 
     The map-index law is discretized on [0, y_max], like the locations. The
@@ -164,7 +166,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
     if m < 2:
         raise ValueError("need at least two grid nodes")
     y_max = model.y_max if y_max is None else y_max
-    t_max = survival_horizon(model.intensity) if t_max is None else t_max
+    t_max = survival_horizon(model.intensity)
     nodes = np.linspace(0.0, y_max, m)
     try:
         model.jump.switching.check_rows(nodes)
@@ -219,7 +221,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
        occ_rows.max() > 1.0 / model.intensity.lower + DEFAULT_ROW_TOL:
         raise GridAssemblyError("occupation row masses leave the admissible bracket")
 
-    fixed = power_iteration(transition, tol=1e-12)
+    fixed = power_iteration(transition)
     stationary_leak = float(np.dot(fixed, leak))
     if stationary_leak > DEFAULT_MASS_TOL:
         worst = np.argsort(fixed * leak)[::-1][:5]

@@ -8,7 +8,6 @@ estimate of the bounded-Lipschitz distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -122,11 +121,9 @@ class DistanceReport:
 
 
 def measure_distance(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
-                     n_regimes: Optional[int] = None) -> DistanceReport:
-    """Per-regime W1 composite plus the dictionary lower bound."""
+                     n_regimes: int) -> DistanceReport:
+    """Per-regime W1 composite over regimes 0..n_regimes-1 plus the dictionary lower bound."""
     mu, nu = mu.normalize(), nu.normalize()
-    if n_regimes is None:
-        n_regimes = int(max(mu.regimes.max(initial=0), nu.regimes.max(initial=0))) + 1
     mass_mu = mu.regime_mass(n_regimes)
     mass_nu = nu.regime_mass(n_regimes)
     per_regime = {}

@@ -1,9 +1,10 @@
 """Shipped example models with their declared analytic constants.
 
-Each model bundles flows, intensity, hazard, jump kernel and switching
-together with the constants the diagnostics suite checks against. Positive
-models satisfy every stability condition; the negative controls are built
-to fail exactly one designated check each.
+Each model bundles flows, intensity, jump kernel and switching together
+with the constants the diagnostics suite checks against; the cumulative
+hazard follows from the flows and the intensity. Positive models satisfy
+every stability condition; the negative controls are built to fail exactly
+one designated check each.
 """
 
 from __future__ import annotations
@@ -51,18 +52,20 @@ class DeclaredConstants:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable bundle of all model components plus declared constants."""
+    """Immutable bundle of all model components plus declared constants; the
+    cumulative hazard is derived from the flow and the intensity."""
 
     name: str
     flow: Semiflow
     intensity: Intensity
-    hazard: CumulativeHazard
     jump: PostJumpKernel
     declared: DeclaredConstants
     y_max: float = 15.0
     positive: bool = True
+    hazard: CumulativeHazard = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "hazard", CumulativeHazard.for_model(self.flow, self.intensity))
         # switching rows are checked where the model lives: its location window
         self.jump.switching.check_rows(np.linspace(0.0, self.y_max, 64))
 
@@ -71,11 +74,10 @@ class ModelSpec:
         return self.flow.n_regimes
 
 
-def _bundle(name, flow, intensity, ifs, switching, declared, y_max=15.0, positive=True):
-    hazard = CumulativeHazard.for_model(flow, intensity)
-    jump = PostJumpKernel(ifs=ifs, switching=switching)
-    return ModelSpec(name=name, flow=flow, intensity=intensity, hazard=hazard,
-                     jump=jump, declared=declared, y_max=y_max, positive=positive)
+def _bundle(name, flow, intensity, ifs, switching, declared, positive=True):
+    return ModelSpec(name=name, flow=flow, intensity=intensity,
+                     jump=PostJumpKernel(ifs=ifs, switching=switching),
+                     declared=declared, positive=positive)
 
 
 def gene_expression_model(kappa: float = 1.0, burst_mean: float = 1.0,

@@ -161,6 +161,8 @@ def run_ensemble(model: ModelSpec, n_replicas: int, seed, y0: float = 0.0, i0: i
 
 def chain_measure(ens: ChainEnsemble, burn_in_steps: int) -> WeightedEmpiricalMeasure:
     """Equal-weight post-jump states of every replica past the burn-in."""
+    if burn_in_steps < 0:
+        raise ValueError(f"burn_in_steps must be >= 0, got {burn_in_steps}")
     ys, regimes = [], []
     for taus, y, xi in ens.chunks:
         if burn_in_steps + 1 > y.shape[1]:
@@ -193,14 +195,11 @@ class OccupationSample:
 
 
 def occupation_from_ensemble(ens: ChainEnsemble, horizon: float, samples_per_replica: int,
-                             seed, burn_in: Optional[float] = None) -> OccupationSample:
-    """Vectorized occupation sampling across all replicas of an ensemble.
+                             seed, burn_in: float) -> OccupationSample:
+    """Vectorized occupation sampling over [burn_in, horizon] across all replicas.
 
-    The burn-in defaults to 20% of the horizon. Every replica must have been
-    simulated past the horizon.
+    Every replica must have been simulated past the horizon.
     """
-    if burn_in is None:
-        burn_in = 0.2 * horizon
     if horizon <= burn_in:
         raise ValueError("horizon must exceed burn_in")
     if ens.min_horizon < horizon:
@@ -218,21 +217,21 @@ def occupation_from_ensemble(ens: ChainEnsemble, horizon: float, samples_per_rep
 
 
 def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int, seed,
-                   y0: float = 0.0, i0: int = 0, max_count: int = 30,
-                   threads: int = 1) -> dict[float, np.ndarray]:
+                   max_count: int = 30, threads: int = 1) -> dict[float, np.ndarray]:
     """Empirical pmf of the jump count at each requested time.
 
     Returns, per time t, the vector of relative frequencies of {count = n}
     for n = 0..max_count (the last bin absorbs any overflow), pooled over
     all replicas. Chunks are processed and discarded one by one, so replica
-    counts in the millions stay cheap. The chunks and streams are those of
-    ``run_ensemble(model, n_replicas, seed, y0, i0, t_end=max(t_values))``.
+    counts in the millions stay cheap. Every replica starts at (0, regime 0),
+    with the chunks and streams of
+    ``run_ensemble(model, n_replicas, seed, t_end=max(t_values))``.
     ``threads`` is ignored; it stays for the callers in ``perfbench/workloads.py``.
     """
     t_max = max(t_values)
 
     def work(size, chunk_seed):
-        taus, _, _ = _run_chunk(model, size, y0, i0, chunk_seed, None, t_max)
+        taus, _, _ = _run_chunk(model, size, 0.0, 0, chunk_seed, None, t_max)
         counts = np.empty((len(t_values), size), dtype=np.int64)
         for j, t in enumerate(t_values):
             counts[j] = count_jumps(taus, t)

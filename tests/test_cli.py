@@ -212,18 +212,36 @@ def test_config_validation_rules():
     ({"tolerances": {"occupation_mean": [1.0]}}, [], "occupation_mean"),
     ({"tolerances": {"occupation_mean": [1.2, 0.8]}}, [], "occupation_mean"),
     ({"model": {"params": [1.0]}}, [], "params"),
+    ({"replicas": 2.7}, [], "replicas"),
+    ({"seed": True}, [], "seed"),
+    ({"grid": {"nodes": 40.9}}, [], "nodes"),
+    ({"horizon": True, "eta_time": 0.5}, [], "horizon"),  # eta_time fits a horizon of 1.0
+    ({"horizon": "20"}, [], "horizon"),
+    ({"chain_burn_in_steps": -3}, [], "chain_burn_in_steps"),
 ], ids=["negative-burn-in", "burn-in-at-horizon", "negative-eta-time", "eta-time-past-horizon",
         "no-occupation-samples", "no-drift-replicas", "no-time-cells", "no-theta-cells",
         "infinite-horizon", "negative-seed", "negative-seed-flag", "zero-grid-y-max",
         "negative-grid-y-max", "nan-grid-y-max", "drift-probes-string", "drift-probes-number",
         "negative-drift-probe", "nan-drift-probe", "no-drift-probes", "cap-string", "cap-list", "range-string",
-        "range-one-entry", "range-reversed", "params-not-object"])
+        "range-one-entry", "range-reversed", "params-not-object", "fractional-replicas",
+        "bool-seed", "fractional-grid-nodes", "bool-horizon", "string-horizon",
+        "negative-chain-burn-in"])
 def test_bad_config_values_exit_2_at_load(tmp_path, capsys, overrides, flags, message):
     cfg = write_config(tmp_path, overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_correspondence_without_chain_steps_exits_2(tmp_path, capsys):
+    # simulate runs a zero-step chain; correspondence has no chain measure then
+    cfg = write_config(tmp_path, {"chain_steps": 0, "chain_burn_in_steps": 0})
+    out = tmp_path / "o"
+    assert main(["correspondence", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: correspondence needs chain_steps >= 1, got 0\n"
+    assert not (out / "distances.json").exists()
 
 
 def readme_config_example() -> dict:

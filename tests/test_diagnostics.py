@@ -16,7 +16,7 @@ from pdmp_lab.diagnostics import (
     verify_drift_empirically,
 )
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard
+from pdmp_lab.hazard import ConstantIntensity
 from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import (
     DeclaredConstants,
@@ -43,7 +43,6 @@ def test_flow_contraction_frozen_flow():
     flow = FrozenFlow()
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="frozen", flow=flow, intensity=intensity,
-                      hazard=CumulativeHazard.for_model(flow, intensity),
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(flow_rate=0.0))
     lip, rate = estimate_flow_contraction(model, np.random.default_rng(1))
@@ -78,7 +77,6 @@ def test_jump_displacement_identity_map():
     flow = FrozenFlow()
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="idmap", flow=flow, intensity=intensity,
-                      hazard=CumulativeHazard.for_model(flow, intensity),
                       jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                           SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(flow_rate=0.0, jump_displacement=0.0))
@@ -115,13 +113,11 @@ def test_ifs_constants_state_dependent_density():
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(
         name="state-dep", flow=flow, intensity=intensity,
-        hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs),
                             SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0, jump_mean_contraction=0.5,
                                    density_lipschitz=0.4, density_overlap=0.6))
-    lw, lp, dp = estimate_ifs_constants(model, np.random.default_rng(8), n_pairs=100,
-                                        n_theta=5000)
+    lw, lp, dp = estimate_ifs_constants(model, np.random.default_rng(8))
     assert lp <= 0.4 + 1e-9  # 2 * 0.2 * sup d/dy [y/(1+y)]
     assert lp > 0.0
     assert dp >= 0.6
@@ -235,7 +231,6 @@ def test_empirical_drift_detects_false_constants():
     flow = FrozenFlow()
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="no-drift", flow=flow, intensity=intensity,
-                      hazard=CumulativeHazard.for_model(flow, intensity),
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(flow_rate=0.0))
     from pdmp_lab.diagnostics import DriftConstants

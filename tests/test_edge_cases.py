@@ -29,7 +29,7 @@ def test_two_regime_uniform_switch_grid():
     grid = build_grid_model(two_regime_model(switching="uniform"), 80)
     # symmetric switching: the fixed point splits regime mass evenly
     from pdmp_lab.grid import power_iteration
-    fp = power_iteration(grid.transition, tol=1e-12)
+    fp = power_iteration(grid.transition)
     m = grid.nodes.size
     assert fp[:m].sum() == pytest.approx(0.5, abs=1e-9)
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pdmp_lab import grid as grid_module
 from pdmp_lab.flows import AffineExpFlow, FrozenFlow
 from pdmp_lab.grid import (
     GRID_NODE_BLOCK,
@@ -15,7 +16,6 @@ from pdmp_lab.grid import (
 )
 from pdmp_lab.hazard import (
     ConstantIntensity,
-    CumulativeHazard,
     SaturatingIntensity,
     quantile_edges,
     survival_horizon,
@@ -97,7 +97,6 @@ def state_dependent_ifs_model():
     switching = SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])
     return ModelSpec(
         name="state-dependent-ifs", flow=flow, intensity=intensity,
-        hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(ifs, switching),
         declared=DeclaredConstants(), y_max=1.0)
 
@@ -119,7 +118,7 @@ def test_blocked_assembly_matches_per_row_reference(model, m):
 
 def test_oracle_reuses_the_build_fixed_point():
     grid = build_grid_model(two_regime_model(), 120)
-    assert np.array_equal(grid.fixed_point, power_iteration(grid.transition, tol=1e-12))
+    assert np.array_equal(grid.fixed_point, power_iteration(grid.transition))
     assert oracle_correspondence(grid).chain_fixed_point is grid.fixed_point
 
 
@@ -146,7 +145,6 @@ def two_node_model():
     intensity = ConstantIntensity(1.0)
     return ModelSpec(
         name="two-node", flow=flow, intensity=intensity,
-        hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.0, 1.0),), probs=(1.0,)),
                             SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0), y_max=1.0)
@@ -186,7 +184,6 @@ def test_switching_rows_are_checked_on_the_grid_nodes():
     stay = lambda y: 1.0 - np.asarray(y, dtype=float) / 20.0  # noqa: E731
     model = ModelSpec(
         name="stay-ramp", flow=flow, intensity=intensity,
-        hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(AdditiveBurstKernel(1.0),
                             SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
         declared=DeclaredConstants(), y_max=15.0)
@@ -209,11 +206,12 @@ def test_factorization_residuals_gene():
     assert fact.residual_weighted <= 1e-6
 
 
-def test_factorization_negative_control_mismatched_horizon():
+def test_factorization_negative_control_mismatched_horizon(monkeypatch):
     # rebuilding only the pre-jump factor with a shorter horizon must break
     # the identity well beyond the tolerance
     grid = build_grid_model(GENE, 100)
-    short = build_grid_model(GENE, 100, t_max=2.0)
+    monkeypatch.setattr(grid_module, "survival_horizon", lambda intensity: 2.0)
+    short = build_grid_model(GENE, 100)
     residual = np.abs(short.pre_jump @ grid.post_jump - grid.transition).max()
     assert residual > 1e-6
 
@@ -283,7 +281,7 @@ def test_grid_refinement_converges_to_mc_law():
     prev_gap = None
     for m in (50, 100, 200, 400):
         grid = build_grid_model(GENE, m)
-        fp = power_iteration(grid.transition, tol=1e-12)
+        fp = power_iteration(grid.transition)
         vec = grid_measure(grid, fp)
         gap = wasserstein1_1d(vec.ys, vec.weights, mu.ys, mu.weights / mu.total_mass)
         if prev_gap is not None:
@@ -295,7 +293,7 @@ def test_grid_refinement_converges_to_mc_law():
         assert abs(grid.mean_location(fp) - 2.0) <= 0.5 * spacing
     assert prev_gap <= 0.03
     grid = build_grid_model(GENE, 400)
-    assert abs(grid.mean_location(power_iteration(grid.transition, tol=1e-12)) - 2.0) <= 0.02
+    assert abs(grid.mean_location(power_iteration(grid.transition)) - 2.0) <= 0.02
 
 
 def test_fixed_point_matches_closed_form_laws():

@@ -3,7 +3,7 @@ import pytest
 
 from pdmp_lab.diagnostics import stability_margin
 from pdmp_lab.flows import AffineExpFlow
-from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard
+from pdmp_lab.hazard import ConstantIntensity
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import (
     DeclaredConstants,
@@ -98,7 +98,6 @@ def switching_window_model(edge, y_max):
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
     intensity = ConstantIntensity(1.0)
     return ModelSpec(name="switching-window", flow=flow, intensity=intensity,
-                     hazard=CumulativeHazard.for_model(flow, intensity),
                      jump=PostJumpKernel(AdditiveBurstKernel(1.0),
                                          SwitchingMatrix([[stay, leave], [0.5, 0.5]])),
                      declared=DeclaredConstants(), y_max=y_max)
@@ -130,6 +129,5 @@ def test_switching_entries_checked_on_the_model_window():
     intensity = ConstantIntensity(1.0)
     with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
         ModelSpec(name="switching-entries", flow=flow, intensity=intensity,
-                  hazard=CumulativeHazard.for_model(flow, intensity),
                   jump=PostJumpKernel(AdditiveBurstKernel(1.0), switching),
                   declared=DeclaredConstants(), y_max=15.0)

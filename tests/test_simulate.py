@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard, invert_holding
+from pdmp_lab.hazard import ConstantIntensity, invert_holding
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model, two_regime_model
 from pdmp_lab import simulate
@@ -34,7 +34,6 @@ def frozen_model(lam=1.0):
     intensity = ConstantIntensity(lam)
     return ModelSpec(
         name="frozen", flow=flow, intensity=intensity,
-        hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0))
 
@@ -208,9 +207,10 @@ def test_ensemble_matches_scalar_chain_in_distribution():
 def test_ensemble_horizon_mode_covers_t_end():
     ens = run_ensemble(GENE, 300, 12, t_end=25.0)
     assert ens.min_horizon >= 25.0
-    occ = occupation_from_ensemble(ens, horizon=25.0, samples_per_replica=40, seed=13)
+    occ = occupation_from_ensemble(ens, horizon=25.0, samples_per_replica=40, seed=13,
+                                   burn_in=0.2 * 25.0)
     assert occ.ys.size == 300 * 40
-    assert (occ.times >= 5.0).all() and (occ.times <= 25.0).all()  # default 20% burn-in
+    assert (occ.times >= 5.0).all() and (occ.times <= 25.0).all()
 
 
 def test_horizon_mode_step_cap_names_slowest_replica(monkeypatch):
@@ -236,6 +236,14 @@ def test_chain_measure_counts_and_normalization():
     mu = chain_measure(ens, 20)
     assert mu.n_atoms == 100 * 40
     assert mu.total_mass == pytest.approx(1.0)
+
+
+def test_chain_measure_rejects_negative_burn_in():
+    # a negative burn-in used to slice off all but the last columns
+    ens = run_ensemble(GENE, 20, 14, n_steps=30)
+    with pytest.raises(ValueError, match="burn_in_steps must be >= 0"):
+        chain_measure(ens, -3)
+    assert chain_measure(ens, 0).n_atoms == 20 * 30
 
 
 def test_jump_count_bound_and_poisson_equality():

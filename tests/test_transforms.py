@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity, CumulativeHazard, SaturatingIntensity
+from pdmp_lab.hazard import ConstantIntensity, SaturatingIntensity
 from pdmp_lab.jumps import FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model
@@ -11,6 +11,7 @@ from pdmp_lab.state import WeightedEmpiricalMeasure, ZeroMassError
 from pdmp_lab.transforms import (
     chain_to_flow_stationary,
     flow_to_chain_stationary,
+    holding_occupation_quadrature,
     holding_occupation_transform,
     weighted_jump_transform,
 )
@@ -33,7 +34,6 @@ def linear_rate_model():
     intensity = SaturatingIntensity(base=1.0, gain=1.0)
     return ModelSpec(
         name="hand", flow=flow, intensity=intensity,
-        hazard=CumulativeHazard.for_model(flow, intensity),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,)),
                             SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(flow_rate=0.0))
@@ -46,9 +46,14 @@ def chain_stationary(model, seed, replicas=2000, steps=120, burn=40):
 
 def expected_holding_times(model, ys):
     """Mean holding time from each (y, 0): the quadrature occupation mass of a unit atom at y."""
-    out, _ = holding_occupation_transform(model, WeightedEmpiricalMeasure.from_samples(ys),
-                                          variant="quadrature")
+    out, _ = holding_occupation_quadrature(model, WeightedEmpiricalMeasure.from_samples(ys))
     return out.weights.reshape(len(ys), -1).sum(axis=1)
+
+
+def repeated(mu, reps):
+    """``mu`` with each atom repeated ``reps`` times at 1/reps of its weight."""
+    return WeightedEmpiricalMeasure(np.repeat(mu.ys, reps), np.repeat(mu.regimes, reps),
+                                    np.repeat(mu.weights, reps) / reps)
 
 
 def test_expected_holding_time_constant_rate():
@@ -74,10 +79,9 @@ def test_occupation_transform_mass_constant_rate():
     lam = 2.0
     m = gene_expression_model(lam=lam)
     mu = WeightedEmpiricalMeasure.from_samples(np.linspace(0, 3, 50)).normalize()
-    quad, rep_q = holding_occupation_transform(m, mu, variant="quadrature")
+    quad, rep_q = holding_occupation_quadrature(m, mu)
     assert rep_q.output_mass == pytest.approx(1.0 / lam, abs=1e-8)
-    mc, rep_m = holding_occupation_transform(m, mu, rng=np.random.default_rng(1),
-                                             samples_per_atom=200)
+    mc, rep_m = holding_occupation_transform(m, repeated(mu, 200), np.random.default_rng(1))
     assert abs(rep_m.output_mass - 1.0 / lam) <= 3 * rep_m.stderr + 1e-12
 
 
@@ -86,12 +90,11 @@ def test_occupation_transform_frozen_flow_point_mass():
     lam = 2.0
     intensity = ConstantIntensity(lam)
     m = ModelSpec(name="frozen", flow=flow, intensity=intensity,
-                  hazard=CumulativeHazard.for_model(flow, intensity),
                   jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                       SwitchingMatrix([[1.0]])),
                   declared=DeclaredConstants(flow_rate=0.0))
     mu = WeightedEmpiricalMeasure.from_samples([2.5])
-    out, rep = holding_occupation_transform(m, mu, variant="quadrature")
+    out, rep = holding_occupation_quadrature(m, mu)
     assert np.allclose(out.ys, 2.5)
     assert rep.output_mass == pytest.approx(1.0 / lam, abs=1e-8)
 
@@ -103,13 +106,11 @@ def test_occupation_transform_zero_mass_rejected():
 
 
 def test_occupation_transform_mc_vs_quadrature_w1():
-    # quadrature variant is the oracle for the sampled variant
+    # the quadrature reference is the oracle for the Monte Carlo transform
     mu = chain_stationary(GENE_SAT, 3, replicas=2000, steps=60, burn=20)
     sub = WeightedEmpiricalMeasure.from_samples(mu.ys[:30_000]).normalize()
-    mc, _ = holding_occupation_transform(GENE_SAT, sub, rng=np.random.default_rng(4),
-                                         samples_per_atom=33)
-    quad, _ = holding_occupation_transform(GENE_SAT, sub, variant="quadrature",
-                                           time_cells=200)
+    mc, _ = holding_occupation_transform(GENE_SAT, repeated(sub, 33), np.random.default_rng(4))
+    quad, _ = holding_occupation_quadrature(GENE_SAT, sub)
     w1 = wasserstein1_1d(mc.ys, mc.weights / mc.total_mass,
                          quad.ys, quad.weights / quad.total_mass)
     assert w1 <= 0.01
