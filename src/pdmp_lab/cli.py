@@ -3,14 +3,13 @@
 Four subcommands (simulate, correspondence, oracle, diagnostics) read one
 JSON config document, run a batch experiment, and write plot-ready CSV/JSON
 files. Outputs are byte-identical for identical (config, seed). Ensembles run
-serially; ``--threads`` and the config key ``threads`` are accepted and
-ignored with one note on stderr. Exit codes: 0 success, 2 config error, 3 a
-declared tolerance or positive-model check failed, 4 a numerical solver
-failed (hazard inversion or thinning hit its iteration cap, a horizon run hit
-its step cap, adaptive quadrature or power iteration did not converge, the
-grid matrices failed their stochasticity, occupation or window-leak check);
-the last prints one ``solver failure: ...`` line to stderr instead of a
-traceback.
+serially; ``--threads`` is accepted and ignored with one note on stderr.
+Exit codes: 0 success, 2 config error, 3 a declared tolerance or
+positive-model check failed, 4 a numerical solver failed (hazard inversion hit
+its iteration cap, a horizon run hit its step cap, adaptive quadrature or
+power iteration did not converge, the grid matrices failed their switching-row,
+stochasticity, occupation or window-leak check); the last prints one
+``solver failure: ...`` line to stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -26,12 +25,17 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .diagnostics import drift_constants, run_assumption_suite, verify_drift_empirically
-from .grid import build_grid_model, check_factorization, oracle_correspondence
+from .grid import GRID_RESIDUAL_TOL, build_grid_model, check_factorization, oracle_correspondence
 from .metrics import measure_distance
 from .models import ModelSpec, build_model
 from .simulate import (ChainEnsemble, OccupationSample, chain_measure, count_jumps,
                        occupation_from_ensemble, run_ensemble)
 from .transforms import chain_to_flow_stationary, flow_to_chain_stationary
+
+ETA_TIME = 2.0
+"""Time at which ``simulate`` histograms the jump counts of the horizon ensemble."""
+OCCUPATION_BURN_IN = 0.2
+"""Share of the horizon cut from the start of each run before occupation sampling."""
 
 
 class ConfigError(ValueError):
@@ -114,36 +118,32 @@ class GridBlock:
     """The ``grid`` object of the matrix oracle; ``y_max`` null is the model's window."""
 
     nodes: int = 200
-    time_cells: int = 2000
-    theta_cells: int = 1000
     y_max: Optional[float] = None
 
     def __post_init__(self):
-        for key, least in (("nodes", 2), ("time_cells", 1), ("theta_cells", 1)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"grid {key} must be at least {least}, got {getattr(self, key)}")
+        if self.nodes < 2:
+            raise ConfigError(f"grid nodes must be at least 2, got {self.nodes}")
         if self.y_max is not None and not self.y_max > 0:
             raise ConfigError("grid y_max must be positive and finite")
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The ``tolerances`` object: ranges [lo, hi] and caps; one left out never fails,
-    except the two grid residual caps."""
+    """The ``tolerances`` object: ranges [lo, hi] and caps >= 0; one left out never fails."""
 
     occupation_mean: tuple[float, float] = (-math.inf, math.inf)
     chain_mean: tuple[float, float] = (-math.inf, math.inf)
     w1_forward_max: float = math.inf
     w1_backward_max: float = math.inf
     w1_roundtrip_max: float = math.inf
-    factorization_max: float = 1e-6
-    correspondence_max: float = 1e-6
 
     def __post_init__(self):
         for f in fields(self):
-            bounds = getattr(self, f.name)
-            if isinstance(bounds, tuple) and not (len(bounds) == 2 and bounds[0] <= bounds[1]):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple) and not (len(value) == 2 and value[0] <= value[1]):
                 raise ConfigError(f"tolerances {f.name} must be [lo, hi] with lo <= hi")
+            if isinstance(value, float) and value < 0:  # a distance never passes below 0
+                raise ConfigError(f"tolerances {f.name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ class ExperimentConfig:
 
     The seed is mandatory: every run must be reproducible. A violated
     tolerance makes the subcommand exit with code 3 after still writing its
-    outputs. ``threads`` is accepted and ignored, with a note on stderr. An
-    unknown key is a config error, so a typo cannot fall back to a default.
+    outputs. An unknown key is a config error, so a typo cannot fall back to a
+    default.
     """
 
     model: ModelBlock
@@ -162,33 +162,21 @@ class ExperimentConfig:
     chain_steps: int = 400
     chain_burn_in_steps: int = 80
     horizon: float = 200.0
-    time_burn_in: Optional[float] = None  # null: 20% of the horizon
     occupation_samples_per_replica: int = 400
     grid: GridBlock = field(default_factory=GridBlock)
-    eta_time: float = 2.0
-    threads: Optional[int] = None
     out_dir: str = "."
     tolerances: Tolerances = field(default_factory=Tolerances)
-    drift_probes: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0)
-    drift_replicas: int = 20_000
 
     def __post_init__(self):
         for key, least in (("seed", 0), ("replicas", 1), ("chain_steps", 0),  # numpy seeds are >= 0
-                           ("chain_burn_in_steps", 0), ("occupation_samples_per_replica", 1),
-                           ("drift_replicas", 1)):
+                           ("chain_burn_in_steps", 0), ("occupation_samples_per_replica", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.chain_burn_in_steps >= self.chain_steps > 0:
             raise ConfigError("chain_burn_in_steps must be below chain_steps")
-        if not self.horizon > 0:
-            raise ConfigError("horizon must be positive and finite")
-        if self.time_burn_in is not None and not 0 <= self.time_burn_in < self.horizon:
-            raise ConfigError("time_burn_in must be >= 0 and below horizon")
-        if not 0 <= self.eta_time <= self.horizon:  # the horizon ensemble must cover eta_time
-            raise ConfigError("eta_time must be >= 0 and at most horizon")
-        # no probes would pass the drift check without checking anything
-        if not (self.drift_probes and min(self.drift_probes) >= 0):
-            raise ConfigError("drift_probes must be a non-empty list of finite locations >= 0")
+        if self.horizon < ETA_TIME:  # the horizon ensemble must cover ETA_TIME
+            raise ConfigError(f"horizon must be at least the jump-count time {ETA_TIME}, "
+                              f"got {self.horizon}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -201,14 +189,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        cfg = _parse_block(cls, raw)
-        if "threads" in raw:
-            print("note: config key 'threads' is ignored; ensembles run serially", file=sys.stderr)
-        return cfg
-
-    @property
-    def burn_in(self) -> float:
-        return 0.2 * self.horizon if self.time_burn_in is None else self.time_burn_in
+        return _parse_block(cls, raw)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -257,7 +238,7 @@ def _simulate_both_routes(
     ens = run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps)
     occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon)
     occ = occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
-                                   (cfg.seed, 3), burn_in=cfg.burn_in)
+                                   (cfg.seed, 3), burn_in=OCCUPATION_BURN_IN * cfg.horizon)
     return ens, occ_ens, occ
 
 
@@ -273,7 +254,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     # every replica of a horizon chunk makes that chunk's step count of jumps
     final_clocks = np.concatenate([taus[:, -1] for taus, _, _ in occ_ens.chunks])
     n_jumps = sum(taus.shape[0] * (taus.shape[1] - 1) for taus, _, _ in occ_ens.chunks)
-    eta_counts = np.concatenate([count_jumps(chunk[0], cfg.eta_time) for chunk in occ_ens.chunks])
+    eta_counts = np.concatenate([count_jumps(chunk[0], ETA_TIME) for chunk in occ_ens.chunks])
     hist = np.bincount(eta_counts, minlength=11)[:11] / eta_counts.size
     summary = {
         "model": model.name,
@@ -282,7 +263,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "occupation_mean": float(occ.ys.mean()),
         "chain_mean": (None if chain is None else chain.mean_location()),
         "jump_rate": float(n_jumps / final_clocks.size / final_clocks.mean()),
-        "eta_time": cfg.eta_time,
+        "eta_time": ETA_TIME,
         "eta_histogram": [float(v) for v in hist],
     }
     failures: list[str] = []
@@ -335,10 +316,9 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
     model = cfg.model.build()
-    grid = build_grid_model(model, cfg.grid.nodes, y_max=cfg.grid.y_max,
-                            time_cells=cfg.grid.time_cells, theta_cells=cfg.grid.theta_cells)
-    fact = check_factorization(grid, tol=cfg.tolerances.factorization_max)
-    corr = oracle_correspondence(grid, tol=cfg.tolerances.correspondence_max)
+    grid = build_grid_model(model, cfg.grid.nodes, y_max=cfg.grid.y_max)
+    fact = check_factorization(grid)
+    corr = oracle_correspondence(grid)
     payload = {
         "model": model.name,
         "grid_nodes": cfg.grid.nodes,
@@ -353,7 +333,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
     failures: list[str] = []
     if not fact.passed:
         failures.append(f"factorization residuals {fact.residual_plain:.3e}/"
-                        f"{fact.residual_weighted:.3e} exceed {fact.tol:.1e}")
+                        f"{fact.residual_weighted:.3e} exceed {GRID_RESIDUAL_TOL:.1e}")
     if not corr.passed:
         failures.append("correspondence residuals exceed tolerance")
     payload["tolerance_failures"] = failures
@@ -369,8 +349,7 @@ def cmd_diagnostics(cfg: ExperimentConfig, out_dir: Path) -> dict:
     payload = {"assumptions": report.to_json(), "model": model.name, "positive": model.positive}
     if report.stability_margin is not None and report.stability_margin > 0:
         constants = drift_constants(model)
-        drift = verify_drift_empirically(model, constants, probe_ys=cfg.drift_probes,
-                                         replicas=cfg.drift_replicas, seed=(cfg.seed, 2))
+        drift = verify_drift_empirically(model, constants, seed=(cfg.seed, 2))
         payload["drift"] = drift.to_json()
         drift_ok = drift.passed
     else:

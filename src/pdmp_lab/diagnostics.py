@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,8 @@ SWITCH_PROBES = 200
 IFS_PAIRS = 300  # location pairs, before coincident ones are dropped
 IFS_THETA_SAMPLES = 20_000  # map indices drawn at each pair
 INTENSITY_SCAN_POINTS = 4000
+DRIFT_PROBES = (0.0, 1.0, 2.0, 4.0, 8.0)  # start locations of the drift check, in regime 0
+DRIFT_REPLICAS = 20_000  # one-step chains at each drift probe
 
 
 @dataclass(frozen=True)
@@ -264,9 +266,9 @@ def intensity_lipschitz_scan(model: ModelSpec) -> float:
 
 def stability_margin(model: ModelSpec) -> float:
     """lambda_low - (flow_lip * jump_contraction * lambda_high + flow_rate)."""
-    d = model.declared
+    lip, rate = model.flow.contraction
     return model.intensity.lower - (
-        d.flow_lipschitz * d.jump_mean_contraction * model.intensity.upper + d.flow_rate)
+        lip * model.declared.jump_mean_contraction * model.intensity.upper + rate)
 
 
 def drift_constants(model: ModelSpec) -> DriftConstants:
@@ -279,11 +281,12 @@ def drift_constants(model: ModelSpec) -> DriftConstants:
     bound (the gap in the denominator closes).
     """
     d = model.declared
+    lip, rate = model.flow.contraction
     lam_low, lam_high = model.intensity.lower, model.intensity.upper
-    gap = lam_low - d.flow_rate
+    gap = lam_low - rate
     if gap <= 0:
         raise ValueError("declared flow rate reaches the lower intensity bound")
-    a = lam_high * d.jump_mean_contraction * d.flow_lipschitz / gap
+    a = lam_high * d.jump_mean_contraction * lip / gap
     b = lam_high * (d.jump_mean_contraction * d.flow_displacement
                     + d.jump_displacement / lam_low)
     return DriftConstants(
@@ -328,17 +331,16 @@ class DriftReport:
         }
 
 
-def verify_drift_empirically(model: ModelSpec, constants: DriftConstants,
-                             probe_ys: Sequence[float], replicas: int, seed) -> DriftReport:
-    """Single-step Monte Carlo check of the drift inequality at probe points in regime 0."""
+def verify_drift_empirically(model: ModelSpec, constants: DriftConstants, seed) -> DriftReport:
+    """Single-step Monte Carlo check of the drift inequality at DRIFT_PROBES in regime 0."""
     anchor = model.declared.anchor
     probes = []
-    for k, y in enumerate(probe_ys):
-        ens = run_ensemble(model, replicas, (seed, k), y0=float(y), i0=0, n_steps=1)
+    for k, y in enumerate(DRIFT_PROBES):
+        ens = run_ensemble(model, DRIFT_REPLICAS, (seed, k), y0=y, i0=0, n_steps=1)
         vals = np.concatenate([np.abs(chunk[1][:, 1] - anchor) for chunk in ens.chunks])
-        gauge = abs(float(y) - anchor)
+        gauge = abs(y - anchor)
         probes.append(DriftProbe(
-            location=float(y), gauge=gauge,
+            location=y, gauge=gauge,
             estimate=float(vals.mean()),
             bound=constants.multiplier * gauge + constants.offset,
             stderr=float(vals.std() / math.sqrt(vals.size))))
@@ -361,19 +363,20 @@ def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
     """
     rng = np.random.default_rng(seed)
     d = model.declared
+    flow_lip, flow_rate = model.flow.contraction
     checks: list[CheckResult] = []
     estimates: dict = {}
 
     lip_hat, rate_hat = estimate_flow_contraction(model, rng)
     estimates["flow_lipschitz"] = lip_hat
     estimates["flow_rate"] = rate_hat
-    envelope_ok = (_consistent_upper(lip_hat, d.flow_lipschitz)
-                   and rate_hat <= d.flow_rate + FLOW_RATE_SLACK)
-    contraction_ok = envelope_ok and d.flow_rate < model.intensity.lower
+    envelope_ok = (_consistent_upper(lip_hat, flow_lip)
+                   and rate_hat <= flow_rate + FLOW_RATE_SLACK)
+    contraction_ok = envelope_ok and flow_rate < model.intensity.lower
     checks.append(CheckResult(
         "flow-contraction", contraction_ok,
         f"estimated (lip, rate) = ({lip_hat:.4g}, {rate_hat:.4g}); "
-        f"declared ({d.flow_lipschitz:.4g}, {d.flow_rate:.4g}); "
+        f"declared ({flow_lip:.4g}, {flow_rate:.4g}); "
         f"rate must stay below {model.intensity.lower:.4g}"))
 
     try:
@@ -421,8 +424,8 @@ def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
     llam_hat = intensity_lipschitz_scan(model)
     estimates["intensity_lipschitz"] = llam_hat
     checks.append(CheckResult(
-        "intensity-lipschitz", _consistent_upper(llam_hat, d.intensity_lipschitz),
-        f"slope scan {llam_hat:.4g} vs declared {d.intensity_lipschitz:.4g}"))
+        "intensity-lipschitz", _consistent_upper(llam_hat, model.intensity.lipschitz),
+        f"slope scan {llam_hat:.4g} vs declared {model.intensity.lipschitz:.4g}"))
 
     if contraction_ok:
         margin = stability_margin(model)
@@ -436,11 +439,11 @@ def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
             "not applicable: flow contraction invalid, no admissible envelope"))
 
     declared = {
-        "flow_lipschitz": d.flow_lipschitz, "flow_rate": d.flow_rate,
+        "flow_lipschitz": flow_lip, "flow_rate": flow_rate,
         "jump_mean_contraction": d.jump_mean_contraction,
         "density_lipschitz": d.density_lipschitz, "density_overlap": d.density_overlap,
         "switch_lipschitz": d.switch_lipschitz, "switch_overlap": d.switch_overlap,
-        "intensity_lipschitz": d.intensity_lipschitz, "anchor": d.anchor,
+        "intensity_lipschitz": model.intensity.lipschitz, "anchor": d.anchor,
         "flow_displacement": d.flow_displacement, "jump_displacement": d.jump_displacement,
     }
     return AssumptionReport(model_name=model.name, estimates=estimates, declared=declared,

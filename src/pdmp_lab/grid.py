@@ -32,9 +32,15 @@ DEFAULT_MASS_TOL = 1e-4
 """Largest stationary mass that jumps may carry out of the location window."""
 POWER_ITERATION_TOL = 1e-12
 """L1 change between successive power-iteration vectors at which the iteration stops."""
+GRID_TIME_CELLS = 2000
+"""Quantile cells of the holding time per grid row."""
+GRID_THETA_CELLS = 1000
+"""Cells of the map-index law per grid row."""
+GRID_RESIDUAL_TOL = 1e-6
+"""Largest factorization and correspondence residual that passes."""
 GRID_NODE_BLOCK = 128
 """Nodes assembled together, and matrix rows per factorization residual block.
-At 2000 time cells one (block, cell) array is 2 MB."""
+At GRID_TIME_CELLS one (block, cell) array is 2 MB."""
 
 
 class GridAssemblyError(RuntimeError, ValueError):
@@ -57,6 +63,8 @@ class ConvergenceError(RuntimeError):
 def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
                     v0: Optional[np.ndarray] = None) -> np.ndarray:
     """Left fixed-point probability vector of a row-stochastic matrix."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     matrix = np.asarray(matrix, dtype=float)
     if np.abs(matrix.sum(axis=1) - 1.0).max() > DEFAULT_ROW_TOL:
         raise ValueError("matrix is not row-stochastic within tolerance")
@@ -114,7 +122,7 @@ def _node_blocks(m: int):
 
 
 def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
-               theta_cells: int, theta_max: float) -> tuple[np.ndarray, np.ndarray]:
+               theta_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Post-jump matrix rows from every (node, regime), plus clipped mass.
 
     For each origin node the map-index law is discretized, the images are
@@ -123,7 +131,7 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     """
     m = nodes.size
     n_states = m * n_regimes
-    quad = model.jump.ifs.discretize(theta_cells, theta_max)
+    quad = model.jump.ifs.discretize(GRID_THETA_CELLS, theta_max)
     k = quad.points.size
     rows = np.zeros((n_states, n_states))
     clipped = np.zeros(n_states)
@@ -152,8 +160,7 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     return rows, clipped
 
 
-def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
-                     time_cells: int = 2000, theta_cells: int = 1000) -> GridModel:
+def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) -> GridModel:
     """Assemble all five matrices; validates stochasticity and window leakage.
 
     The map-index law is discretized on [0, y_max], like the locations. The
@@ -176,11 +183,11 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None,
     n_regimes = model.n_regimes
     n_states = m * n_regimes
     # cell edges on the quantile scale of the slowest admissible clock
-    edges = quantile_edges(model.intensity, time_cells, t_max)
+    edges = quantile_edges(model.intensity, GRID_TIME_CELLS, t_max)
     # each cell's midpoint, then t_max, where the survival tail is placed
     times = np.append(0.5 * (edges[:-1] + edges[1:]), t_max)
 
-    post_jump, leak = _jump_rows(model, nodes, n_regimes, theta_cells, y_max)
+    post_jump, leak = _jump_rows(model, nodes, n_regimes, y_max)
     rate_at = np.asarray(model.intensity(nodes), dtype=float)
     weighted_post_jump = post_jump * np.tile(rate_at, n_regimes)[:, None]
 
@@ -240,16 +247,15 @@ class FactorizationReport:
 
     residual_plain: float
     residual_weighted: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return max(self.residual_plain, self.residual_weighted) <= self.tol
+        return max(self.residual_plain, self.residual_weighted) <= GRID_RESIDUAL_TOL
 
     def to_json(self) -> dict:
         return {"residual_plain": self.residual_plain,
                 "residual_weighted": self.residual_weighted,
-                "tol": self.tol, "passed": self.passed}
+                "tol": GRID_RESIDUAL_TOL, "passed": self.passed}
 
 
 def _max_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> float:
@@ -267,11 +273,11 @@ def _max_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> fl
     return float(worst)
 
 
-def check_factorization(grid: GridModel, tol: float = 1e-6) -> FactorizationReport:
+def check_factorization(grid: GridModel) -> FactorizationReport:
     """Verify pre_jump@post_jump and occupation@weighted_post_jump equal transition."""
     res_plain = _max_residual(grid.pre_jump, grid.post_jump, grid.transition)
     res_weighted = _max_residual(grid.occupation, grid.weighted_post_jump, grid.transition)
-    return FactorizationReport(residual_plain=res_plain, residual_weighted=res_weighted, tol=tol)
+    return FactorizationReport(residual_plain=res_plain, residual_weighted=res_weighted)
 
 
 @dataclass(frozen=True)
@@ -287,12 +293,11 @@ class OracleReport:
     normalizer_product_error: float
     mean_chain: float
     mean_flow: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return (self.residual_flow_invariance <= self.tol
-                and self.residual_chain_roundtrip <= self.tol)
+        return (self.residual_flow_invariance <= GRID_RESIDUAL_TOL
+                and self.residual_chain_roundtrip <= GRID_RESIDUAL_TOL)
 
     def to_json(self) -> dict:
         return {
@@ -303,12 +308,12 @@ class OracleReport:
             "normalizer_product_error": self.normalizer_product_error,
             "mean_chain": self.mean_chain,
             "mean_flow": self.mean_flow,
-            "tol": self.tol,
+            "tol": GRID_RESIDUAL_TOL,
             "passed": self.passed,
         }
 
 
-def oracle_correspondence(grid: GridModel, tol: float = 1e-6) -> OracleReport:
+def oracle_correspondence(grid: GridModel) -> OracleReport:
     """Check both correspondence directions at the matrix level.
 
     From the chain fixed point, the normalized occupation image must be
@@ -337,5 +342,4 @@ def oracle_correspondence(grid: GridModel, tol: float = 1e-6) -> OracleReport:
         normalizer_product_error=product_err,
         mean_chain=grid.mean_location(chain_fp),
         mean_flow=grid.mean_location(flow_vec),
-        tol=tol,
     )

@@ -21,28 +21,24 @@ from .jumps import AdditiveBurstKernel, FiniteAffineIfs, IfsKernel, PostJumpKern
 
 @dataclass(frozen=True)
 class DeclaredConstants:
-    """Analytic constants a model claims for itself.
+    """Analytic constants a model claims for itself, besides the flow's
+    ``contraction`` envelope and the intensity's ``lipschitz`` bound.
 
-    flow_lipschitz / flow_rate:   |S_i(t,u)-S_i(t,v)| <= lipschitz*exp(rate*t)*|u-v|
     jump_mean_contraction:        mean contraction factor of the map family
     density_lipschitz:            L1 modulus of the selection density in y
     density_overlap:              overlap mass of contracting maps for any pair
     switch_lipschitz / overlap:   L1 modulus and minorization of switching rows
-    intensity_lipschitz:          slope bound of the jump rate
     anchor:                       reference location of the drift gauge
     flow_displacement:            discounted drift of the anchor under the flows
     jump_displacement:            mean jump distance seen from the anchor
     flow_gap_time / scale:        bound |S_i(t,y)-S_j(t,y)| <= gap_time(t)*gap_scale(y)
     """
 
-    flow_lipschitz: float = 1.0
-    flow_rate: float = -1.0
     jump_mean_contraction: float = 1.0
     density_lipschitz: float = 0.0
     density_overlap: float = 1.0
     switch_lipschitz: float = 0.0
     switch_overlap: float = 1.0
-    intensity_lipschitz: float = 0.0
     anchor: float = 0.0
     flow_displacement: float = 0.0
     jump_displacement: float = 1.0
@@ -104,14 +100,11 @@ def gene_expression_model(kappa: float = 1.0, burst_mean: float = 1.0,
     else:
         raise ValueError(f"unknown intensity choice {intensity!r}")
     declared = DeclaredConstants(
-        flow_lipschitz=1.0,
-        flow_rate=-kappa,
         jump_mean_contraction=1.0,
         density_lipschitz=0.0,
         density_overlap=1.0,
         switch_lipschitz=0.0,
         switch_overlap=1.0,
-        intensity_lipschitz=rate.lipschitz,
         anchor=0.0,
         flow_displacement=0.0,  # the anchor is a fixed point of the flow
         jump_displacement=burst_mean,
@@ -172,14 +165,11 @@ def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
     # discounted displacement of the anchor: attractor c1 pulls it away
     flow_disp = gap * kappa / (rate.lower * (rate.lower + kappa))
     declared = DeclaredConstants(
-        flow_lipschitz=1.0,
-        flow_rate=-kappa,
         jump_mean_contraction=contraction,
         density_lipschitz=0.0,
         density_overlap=1.0,
         switch_lipschitz=switch_lip,
         switch_overlap=switch_overlap,
-        intensity_lipschitz=0.0,
         anchor=anchor,
         flow_displacement=flow_disp,
         jump_displacement=jump_disp,
@@ -197,8 +187,6 @@ def control_expanding_flow() -> ModelSpec:
     """
     rate = ConstantIntensity(1.0)
     declared = DeclaredConstants(
-        flow_lipschitz=1.0,
-        flow_rate=1.0,
         jump_mean_contraction=1.0,
         jump_displacement=1.0,
         anchor=0.0,
@@ -225,10 +213,7 @@ def control_supercritical() -> ModelSpec:
     kappa = 0.5
     rate = SaturatingIntensity(base=1.0, gain=1.0)  # band [1, 2]
     declared = DeclaredConstants(
-        flow_lipschitz=1.0,
-        flow_rate=-kappa,
         jump_mean_contraction=1.0,
-        intensity_lipschitz=rate.lipschitz,
         anchor=0.0,
         flow_displacement=0.0,
         jump_displacement=1.0,
@@ -249,8 +234,6 @@ def control_degenerate_switching() -> ModelSpec:
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
     rate = ConstantIntensity(1.0)
     declared = DeclaredConstants(
-        flow_lipschitz=1.0,
-        flow_rate=-1.0,
         jump_mean_contraction=0.5,
         switch_lipschitz=0.0,
         switch_overlap=0.0,

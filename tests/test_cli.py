@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from pdmp_lab import cli
 from pdmp_lab import hazard as hazard_module
-from pdmp_lab.cli import ExperimentConfig, ConfigError, main
+from pdmp_lab.cli import ConfigError, ExperimentConfig, GridBlock, main
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.grid import power_iteration
 from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, adaptive_simpson, invert_holding
@@ -22,8 +23,7 @@ BASE_CONFIG = {
     "chain_burn_in_steps": 30,
     "horizon": 60.0,
     "occupation_samples_per_replica": 80,
-    "grid": {"nodes": 80, "time_cells": 600, "theta_cells": 400},
-    "eta_time": 2.0,
+    "grid": {"nodes": 80},
 }
 
 
@@ -88,7 +88,7 @@ def test_oracle_outputs_residuals(tmp_path):
 
 
 def test_diagnostics_positive_model(tmp_path):
-    cfg = write_config(tmp_path, {"drift_replicas": 4000, "drift_probes": [0.0, 2.0, 4.0]})
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["diagnostics", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "diagnostics.json").read_text())
@@ -187,27 +187,17 @@ def test_config_validation_rules():
 
 
 @pytest.mark.parametrize("overrides, flags, message", [
-    ({"time_burn_in": -5.0}, [], "time_burn_in"),
-    ({"time_burn_in": 60.0}, [], "time_burn_in"),
-    ({"eta_time": -1.0}, [], "eta_time"),
-    ({"eta_time": 61.0}, [], "eta_time"),
+    ({"horizon": 1.5}, [], "horizon"),  # the horizon ensemble must cover ETA_TIME = 2.0
     ({"occupation_samples_per_replica": 0}, [], "occupation_samples_per_replica"),
-    ({"drift_replicas": 0}, [], "drift_replicas"),
-    ({"grid": {"time_cells": 0}}, [], "time_cells"),
-    ({"grid": {"theta_cells": 0}}, [], "theta_cells"),
     ({"horizon": float("inf")}, [], "horizon"),
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-1"], "seed"),
     ({"grid": {"y_max": 0.0}}, [], "y_max"),
     ({"grid": {"y_max": -3.0}}, [], "y_max"),
     ({"grid": {"y_max": float("nan")}}, [], "y_max"),
-    ({"drift_probes": "abc"}, [], "drift_probes"),
-    ({"drift_probes": 3.0}, [], "drift_probes"),
-    ({"drift_probes": [-1.0]}, [], "drift_probes"),
-    ({"drift_probes": [0.0, float("nan")]}, [], "drift_probes"),
-    ({"drift_probes": []}, [], "drift_probes"),
     ({"tolerances": {"w1_forward_max": "x"}}, [], "w1_forward_max"),
     ({"tolerances": {"w1_forward_max": [1.0]}}, [], "w1_forward_max"),
+    ({"tolerances": {"w1_forward_max": -1.0}}, [], "w1_forward_max"),
     ({"tolerances": {"occupation_mean": "x"}}, [], "occupation_mean"),
     ({"tolerances": {"occupation_mean": [1.0]}}, [], "occupation_mean"),
     ({"tolerances": {"occupation_mean": [1.2, 0.8]}}, [], "occupation_mean"),
@@ -215,17 +205,29 @@ def test_config_validation_rules():
     ({"replicas": 2.7}, [], "replicas"),
     ({"seed": True}, [], "seed"),
     ({"grid": {"nodes": 40.9}}, [], "nodes"),
-    ({"horizon": True, "eta_time": 0.5}, [], "horizon"),  # eta_time fits a horizon of 1.0
+    ({"horizon": True}, [], "horizon"),
     ({"horizon": "20"}, [], "horizon"),
     ({"chain_burn_in_steps": -3}, [], "chain_burn_in_steps"),
-], ids=["negative-burn-in", "burn-in-at-horizon", "negative-eta-time", "eta-time-past-horizon",
-        "no-occupation-samples", "no-drift-replicas", "no-time-cells", "no-theta-cells",
-        "infinite-horizon", "negative-seed", "negative-seed-flag", "zero-grid-y-max",
-        "negative-grid-y-max", "nan-grid-y-max", "drift-probes-string", "drift-probes-number",
-        "negative-drift-probe", "nan-drift-probe", "no-drift-probes", "cap-string", "cap-list", "range-string",
-        "range-one-entry", "range-reversed", "params-not-object", "fractional-replicas",
-        "bool-seed", "fractional-grid-nodes", "bool-horizon", "string-horizon",
-        "negative-chain-burn-in"])
+    # removed keys: a config that still sets one exits 2 as an unknown key, whatever its value
+    ({"time_burn_in": -5.0}, [], "time_burn_in"),
+    ({"time_burn_in": 60.0}, [], "time_burn_in"),
+    ({"eta_time": -1.0}, [], "eta_time"),
+    ({"drift_replicas": 0}, [], "drift_replicas"),
+    ({"grid": {"time_cells": 0}}, [], "time_cells"),
+    ({"grid": {"theta_cells": 0}}, [], "theta_cells"),
+    ({"drift_probes": "abc"}, [], "drift_probes"),
+    ({"drift_probes": 3.0}, [], "drift_probes"),
+    ({"drift_probes": [-1.0]}, [], "drift_probes"),
+    ({"drift_probes": [0.0, float("nan")]}, [], "drift_probes"),
+    ({"drift_probes": []}, [], "drift_probes"),
+], ids=["eta-time-past-horizon", "no-occupation-samples", "infinite-horizon", "negative-seed",
+        "negative-seed-flag", "zero-grid-y-max", "negative-grid-y-max", "nan-grid-y-max",
+        "cap-string", "cap-list", "negative-cap", "range-string", "range-one-entry",
+        "range-reversed", "params-not-object", "fractional-replicas", "bool-seed",
+        "fractional-grid-nodes", "bool-horizon", "string-horizon", "negative-chain-burn-in",
+        "negative-burn-in", "burn-in-at-horizon", "negative-eta-time", "no-drift-replicas",
+        "no-time-cells", "no-theta-cells", "drift-probes-string", "drift-probes-number",
+        "negative-drift-probe", "nan-drift-probe", "no-drift-probes"])
 def test_bad_config_values_exit_2_at_load(tmp_path, capsys, overrides, flags, message):
     cfg = write_config(tmp_path, overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == 2
@@ -248,6 +250,12 @@ def readme_config_example() -> dict:
     """The JSON block under the README's "Config document" heading."""
     text = (ROOT / "README.md").read_text().split("### Config document", 1)[1]
     return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_example_has_the_declared_keys():
+    example = readme_config_example()
+    assert set(example) == {f.name for f in fields(ExperimentConfig)}
+    assert set(example["grid"]) == {f.name for f in fields(GridBlock)}
 
 
 @pytest.mark.parametrize("source", sorted(p.name for p in (ROOT / "configs").glob("*.json"))
@@ -293,15 +301,14 @@ def test_grid_assembly_failure_exit_4(tmp_path, capsys):
 
 
 def test_thread_settings_are_ignored(tmp_path, monkeypatch, capsys):
-    # --threads and the config key are accepted with one note; PDMP_LAB_THREADS is not read
-    without = write_config(tmp_path, name="without.json")
-    with_threads = write_config(tmp_path, {"threads": 2}, name="with.json")
+    # --threads is accepted with one note; PDMP_LAB_THREADS is not read
+    cfg = write_config(tmp_path)
     files = ["chain.csv", "occupation.csv", "summary.json"]
     monkeypatch.delenv("PDMP_LAB_THREADS", raising=False)
-    runs = {"plain": (without, [], {}), "flag": (without, ["--threads", "4"], {}),
-            "config": (with_threads, [], {}), "env": (without, [], {"PDMP_LAB_THREADS": "3"})}
+    runs = {"plain": ([], {}), "flag": (["--threads", "4"], {}),
+            "env": ([], {"PDMP_LAB_THREADS": "3"})}
     outputs, notes = {}, {}
-    for run, (cfg, extra, env) in runs.items():
+    for run, (extra, env) in runs.items():
         with monkeypatch.context() as m:
             for key, value in env.items():
                 m.setenv(key, value)
@@ -312,7 +319,24 @@ def test_thread_settings_are_ignored(tmp_path, monkeypatch, capsys):
     assert all(outputs[run] == outputs["plain"] for run in runs)
     assert notes["plain"] == notes["env"] == []
     assert notes["flag"] == ["note: --threads is ignored; ensembles run serially"]
-    assert notes["config"] == ["note: config key 'threads' is ignored; ensembles run serially"]
+
+
+# the removed keys, each at a value that used to load (its former default)
+REMOVED_KEYS = {"time_burn_in": None, "eta_time": 2.0, "drift_probes": [0.0, 1.0, 2.0, 4.0, 8.0],
+                "drift_replicas": 20000, "threads": 1, "grid.time_cells": 2000,
+                "grid.theta_cells": 1000, "tolerances.factorization_max": 1e-6,
+                "tolerances.correspondence_max": 1e-6}
+
+
+@pytest.mark.parametrize("path", list(REMOVED_KEYS))
+def test_removed_config_keys_exit_2(tmp_path, capsys, path):
+    block, _, key = path.rpartition(".")
+    setting = {key: REMOVED_KEYS[path]}
+    cfg = write_config(tmp_path, {block: setting} if block else setting)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown key '{key}'") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):

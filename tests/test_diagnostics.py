@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdmp_lab import diagnostics
 from pdmp_lab.diagnostics import (
     drift_constants,
     estimate_flow_contraction,
@@ -44,7 +45,7 @@ def test_flow_contraction_frozen_flow():
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
-                      declared=DeclaredConstants(flow_rate=0.0))
+                      declared=DeclaredConstants())
     lip, rate = estimate_flow_contraction(model, np.random.default_rng(1))
     assert lip == pytest.approx(1.0, abs=1e-9)
     assert rate == pytest.approx(0.0, abs=1e-9)
@@ -79,7 +80,7 @@ def test_jump_displacement_identity_map():
     model = ModelSpec(name="idmap", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                           SwitchingMatrix([[1.0]])),
-                      declared=DeclaredConstants(flow_rate=0.0, jump_displacement=0.0))
+                      declared=DeclaredConstants(jump_displacement=0.0))
     assert jump_displacement_bound(model, np.random.default_rng(4)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -115,8 +116,8 @@ def test_ifs_constants_state_dependent_density():
         name="state-dep", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs),
                             SwitchingMatrix([[1.0]])),
-        declared=DeclaredConstants(flow_rate=0.0, jump_mean_contraction=0.5,
-                                   density_lipschitz=0.4, density_overlap=0.6))
+        declared=DeclaredConstants(jump_mean_contraction=0.5, density_lipschitz=0.4,
+                                   density_overlap=0.6))
     lw, lp, dp = estimate_ifs_constants(model, np.random.default_rng(8))
     assert lp <= 0.4 + 1e-9  # 2 * 0.2 * sup d/dy [y/(1+y)]
     assert lp > 0.0
@@ -215,10 +216,9 @@ def test_drift_constants_reject_closed_gap():
         drift_constants(model)
 
 
-def test_empirical_drift_gene_probes():
-    report = verify_drift_empirically(GENE, drift_constants(GENE),
-                                      probe_ys=(0.0, 1.0, 2.0, 4.0, 8.0),
-                                      replicas=40_000, seed=9)
+def test_empirical_drift_gene_probes(monkeypatch):
+    monkeypatch.setattr(diagnostics, "DRIFT_REPLICAS", 40_000)  # tighter than the default
+    report = verify_drift_empirically(GENE, drift_constants(GENE), seed=9)
     assert report.passed
     probe4 = [p for p in report.probes if p.location == 4.0][0]
     # E[4 e^{-T} + burst] = 4/2 + 1 = 3: the bound is tight here
@@ -232,13 +232,12 @@ def test_empirical_drift_detects_false_constants():
     intensity = ConstantIntensity(1.0)
     model = ModelSpec(name="no-drift", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
-                      declared=DeclaredConstants(flow_rate=0.0))
+                      declared=DeclaredConstants())
     from pdmp_lab.diagnostics import DriftConstants
     false_constants = DriftConstants(multiplier=0.5, offset=1.0, jump_multiplier=1.0,
                                      jump_offset=1.0, flow_displacement=0.0,
                                      jump_displacement=1.0)
-    report = verify_drift_empirically(model, false_constants, probe_ys=(4.0, 8.0),
-                                      replicas=20_000, seed=10)
+    report = verify_drift_empirically(model, false_constants, seed=10)
     assert not report.passed
 
 

@@ -7,6 +7,8 @@ from pdmp_lab import grid as grid_module
 from pdmp_lab.flows import AffineExpFlow, FrozenFlow
 from pdmp_lab.grid import (
     GRID_NODE_BLOCK,
+    GRID_THETA_CELLS,
+    GRID_TIME_CELLS,
     ConvergenceError,
     GridAssemblyError,
     build_grid_model,
@@ -31,7 +33,7 @@ GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
 
 
-def reference_grid(model, m, time_cells, theta_cells):
+def reference_grid(model, m):
     """Brute-force assembly, one (regime, node) row at a time with np.add.at.
 
     The per-row loop build_grid_model used before it worked on node blocks;
@@ -43,10 +45,10 @@ def reference_grid(model, m, time_cells, theta_cells):
     n_regimes = model.n_regimes
     n_states = m * n_regimes
     t_max = survival_horizon(model.intensity)
-    edges = quantile_edges(model.intensity, time_cells, t_max)
+    edges = quantile_edges(model.intensity, GRID_TIME_CELLS, t_max)
     reps = 0.5 * (edges[:-1] + edges[1:])
 
-    quad = model.jump.ifs.discretize(theta_cells, y_max)
+    quad = model.jump.ifs.discretize(GRID_THETA_CELLS, y_max)
     post_jump = np.zeros((n_states, n_states))
     leak = np.zeros(n_states)
     for node in range(m):
@@ -108,8 +110,8 @@ def state_dependent_ifs_model():
     (GENE, GRID_NODE_BLOCK),
 ], ids=["gene-saturating", "two-regime-ramp", "state-dependent-ifs", "gene-one-full-block"])
 def test_blocked_assembly_matches_per_row_reference(model, m):
-    grid = build_grid_model(model, m, time_cells=400, theta_cells=300)
-    ref = reference_grid(model, m, time_cells=400, theta_cells=300)
+    grid = build_grid_model(model, m)
+    ref = reference_grid(model, m)
     for name in ("pre_jump", "post_jump", "occupation", "weighted_post_jump"):
         assert np.array_equal(getattr(grid, name), ref[name]), name
     assert np.abs(grid.transition - ref["transition"]).max() <= 1e-15
@@ -132,7 +134,7 @@ def test_blocked_residuals_equal_unblocked_expression():
         assert fact.residual_plain == float(np.abs(g.pre_jump @ g.post_jump - g.transition).max())
         assert fact.residual_weighted == float(
             np.abs(g.occupation @ g.weighted_post_jump - g.transition).max())
-    fact = check_factorization(planted, tol=1e-6)
+    fact = check_factorization(planted)
     assert fact.residual_plain == pytest.approx(3e-7, rel=1e-6) and fact.passed
     transition[3, 0] = np.nan
     assert not check_factorization(planted).passed
@@ -147,14 +149,14 @@ def two_node_model():
         name="two-node", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.0, 1.0),), probs=(1.0,)),
                             SwitchingMatrix([[1.0]])),
-        declared=DeclaredConstants(flow_rate=0.0), y_max=1.0)
+        declared=DeclaredConstants(), y_max=1.0)
 
 
 def test_two_node_transition_row():
-    grid = build_grid_model(two_node_model(), 2, y_max=1.0, time_cells=16, theta_cells=4)
+    grid = build_grid_model(two_node_model(), 2, y_max=1.0)
     assert np.allclose(grid.transition, [[0.0, 1.0], [0.0, 1.0]])
-    fact = check_factorization(grid, tol=1e-12)
-    assert fact.passed
+    fact = check_factorization(grid)
+    assert fact.residual_plain <= 1e-12 and fact.residual_weighted <= 1e-12
 
 
 def test_row_sums_are_stochastic():
@@ -187,10 +189,10 @@ def test_switching_rows_are_checked_on_the_grid_nodes():
         jump=PostJumpKernel(AdditiveBurstKernel(1.0),
                             SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
         declared=DeclaredConstants(), y_max=15.0)
-    grid = build_grid_model(model, 120, time_cells=400, theta_cells=300)
+    grid = build_grid_model(model, 120)
     assert grid.post_jump.min() >= 0.0
     with pytest.raises(GridAssemblyError, match=r"y_max=30: switching entries must lie in"):
-        build_grid_model(model, 120, y_max=30.0, time_cells=400, theta_cells=300)
+        build_grid_model(model, 120, y_max=30.0)
 
 
 def test_assembly_failures_are_solver_errors():
@@ -201,7 +203,7 @@ def test_assembly_failures_are_solver_errors():
 
 def test_factorization_residuals_gene():
     grid = build_grid_model(GENE_SAT, 200)
-    fact = check_factorization(grid, tol=1e-6)
+    fact = check_factorization(grid)
     assert fact.residual_plain <= 1e-6
     assert fact.residual_weighted <= 1e-6
 
@@ -243,6 +245,11 @@ def test_power_iteration_non_convergence_reports_residual():
     assert exc.value.residual > 0
 
 
+def test_power_iteration_rejects_no_iterations():
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        power_iteration(np.array([[0.5, 0.5], [0.5, 0.5]]), max_iter=0)
+
+
 def test_gene_fixed_point_moments():
     grid = build_grid_model(GENE, 400)
     report = oracle_correspondence(grid)
@@ -252,7 +259,7 @@ def test_gene_fixed_point_moments():
 
 def test_oracle_correspondence_residuals():
     grid = build_grid_model(GENE_SAT, 200)
-    report = oracle_correspondence(grid, tol=1e-6)
+    report = oracle_correspondence(grid)
     assert report.residual_flow_invariance <= 1e-6
     assert report.residual_chain_roundtrip <= 1e-6
     assert report.normalizer_product_error <= 1e-8
@@ -269,9 +276,9 @@ def test_oracle_constant_rate_normalizers():
 
 def test_two_regime_grid_correspondence():
     grid = build_grid_model(two_regime_model(), 120)
-    fact = check_factorization(grid, tol=1e-6)
+    fact = check_factorization(grid)
     assert fact.passed
-    report = oracle_correspondence(grid, tol=1e-6)
+    report = oracle_correspondence(grid)
     assert report.passed
 
 

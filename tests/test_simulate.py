@@ -9,7 +9,7 @@ from pdmp_lab.hazard import ConstantIntensity, invert_holding
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model, two_regime_model
 from pdmp_lab import simulate
-from pdmp_lab.cli import main as cli_main
+from pdmp_lab.cli import ETA_TIME, main as cli_main
 from pdmp_lab.simulate import (
     REPLICA_CHUNK,
     ChainEnsemble,
@@ -35,7 +35,7 @@ def frozen_model(lam=1.0):
     return ModelSpec(
         name="frozen", flow=flow, intensity=intensity,
         jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
-        declared=DeclaredConstants(flow_rate=0.0))
+        declared=DeclaredConstants())
 
 
 def one_chunk(model, taus, ys, regimes):
@@ -314,11 +314,11 @@ def test_trajectory_csv_round_trip(tmp_path):
 def test_eta_histogram_counts_jumps_of_the_horizon_ensemble(tmp_path):
     config = {"model": {"name": "gene-saturating"}, "seed": 22, "replicas": 600,
               "chain_steps": 10, "chain_burn_in_steps": 2, "horizon": 8.0,
-              "occupation_samples_per_replica": 5, "eta_time": 1.5}
+              "occupation_samples_per_replica": 5}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     ens = run_ensemble(GENE_SAT, 600, (22, 2), t_end=8.0)
-    counts = np.concatenate([count_jumps(taus, 1.5) for taus, _, _ in ens.chunks])
+    counts = np.concatenate([count_jumps(taus, ETA_TIME) for taus, _, _ in ens.chunks])
     assert summary["eta_histogram"] == (np.bincount(counts, minlength=11)[:11] / 600).tolist()

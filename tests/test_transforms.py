@@ -36,7 +36,7 @@ def linear_rate_model():
         name="hand", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,)),
                             SwitchingMatrix([[1.0]])),
-        declared=DeclaredConstants(flow_rate=0.0))
+        declared=DeclaredConstants())
 
 
 def chain_stationary(model, seed, replicas=2000, steps=120, burn=40):
@@ -92,7 +92,7 @@ def test_occupation_transform_frozen_flow_point_mass():
     m = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                   jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                       SwitchingMatrix([[1.0]])),
-                  declared=DeclaredConstants(flow_rate=0.0))
+                  declared=DeclaredConstants())
     mu = WeightedEmpiricalMeasure.from_samples([2.5])
     out, rep = holding_occupation_quadrature(m, mu)
     assert np.allclose(out.ys, 2.5)
