@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -215,6 +215,15 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write("".join([row.format(*cells) for cells in block]))
 
 
+def _finish(path: Path, payload: dict, failures: list[str]) -> dict:
+    """Write ``payload`` with its ``tolerance_failures``, then raise ToleranceFailure if any."""
+    payload["tolerance_failures"] = failures
+    _write_json(path, payload)
+    if failures:
+        raise ToleranceFailure("; ".join(failures))
+    return payload
+
+
 def _check_range(tolerances: Tolerances, key: str, value: float, failures: list[str]) -> None:
     lo, hi = getattr(tolerances, key)
     if not lo <= value <= hi:
@@ -270,11 +279,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _check_range(cfg.tolerances, "occupation_mean", summary["occupation_mean"], failures)
     if chain is not None:
         _check_range(cfg.tolerances, "chain_mean", summary["chain_mean"], failures)
-    summary["tolerance_failures"] = failures
-    _write_json(out_dir / "summary.json", summary)
-    if failures:
-        raise ToleranceFailure("; ".join(failures))
-    return summary
+    return _finish(out_dir / "summary.json", summary, failures)
 
 
 def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -296,9 +301,9 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     payload = {
         "model": model.name,
         "seed": cfg.seed,
-        "forward": forward.to_json(),
-        "backward": backward.to_json(),
-        "roundtrip": roundtrip.to_json(),
+        "forward": asdict(forward),
+        "backward": asdict(backward),
+        "roundtrip": asdict(roundtrip),
         "normalizer_to_flow": rep_f.normalizer,
         "normalizer_to_chain": rep_b.normalizer,
         "normalizer_product": rep_f.normalizer * rep_b.normalizer,
@@ -307,11 +312,7 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _check_max(cfg.tolerances, "w1_forward_max", forward.combined, failures)
     _check_max(cfg.tolerances, "w1_backward_max", backward.combined, failures)
     _check_max(cfg.tolerances, "w1_roundtrip_max", roundtrip.combined, failures)
-    payload["tolerance_failures"] = failures
-    _write_json(out_dir / "distances.json", payload)
-    if failures:
-        raise ToleranceFailure("; ".join(failures))
-    return payload
+    return _finish(out_dir / "distances.json", payload, failures)
 
 
 def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -336,11 +337,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
                         f"{fact.residual_weighted:.3e} exceed {GRID_RESIDUAL_TOL:.1e}")
     if not corr.passed:
         failures.append("correspondence residuals exceed tolerance")
-    payload["tolerance_failures"] = failures
-    _write_json(out_dir / "oracle.json", payload)
-    if failures:
-        raise ToleranceFailure("; ".join(failures))
-    return payload
+    return _finish(out_dir / "oracle.json", payload, failures)
 
 
 def cmd_diagnostics(cfg: ExperimentConfig, out_dir: Path) -> dict:

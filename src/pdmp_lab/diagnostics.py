@@ -10,7 +10,7 @@ treated as the bound being claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,6 @@ from .simulate import run_ensemble
 ESTIMATE_RTOL = 0.05
 FLOW_RATE_SLACK = 1e-9
 """Excess of the fitted contraction rate over the declared one that still passes."""
-QUAD_TOL = 1e-10
-"""Absolute tolerance of the adaptive-Simpson time integrals of the flow checks."""
 # Sample sizes of the estimators; probe locations are evenly spaced over the model window.
 FLOW_CONTRACTION_PAIRS = 2000
 FLOW_CONTRACTION_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -53,16 +51,6 @@ class DriftConstants:
     jump_offset: float
     flow_displacement: float
     jump_displacement: float
-
-    def to_json(self) -> dict:
-        return {
-            "multiplier": self.multiplier,
-            "offset": self.offset,
-            "jump_multiplier": self.jump_multiplier,
-            "jump_offset": self.jump_offset,
-            "flow_displacement": self.flow_displacement,
-            "jump_displacement": self.jump_displacement,
-        }
 
 
 @dataclass(frozen=True)
@@ -163,7 +151,7 @@ def flow_displacement_integral(model: ModelSpec) -> float:
     for i in range(model.n_regimes):
         val = adaptive_simpson(
             lambda t: math.exp(-lam_low * t) * abs(float(model.flow.evaluate(i, t, anchor)) - anchor),
-            0.0, t_max, QUAD_TOL)
+            0.0, t_max)
         best = max(best, val)
     return best
 
@@ -251,7 +239,7 @@ def check_flow_gap(model: ModelSpec, rng: np.random.Generator) -> CheckResult:
     t_max = survival_horizon(model.intensity)
     integral = adaptive_simpson(
         lambda t: math.exp(-lam_low * t) * float(model.declared.flow_gap_time(np.array([t]))[0]),
-        0.0, t_max, QUAD_TOL)
+        0.0, t_max)
     if not math.isfinite(integral):
         return CheckResult("flow-gap", False, "discounted gap integral diverges")
     return CheckResult("flow-gap", True, f"discounted gap integral {integral:.6g}")
@@ -321,7 +309,7 @@ class DriftReport:
 
     def to_json(self) -> dict:
         return {
-            "constants": self.constants.to_json(),
+            "constants": asdict(self.constants),
             "probes": [
                 {"location": p.location, "regime": 0, "gauge": p.gauge,
                  "estimate": p.estimate, "bound": p.bound, "stderr": p.stderr, "ok": p.ok}
@@ -438,13 +426,8 @@ def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
             "stability-margin", None,
             "not applicable: flow contraction invalid, no admissible envelope"))
 
-    declared = {
-        "flow_lipschitz": flow_lip, "flow_rate": flow_rate,
-        "jump_mean_contraction": d.jump_mean_contraction,
-        "density_lipschitz": d.density_lipschitz, "density_overlap": d.density_overlap,
-        "switch_lipschitz": d.switch_lipschitz, "switch_overlap": d.switch_overlap,
-        "intensity_lipschitz": model.intensity.lipschitz, "anchor": d.anchor,
-        "flow_displacement": d.flow_displacement, "jump_displacement": d.jump_displacement,
-    }
+    declared = {f.name: getattr(d, f.name) for f in fields(d) if not callable(getattr(d, f.name))}
+    declared.update(flow_lipschitz=flow_lip, flow_rate=flow_rate,
+                    intensity_lipschitz=model.intensity.lipschitz)
     return AssumptionReport(model_name=model.name, estimates=estimates, declared=declared,
                             checks=tuple(checks), stability_margin=margin)

@@ -131,29 +131,25 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     """
     m = nodes.size
     n_states = m * n_regimes
-    quad = model.jump.ifs.discretize(GRID_THETA_CELLS, theta_max)
-    k = quad.points.size
+    points, masses = model.jump.ifs.discretize(GRID_THETA_CELLS, theta_max, nodes)
+    k = points.size
     rows = np.zeros((n_states, n_states))
     clipped = np.zeros(n_states)
     spacing = nodes[1] - nodes[0]
     for blk in _node_blocks(m):
         ys = nodes[blk]
         b = ys.size
-        if quad.state_independent:
-            masses = np.broadcast_to(quad.masses_at(ys[0]), (b, k))
-        else:
-            masses = np.stack([quad.masses_at(y) for y in ys])
-        images = np.asarray(model.jump.ifs.apply(quad.points[None, :], ys[:, None]), dtype=float)
+        images = np.asarray(model.jump.ifs.apply(points[None, :], ys[:, None]), dtype=float)
         idx = np.clip(np.round(images / spacing).astype(np.int64), 0, m - 1)
         out_of_window = (images > nodes[-1] + 0.5 * spacing) | (images < nodes[0] - 0.5 * spacing)
-        leak = np.where(out_of_window, masses, 0.0).sum(axis=1)
+        leak = np.where(out_of_window, masses[blk], 0.0).sum(axis=1)
         switch = model.jump.switching.rows_at(nodes[idx.ravel()]).reshape(b, k, n_regimes, n_regimes)
         # bin of (row r, target regime j, theta): r*n_states + j*m + idx; the
         # flat (r, j, theta) order adds each bin's terms in theta order
         bins = (np.arange(b)[:, None, None] * n_states + np.arange(n_regimes)[None, :, None] * m
                 + idx[:, None, :]).ravel()
         for i in range(n_regimes):
-            weights = masses[:, None, :] * switch[:, :, i, :].transpose(0, 2, 1)
+            weights = masses[blk, None, :] * switch[:, :, i, :].transpose(0, 2, 1)
             rows[i * m + blk.start: i * m + blk.stop] = np.bincount(
                 bins, weights.ravel(), minlength=b * n_states).reshape(b, n_states)
             clipped[i * m + blk.start: i * m + blk.stop] = leak

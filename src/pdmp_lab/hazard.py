@@ -22,8 +22,10 @@ HOLDING_NEWTON_MAX_ITER = 100
 HOLDING_NEWTON_BLOCK = 8192
 """Atoms solved together. Bounds the scratch memory, and the passes over atoms
 that converged before the slowest atom of their block."""
-HAZARD_QUAD_TOL = 1e-10
-"""Absolute tolerance of the adaptive-Simpson hazard, used when no closed form is registered."""
+QUAD_TOL = 1e-10
+"""Absolute tolerance of adaptive Simpson: hazards with no closed form, diagnostic integrals."""
+QUAD_MAX_DEPTH = 48
+"""Bisection depth at which adaptive Simpson gives up."""
 SURVIVAL_TAIL_EPS = 1e-12
 """Survival mass below which a holding-time tail is truncated."""
 THINNING_MAX_ROUNDS = 10_000
@@ -93,9 +95,8 @@ class SaturatingIntensity(Intensity):
         return self.base + self.gain * y / (1.0 + y)
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature with Richardson acceptance test."""
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature to QUAD_TOL with Richardson acceptance test."""
     if b < a:
         raise ValueError("integration bounds out of order")
     if b == a:
@@ -124,7 +125,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH)
 
 
 def closed_form_hazard(flow: Semiflow, intensity: Intensity):
@@ -135,14 +136,13 @@ def closed_form_hazard(flow: Semiflow, intensity: Intensity):
     once, so a root finder that evaluates many times t per start pays for it
     once; the inner callable broadcasts t against the start arrays.
     """
-    if isinstance(intensity, ConstantIntensity):
-        rate = intensity.rate
+    if isinstance(intensity, ConstantIntensity) or isinstance(flow, FrozenFlow):
+        def path_constant_hazard(i, y):
+            # the rate does not change along the path: H = lambda(y) * t
+            rate = intensity(y)
+            return lambda t: rate * np.asarray(t, dtype=float)
 
-        def const_hazard(i, y):
-            y = np.asarray(y, dtype=float)
-            return lambda t: np.broadcast_arrays(rate * np.asarray(t, dtype=float), y)[0].copy()
-
-        return const_hazard
+        return path_constant_hazard
     if isinstance(intensity, SaturatingIntensity) and isinstance(flow, AffineExpFlow):
         base, gain = intensity.base, intensity.gain
 
@@ -163,12 +163,6 @@ def closed_form_hazard(flow: Semiflow, intensity: Intensity):
             return hazard
 
         return saturating_hazard
-    if isinstance(intensity, SaturatingIntensity) and isinstance(flow, FrozenFlow):
-        def frozen_hazard(i, y):
-            rate = intensity(y)
-            return lambda t: rate * np.asarray(t, dtype=float)
-
-        return frozen_hazard
     return None
 
 
@@ -177,7 +171,7 @@ class CumulativeHazard:
     """Cumulative hazard H(y, i, t) of the holding-time law along the flow.
 
     Uses the exact antiderivative when one is registered for the
-    flow/intensity pair, otherwise adaptive Simpson at HAZARD_QUAD_TOL. The
+    flow/intensity pair, otherwise adaptive Simpson at QUAD_TOL. The
     regime ``i`` is an int or an int array broadcasting with ``t`` and ``y``.
     """
 
@@ -210,8 +204,7 @@ class CumulativeHazard:
             yv, iv = float(yb[idx]), int(ib[idx])
             out[idx] = adaptive_simpson(
                 lambda h: float(self.intensity(self.flow.evaluate(iv, h, yv))),
-                0.0, float(tb[idx]), HAZARD_QUAD_TOL,
-            )
+                0.0, float(tb[idx]))
         if out.shape == ():
             return float(out)
         return out

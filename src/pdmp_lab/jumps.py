@@ -10,28 +10,11 @@ order is fixed here on purpose: it is easy to get wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ThetaQuadrature:
-    """Discretized conditional theta-law for grid assembly.
-
-    ``points`` are representative theta values; ``masses_at(y)`` returns the
-    conditional probability mass of each cell given pre-jump location y
-    (summing to ~1).
-    """
-
-    points: np.ndarray
-    _masses: Callable[[float], np.ndarray]
-    state_independent: bool = False
-
-    def masses_at(self, y: float) -> np.ndarray:
-        return self._masses(y)
 
 
 class IfsKernel:
@@ -52,7 +35,10 @@ class IfsKernel:
         """Mass of min(p(u), p(v)) on thetas contracting the pair (u, v)."""
         raise NotImplementedError
 
-    def discretize(self, n_cells: int, theta_max: float) -> ThetaQuadrature:
+    def discretize(self, n_cells: int, theta_max: float,
+                   ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Representative thetas (k,) and the cell masses of the theta law at each pre-jump
+        location of ``ys`` (len(ys), k); a law that ignores the location is broadcast."""
         raise NotImplementedError
 
 
@@ -82,13 +68,14 @@ class AdditiveBurstKernel(IfsKernel):
     def overlap_on(self, u: float, v: float, mean_contraction: float) -> float:
         return 1.0 if mean_contraction >= 1.0 else 0.0
 
-    def discretize(self, n_cells: int, theta_max: float) -> ThetaQuadrature:
+    def discretize(self, n_cells: int, theta_max: float,
+                   ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         edges = np.linspace(0.0, theta_max, n_cells + 1)
         reps = 0.5 * (edges[:-1] + edges[1:])
         cdf = -np.expm1(-edges / self.mean)
         masses = np.diff(cdf)
         masses[-1] += np.exp(-edges[-1] / self.mean)  # fold the tail into the last cell
-        return ThetaQuadrature(points=reps, _masses=lambda y, m=masses: m, state_independent=True)
+        return reps, np.broadcast_to(masses, (len(ys), n_cells))
 
 
 @dataclass(frozen=True)
@@ -148,13 +135,12 @@ class FiniteAffineIfs(IfsKernel):
         )
         return float(np.minimum(pu, pv)[contracting].sum())
 
-    def discretize(self, n_cells: int, theta_max: float) -> ThetaQuadrature:
+    def discretize(self, n_cells: int, theta_max: float,
+                   ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = np.arange(len(self.maps))
         if self.probs is None or not callable(self.probs):
-            masses = self._prob_vector(0.0)
-            return ThetaQuadrature(points=points, _masses=lambda y, m=masses: m,
-                                   state_independent=True)
-        return ThetaQuadrature(points=points, _masses=lambda y: self._prob_vector(y))
+            return points, np.broadcast_to(self._prob_vector(0.0), (len(ys), points.size))
+        return points, np.stack([self._prob_vector(y) for y in ys])
 
 
 class SwitchingMatrix:

@@ -111,14 +111,6 @@ class DistanceReport:
     combined: float
     bl_lower: float
 
-    def to_json(self) -> dict:
-        return {
-            "per_regime_w1": {str(k): v for k, v in sorted(self.per_regime_w1.items())},
-            "regime_mass_gap": self.regime_mass_gap,
-            "combined": self.combined,
-            "bl_lower": self.bl_lower,
-        }
-
 
 def measure_distance(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
                      n_regimes: int) -> DistanceReport:

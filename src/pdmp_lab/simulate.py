@@ -104,9 +104,9 @@ def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
     ys = np.full(size, float(y0))
     regimes = np.full(size, int(i0), dtype=np.int64)
     taus = np.zeros(size)
-    ys_hist = [ys.copy()]
-    regimes_hist = [regimes.copy()]
-    taus_hist = [taus.copy()]
+    ys_hist = [ys]
+    regimes_hist = [regimes]
+    taus_hist = [taus]
     horizon_mode = n_steps is None
     cap = horizon_step_cap(model.intensity.upper * t_end) if horizon_mode else n_steps
     for _ in range(cap):
@@ -114,9 +114,9 @@ def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
             break
         dts, ys, regimes = chain_step(model, ys, regimes, rng)
         taus = taus + dts
-        ys_hist.append(ys.copy())
-        regimes_hist.append(regimes.copy())
-        taus_hist.append(taus.copy())
+        ys_hist.append(ys)
+        regimes_hist.append(regimes)
+        taus_hist.append(taus)
     else:
         if horizon_mode and float(taus.min()) < t_end:
             slow = int(np.argmin(taus))

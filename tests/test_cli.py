@@ -11,6 +11,7 @@ from pdmp_lab.cli import ConfigError, ExperimentConfig, GridBlock, main
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.grid import power_iteration
 from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, adaptive_simpson, invert_holding
+from pdmp_lab.models import DeclaredConstants
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,6 +95,11 @@ def test_diagnostics_positive_model(tmp_path):
     payload = json.loads((out / "diagnostics.json").read_text())
     assert payload["assumptions"]["passed"] is True
     assert payload["drift"]["passed"] is True
+    # the declared block: every plain DeclaredConstants field plus the flow and rate bounds
+    plain = {f.name for f in fields(DeclaredConstants)
+             if not callable(getattr(DeclaredConstants(), f.name))}
+    assert set(payload["assumptions"]["declared"]) == plain | {
+        "flow_lipschitz", "flow_rate", "intensity_lipschitz"}
 
 
 def test_diagnostics_negative_control_reports_without_failing(tmp_path):
@@ -343,10 +349,12 @@ def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     out = ["--out", str(tmp_path / "o")]
     monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(hazard_module, "QUAD_TOL", 1e-14)
+    monkeypatch.setattr(hazard_module, "QUAD_MAX_DEPTH", 3)
     wide = CumulativeHazard.for_model(AffineExpFlow(), SaturatingIntensity(base=1.0, gain=1.0))
     solvers = (lambda: power_iteration(np.array([[0.5, 0.5], [0.9, 0.1]]), max_iter=1),
                lambda: invert_holding(wide, 0, np.array([2.5]), np.array([3.0])),
-               lambda: adaptive_simpson(lambda t: abs(t) ** 0.5, -1.0, 1.0, 1e-14, max_depth=3))
+               lambda: adaptive_simpson(lambda t: abs(t) ** 0.5, -1.0, 1.0))
     for solve in solvers:
         monkeypatch.setitem(cli.COMMANDS, "oracle", lambda cfg, out_dir, solve=solve: solve())
         assert main(["oracle", "--config", str(cfg)] + out) == 4

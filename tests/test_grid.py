@@ -48,13 +48,13 @@ def reference_grid(model, m):
     edges = quantile_edges(model.intensity, GRID_TIME_CELLS, t_max)
     reps = 0.5 * (edges[:-1] + edges[1:])
 
-    quad = model.jump.ifs.discretize(GRID_THETA_CELLS, y_max)
+    points, node_masses = model.jump.ifs.discretize(GRID_THETA_CELLS, y_max, nodes)
     post_jump = np.zeros((n_states, n_states))
     leak = np.zeros(n_states)
     for node in range(m):
         y = nodes[node]
-        masses = quad.masses_at(y)
-        images = np.asarray(model.jump.ifs.apply(quad.points, y), dtype=float)
+        masses = node_masses[node]
+        images = np.asarray(model.jump.ifs.apply(points, y), dtype=float)
         idx = np.clip(np.round(images / spacing).astype(np.int64), 0, m - 1)
         out_of_window = (images > nodes[-1] + 0.5 * spacing) | (images < nodes[0] - 0.5 * spacing)
         switch = model.jump.switching.rows_at(nodes[idx])

@@ -177,9 +177,10 @@ def test_inversion_detects_invalid_rate_bounds():
         invert_holding(bad, 0, np.array([1.0]), np.array([2.0]))
 
 
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-10)
-    assert adaptive_simpson(lambda t: math.exp(-t), 0.0, 30.0, 1e-12) == pytest.approx(1.0, abs=1e-10)
+def test_adaptive_simpson_known_integrals(monkeypatch):
+    monkeypatch.setattr(hazard_module, "QUAD_TOL", 1e-12)
+    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+    assert adaptive_simpson(lambda t: math.exp(-t), 0.0, 30.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_regime_array_matches_per_regime_calls():

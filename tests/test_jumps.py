@@ -71,10 +71,11 @@ def test_jump_displacement_from_anchor():
 
 def test_density_normalization_over_quadrature():
     kernel = AdditiveBurstKernel(mean=1.0)
-    quad = kernel.discretize(1000, 15.0)
     rng = np.random.default_rng(6)
-    for y in rng.uniform(0, 15, 1000):
-        assert quad.masses_at(y).sum() == pytest.approx(1.0, abs=1e-12)
+    _, masses = kernel.discretize(1000, 15.0, rng.uniform(0, 15, 1000))
+    assert masses.shape == (1000, 1000)
+    for row in masses:
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_switching_single_regime():

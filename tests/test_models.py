@@ -3,7 +3,7 @@ import pytest
 
 from pdmp_lab.diagnostics import stability_margin
 from pdmp_lab.flows import AffineExpFlow
-from pdmp_lab.hazard import ConstantIntensity
+from pdmp_lab.hazard import ConstantIntensity, Intensity
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import (
     DeclaredConstants,
@@ -15,6 +15,8 @@ from pdmp_lab.models import (
     gene_expression_model,
     two_regime_model,
 )
+
+from test_flows import QuadraticDriftFlow
 
 
 def test_gene_margin_constant_rate():
@@ -131,3 +133,25 @@ def test_switching_entries_checked_on_the_model_window():
         ModelSpec(name="switching-entries", flow=flow, intensity=intensity,
                   jump=PostJumpKernel(AdditiveBurstKernel(1.0), switching),
                   declared=DeclaredConstants(), y_max=15.0)
+
+
+class NoSlopeIntensity(Intensity):
+    """A bounded rate that declares no Lipschitz bound."""
+
+    lower, upper = 1.0, 2.0
+
+    def __call__(self, y):
+        return 1.0 + np.abs(np.sin(np.asarray(y, dtype=float)))
+
+
+@pytest.mark.parametrize("flow, intensity, message", [
+    (QuadraticDriftFlow(), ConstantIntensity(1.0),
+     "flow QuadraticDriftFlow has no contraction envelope"),
+    (AffineExpFlow(), NoSlopeIntensity(), "intensity NoSlopeIntensity has no Lipschitz bound"),
+], ids=["flow", "intensity"])
+def test_model_without_declared_bounds_fails_at_build(flow, intensity, message):
+    # the assumption suite needs both bounds, so such a model is rejected when built
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(name="no-bounds", flow=flow, intensity=intensity,
+                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+                  declared=DeclaredConstants())
