@@ -66,7 +66,8 @@ class AffineExpFlow(Semiflow):
         object.__setattr__(self, "anchor_of", np.array(self.anchors, dtype=float))
 
     def evaluate(self, i, t, y):
-        # written as y*decay + c*(1-decay) so S(0, y) returns y exactly
+        # written as y*decay + c*(1-decay) so S(0, y) returns y exactly;
+        # hazard._hazard_and_slope repeats this expression for the Newton slope
         t = self._checked_time(i, t)
         c = self.anchor_of[i]
         decay = np.exp(-self.rate_of[i] * t)

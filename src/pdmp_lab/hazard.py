@@ -144,26 +144,38 @@ def closed_form_hazard(flow: Semiflow, intensity: Intensity):
 
         return path_constant_hazard
     if isinstance(intensity, SaturatingIntensity) and isinstance(flow, AffineExpFlow):
-        base, gain = intensity.base, intensity.gain
-
         def saturating_hazard(i, y):
-            # integral of base + gain*(c+w)/(1+c+w) along w_h = (y-c) e^{-kappa h}
-            kappa, c = flow.rate_of[i], flow.anchor_of[i]
-            w0 = np.asarray(y, dtype=float) - c
-            one_c = 1.0 + c
-            start = one_c + w0
-            scale = kappa * one_c
+            kappa, _, at_decay = _saturating_terms(flow, intensity, i, y)
 
             def hazard(t):
                 t = np.asarray(t, dtype=float)
-                wt = w0 * np.exp(-kappa * t)
-                inv_term = (kappa * t + np.log((one_c + wt) / start)) / scale
-                return (base + gain) * t - gain * inv_term
+                return at_decay(t, np.exp(-kappa * t))
 
             return hazard
 
         return saturating_hazard
     return None
+
+
+def _saturating_terms(flow: AffineExpFlow, intensity: SaturatingIntensity, i, y):
+    """Per-start terms of the saturating hazard: (kappa, c, (t, decay) -> H(y, i, t)).
+
+    H integrates base + gain*(c+w)/(1+c+w) along w_h = (y-c) e^{-kappa h}; the
+    caller passes decay = exp(-kappa * t), so the Newton slope can share it.
+    """
+    base, gain = intensity.base, intensity.gain
+    kappa, c = flow.rate_of[i], flow.anchor_of[i]
+    w0 = np.asarray(y, dtype=float) - c
+    one_c = 1.0 + c
+    start = one_c + w0
+    scale = kappa * one_c
+
+    def at_decay(t, decay):
+        wt = w0 * decay
+        inv_term = (kappa * t + np.log((one_c + wt) / start)) / scale
+        return (base + gain) * t - gain * inv_term
+
+    return kappa, c, at_decay
 
 
 @dataclass(frozen=True)
@@ -259,17 +271,18 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
     """The Newton iterations of invert_holding on one block of 1-D atoms."""
     rate = h.intensity
-    hazard = h.along(regimes, ys)
+    hazard_and_slope = _hazard_and_slope(h, regimes, ys)
     lo = targets / rate.upper
     hi = targets / rate.lower
     t = np.clip(targets / rate(ys), lo, hi)
     moving = np.ones(t.shape, dtype=bool)
     for _ in range(HOLDING_NEWTON_MAX_ITER):
-        excess = hazard(t) - targets
+        hazard, slope = hazard_and_slope(t)
+        excess = hazard - targets
         above = excess > 0
         hi = np.where(above, t, hi)
         lo = np.where(above, lo, t)
-        step = t - excess / rate(h.flow.evaluate(regimes, t, ys))
+        step = t - excess / slope
         step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         converged = np.abs(step - t) <= HOLDING_TIME_RTOL * np.maximum(1.0, t)
         # a converged atom keeps its last step; later passes over it change nothing
@@ -282,6 +295,28 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
         f"hazard inversion did not converge in {HOLDING_NEWTON_MAX_ITER} iterations for "
         f"{int(moving.sum())} atom(s); widest bracket [{lo[k]:.17g}, {hi[k]:.17g}] at "
         f"y={ys[k]:.17g}, regime {regimes[k]}, target {targets[k]:.17g}")
+
+
+def _hazard_and_slope(h: CumulativeHazard, regimes: np.ndarray, ys: np.ndarray) -> Callable:
+    """t -> (H(y, i, t), lambda(S_i(t, y))) on one block of starts, for Newton.
+
+    The closed-form saturating pair gets both from one exp(-kappa * t), by the
+    expressions of saturating_hazard, AffineExpFlow.evaluate and
+    SaturatingIntensity, so each value is bitwise that of the separate calls.
+    The regimes were checked on entry and t stays in its bracket, so the
+    checks evaluate repeats are skipped. Other pairs make the separate calls.
+    """
+    if (h.closed_form is not None and isinstance(h.intensity, SaturatingIntensity)
+            and isinstance(h.flow, AffineExpFlow)):
+        kappa, c, at_decay = _saturating_terms(h.flow, h.intensity, regimes, ys)
+
+        def fused(t):
+            decay = np.exp(-kappa * t)
+            return at_decay(t, decay), h.intensity(ys * decay + c * (1.0 - decay))
+
+        return fused
+    hazard = h.along(regimes, ys)
+    return lambda t: (hazard(t), h.intensity(h.flow.evaluate(regimes, t, ys)))
 
 
 def sample_holding_thinning_vec(h: CumulativeHazard, i, ys: np.ndarray,

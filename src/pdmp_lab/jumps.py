@@ -105,17 +105,21 @@ class FiniteAffineIfs(IfsKernel):
         """Map indices by inverse CDF, one uniform per atom.
 
         State-dependent probabilities are evaluated once per distinct location.
+        A vector summing to within ROW_SUM_TOL below 1 leaves a uniform above
+        its last CDF entry, which is given to the last map.
         """
         ys = np.asarray(ys, dtype=float)
+        last = len(self.maps) - 1
         if self.probs is None or not callable(self.probs):
             cdf = np.cumsum(self._prob_vector(0.0))
-            return np.searchsorted(cdf, rng.random(ys.shape), side="right").astype(np.int64)
+            out = np.searchsorted(cdf, rng.random(ys.shape), side="right")
+            return np.minimum(out, last).astype(np.int64)
         us = rng.random(ys.shape)
         locs, inverse = np.unique(ys.ravel(), return_inverse=True)
         cdfs = np.array([np.cumsum(self._prob_vector(y)) for y in locs])
         # entries of a nondecreasing cdf at or below u: searchsorted(cdf, u, side="right")
         out = (cdfs[inverse] <= us.reshape(-1, 1)).sum(axis=1)
-        return out.reshape(ys.shape).astype(np.int64)
+        return np.minimum(out, last).reshape(ys.shape).astype(np.int64)
 
     def apply(self, theta, y):
         theta = np.asarray(theta, dtype=np.int64)

@@ -48,6 +48,24 @@ def ks_statistic_weighted(values_a, weights_a, values_b, weights_b) -> float:
     return float(np.abs(ca - cb).max())
 
 
+def wasserstein1_concat(values_a, weights_a, values_b, weights_b) -> float:
+    """Reference W1 on the line: one stable sort of both measures' atoms together.
+
+    The area between the two CDFs, with a cross tie ordered a before b.
+    """
+    values_a = np.asarray(values_a, dtype=float)
+    values_b = np.asarray(values_b, dtype=float)
+    weights_a = np.asarray(weights_a, dtype=float)
+    weights_b = np.asarray(weights_b, dtype=float)
+    mass_a, mass_b = weights_a.sum(), weights_b.sum()
+    pos = np.concatenate([values_a, values_b])
+    contrib = np.concatenate([weights_a / mass_a, -weights_b / mass_b])
+    order = np.argsort(pos, kind="mergesort")
+    pos = pos[order]
+    cdf_gap = np.cumsum(contrib[order])[:-1]
+    return float(np.dot(np.abs(cdf_gap), np.diff(pos))) * mass_a
+
+
 def effective_sample_size(weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     return float(w.sum() ** 2 / np.dot(w, w))

@@ -161,6 +161,29 @@ def test_reruns_are_byte_identical(tmp_path):
     assert b1 == read_bytes(out3, files)
 
 
+def reference_csv(header, columns):
+    # one str.format per value: "{}" for integers, "{:.17g}" for floats
+    fmts = ["{}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}" for c in columns]
+    rows = zip(*(c.tolist() for c in columns))
+    return (",".join(header) + "\n"
+            + "".join(",".join(f.format(v) for f, v in zip(fmts, row)) + "\n"
+                      for row in rows)).encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, 2 * cli.CSV_BLOCK_ROWS + 37])
+def test_write_csv_bytes_match_per_value_format(tmp_path, n_rows):
+    special = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5]
+    rng = np.random.default_rng(11)
+    floats = np.resize(np.concatenate([special, rng.normal(size=50) * 10.0 ** rng.integers(
+        -300, 300, 50)]), n_rows)
+    big = np.iinfo(np.int64)
+    ints = np.resize(np.array([0, -1, 7, big.max, big.min, 2 ** 53 + 1], dtype=np.int64), n_rows)
+    columns = [np.arange(n_rows), floats, ints, floats[::-1].copy()]
+    header = ["n", "x", "k", "z"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, columns)
+
+
 def test_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"

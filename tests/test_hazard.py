@@ -9,6 +9,7 @@ from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.hazard import (
     ConstantIntensity,
     CumulativeHazard,
+    Intensity,
     SaturatingIntensity,
     adaptive_simpson,
     invert_holding,
@@ -261,3 +262,30 @@ def test_inversion_iteration_cap_names_the_atom(monkeypatch):
     with pytest.raises(RuntimeError, match=r"did not converge in 1 iterations.*y=2.5, regime 0, "
                                            r"target 3"):
         invert_holding(WIDE, 0, np.array([0.0, 2.5]), np.array([0.0, 3.0]))
+
+
+class GenericRate(Intensity):
+    """A saturating rate that is not a SaturatingIntensity, so Newton takes the generic slope."""
+
+    def __init__(self, rate: SaturatingIntensity):
+        self.rate, self.lower, self.upper = rate, rate.lower, rate.upper
+
+    def __call__(self, y):
+        return self.rate(y)
+
+
+@pytest.mark.parametrize("flow", [AffineExpFlow(rates=(1.0,), anchors=(0.0,)),
+                                  AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))])
+def test_fused_newton_slope_is_bitwise_the_generic_slope(flow):
+    # one exp per iteration for H and the slope must not change a single iterate
+    rate = SaturatingIntensity(base=1.0, gain=0.5)
+    fused = CumulativeHazard.for_model(flow, rate)
+    generic = CumulativeHazard(intensity=GenericRate(rate), flow=flow,
+                               closed_form=fused.closed_form)
+    rng = np.random.default_rng(10)
+    n = 10_000
+    regimes = rng.integers(0, flow.n_regimes, n)
+    ys = np.concatenate([[0.0, 1e-9, 1e3], rng.uniform(0.0, 30.0, n - 3)])
+    targets = np.concatenate([[1.0, 1e-14, 40.0], -np.log1p(-rng.random(n - 3))])
+    expect = invert_holding(generic, regimes, ys, targets)
+    assert np.array_equal(invert_holding(fused, regimes, ys, targets), expect)

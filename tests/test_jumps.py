@@ -30,6 +30,27 @@ def test_sample_theta_degenerate_two_atom_density():
     assert np.array_equal(kernel.sample_vec(np.zeros(100), rng), np.zeros(100, dtype=np.int64))
 
 
+class FixedUniform:
+    """Stands in for a Generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.5 - 1e-10), lambda y: (0.5, 0.5 - 1e-10)])
+def test_uniform_past_a_short_cdf_selects_the_last_map(probs):
+    # the probabilities sum to within ROW_SUM_TOL below 1, so u can exceed every cdf entry
+    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs)
+    ys = np.array([0.0, 1.0, 1.0])
+    thetas = kernel.sample_vec(ys, FixedUniform(0.99999999995))
+    assert np.array_equal(thetas, np.ones(3, dtype=np.int64))
+    assert np.array_equal(kernel.apply(thetas, ys), 0.5 * ys + 0.5)
+    assert np.array_equal(kernel.sample_vec(ys, FixedUniform(0.25)), np.zeros(3, dtype=np.int64))
+
+
 def test_state_dependent_selection_is_per_atom_inverse_cdf():
     # one uniform per atom, looked up in the cdf at that atom's own location
     def probs(y):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from pdmp_lab.metrics import bl_lower_bound, measure_distance, wasserstein1_1d
 from pdmp_lab.state import WeightedEmpiricalMeasure
 
-from oracles import effective_sample_size, ks_critical, ks_statistic, ks_statistic_weighted
+from oracles import (
+    effective_sample_size,
+    ks_critical,
+    ks_statistic,
+    ks_statistic_weighted,
+    wasserstein1_concat,
+)
 
 
 def w1(a, b, wa=None, wb=None):
@@ -39,6 +46,15 @@ def test_w1_mass_mismatch_rejected():
         wasserstein1_1d(np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([0.5]))
 
 
+def test_w1_unpaired_weights_rejected():
+    one, two = np.array([0.0]), np.array([0.0, 1.0])
+    for args in ((two, np.array([1.0]), one, np.array([1.0])),
+                 (one, np.array([1.0]), one, np.array([0.5, 0.5])),
+                 (two.reshape(1, 2), np.full((1, 2), 0.5), one, np.array([1.0]))):
+        with pytest.raises(ValueError, match="1-D values and weights"):
+            wasserstein1_1d(*args)
+
+
 def test_w1_symmetry_and_triangle_on_random_sets():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -57,6 +73,60 @@ def test_w1_against_quantile_coupling():
         a, b = rng.normal(size=40), rng.normal(size=40)
         expect = np.abs(np.sort(a) - np.sort(b)).mean()
         assert w1(a, b) == pytest.approx(expect, abs=1e-12)
+
+
+def test_w1_equals_concatenated_sort_without_ties():
+    # tie-free sets: the per-side sorts and the merge give the reference's exact order
+    rng = np.random.default_rng(6)
+    cases = []
+    for _ in range(100):
+        n_a, n_b = rng.integers(1, 400, 2)
+        cases.append((rng.normal(size=n_a), rng.random(n_a),
+                      rng.normal(0.3, 1.5, size=n_b), rng.random(n_b)))
+    a, b = np.sort(rng.normal(size=300)), np.sort(rng.normal(size=200))
+    cases.append((a, rng.random(300), b, rng.random(200)))              # already sorted
+    cases.append((a[::-1], rng.random(300), b[::-1], rng.random(200)))  # reversed
+    cases.append((np.array([0.5]), np.ones(1), np.array([-2.0]), np.ones(1)))
+    cases.append((np.array([0.5]), np.ones(1), rng.normal(size=50), rng.random(50)))
+    cases.append((rng.normal(size=50), rng.random(50), np.array([0.5]), np.ones(1)))
+    for ya, wa, yb, wb in cases:
+        wa, wb = wa / wa.sum(), wb / wb.sum()
+        assert wasserstein1_1d(ya, wa, yb, wb) == wasserstein1_concat(ya, wa, yb, wb)
+
+
+def test_w1_matches_concatenated_sort_with_ties():
+    # Ties inside a measure may reorder the terms of its CDF gap's cumulative sum.
+    # Each sum of n terms of total |mass| 2 is within 2 n eps of exact, so the two
+    # gaps differ by at most 4 n eps per step, times the support width in W1; the
+    # two dot products each add n eps relative.
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        n_a, n_b = rng.integers(1, 400, 2)
+        ya = np.round(rng.normal(size=n_a), 1)
+        yb = np.concatenate([np.round(rng.normal(0.5, 1.0, size=n_b - 1), 1), ya[:1]])
+        wa, wb = rng.random(n_a), rng.random(n_b)
+        wa, wb = wa / wa.sum(), wb / wb.sum()
+        expect = wasserstein1_concat(ya, wa, yb, wb)
+        n = n_a + n_b
+        width = max(ya.max(), yb.max()) - min(ya.min(), yb.min())
+        bound = 4 * n * eps * width + 2 * n * eps * expect
+        assert abs(wasserstein1_1d(ya, wa, yb, wb) - expect) <= bound
+
+
+def test_w1_peak_scratch_per_atom():
+    # two sorted runs and the merged order: no concatenated mergesort of the union
+    rng = np.random.default_rng(8)
+    n = 100_000
+    ya, yb = rng.normal(size=n), rng.normal(0.5, 1.0, size=n)
+    wa, wb = np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+    tracemalloc.start()
+    try:
+        wasserstein1_1d(ya, wa, yb, wb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2 * n
 
 
 def test_bl_lower_bound_examples():
