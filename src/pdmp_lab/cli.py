@@ -207,11 +207,18 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
     Each block is one %-format of a repeated row template over its cells laid
     out row by row; "%.17g" and "%d" give the bytes of "{:.17g}" and "{}".
+    A header of another width than the columns, or columns of unequal
+    length, is a ValueError, raised before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"{path.name}: {len(header)} header names for {len(columns)} columns")
+    sizes = {c.size for c in columns}
+    if len(sizes) > 1:
+        raise ValueError(f"{path.name}: columns of unequal lengths {sorted(sizes)}")
     row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
                    for c in columns) + "\n"
-    n_rows = min((c.size for c in columns), default=0)
+    n_rows = sizes.pop() if sizes else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
@@ -243,24 +250,24 @@ def _check_max(tolerances: Tolerances, key: str, value: float, failures: list[st
         failures.append(f"{key}={value:.6g} exceeds {cap:.6g}")
 
 
-def _simulate_both_routes(
-    cfg: ExperimentConfig, model: ModelSpec,
-) -> tuple[ChainEnsemble, ChainEnsemble, OccupationSample]:
-    """The chain ensemble, the horizon ensemble and its occupation draw.
+def _chain_run(cfg: ExperimentConfig, model: ModelSpec) -> ChainEnsemble:
+    """The chain ensemble, stream (seed, 1), as simulate and correspondence see it."""
+    return run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps)
 
-    Streams (seed, 1), (seed, 2) and (seed, 3) respectively, so simulate and
-    correspondence see the same runs.
-    """
-    ens = run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps)
+
+def _horizon_run(cfg: ExperimentConfig,
+                 model: ModelSpec) -> tuple[ChainEnsemble, OccupationSample]:
+    """The horizon ensemble and its occupation draw, streams (seed, 2) and (seed, 3)."""
     occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon)
     occ = occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
                                    (cfg.seed, 3), burn_in=OCCUPATION_BURN_IN * cfg.horizon)
-    return ens, occ_ens, occ
+    return occ_ens, occ
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     model = cfg.model.build()
-    ens, occ_ens, occ = _simulate_both_routes(cfg, model)
+    ens = _chain_run(cfg, model)
+    occ_ens, occ = _horizon_run(cfg, model)
     taus, ys, regimes = (column[0] for column in ens.chunks[0])
     _write_csv(out_dir / "chain.csv", ["n", "tau", "y", "xi"],
                [np.arange(taus.size), taus, ys, regimes])
@@ -293,17 +300,22 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.chain_steps < 1:  # the chain measure needs a step past the burn-in
         raise ConfigError(f"correspondence needs chain_steps >= 1, got {cfg.chain_steps}")
     model = cfg.model.build()
-    ens, _, occ = _simulate_both_routes(cfg, model)
-    mu_chain = chain_measure(ens, cfg.chain_burn_in_steps)
-    mu_flow = occ.measure()
+    # Each ensemble, occupation draw and transform output is dropped after its
+    # last use, so at most three measures are alive during a distance. Every
+    # step draws from its own stream, so the order does not change the outputs.
+    mu_chain = chain_measure(_chain_run(cfg, model), cfg.chain_burn_in_steps)
+    mu_flow = _horizon_run(cfg, model)[1].measure()
     rng_f = np.random.default_rng(np.random.SeedSequence((cfg.seed, 4)))
     rng_b = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5)))
     rng_r = np.random.default_rng(np.random.SeedSequence((cfg.seed, 6)))
     to_flow, rep_f = chain_to_flow_stationary(model, mu_chain, rng_f)
-    to_chain, rep_b = flow_to_chain_stationary(model, mu_flow, rng_b)
     forward = measure_distance(to_flow, mu_flow, n_regimes=model.n_regimes)
+    to_chain, rep_b = flow_to_chain_stationary(model, mu_flow, rng_b)
+    del mu_flow
     backward = measure_distance(to_chain, mu_chain, n_regimes=model.n_regimes)
+    del to_chain
     round_measure, _ = flow_to_chain_stationary(model, to_flow, rng_r)
+    del to_flow
     roundtrip = measure_distance(round_measure, mu_chain, n_regimes=model.n_regimes)
     payload = {
         "model": model.name,

@@ -18,6 +18,7 @@ the Monte Carlo chain law to the fixed point) and 03 (stationary means).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,23 +61,48 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _first_bad_row(ok: np.ndarray) -> Optional[int]:
+    """Index of the first False in the row test ``ok``, or None; write the test so
+    that a NaN makes it False."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
 def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
                     v0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Left fixed-point probability vector of a row-stochastic matrix."""
+    """Left fixed-point probability vector of a row-stochastic matrix.
+
+    A row sum off 1 (NaN included) or a start vector that is not finite with a
+    positive sum is a ValueError; a non-finite residual ends the iteration at
+    once with a ConvergenceError.
+    """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     matrix = np.asarray(matrix, dtype=float)
-    if np.abs(matrix.sum(axis=1) - 1.0).max() > DEFAULT_ROW_TOL:
-        raise ValueError("matrix is not row-stochastic within tolerance")
+    row_sums = matrix.sum(axis=1)
+    row = _first_bad_row(np.abs(row_sums - 1.0) <= DEFAULT_ROW_TOL)
+    if row is not None:
+        raise ValueError(f"matrix is not row-stochastic within tolerance: "
+                         f"row {row} sums to {row_sums[row]:.17g}")
     n = matrix.shape[0]
-    v = np.full(n, 1.0 / n) if v0 is None else np.asarray(v0, dtype=float) / np.sum(v0)
-    for _ in range(max_iter):
+    if v0 is None:
+        v = np.full(n, 1.0 / n)
+    else:
+        v0 = np.asarray(v0, dtype=float)
+        total = v0.sum()
+        if not (np.isfinite(v0).all() and total > 0):
+            raise ValueError(f"start vector must be finite with a positive sum, got sum {total}")
+        v = v0 / total
+    for step in range(1, max_iter + 1):
         nxt = v @ matrix
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - v).sum())
         v = nxt
         if residual <= POWER_ITERATION_TOL:
             return v
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"power iteration left the finite range at step {step} "
+                                   f"(residual {residual})", residual)
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations (residual {residual:.3e})", residual)
 
@@ -216,13 +242,17 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
         np.matmul(pre_jump[band, band], post_jump[band], out=transition[band])
 
     for name, mat in (("transition", transition), ("pre_jump", pre_jump), ("post_jump", post_jump)):
-        gap = np.abs(mat.sum(axis=1) - 1.0).max()
-        if gap > DEFAULT_ROW_TOL:
-            raise GridAssemblyError(f"{name} rows deviate from stochasticity by {gap:.3e}")
+        gaps = np.abs(mat.sum(axis=1) - 1.0)
+        row = _first_bad_row(gaps <= DEFAULT_ROW_TOL)
+        if row is not None:
+            raise GridAssemblyError(f"{name} row {row} deviates from stochasticity "
+                                    f"by {gaps[row]:.3e}")
     occ_rows = occupation.sum(axis=1)
-    if occ_rows.min() < 1.0 / model.intensity.upper - DEFAULT_ROW_TOL or \
-       occ_rows.max() > 1.0 / model.intensity.lower + DEFAULT_ROW_TOL:
-        raise GridAssemblyError("occupation row masses leave the admissible bracket")
+    row = _first_bad_row((occ_rows >= 1.0 / model.intensity.upper - DEFAULT_ROW_TOL)
+                         & (occ_rows <= 1.0 / model.intensity.lower + DEFAULT_ROW_TOL))
+    if row is not None:
+        raise GridAssemblyError(f"occupation row masses leave the admissible bracket: "
+                                f"row {row} has mass {occ_rows[row]:.6g}")
 
     fixed = power_iteration(transition)
     stationary_leak = float(np.dot(fixed, leak))

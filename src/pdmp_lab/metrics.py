@@ -137,10 +137,17 @@ class DistanceReport:
 
 def measure_distance(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
                      n_regimes: int) -> DistanceReport:
-    """Per-regime W1 composite over regimes 0..n_regimes-1 plus the dictionary lower bound."""
+    """Per-regime W1 composite over regimes 0..n_regimes-1 plus the dictionary lower bound.
+
+    An atom in a regime outside 0..n_regimes-1 is a ValueError.
+    """
     mu, nu = mu.normalize(), nu.normalize()
     mass_mu = mu.regime_mass(n_regimes)
     mass_nu = nu.regime_mass(n_regimes)
+    for name, mass in (("first", mass_mu), ("second", mass_nu)):
+        if mass.size > n_regimes:  # bincount grows past minlength to the largest regime
+            raise ValueError(f"the {name} measure has an atom in regime {mass.size - 1}, "
+                             f"outside 0..{n_regimes - 1}")
     per_regime = {}
     combined = 0.0
     for i in range(n_regimes):

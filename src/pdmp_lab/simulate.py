@@ -228,6 +228,12 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
     ``run_ensemble(model, n_replicas, seed, t_end=max(t_values))``.
     ``threads`` is ignored; it stays for the callers in ``perfbench/workloads.py``.
     """
+    if len(t_values) == 0:
+        raise ValueError("t_values must hold at least one time")
+    if max_count < 0:
+        raise ValueError(f"max_count must be >= 0, got {max_count}")
+    if n_replicas <= 0:
+        raise ValueError("n_replicas must be > 0")
     t_max = max(t_values)
 
     def work(size, chunk_seed):

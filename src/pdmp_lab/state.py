@@ -75,8 +75,12 @@ class WeightedEmpiricalMeasure:
         return float(np.dot(self.weights, vals))
 
     def normalize(self) -> "WeightedEmpiricalMeasure":
+        """The measure scaled to unit mass; itself when its mass is exactly 1.0,
+        where dividing by the mass would give back the same weights."""
         if self.total_mass <= 0.0:
             raise ZeroMassError("cannot normalize a zero-mass measure")
+        if self.total_mass == 1.0:
+            return self
         return WeightedEmpiricalMeasure(self.ys, self.regimes, self.weights / self.total_mass)
 
     def mean_location(self) -> float:
@@ -88,6 +92,9 @@ class WeightedEmpiricalMeasure:
         return np.bincount(self.regimes, weights=self.weights, minlength=n_regimes)
 
     def restrict_regime(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Locations and weights of the atoms carried by regime ``i``."""
+        """Locations and weights of the atoms carried by regime ``i``: the measure's
+        own arrays when every atom is in it, copies otherwise. Do not write to them."""
         mask = self.regimes == i
+        if mask.all():
+            return self.ys, self.weights
         return self.ys[mask], self.weights[mask]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -182,6 +183,36 @@ def test_write_csv_bytes_match_per_value_format(tmp_path, n_rows):
     header = ["n", "x", "k", "z"]
     cli._write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a", "b", "c"], [np.arange(3), np.arange(2)], "3 header names for 2 columns"),
+    (["a", "b"], [np.arange(3), np.arange(2.0)], r"columns of unequal lengths \[2, 3\]"),
+])
+def test_write_csv_rejects_mismatched_columns(tmp_path, header, columns, message):
+    with pytest.raises(ValueError, match=message):
+        cli._write_csv(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_correspondence_peak_memory_per_atom(tmp_path):
+    # each ensemble and measure is dropped after its last use; keeping them all
+    # alive through every distance peaked at 154 B per chain or flow atom here
+    cfg = ExperimentConfig.from_dict({
+        **BASE_CONFIG, "model": {"name": "gene", "params": {
+            "kappa": 1.0, "burst_mean": 1.0, "intensity": "saturating",
+            "lam_low": 1.0, "lam_high": 1.5}},
+        "seed": 20260802, "replicas": 200, "chain_steps": 150, "chain_burn_in_steps": 25,
+        "occupation_samples_per_replica": 125})
+    n_atoms = cfg.replicas * (cfg.chain_steps - cfg.chain_burn_in_steps
+                              + cfg.occupation_samples_per_replica)
+    tracemalloc.start()
+    try:
+        cli.cmd_correspondence(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 110 * n_atoms
 
 
 def test_seed_override_changes_outputs(tmp_path):

@@ -315,3 +315,39 @@ def test_fixed_point_matches_closed_form_laws():
     w1_flow = np.trapezoid(np.abs(flow_cdf - exp_cdf), grid.nodes)
     assert w1_chain <= 0.02
     assert w1_flow <= 0.02
+
+
+def test_power_iteration_names_a_nan_row_at_once():
+    matrix = np.full((400, 400), 1.0 / 400)
+    matrix[3, 5] = np.nan
+    with pytest.raises(ValueError, match="row 3 sums to nan"):
+        power_iteration(matrix)
+
+
+@pytest.mark.parametrize("v0", [[1.0, -1.0], [np.nan, 1.0], [0.0, 0.0]])
+def test_power_iteration_rejects_bad_start_vector(v0):
+    with pytest.raises(ValueError, match="start vector must be finite with a positive sum"):
+        power_iteration(np.full((2, 2), 0.5), v0=np.array(v0))
+
+
+def test_power_iteration_stops_at_first_non_finite_residual():
+    # rows sum to 1, but the negative entries make the iterate grow without bound
+    growing = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="finite range") as exc:
+        power_iteration(growing, v0=np.array([1.0, 0.0]))
+    assert not np.isfinite(exc.value.residual)
+
+
+def test_grid_checks_name_a_nan_row(monkeypatch):
+    real_jump_rows = grid_module._jump_rows
+
+    def nan_jump_rows(*args):
+        post_jump, leak = real_jump_rows(*args)
+        post_jump[7, 0] = np.nan
+        return post_jump, leak
+
+    monkeypatch.setattr(grid_module, "_jump_rows", nan_jump_rows)
+    # the NaN reaches every transition row that can jump from node 7, the first of them row 0
+    with pytest.raises(GridAssemblyError,
+                       match="transition row 0 deviates from stochasticity by nan"):
+        build_grid_model(GENE, 40)

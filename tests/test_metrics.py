@@ -260,3 +260,14 @@ def test_bl_lower_bound_atoms_on_breakpoints():
     for n_anchors in (1, 2, 3, 5):
         expect = brute_force_bl_lower_bound(mu, nu, n_anchors)
         assert abs(bl_lower_bound(mu, nu, n_anchors) - expect) <= 1e-12
+
+
+def test_measure_distance_rejects_regimes_outside_range():
+    mu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], regimes=[0, 1, 2])
+    nu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 7.0], regimes=[0, 1, 2])
+    with pytest.raises(ValueError, match=r"first measure has an atom in regime 2, outside 0\.\.1"):
+        measure_distance(mu, nu, n_regimes=2)
+    inside = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 7.0], regimes=[0, 1, 1])
+    with pytest.raises(ValueError, match="second measure has an atom in regime 2"):
+        measure_distance(inside, mu, n_regimes=2)
+    assert measure_distance(mu, nu, n_regimes=3).combined > 0

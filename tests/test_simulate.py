@@ -322,3 +322,13 @@ def test_eta_histogram_counts_jumps_of_the_horizon_ensemble(tmp_path):
     ens = run_ensemble(GENE_SAT, 600, (22, 2), t_end=8.0)
     counts = np.concatenate([count_jumps(taus, ETA_TIME) for taus, _, _ in ens.chunks])
     assert summary["eta_histogram"] == (np.bincount(counts, minlength=11)[:11] / 600).tolist()
+
+
+@pytest.mark.parametrize("t_values, max_count, n_replicas, message", [
+    ((), 30, 10, "t_values must hold at least one time"),
+    ((1.0,), -1, 10, "max_count must be >= 0, got -1"),
+    ((1.0,), 30, 0, "n_replicas must be > 0"),
+])
+def test_jump_count_pmf_rejects_bad_arguments(t_values, max_count, n_replicas, message):
+    with pytest.raises(ValueError, match=message):
+        jump_count_pmf(GENE, t_values, n_replicas, 21, max_count=max_count)

@@ -58,3 +58,30 @@ def test_total_mass_matches_weight_sum():
     w = rng.random(1000)
     mu = WeightedEmpiricalMeasure.from_samples(rng.normal(size=1000), weights=w)
     assert mu.total_mass == pytest.approx(w.sum(), rel=1e-12)
+
+
+def test_normalize_returns_itself_only_at_unit_mass():
+    unit = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], weights=[0.25, 0.25, 0.5])
+    assert unit.total_mass == 1.0
+    assert unit.normalize() is unit
+    near = WeightedEmpiricalMeasure.from_samples([0.0, 1.0], weights=[0.5, 0.5 + 2e-16])
+    assert near.total_mass != 1.0
+    scaled = near.normalize()
+    assert scaled is not near and scaled.weights is not near.weights
+    assert np.array_equal(scaled.weights, near.weights / near.total_mass)
+    double = WeightedEmpiricalMeasure.from_samples([0.0, 1.0], weights=[1.0, 1.0])
+    assert double.normalize() is not double
+
+
+def test_restrict_regime_shares_arrays_only_when_every_atom_is_in_it():
+    mu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], regimes=[1, 1, 1],
+                                               weights=[1.0, 2.0, 3.0])
+    ys, weights = mu.restrict_regime(1)
+    assert ys is mu.ys and weights is mu.weights
+    empty_ys, empty_weights = mu.restrict_regime(0)
+    assert empty_ys.size == 0 and empty_weights.size == 0
+    mixed = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], regimes=[0, 1, 0],
+                                                  weights=[1.0, 2.0, 3.0])
+    ys, weights = mixed.restrict_regime(0)
+    assert np.array_equal(ys, [0.0, 2.0]) and np.array_equal(weights, [1.0, 3.0])
+    assert not np.shares_memory(ys, mixed.ys) and not np.shares_memory(weights, mixed.weights)
