@@ -349,7 +349,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _write_csv(out_dir / "fixed_point.csv", ["y", "i", "weight"],
                [np.tile(grid.nodes, grid.n_regimes),
                 np.repeat(np.arange(grid.n_regimes), grid.nodes.size).astype(int),
-                corr.chain_fixed_point])
+                grid.fixed_point])
     failures: list[str] = []
     if not fact.passed:
         failures.append(f"factorization residuals {fact.residual_plain:.3e}/"

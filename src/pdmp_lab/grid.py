@@ -44,12 +44,11 @@ GRID_NODE_BLOCK = 128
 At GRID_TIME_CELLS one (block, cell) array is 2 MB."""
 
 
-class GridAssemblyError(RuntimeError, ValueError):
+class GridAssemblyError(RuntimeError):
     """The grid failed a check: switching rows at its nodes, stochastic rows,
     occupation bracket, window leak.
 
-    A RuntimeError, so the CLI reports it as a solver failure (exit 4); also a
-    ValueError, the type these checks raised before.
+    A RuntimeError, so the CLI reports it as a solver failure (exit 4).
     """
 
 
@@ -121,7 +120,6 @@ class GridModel:
     for the leak check and reused by ``oracle_correspondence``.
     """
 
-    model: ModelSpec
     nodes: np.ndarray
     n_regimes: int
     transition: np.ndarray
@@ -261,7 +259,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
         raise GridAssemblyError(
             f"boundary leakage {stationary_leak:.3e} exceeds {DEFAULT_MASS_TOL:.1e}; "
             f"worst rows {worst.tolist()}; increase y_max")
-    return GridModel(model=model, nodes=nodes, n_regimes=n_regimes, transition=transition,
+    return GridModel(nodes=nodes, n_regimes=n_regimes, transition=transition,
                      pre_jump=pre_jump, post_jump=post_jump, occupation=occupation,
                      weighted_post_jump=weighted_post_jump,
                      leak_per_row=leak, stationary_leak=stationary_leak, fixed_point=fixed)
@@ -310,7 +308,6 @@ def check_factorization(grid: GridModel) -> FactorizationReport:
 class OracleReport:
     """Matrix-level verification of the stationarity correspondence."""
 
-    chain_fixed_point: np.ndarray
     flow_vector: np.ndarray
     normalizer_to_flow: float
     normalizer_to_chain: float
@@ -359,7 +356,6 @@ def oracle_correspondence(grid: GridModel) -> OracleReport:
     residual_flow = float(np.abs(forward_again / forward_again.sum() - flow_vec).sum())
     product_err = abs(normalizer_to_flow * normalizer_to_chain - 1.0)
     return OracleReport(
-        chain_fixed_point=chain_fp,
         flow_vector=flow_vec,
         normalizer_to_flow=normalizer_to_flow,
         normalizer_to_chain=normalizer_to_chain,

@@ -236,8 +236,9 @@ def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) 
     included (a step from an exact hit stays put), else the midpoint. An
     atom stops once its step is at most HOLDING_TIME_RTOL * max(1, t) and is
     then frozen, so its result does not depend on the rest of the batch,
-    which is solved in blocks of HOLDING_NEWTON_BLOCK. A final residual
-    check guards against hazards inconsistent with their declared bounds.
+    which is solved in blocks of HOLDING_NEWTON_BLOCK. Each block ends with a
+    residual check that guards against hazards inconsistent with their
+    declared bounds.
     """
     ys = np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -254,22 +255,13 @@ def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) 
     for start in range(0, out.size, HOLDING_NEWTON_BLOCK):
         block = slice(start, start + HOLDING_NEWTON_BLOCK)
         out[block] = _newton_holding(h, flat_ys[block], flat_regimes[block], flat_targets[block])
-    out = out.reshape(targets.shape)
-    residual = np.abs(np.asarray(h.along(i, ys)(out)) - targets)
-    worst = int(np.argmax(residual)) if residual.size else 0
-    if residual.size and residual.flat[worst] > 1e-8 * (1.0 + targets.flat[worst]):
-        target = targets.flat[worst]
-        raise RuntimeError(
-            f"hazard inversion missed its target by {residual.flat[worst]:.3e} "
-            f"(root {out.flat[worst]:.6g}, bracket [{target / h.intensity.upper:.6g}, "
-            f"{target / h.intensity.lower:.6g}], target {target:.6g}); "
-            "are the declared rate bounds valid?")
-    return out
+    return out.reshape(targets.shape)
 
 
 def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
-    """The Newton iterations of invert_holding on one block of 1-D atoms."""
+    """The Newton iterations of invert_holding on one block of 1-D atoms, then
+    the residual check of the block's roots."""
     rate = h.intensity
     hazard_and_slope = _hazard_and_slope(h, regimes, ys)
     lo = targets / rate.upper
@@ -289,12 +281,22 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
         t = np.where(moving, step, t)
         moving &= ~converged
         if not moving.any():
-            return t
-    k = int(np.argmax(np.where(moving, hi - lo, -1.0)))
-    raise RuntimeError(
-        f"hazard inversion did not converge in {HOLDING_NEWTON_MAX_ITER} iterations for "
-        f"{int(moving.sum())} atom(s); widest bracket [{lo[k]:.17g}, {hi[k]:.17g}] at "
-        f"y={ys[k]:.17g}, regime {regimes[k]}, target {targets[k]:.17g}")
+            break
+    else:
+        k = int(np.argmax(np.where(moving, hi - lo, -1.0)))
+        raise RuntimeError(
+            f"hazard inversion did not converge in {HOLDING_NEWTON_MAX_ITER} iterations for "
+            f"{int(moving.sum())} atom(s); widest bracket [{lo[k]:.17g}, {hi[k]:.17g}] at "
+            f"y={ys[k]:.17g}, regime {regimes[k]}, target {targets[k]:.17g}")
+    residual = np.abs(np.asarray(h.along(regimes, ys)(t)) - targets)
+    k = int(np.argmax(residual))
+    if residual[k] > 1e-8 * (1.0 + targets[k]):
+        raise RuntimeError(
+            f"hazard inversion missed its target by {residual[k]:.3e} "
+            f"(root {t[k]:.6g}, bracket [{targets[k] / rate.upper:.6g}, "
+            f"{targets[k] / rate.lower:.6g}], target {targets[k]:.6g}); "
+            "are the declared rate bounds valid?")
+    return t
 
 
 def _hazard_and_slope(h: CumulativeHazard, regimes: np.ndarray, ys: np.ndarray) -> Callable:

@@ -152,7 +152,8 @@ class SwitchingMatrix:
 
     ``entries[i][j]`` is either a number or a callable y -> probability.
     ``check_rows`` validates the rows at given locations; ``ModelSpec``
-    checks them on its own location window, and ``constant`` at once.
+    checks them on its own location window. A matrix of numbers only is
+    checked at construction; a callable entry is first called by ``check_rows``.
     """
 
     def __init__(self, entries: Sequence[Sequence]):
@@ -164,12 +165,8 @@ class SwitchingMatrix:
                   for e in row)
             for row in entries
         )
-
-    @classmethod
-    def constant(cls, matrix) -> "SwitchingMatrix":
-        pi = cls([[float(v) for v in row] for row in np.asarray(matrix, dtype=float)])
-        pi.check_rows(np.zeros(1))  # rows that ignore the location: one location checks them
-        return pi
+        if not any(callable(e) for row in entries for e in row):
+            self.check_rows(np.zeros(1))  # rows that ignore the location: one location checks them
 
     def check_rows(self, ys) -> None:
         """Raise ValueError unless every row is a probability vector at each of ``ys``."""

@@ -124,9 +124,9 @@ def gene_expression_model(kappa: float = 1.0, burst_mean: float = 1.0,
     )
 
 
-def _ramp_switch(lo: float = 0.1, hi: float = 0.9) -> SwitchingMatrix:
+def _ramp_switch() -> SwitchingMatrix:
     def stay(y):
-        return np.clip(np.asarray(y, dtype=float), lo, hi)
+        return np.clip(np.asarray(y, dtype=float), 0.1, 0.9)
 
     def leave(y):
         return 1.0 - stay(y)
@@ -154,7 +154,7 @@ def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
         # worst pair is both rows from the clamp: min(0.1,0.9)+min(0.9,0.1)
         switch_lip, switch_overlap = 2.0, 0.2
     elif switching == "uniform":
-        pi = SwitchingMatrix.constant([[0.5, 0.5], [0.5, 0.5]])
+        pi = SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]])
         switch_lip, switch_overlap = 0.0, 1.0
     else:
         raise ValueError(f"unknown switching choice {switching!r}")
@@ -253,7 +253,7 @@ def control_degenerate_switching() -> ModelSpec:
         flow,
         rate,
         FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=None),
-        SwitchingMatrix.constant([[1.0, 0.0], [0.0, 1.0]]),
+        SwitchingMatrix([[1.0, 0.0], [0.0, 1.0]]),
         declared,
         positive=False,
     )

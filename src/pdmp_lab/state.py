@@ -47,6 +47,8 @@ class WeightedEmpiricalMeasure:
             raise ValueError("atom arrays must have equal length")
         if not np.isfinite(ys).all():
             raise ValueError("atom locations must be finite")
+        if regimes.size and regimes.min() < 0:
+            raise ValueError(f"regime labels must be >= 0, got {int(regimes.min())}")
         if not np.isfinite(weights).all() or (weights < 0).any():
             raise ValueError("weights must be finite and >= 0")
         object.__setattr__(self, "ys", ys)

@@ -119,7 +119,7 @@ def test_criterion_02_correspondence_state_dependent_rate(gene_sat_runs):
     w1_forward = _w1(to_flow, mu_flow)
     w1_backward = _w1(to_chain, mu_chain)
     grid = build_grid_model(GENE_SAT, 400)
-    fixed = oracle_correspondence(grid).chain_fixed_point
+    fixed = grid.fixed_point
     w1_oracle = _w1(mu_chain, grid_measure(grid, fixed))
     ok = w1_forward <= 0.05 and w1_backward <= 0.05 and w1_oracle <= 0.03
     _report(2, ok, f"W1 forward {w1_forward:.4f}, backward {w1_backward:.4f} (<= 0.05); "

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 from dataclasses import fields
@@ -419,3 +420,14 @@ def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
         raise cli.ToleranceFailure("w1_forward_max exceeded")
     monkeypatch.setitem(cli.COMMANDS, "oracle", tolerance)
     assert main(["oracle", "--config", str(cfg)] + out) == 3
+
+
+def test_package_binds_only_its_version():
+    # callers import the submodules; the package itself re-exports nothing
+    import pdmp_lab
+
+    exported = {name for name, value in vars(pdmp_lab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == set()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert f'version = "{pdmp_lab.__version__}"' in pyproject

@@ -118,10 +118,19 @@ def test_blocked_assembly_matches_per_row_reference(model, m):
     assert np.abs(grid.leak_per_row - ref["leak_per_row"]).max() <= 1e-15
 
 
-def test_oracle_reuses_the_build_fixed_point():
+def test_oracle_reuses_the_build_fixed_point(monkeypatch):
+    calls = []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return power_iteration(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "power_iteration", counted)
     grid = build_grid_model(two_regime_model(), 120)
+    check_factorization(grid)
+    oracle_correspondence(grid)
+    assert len(calls) == 1
     assert np.array_equal(grid.fixed_point, power_iteration(grid.transition))
-    assert oracle_correspondence(grid).chain_fixed_point is grid.fixed_point
 
 
 def test_blocked_residuals_equal_unblocked_expression():
@@ -175,7 +184,7 @@ def test_boundary_leak_small_on_gene_window():
 
 
 def test_boundary_leak_error_when_window_too_small():
-    with pytest.raises(ValueError, match="boundary leakage"):
+    with pytest.raises(GridAssemblyError, match="boundary leakage"):
         build_grid_model(GENE, 50, y_max=2.0)
 
 
@@ -307,7 +316,7 @@ def test_fixed_point_matches_closed_form_laws():
     # chain law Gamma(2,1), flow law Exp(1): compare CDFs on the grid
     grid = build_grid_model(GENE, 400)
     report = oracle_correspondence(grid)
-    chain_cdf = np.cumsum(report.chain_fixed_point)
+    chain_cdf = np.cumsum(grid.fixed_point)
     gamma_cdf = 1.0 - np.exp(-grid.nodes) * (1.0 + grid.nodes)
     w1_chain = np.trapezoid(np.abs(chain_cdf - gamma_cdf), grid.nodes)
     flow_cdf = np.cumsum(report.flow_vector)

@@ -289,3 +289,23 @@ def test_fused_newton_slope_is_bitwise_the_generic_slope(flow):
     targets = np.concatenate([[1.0, 1e-14, 40.0], -np.log1p(-rng.random(n - 3))])
     expect = invert_holding(generic, regimes, ys, targets)
     assert np.array_equal(invert_holding(fused, regimes, ys, targets), expect)
+
+
+def test_inversion_residual_check_runs_per_block(monkeypatch):
+    # the residual check reads the hazard one block of atoms at a time, so its
+    # scratch is bounded by the block size, not the batch size
+    monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_BLOCK", 16)
+    sizes = []
+    along = CumulativeHazard.along
+
+    def recording(self, i, y):
+        sizes.append(np.size(y))
+        return along(self, i, y)
+
+    monkeypatch.setattr(CumulativeHazard, "along", recording)
+    rng = np.random.default_rng(11)
+    ys = rng.uniform(0.0, 10.0, 40)
+    targets = -np.log1p(-rng.random(40))
+    t = invert_holding(WIDE, 0, ys, targets)
+    assert sizes == [16, 16, 8]
+    assert np.abs(WIDE.value(0, t, ys) - targets).max() <= 1e-12 * (1.0 + targets.max())

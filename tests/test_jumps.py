@@ -108,22 +108,36 @@ def test_switching_single_regime():
 
 def test_switching_uniform_frequencies():
     rng = np.random.default_rng(8)
-    pi = SwitchingMatrix.constant([[0.5, 0.5], [0.5, 0.5]])
+    pi = SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]])
     draws = pi.sample_vec(np.zeros(100_000, dtype=np.int64), np.zeros(100_000), rng)
     assert (draws == 0).mean() == pytest.approx(0.5, abs=0.005)
 
 
 def test_switching_absorbing_row():
     rng = np.random.default_rng(9)
-    pi = SwitchingMatrix.constant([[1.0, 0.0], [1.0, 0.0]])
+    pi = SwitchingMatrix([[1.0, 0.0], [1.0, 0.0]])
     ys = np.repeat([0.0, 2.0, 7.5], 2)
     draws = pi.sample_vec(np.tile([0, 1], 3), ys, rng)
     assert np.array_equal(draws, np.zeros(6, dtype=np.int64))
 
 
 def test_switching_row_sum_validation():
-    with pytest.raises(ValueError):
-        SwitchingMatrix.constant([[0.7, 0.2], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="off by 1.000e-01"):
+        SwitchingMatrix([[0.7, 0.2], [0.5, 0.5]])
+
+
+def test_switching_callable_entries_wait_for_check_rows():
+    calls = []
+
+    def stay(y):
+        calls.append(np.size(y))
+        return np.full_like(np.asarray(y, dtype=float), 0.7)
+
+    pi = SwitchingMatrix([[stay, 0.2], [0.5, 0.5]])
+    assert calls == []
+    with pytest.raises(ValueError, match="off by 1.000e-01"):
+        pi.check_rows([0.0, 1.0])
+    assert calls == [2]
 
 
 def test_switching_rows_stochastic_at_random_locations():
@@ -140,7 +154,7 @@ def test_switching_rows_stochastic_at_random_locations():
 def _toy_post_jump():
     # two maps, two regimes, everything hand-computable
     ifs = FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 1.0)), probs=(0.3, 0.7))
-    pi = SwitchingMatrix.constant([[0.25, 0.75], [0.6, 0.4]])
+    pi = SwitchingMatrix([[0.25, 0.75], [0.6, 0.4]])
     return PostJumpKernel(ifs=ifs, switching=pi)
 
 
@@ -175,7 +189,7 @@ def test_post_jump_joint_law_factorizes():
 
 def test_post_jump_deterministic_composition():
     ifs = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    pi = SwitchingMatrix.constant([[0.0, 1.0], [0.0, 1.0]])
+    pi = SwitchingMatrix([[0.0, 1.0], [0.0, 1.0]])
     kernel = PostJumpKernel(ifs=ifs, switching=pi)
     ys, regimes = kernel.sample_vec(np.array([4.0]), np.array([0]), np.random.default_rng(13))
     assert (ys[0], regimes[0]) == (2.0, 1)

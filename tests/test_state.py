@@ -85,3 +85,8 @@ def test_restrict_regime_shares_arrays_only_when_every_atom_is_in_it():
     ys, weights = mixed.restrict_regime(0)
     assert np.array_equal(ys, [0.0, 2.0]) and np.array_equal(weights, [1.0, 3.0])
     assert not np.shares_memory(ys, mixed.ys) and not np.shares_memory(weights, mixed.weights)
+
+
+def test_negative_regime_label_rejected():
+    with pytest.raises(ValueError, match="regime labels must be >= 0, got -1"):
+        WeightedEmpiricalMeasure([0.0, 1.0], [0, -1], [1.0, 1.0])

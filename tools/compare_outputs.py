@@ -1,0 +1,114 @@
+"""Check that the working tree's CLI outputs are byte-identical to a git revision's.
+
+    python tools/compare_outputs.py REV
+
+Extracts ``git archive REV src configs`` into a temporary directory, then runs
+``simulate``, ``correspondence``, ``oracle`` and ``diagnostics`` on each config
+under ``configs/``, at the config seed and at ``--seed 7``, once with that tree
+and once with the working tree. Each run gets its own directory holding a copy
+of its tree's config, so both sides pass the same arguments. Every output file,
+stdout, stderr and the exit code are compared. Prints the first difference and
+exits 1; exits 0 when every run matches, 2 when REV cannot be extracted.
+Runs serially; the 48 runs take about 30 s on two cores.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("simulate", "correspondence", "oracle", "diagnostics")
+SEEDS = (None, 7)
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src", "configs"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(tree: Path, command: str, config: str, seed, run_dir: Path) -> dict:
+    """One CLI run from ``tree``: its exit code, stdout, stderr and output files."""
+    run_dir.mkdir(parents=True)
+    source = tree / "configs" / config
+    if source.exists():
+        shutil.copyfile(source, run_dir / "config.json")
+    args = [sys.executable, "-m", "pdmp_lab.cli", command,
+            "--config", "config.json", "--out", "out"]
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(args, cwd=run_dir, env=env, capture_output=True)
+    out = run_dir / "out"
+    files = {} if not out.is_dir() else {
+        str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def first_line_difference(a: bytes, b: bytes, rev: str) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for k, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
+        if la != lb:
+            return f"at line {k}:\n  {rev}: {la[:200]!r}\n  working tree: {lb[:200]!r}"
+    return f"in length: {len(lines_a)} lines at {rev}, {len(lines_b)} in the working tree"
+
+
+def difference(base: dict, head: dict, rev: str):
+    """A description of the first difference between two runs, or None."""
+    for key in ("exit code", "stdout", "stderr"):
+        if base[key] != head[key]:
+            if key == "exit code":
+                return f"exit code {base[key]} at {rev}, {head[key]} in the working tree"
+            return f"{key} differs {first_line_difference(base[key], head[key], rev)}"
+    if base["files"].keys() != head["files"].keys():
+        return (f"output files {sorted(base['files'])} at {rev}, "
+                f"{sorted(head['files'])} in the working tree")
+    for name, data in base["files"].items():
+        if data != head["files"][name]:
+            return f"{name} differs {first_line_difference(data, head['files'][name], rev)}"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    rev = argv[0]
+    configs = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        try:
+            extract(rev, tmp / "base")
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot extract {rev}: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        n_runs = 0
+        for config in configs:
+            for command in COMMANDS:
+                for seed in SEEDS:
+                    label = f"{command} {config}" + ("" if seed is None else f" --seed {seed}")
+                    name = f"{command}-{config[:-5]}-{seed}"
+                    base = run(tmp / "base", command, config, seed, tmp / "runs" / "base" / name)
+                    head = run(ROOT, command, config, seed, tmp / "runs" / "head" / name)
+                    n_runs += 1
+                    found = difference(base, head, rev)
+                    if found is not None:
+                        print(f"{label}: {found}")
+                        return 1
+                    print(f"{label}: identical (exit {head['exit code']}, "
+                          f"{len(head['files'])} files)", flush=True)
+    print(f"all {n_runs} runs identical to {rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
