@@ -7,13 +7,25 @@ function; images are projected to the nearest node. Rows are assembled
 GRID_NODE_BLOCK nodes at a time, each block's cells binned into its rows by
 one ``np.bincount``.
 
-Both factorization identities hold by construction: transition is
-pre_jump @ post_jump per regime block, and occupation divides each cell's
-mass by the rate at the node the flow reaches while weighted_post_jump
-multiplies each jump row by the rate at that same node. Their residuals
-catch assembly faults, not a wrong hazard, flow or rate. What stays
-independent is the MC-vs-grid comparison of acceptance criteria 02 (W1 of
-the Monte Carlo chain law to the fixed point) and 03 (stationary means).
+Five kernels are assembled, three are kept. ``pre_jump`` is overwritten
+block by block with ``transition`` = pre_jump @ post_jump per regime band,
+and ``post_jump`` is scaled in place by the rate at each origin node into
+``weighted_post_jump``; so assembly holds at most the three matrices
+``GridModel`` keeps, each n_states^2 floats.
+
+Both factorization residuals are assembly checks. ``residual_plain``, taken
+while ``pre_jump`` is overwritten, compares the full product with the
+band-restricted one that built ``transition``: it is exactly 0 on one regime
+and on several is rounding plus any ``pre_jump`` mass outside its regime band.
+``residual_weighted`` is an identity up to rounding: occupation divides each
+cell's mass by the rate at the node the flow reaches while
+weighted_post_jump multiplies each jump row by the rate at that same node.
+The two correspondence residuals of ``oracle_correspondence`` are assembly
+checks too: given occupation @ weighted_post_jump = transition, both reduce
+to fixed_point @ transition = fixed_point. None of the four catches a wrong
+hazard, flow or rate. What stays independent is the MC-vs-grid comparison of
+acceptance criteria 02 (W1 of the Monte Carlo chain law to the fixed point)
+and 03 (stationary means).
 """
 
 from __future__ import annotations
@@ -108,25 +120,29 @@ def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
 
 @dataclass(frozen=True)
 class GridModel:
-    """All five kernel matrices of a model on a fixed location grid.
+    """The three kernel matrices of a model on a fixed location grid that the
+    checks read after assembly.
 
     transition:          one full chain step
-    pre_jump:            law of the position just before the next jump
-    post_jump:           jump plus regime switch
     occupation:          expected time spent per node before the next jump
-    weighted_post_jump:  post_jump scaled by the jump rate at the origin
+    weighted_post_jump:  jump plus regime switch, scaled by the jump rate at the origin
 
-    ``fixed_point`` is the left fixed point of ``transition``, computed once
-    for the leak check and reused by ``oracle_correspondence``.
+    ``pre_jump`` (law of the position just before the next jump) and
+    ``post_jump`` (jump plus regime switch) exist only inside
+    ``build_grid_model``: ``transition`` is written over ``pre_jump`` and
+    ``weighted_post_jump`` is ``post_jump`` scaled in place.
+    ``residual_plain`` is the plain factorization residual taken while
+    ``pre_jump`` was overwritten. ``fixed_point`` is the left fixed point of
+    ``transition``, computed once for the leak check and reused by
+    ``oracle_correspondence``.
     """
 
     nodes: np.ndarray
     n_regimes: int
     transition: np.ndarray
-    pre_jump: np.ndarray
-    post_jump: np.ndarray
     occupation: np.ndarray
     weighted_post_jump: np.ndarray
+    residual_plain: float
     leak_per_row: np.ndarray
     stationary_leak: float
     fixed_point: np.ndarray
@@ -180,40 +196,26 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     return rows, clipped
 
 
-def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) -> GridModel:
-    """Assemble all five matrices; validates stochasticity and window leakage.
+def _flow_rows(model: ModelSpec, nodes: np.ndarray,
+               rate_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-jump and occupation matrices, block-diagonal by regime.
 
-    The map-index law is discretized on [0, y_max], like the locations. The
-    window check weighs each row's clipped jump mass by the stationary
-    fixed point, so a y_max too small for the model fails loudly with the
-    offending rows named. The switching rows are checked at every node,
-    since the jump rows evaluate them there, also past the model's own
-    window. Failed checks raise GridAssemblyError.
+    Per regime and node block, survival at the quantile time edges becomes
+    each cell's mass, with the tail survival(t_max) placed at t_max; the flow
+    image of each cell is projected to a node, and the occupation mass is the
+    cell's mass over the rate at that node.
     """
-    if m < 2:
-        raise ValueError("need at least two grid nodes")
-    y_max = model.y_max if y_max is None else y_max
-    t_max = survival_horizon(model.intensity)
-    nodes = np.linspace(0.0, y_max, m)
-    try:
-        model.jump.switching.check_rows(nodes)
-    except ValueError as exc:
-        raise GridAssemblyError(f"on the grid nodes up to y_max={y_max:.6g}: {exc}") from exc
-    spacing = nodes[1] - nodes[0]
+    m = nodes.size
     n_regimes = model.n_regimes
     n_states = m * n_regimes
+    spacing = nodes[1] - nodes[0]
+    t_max = survival_horizon(model.intensity)
     # cell edges on the quantile scale of the slowest admissible clock
     edges = quantile_edges(model.intensity, GRID_TIME_CELLS, t_max)
     # each cell's midpoint, then t_max, where the survival tail is placed
     times = np.append(0.5 * (edges[:-1] + edges[1:]), t_max)
-
-    post_jump, leak = _jump_rows(model, nodes, n_regimes, y_max)
-    rate_at = np.asarray(model.intensity(nodes), dtype=float)
-    weighted_post_jump = post_jump * np.tile(rate_at, n_regimes)[:, None]
-
     pre_jump = np.zeros((n_states, n_states))
     occupation = np.zeros((n_states, n_states))
-    transition = np.zeros((n_states, n_states))
     for i in range(n_regimes):
         band = slice(i * m, (i + 1) * m)
         for blk in _node_blocks(m):
@@ -237,10 +239,78 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
                                                minlength=b * m).reshape(b, m)
             occupation[rows, band] = np.bincount(img.ravel(), occ_mass.ravel(),
                                                  minlength=b * m).reshape(b, m)
-        np.matmul(pre_jump[band, band], post_jump[band], out=transition[band])
+    return pre_jump, occupation
 
-    for name, mat in (("transition", transition), ("pre_jump", pre_jump), ("post_jump", post_jump)):
-        gaps = np.abs(mat.sum(axis=1) - 1.0)
+
+def _transition_over_pre_jump(pre_jump: np.ndarray, post_jump: np.ndarray,
+                              n_regimes: int) -> float:
+    """Write transition over ``pre_jump``, GRID_NODE_BLOCK rows per regime band
+    at a time, and return the plain factorization residual.
+
+    Each block's transition rows are pre_jump[rows, band] @ post_jump[band];
+    the residual is max |pre_jump[rows] @ post_jump - those rows| over the full
+    inner dimension, taken before the rows are overwritten. It is exactly 0 on
+    one regime; on several it is rounding plus any pre_jump mass outside its
+    band. A NaN in it is kept.
+    """
+    n_states = pre_jump.shape[0]
+    m = n_states // n_regimes
+    step = np.empty((min(GRID_NODE_BLOCK, m), n_states))
+    full = np.empty_like(step)
+    worst = 0.0
+    for i in range(n_regimes):
+        band = slice(i * m, (i + 1) * m)
+        for blk in _node_blocks(m):
+            rows = slice(i * m + blk.start, i * m + blk.stop)
+            b = blk.stop - blk.start
+            np.matmul(pre_jump[rows, band], post_jump[band], out=step[:b])
+            np.matmul(pre_jump[rows], post_jump, out=full[:b])
+            np.subtract(full[:b], step[:b], out=full[:b])
+            np.abs(full[:b], out=full[:b])
+            worst = np.maximum(worst, full[:b].max())  # np.maximum keeps a NaN
+            pre_jump[rows] = step[:b]
+    return float(worst)
+
+
+def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) -> GridModel:
+    """Assemble the grid kernels and keep transition, occupation and
+    weighted_post_jump; validates stochasticity and window leakage.
+
+    The row sums of ``pre_jump`` and ``post_jump`` are taken before transition
+    is written over ``pre_jump`` and ``post_jump`` is scaled in place, so at
+    most three n_states^2 matrices exist at once. The map-index law is discretized
+    on [0, y_max], like the locations. The window check weighs each row's
+    clipped jump mass by the stationary fixed point, so a y_max too small for
+    the model fails loudly with the offending rows named. The switching rows
+    are checked at every node, since the jump rows evaluate them there, also
+    past the model's own window. A y_max that is not positive and finite is a
+    ValueError; failed checks raise GridAssemblyError.
+    """
+    if m < 2:
+        raise ValueError("need at least two grid nodes")
+    y_max = model.y_max if y_max is None else y_max
+    if not (math.isfinite(y_max) and y_max > 0):
+        raise ValueError(f"y_max must be positive and finite, got {y_max}")
+    nodes = np.linspace(0.0, y_max, m)
+    try:
+        model.jump.switching.check_rows(nodes)
+    except ValueError as exc:
+        raise GridAssemblyError(f"on the grid nodes up to y_max={y_max:.6g}: {exc}") from exc
+    n_regimes = model.n_regimes
+    rate_at = np.asarray(model.intensity(nodes), dtype=float)
+
+    post_jump, leak = _jump_rows(model, nodes, n_regimes, y_max)
+    pre_jump, occupation = _flow_rows(model, nodes, rate_at)
+    pre_gaps = np.abs(pre_jump.sum(axis=1) - 1.0)
+    post_gaps = np.abs(post_jump.sum(axis=1) - 1.0)
+    residual_plain = _transition_over_pre_jump(pre_jump, post_jump, n_regimes)
+    transition = pre_jump
+    post_jump *= np.tile(rate_at, n_regimes)[:, None]
+    weighted_post_jump = post_jump
+    del pre_jump, post_jump
+
+    for name, gaps in (("transition", np.abs(transition.sum(axis=1) - 1.0)),
+                       ("pre_jump", pre_gaps), ("post_jump", post_gaps)):
         row = _first_bad_row(gaps <= DEFAULT_ROW_TOL)
         if row is not None:
             raise GridAssemblyError(f"{name} row {row} deviates from stochasticity "
@@ -260,9 +330,9 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
             f"boundary leakage {stationary_leak:.3e} exceeds {DEFAULT_MASS_TOL:.1e}; "
             f"worst rows {worst.tolist()}; increase y_max")
     return GridModel(nodes=nodes, n_regimes=n_regimes, transition=transition,
-                     pre_jump=pre_jump, post_jump=post_jump, occupation=occupation,
-                     weighted_post_jump=weighted_post_jump,
-                     leak_per_row=leak, stationary_leak=stationary_leak, fixed_point=fixed)
+                     occupation=occupation, weighted_post_jump=weighted_post_jump,
+                     residual_plain=residual_plain, leak_per_row=leak,
+                     stationary_leak=stationary_leak, fixed_point=fixed)
 
 
 @dataclass(frozen=True)
@@ -274,7 +344,9 @@ class FactorizationReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.residual_plain, self.residual_weighted) <= GRID_RESIDUAL_TOL
+        # not max(): max(0.0, nan) is 0.0, so a NaN in the second place would pass
+        return (self.residual_plain <= GRID_RESIDUAL_TOL
+                and self.residual_weighted <= GRID_RESIDUAL_TOL)
 
     def to_json(self) -> dict:
         return {"residual_plain": self.residual_plain,
@@ -298,10 +370,11 @@ def _max_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> fl
 
 
 def check_factorization(grid: GridModel) -> FactorizationReport:
-    """Verify pre_jump@post_jump and occupation@weighted_post_jump equal transition."""
-    res_plain = _max_residual(grid.pre_jump, grid.post_jump, grid.transition)
+    """Verify occupation@weighted_post_jump equals transition, and report it with
+    the plain residual ``build_grid_model`` took while it formed transition."""
     res_weighted = _max_residual(grid.occupation, grid.weighted_post_jump, grid.transition)
-    return FactorizationReport(residual_plain=res_plain, residual_weighted=res_weighted)
+    return FactorizationReport(residual_plain=grid.residual_plain,
+                               residual_weighted=res_weighted)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,16 @@ def reference_grid(model, m):
             "transition": transition, "leak_per_row": leak}
 
 
+def assembly_factors(model, m):
+    """pre_jump, post_jump and occupation from the assembly helpers, as they are
+    before build_grid_model overwrites pre_jump and scales post_jump."""
+    nodes = np.linspace(0.0, model.y_max, m)
+    post_jump, _ = grid_module._jump_rows(model, nodes, model.n_regimes, model.y_max)
+    pre_jump, occupation = grid_module._flow_rows(
+        model, nodes, np.asarray(model.intensity(nodes), dtype=float))
+    return pre_jump, post_jump, occupation
+
+
 def state_dependent_ifs_model():
     """Two regimes, halving maps whose selection law depends on the location."""
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
@@ -112,10 +123,49 @@ def state_dependent_ifs_model():
 def test_blocked_assembly_matches_per_row_reference(model, m):
     grid = build_grid_model(model, m)
     ref = reference_grid(model, m)
-    for name in ("pre_jump", "post_jump", "occupation", "weighted_post_jump"):
+    pre_jump, post_jump, occupation = assembly_factors(model, m)
+    factors = {"pre_jump": pre_jump, "post_jump": post_jump, "occupation": occupation}
+    for name, mat in factors.items():
+        assert np.array_equal(mat, ref[name]), name
+    for name in ("occupation", "weighted_post_jump"):
         assert np.array_equal(getattr(grid, name), ref[name]), name
     assert np.abs(grid.transition - ref["transition"]).max() <= 1e-15
     assert np.abs(grid.leak_per_row - ref["leak_per_row"]).max() <= 1e-15
+    # the fused pass writes the transition the grid holds over its pre_jump argument
+    grid_module._transition_over_pre_jump(pre_jump, post_jump, model.n_regimes)
+    assert np.array_equal(pre_jump, grid.transition)
+
+
+def test_grid_holds_three_matrices():
+    grid = build_grid_model(two_regime_model(), 60)
+    held = {f.name for f in dataclasses.fields(grid)
+            if np.shape(getattr(grid, f.name)) == (grid.n_states, grid.n_states)}
+    assert held == {"transition", "occupation", "weighted_post_jump"}
+
+
+def test_grid_memory_grows_by_three_matrices_per_state_squared():
+    # the tracemalloc peak of a full oracle pass grows by 3 n_states^2 floats
+    # (5 before pre_jump and post_jump were overwritten in place); the block
+    # scratch is the same at both sizes, so the difference isolates the matrices
+    peaks = {}
+    for m in (1024, 1600):
+        tracemalloc.start()
+        try:
+            grid = build_grid_model(GENE_SAT, m)
+            check_factorization(grid)
+            oracle_correspondence(grid)
+            del grid
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[1600] - peaks[1024]) / (8 * (1600 ** 2 - 1024 ** 2))
+    assert growth <= 3.5
+
+
+@pytest.mark.parametrize("y_max", [0.0, -5.0, np.nan, np.inf])
+def test_y_max_must_be_positive_and_finite(y_max):
+    with pytest.raises(ValueError, match="y_max must be positive and finite"):
+        build_grid_model(GENE, 40, y_max=y_max)
 
 
 def test_oracle_reuses_the_build_fixed_point(monkeypatch):
@@ -140,14 +190,43 @@ def test_blocked_residuals_equal_unblocked_expression():
     planted = dataclasses.replace(grid, transition=transition)
     for g in (grid, planted):
         fact = check_factorization(g)
-        assert fact.residual_plain == float(np.abs(g.pre_jump @ g.post_jump - g.transition).max())
+        assert fact.residual_plain == g.residual_plain
         assert fact.residual_weighted == float(
             np.abs(g.occupation @ g.weighted_post_jump - g.transition).max())
     fact = check_factorization(planted)
-    assert fact.residual_plain == pytest.approx(3e-7, rel=1e-6) and fact.passed
+    assert fact.residual_weighted == pytest.approx(3e-7, rel=1e-6) and fact.passed
     transition[3, 0] = np.nan
     assert not check_factorization(planted).passed
     assert np.isnan(check_factorization(planted).residual_weighted)
+
+
+def test_plain_residual_sees_pre_jump_mass_outside_its_band():
+    # one regime: the full product is the band product, so the residual is exactly 0
+    grid = build_grid_model(GENE_SAT, GRID_NODE_BLOCK + 72)
+    assert grid.residual_plain == 0.0
+    pre_jump, post_jump, _ = assembly_factors(GENE_SAT, GRID_NODE_BLOCK + 72)
+    assert grid_module._transition_over_pre_jump(pre_jump, post_jump, 1) == 0.0
+
+    model = two_regime_model()
+    m = GRID_NODE_BLOCK + 72
+    grid = build_grid_model(model, m)
+    pre_jump, post_jump, _ = assembly_factors(model, m)
+    clean = pre_jump.copy()
+    assert grid_module._transition_over_pre_jump(clean, post_jump, 2) == grid.residual_plain
+    assert grid.residual_plain <= 1e-15
+    # regime-0 row in the last, partial block of its band; its mass leaks into regime 1
+    row, col = m - 1, m + 5
+    pre_jump[row, col] += 3e-7
+    planted = pre_jump.copy()
+    residual = grid_module._transition_over_pre_jump(pre_jump, post_jump, 2)
+    assert residual == float(np.abs(planted @ post_jump - pre_jump).max())
+    assert residual == pytest.approx(3e-7 * post_jump[col].max(), rel=1e-6)
+    # the band product that became the transition ignores the planted mass
+    assert np.array_equal(pre_jump, grid.transition)
+    planted[row, col] = np.nan
+    residual = grid_module._transition_over_pre_jump(planted, post_jump, 2)
+    assert np.isnan(residual)
+    assert not dataclasses.replace(check_factorization(grid), residual_plain=residual).passed
 
 
 def two_node_model():
@@ -170,7 +249,8 @@ def test_two_node_transition_row():
 
 def test_row_sums_are_stochastic():
     grid = build_grid_model(GENE_SAT, 100)
-    for mat in (grid.transition, grid.pre_jump, grid.post_jump):
+    pre_jump, post_jump, _ = assembly_factors(GENE_SAT, 100)
+    for mat in (grid.transition, pre_jump, post_jump):
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-8
     occ = grid.occupation.sum(axis=1)
     assert occ.min() >= 1.0 / 1.5 - 1e-8 and occ.max() <= 1.0 + 1e-8
@@ -198,8 +278,9 @@ def test_switching_rows_are_checked_on_the_grid_nodes():
         jump=PostJumpKernel(AdditiveBurstKernel(1.0),
                             SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
         declared=DeclaredConstants(), y_max=15.0)
-    grid = build_grid_model(model, 120)
-    assert grid.post_jump.min() >= 0.0
+    build_grid_model(model, 120)
+    _, post_jump, _ = assembly_factors(model, 120)
+    assert post_jump.min() >= 0.0
     with pytest.raises(GridAssemblyError, match=r"y_max=30: switching entries must lie in"):
         build_grid_model(model, 120, y_max=30.0)
 
@@ -221,9 +302,10 @@ def test_factorization_negative_control_mismatched_horizon(monkeypatch):
     # rebuilding only the pre-jump factor with a shorter horizon must break
     # the identity well beyond the tolerance
     grid = build_grid_model(GENE, 100)
+    _, post_jump, _ = assembly_factors(GENE, 100)
     monkeypatch.setattr(grid_module, "survival_horizon", lambda intensity: 2.0)
-    short = build_grid_model(GENE, 100)
-    residual = np.abs(short.pre_jump @ grid.post_jump - grid.transition).max()
+    short_pre_jump, _, _ = assembly_factors(GENE, 100)
+    residual = np.abs(short_pre_jump @ post_jump - grid.transition).max()
     assert residual > 1e-6
 
 

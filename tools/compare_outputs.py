@@ -5,16 +5,19 @@
 Extracts ``git archive REV src configs`` into a temporary directory, then runs
 ``simulate``, ``correspondence``, ``oracle`` and ``diagnostics`` on each config
 under ``configs/``, at the config seed and at ``--seed 7``, once with that tree
-and once with the working tree. Each run gets its own directory holding a copy
-of its tree's config, so both sides pass the same arguments. Every output file,
-stdout, stderr and the exit code are compared. Prints the first difference and
-exits 1; exits 0 when every run matches, 2 when REV cannot be extracted.
-Runs serially; the 48 runs take about 30 s on two cores.
+and once with the working tree. ``oracle`` also runs at the larger grid sizes of
+``ORACLE_NODES``, the node counts of the benchmark's grid-refine workload. Each
+run gets its own directory holding a copy of its tree's config (with the grid
+size replaced where one is given), so both sides pass the same arguments. Every
+output file, stdout, stderr and the exit code are compared. Prints the first
+difference and exits 1; exits 0 when every run matches, 2 when REV cannot be
+extracted. Runs serially; the 64 runs take about 40 s on two cores.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -26,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("simulate", "correspondence", "oracle", "diagnostics")
 SEEDS = (None, 7)
+ORACLE_NODES = {"gene_saturating.json": (800, 1600), "two_regime.json": (400, 800)}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -35,11 +39,16 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(tree: Path, command: str, config: str, seed, run_dir: Path) -> dict:
-    """One CLI run from ``tree``: its exit code, stdout, stderr and output files."""
+def run(tree: Path, command: str, config: str, seed, nodes, run_dir: Path) -> dict:
+    """One CLI run from ``tree``, at ``nodes`` grid nodes unless None: its exit
+    code, stdout, stderr and output files."""
     run_dir.mkdir(parents=True)
     source = tree / "configs" / config
-    if source.exists():
+    if source.exists() and nodes is not None:
+        cfg = json.loads(source.read_text())
+        cfg["grid"] = {**cfg.get("grid", {}), "nodes": nodes}
+        (run_dir / "config.json").write_text(json.dumps(cfg))
+    elif source.exists():
         shutil.copyfile(source, run_dir / "config.json")
     args = [sys.executable, "-m", "pdmp_lab.cli", command,
             "--config", "config.json", "--out", "out"]
@@ -91,22 +100,23 @@ def main(argv: list[str]) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"cannot extract {rev}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        n_runs = 0
-        for config in configs:
-            for command in COMMANDS:
-                for seed in SEEDS:
-                    label = f"{command} {config}" + ("" if seed is None else f" --seed {seed}")
-                    name = f"{command}-{config[:-5]}-{seed}"
-                    base = run(tmp / "base", command, config, seed, tmp / "runs" / "base" / name)
-                    head = run(ROOT, command, config, seed, tmp / "runs" / "head" / name)
-                    n_runs += 1
-                    found = difference(base, head, rev)
-                    if found is not None:
-                        print(f"{label}: {found}")
-                        return 1
-                    print(f"{label}: identical (exit {head['exit code']}, "
-                          f"{len(head['files'])} files)", flush=True)
-    print(f"all {n_runs} runs identical to {rev}")
+        cases = [(command, config, seed, None)
+                 for config in configs for command in COMMANDS for seed in SEEDS]
+        cases += [("oracle", config, seed, nodes) for config in configs
+                  for nodes in ORACLE_NODES.get(config, ()) for seed in SEEDS]
+        for command, config, seed, nodes in cases:
+            label = (f"{command} {config}" + ("" if nodes is None else f" at {nodes} nodes")
+                     + ("" if seed is None else f" --seed {seed}"))
+            name = f"{command}-{config[:-5]}-{nodes}-{seed}"
+            base = run(tmp / "base", command, config, seed, nodes, tmp / "runs" / "base" / name)
+            head = run(ROOT, command, config, seed, nodes, tmp / "runs" / "head" / name)
+            found = difference(base, head, rev)
+            if found is not None:
+                print(f"{label}: {found}")
+                return 1
+            print(f"{label}: identical (exit {head['exit code']}, "
+                  f"{len(head['files'])} files)", flush=True)
+    print(f"all {len(cases)} runs identical to {rev}")
     return 0
 
 
