@@ -40,15 +40,12 @@ DRIFT_REPLICAS = 20_000  # one-step chains at each drift probe
 class DriftConstants:
     """Constants of the one-step drift inequality mean V(next) <= a V + b.
 
-    multiplier/offset are (a, b); jump_multiplier/jump_offset are the same
-    for the bare jump kernel; flow_displacement and jump_displacement are
-    the discounted anchor drift and the mean jump distance at the anchor.
+    multiplier/offset are (a, b); flow_displacement and jump_displacement
+    are the discounted anchor drift and the mean jump distance at the anchor.
     """
 
     multiplier: float
     offset: float
-    jump_multiplier: float
-    jump_offset: float
     flow_displacement: float
     jump_displacement: float
 
@@ -277,10 +274,8 @@ def drift_constants(model: ModelSpec) -> DriftConstants:
     a = lam_high * d.jump_mean_contraction * lip / gap
     b = lam_high * (d.jump_mean_contraction * d.flow_displacement
                     + d.jump_displacement / lam_low)
-    return DriftConstants(
-        multiplier=a, offset=b,
-        jump_multiplier=d.jump_mean_contraction, jump_offset=d.jump_displacement,
-        flow_displacement=d.flow_displacement, jump_displacement=d.jump_displacement)
+    return DriftConstants(multiplier=a, offset=b, flow_displacement=d.flow_displacement,
+                          jump_displacement=d.jump_displacement)
 
 
 @dataclass(frozen=True)

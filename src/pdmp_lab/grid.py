@@ -7,19 +7,17 @@ function; images are projected to the nearest node. Rows are assembled
 GRID_NODE_BLOCK nodes at a time, each block's cells binned into its rows by
 one ``np.bincount``.
 
-Five kernels are assembled, three are kept. ``pre_jump`` is overwritten
-block by block with ``transition`` = pre_jump @ post_jump per regime band,
-and ``post_jump`` is scaled in place by the rate at each origin node into
-``weighted_post_jump``; so assembly holds at most the three matrices
-``GridModel`` keeps, each n_states^2 floats.
+Five kernels are assembled, three are kept, each n_states^2 floats: ``pre_jump``
+is overwritten block by block with ``transition`` = pre_jump @ post_jump per
+regime band, and ``post_jump`` is scaled in place by the rate at each origin
+node into ``weighted_post_jump``.
 
-Both factorization residuals are assembly checks. ``residual_plain``, taken
-while ``pre_jump`` is overwritten, compares the full product with the
-band-restricted one that built ``transition``: it is exactly 0 on one regime
-and on several is rounding plus any ``pre_jump`` mass outside its regime band.
-``residual_weighted`` is an identity up to rounding: occupation divides each
-cell's mass by the rate at the node the flow reaches while
-weighted_post_jump multiplies each jump row by the rate at that same node.
+Both factorization residuals are assembly checks whose products skip columns
+that can only add zeros. ``residual_plain`` is the off-band term of the
+transition pass: exactly 0 on a correct assembly, it still catches planted
+off-band ``pre_jump`` mass or a NaN. ``residual_weighted`` is an identity up to
+rounding: occupation divides each cell's mass by the rate at the node the flow
+reaches while weighted_post_jump multiplies each jump row by the rate there.
 The two correspondence residuals of ``oracle_correspondence`` are assembly
 checks too: given occupation @ weighted_post_jump = transition, both reduce
 to fixed_point @ transition = fixed_point. None of the four catches a wrong
@@ -58,10 +56,8 @@ At GRID_TIME_CELLS one (block, cell) array is 2 MB."""
 
 class GridAssemblyError(RuntimeError):
     """The grid failed a check: switching rows at its nodes, stochastic rows,
-    occupation bracket, window leak.
-
-    A RuntimeError, so the CLI reports it as a solver failure (exit 4).
-    """
+    occupation bracket, window leak. A RuntimeError, so the CLI reports it as a
+    solver failure (exit 4)."""
 
 
 class ConvergenceError(RuntimeError):
@@ -128,13 +124,10 @@ class GridModel:
     weighted_post_jump:  jump plus regime switch, scaled by the jump rate at the origin
 
     ``pre_jump`` (law of the position just before the next jump) and
-    ``post_jump`` (jump plus regime switch) exist only inside
-    ``build_grid_model``: ``transition`` is written over ``pre_jump`` and
-    ``weighted_post_jump`` is ``post_jump`` scaled in place.
-    ``residual_plain`` is the plain factorization residual taken while
-    ``pre_jump`` was overwritten. ``fixed_point`` is the left fixed point of
-    ``transition``, computed once for the leak check and reused by
-    ``oracle_correspondence``.
+    ``post_jump`` exist only inside ``build_grid_model``. ``residual_plain`` is
+    the off-band residual of its transition pass; ``fixed_point`` is the left
+    fixed point of ``transition``, computed once for the leak check and reused
+    by ``oracle_correspondence``.
     """
 
     nodes: np.ndarray
@@ -242,33 +235,41 @@ def _flow_rows(model: ModelSpec, nodes: np.ndarray,
     return pre_jump, occupation
 
 
+def _column_span(block: np.ndarray) -> slice:
+    """First to one past the last column of ``block`` holding a nonzero or NaN."""
+    cols = np.flatnonzero((block != 0).any(axis=0))
+    return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else slice(0, 0)
+
+
 def _transition_over_pre_jump(pre_jump: np.ndarray, post_jump: np.ndarray,
                               n_regimes: int) -> float:
     """Write transition over ``pre_jump``, GRID_NODE_BLOCK rows per regime band
     at a time, and return the plain factorization residual.
 
-    Each block's transition rows are pre_jump[rows, band] @ post_jump[band];
-    the residual is max |pre_jump[rows] @ post_jump - those rows| over the full
-    inner dimension, taken before the rows are overwritten. It is exactly 0 on
-    one regime; on several it is rounding plus any pre_jump mass outside its
-    band. A NaN in it is kept.
+    Each block's rows are the one product pre_jump[rows, band] @ post_jump[band]
+    over the whole band: BLAS splits a sum by its length, so a shorter inner
+    dimension would move the fixed point's bits. The residual is max
+    |pre_jump[rows, off-band] @ post_jump[off-band]| over the off-band column
+    spans holding a nonzero or NaN, both sides of the band in one sum; normally
+    there are none and it is exactly 0. A NaN in it is kept.
     """
-    n_states = pre_jump.shape[0]
-    m = n_states // n_regimes
-    step = np.empty((min(GRID_NODE_BLOCK, m), n_states))
-    full = np.empty_like(step)
+    m = pre_jump.shape[0] // n_regimes
+    step = np.empty((min(GRID_NODE_BLOCK, m), pre_jump.shape[1]))
     worst = 0.0
     for i in range(n_regimes):
         band = slice(i * m, (i + 1) * m)
         for blk in _node_blocks(m):
             rows = slice(i * m + blk.start, i * m + blk.stop)
-            b = blk.stop - blk.start
-            np.matmul(pre_jump[rows, band], post_jump[band], out=step[:b])
-            np.matmul(pre_jump[rows], post_jump, out=full[:b])
-            np.subtract(full[:b], step[:b], out=full[:b])
-            np.abs(full[:b], out=full[:b])
-            worst = np.maximum(worst, full[:b].max())  # np.maximum keeps a NaN
-            pre_jump[rows] = step[:b]
+            out = step[:blk.stop - blk.start]
+            below = _column_span(pre_jump[rows, :band.start])
+            above = _column_span(pre_jump[rows, band.stop:])
+            if below.stop or above.stop:  # an empty span is slice(0, 0)
+                np.matmul(pre_jump[rows, below], post_jump[below], out=out)
+                if above.stop:
+                    out += pre_jump[rows, band.stop:][:, above] @ post_jump[band.stop:][above]
+                worst = np.maximum(worst, np.abs(out, out=out).max())  # np.maximum keeps a NaN
+            np.matmul(pre_jump[rows, band], post_jump[band], out=out)
+            pre_jump[rows] = out
     return float(worst)
 
 
@@ -276,15 +277,14 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
     """Assemble the grid kernels and keep transition, occupation and
     weighted_post_jump; validates stochasticity and window leakage.
 
-    The row sums of ``pre_jump`` and ``post_jump`` are taken before transition
-    is written over ``pre_jump`` and ``post_jump`` is scaled in place, so at
-    most three n_states^2 matrices exist at once. The map-index law is discretized
-    on [0, y_max], like the locations. The window check weighs each row's
-    clipped jump mass by the stationary fixed point, so a y_max too small for
-    the model fails loudly with the offending rows named. The switching rows
-    are checked at every node, since the jump rows evaluate them there, also
-    past the model's own window. A y_max that is not positive and finite is a
-    ValueError; failed checks raise GridAssemblyError.
+    The row sums of ``pre_jump`` and ``post_jump`` are taken before either is
+    overwritten. The map-index law is discretized on [0, y_max], like the
+    locations. The window check weighs each row's clipped jump mass by the
+    stationary fixed point, so a y_max too small for the model fails loudly
+    with the offending rows named. The switching rows are checked at every
+    node, since the jump rows evaluate them there, also past the model's own
+    window. A y_max that is not positive and finite is a ValueError; failed
+    checks raise GridAssemblyError.
     """
     if m < 2:
         raise ValueError("need at least two grid nodes")
@@ -304,9 +304,8 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
     pre_gaps = np.abs(pre_jump.sum(axis=1) - 1.0)
     post_gaps = np.abs(post_jump.sum(axis=1) - 1.0)
     residual_plain = _transition_over_pre_jump(pre_jump, post_jump, n_regimes)
-    transition = pre_jump
     post_jump *= np.tile(rate_at, n_regimes)[:, None]
-    weighted_post_jump = post_jump
+    transition, weighted_post_jump = pre_jump, post_jump
     del pre_jump, post_jump
 
     for name, gaps in (("transition", np.abs(transition.sum(axis=1) - 1.0)),
@@ -349,29 +348,30 @@ class FactorizationReport:
                 and self.residual_weighted <= GRID_RESIDUAL_TOL)
 
     def to_json(self) -> dict:
-        return {"residual_plain": self.residual_plain,
-                "residual_weighted": self.residual_weighted,
+        return {"residual_plain": self.residual_plain, "residual_weighted": self.residual_weighted,
                 "tol": GRID_RESIDUAL_TOL, "passed": self.passed}
 
 
 def _max_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> float:
-    """max |left @ right - target|, GRID_NODE_BLOCK rows at a time in one reused buffer."""
+    """max |left @ right - target|, GRID_NODE_BLOCK rows at a time in one reused
+    buffer, each block's product over its column span of ``left``. On the grid
+    every row of ``right`` lies in some span, so a NaN there still shows."""
     n = target.shape[0]
     buf = np.empty((min(GRID_NODE_BLOCK, n), target.shape[1]))
     worst = 0.0
     for start in range(0, n, GRID_NODE_BLOCK):
         rows = slice(start, start + GRID_NODE_BLOCK)
         out = buf[:min(GRID_NODE_BLOCK, n - start)]
-        np.matmul(left[rows], right, out=out)
+        span = _column_span(left[rows])
+        np.matmul(left[rows, span], right[span], out=out)
         np.subtract(out, target[rows], out=out)
-        np.abs(out, out=out)
-        worst = np.maximum(worst, out.max())  # np.maximum keeps a NaN
+        worst = np.maximum(worst, np.abs(out, out=out).max())  # np.maximum keeps a NaN
     return float(worst)
 
 
 def check_factorization(grid: GridModel) -> FactorizationReport:
-    """Verify occupation@weighted_post_jump equals transition, and report it with
-    the plain residual ``build_grid_model`` took while it formed transition."""
+    """Verify occupation@weighted_post_jump equals transition, each row block over
+    its occupation column span, and report it with the build's off-band residual."""
     res_weighted = _max_residual(grid.occupation, grid.weighted_post_jump, grid.transition)
     return FactorizationReport(residual_plain=grid.residual_plain,
                                residual_weighted=res_weighted)

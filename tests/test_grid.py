@@ -200,26 +200,79 @@ def test_blocked_residuals_equal_unblocked_expression():
     assert np.isnan(check_factorization(planted).residual_weighted)
 
 
-def test_plain_residual_sees_pre_jump_mass_outside_its_band():
-    # one regime: the full product is the band product, so the residual is exactly 0
-    grid = build_grid_model(GENE_SAT, GRID_NODE_BLOCK + 72)
-    assert grid.residual_plain == 0.0
-    pre_jump, post_jump, _ = assembly_factors(GENE_SAT, GRID_NODE_BLOCK + 72)
-    assert grid_module._transition_over_pre_jump(pre_jump, post_jump, 1) == 0.0
+def test_column_span_is_first_to_last_nonzero_column():
+    block = np.zeros((3, 8))
+    assert grid_module._column_span(block) == slice(0, 0)
+    block[2, 3] = np.nan
+    assert grid_module._column_span(block) == slice(3, 4)
+    block[0, 6] = -1e-300
+    assert grid_module._column_span(block) == slice(3, 7)
 
-    model = two_regime_model()
+
+@pytest.mark.parametrize("model, m", [
+    (GENE_SAT, 400),
+    (two_regime_model(), GRID_NODE_BLOCK + 72),
+], ids=["gene-saturating", "two-regime"])
+def test_span_residual_matches_the_full_product(model, m):
+    grid = build_grid_model(model, m)
+    full = np.abs(grid.occupation @ grid.weighted_post_jump - grid.transition).max()
+    assert abs(check_factorization(grid).residual_weighted - full) <= 1e-16
+    transition = grid.transition.copy()
+    transition[-1, 7] += 3e-7  # planted in the last, partial row block
+    fact = check_factorization(dataclasses.replace(grid, transition=transition))
+    assert fact.residual_weighted == pytest.approx(3e-7, rel=1e-6) and fact.passed
+
+
+@pytest.mark.parametrize("model", [GENE_SAT, two_regime_model()],
+                         ids=["gene-saturating", "two-regime"])
+def test_a_nan_in_either_weighted_factor_fails(model):
     m = GRID_NODE_BLOCK + 72
     grid = build_grid_model(model, m)
+    assert check_factorization(grid).passed
+    # check_factorization's row blocks; the last one is partial
+    starts = range(0, grid.n_states, GRID_NODE_BLOCK)
+    spans = [grid_module._column_span(grid.occupation[s:s + GRID_NODE_BLOCK]) for s in starts]
+    # a weighted_post_jump row outside some block's span: only other blocks' products reach it
+    span = next(sp for sp in spans if sp != slice(0, grid.n_states))
+    outside = 0 if span.start > 0 else span.stop
+    assert not span.start <= outside < span.stop
+    for name, entry in (("occupation", (-1, 0)), ("weighted_post_jump", (-1, 3)),
+                        ("weighted_post_jump", (outside, 3))):
+        planted = getattr(grid, name).copy()
+        planted[entry] = np.nan
+        fact = check_factorization(dataclasses.replace(grid, **{name: planted}))
+        assert np.isnan(fact.residual_weighted) and not fact.passed, (name, entry)
+
+
+def test_plain_residual_sees_pre_jump_mass_outside_its_band():
+    # one regime: there is no off-band column, so the residual is exactly 0
+    m = GRID_NODE_BLOCK + 72
+    grid = build_grid_model(GENE_SAT, m)
+    assert grid.residual_plain == 0.0
+    pre_jump, post_jump, _ = assembly_factors(GENE_SAT, m)
+    assert grid_module._transition_over_pre_jump(pre_jump, post_jump, 1) == 0.0
+
+    # two regimes: a correct assembly holds no off-band mass, so again exactly 0
+    model = two_regime_model()
+    grid = build_grid_model(model, m)
+    assert grid.residual_plain == 0.0
     pre_jump, post_jump, _ = assembly_factors(model, m)
     clean = pre_jump.copy()
     assert grid_module._transition_over_pre_jump(clean, post_jump, 2) == grid.residual_plain
     assert grid.residual_plain <= 1e-15
+    # each block's transition rows are its one band product, byte for byte
+    for i in range(model.n_regimes):
+        band = slice(i * m, (i + 1) * m)
+        for blk in grid_module._node_blocks(m):
+            rows = slice(i * m + blk.start, i * m + blk.stop)
+            assert np.array_equal(grid.transition[rows], pre_jump[rows, band] @ post_jump[band])
     # regime-0 row in the last, partial block of its band; its mass leaks into regime 1
     row, col = m - 1, m + 5
     pre_jump[row, col] += 3e-7
     planted = pre_jump.copy()
     residual = grid_module._transition_over_pre_jump(pre_jump, post_jump, 2)
-    assert residual == float(np.abs(planted @ post_jump - pre_jump).max())
+    rows, off_band = slice(GRID_NODE_BLOCK, m), slice(m, 2 * m)
+    assert residual == float(np.abs(planted[rows, off_band] @ post_jump[off_band]).max())
     assert residual == pytest.approx(3e-7 * post_jump[col].max(), rel=1e-6)
     # the band product that became the transition ignores the planted mass
     assert np.array_equal(pre_jump, grid.transition)
@@ -227,6 +280,24 @@ def test_plain_residual_sees_pre_jump_mass_outside_its_band():
     residual = grid_module._transition_over_pre_jump(planted, post_jump, 2)
     assert np.isnan(residual)
     assert not dataclasses.replace(check_factorization(grid), residual_plain=residual).passed
+
+
+def test_plain_residual_sums_off_band_mass_on_both_sides():
+    # three regimes, block-diagonal pre_jump; a middle-band row holds mass in
+    # bands 0 and 2, powers of two so every product term is exact
+    m, n_regimes = 40, 3
+    rng = np.random.default_rng(5)
+    pre_jump = np.zeros((m * n_regimes, m * n_regimes))
+    for i in range(n_regimes):
+        pre_jump[i * m:(i + 1) * m, i * m:(i + 1) * m] = rng.random((m, m))
+    post_jump = rng.random((m * n_regimes, m * n_regimes))
+    row = m + 3
+    pre_jump[row, 7] = 2.0 ** -21
+    pre_jump[row, 2 * m + 11] = 2.0 ** -22
+    off_band = np.r_[0:m, 2 * m:3 * m]
+    expected = float(np.abs(pre_jump[row, off_band] @ post_jump[off_band]).max())
+    assert grid_module._transition_over_pre_jump(pre_jump, post_jump, n_regimes) == expected
+    assert expected > 2.0 ** -21 * post_jump[7].max()
 
 
 def two_node_model():
