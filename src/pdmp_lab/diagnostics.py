@@ -38,16 +38,10 @@ DRIFT_REPLICAS = 20_000  # one-step chains at each drift probe
 
 @dataclass(frozen=True)
 class DriftConstants:
-    """Constants of the one-step drift inequality mean V(next) <= a V + b.
-
-    multiplier/offset are (a, b); flow_displacement and jump_displacement
-    are the discounted anchor drift and the mean jump distance at the anchor.
-    """
+    """Constants (a, b) of the one-step drift inequality mean V(next) <= a V + b."""
 
     multiplier: float
     offset: float
-    flow_displacement: float
-    jump_displacement: float
 
 
 @dataclass(frozen=True)
@@ -274,8 +268,7 @@ def drift_constants(model: ModelSpec) -> DriftConstants:
     a = lam_high * d.jump_mean_contraction * lip / gap
     b = lam_high * (d.jump_mean_contraction * d.flow_displacement
                     + d.jump_displacement / lam_low)
-    return DriftConstants(multiplier=a, offset=b, flow_displacement=d.flow_displacement,
-                          jump_displacement=d.jump_displacement)
+    return DriftConstants(multiplier=a, offset=b)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class AffineExpFlow(Semiflow):
 
     def evaluate(self, i, t, y):
         # written as y*decay + c*(1-decay) so S(0, y) returns y exactly;
-        # hazard._hazard_and_slope repeats this expression for the Newton slope
+        # hazard._hazard_and_slope repeats this expression for the saturating Newton slope
         t = self._checked_time(i, t)
         c = self.anchor_of[i]
         decay = np.exp(-self.rate_of[i] * t)

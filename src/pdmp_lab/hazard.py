@@ -2,14 +2,16 @@
 
 The jump rate is a bounded continuous function of the location with
 0 < lambda_low <= lambda(y) <= lambda_high. The holding time from (y, i)
-has CDF 1 - exp(-H(y, i, t)) where H integrates the rate along the flow;
-two independent batch samplers (hazard inversion and thinning) target that law.
+has CDF 1 - exp(-H(y, i, t)) where H integrates the rate along the flow.
+H is in closed form for the two flow/intensity pairs the models use, and a
+model with any other pair is rejected when its hazard is built. Two
+independent batch samplers (hazard inversion and thinning) target that law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +25,7 @@ HOLDING_NEWTON_BLOCK = 8192
 """Atoms solved together. Bounds the scratch memory, and the passes over atoms
 that converged before the slowest atom of their block."""
 QUAD_TOL = 1e-10
-"""Absolute tolerance of adaptive Simpson: hazards with no closed form, diagnostic integrals."""
+"""Absolute tolerance of adaptive Simpson, which runs the diagnostic time integrals."""
 QUAD_MAX_DEPTH = 48
 """Bisection depth at which adaptive Simpson gives up."""
 SURVIVAL_TAIL_EPS = 1e-12
@@ -128,35 +130,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH)
 
 
-def closed_form_hazard(flow: Semiflow, intensity: Intensity):
-    """Exact cumulative hazard for the shipped flow/intensity pairs, else None.
-
-    Returns a callable (i, y) -> (t -> integral of lambda(S_i(h, y)) over
-    [0, t]). Everything that depends only on the start (i, y) is computed
-    once, so a root finder that evaluates many times t per start pays for it
-    once; the inner callable broadcasts t against the start arrays.
-    """
-    if isinstance(intensity, ConstantIntensity) or isinstance(flow, FrozenFlow):
-        def path_constant_hazard(i, y):
-            # the rate does not change along the path: H = lambda(y) * t
-            rate = intensity(y)
-            return lambda t: rate * np.asarray(t, dtype=float)
-
-        return path_constant_hazard
-    if isinstance(intensity, SaturatingIntensity) and isinstance(flow, AffineExpFlow):
-        def saturating_hazard(i, y):
-            kappa, _, at_decay = _saturating_terms(flow, intensity, i, y)
-
-            def hazard(t):
-                t = np.asarray(t, dtype=float)
-                return at_decay(t, np.exp(-kappa * t))
-
-            return hazard
-
-        return saturating_hazard
-    return None
-
-
 def _saturating_terms(flow: AffineExpFlow, intensity: SaturatingIntensity, i, y):
     """Per-start terms of the saturating hazard: (kappa, c, (t, decay) -> H(y, i, t)).
 
@@ -180,27 +153,43 @@ def _saturating_terms(flow: AffineExpFlow, intensity: SaturatingIntensity, i, y)
 
 @dataclass(frozen=True)
 class CumulativeHazard:
-    """Cumulative hazard H(y, i, t) of the holding-time law along the flow.
+    """Cumulative hazard H(y, i, t) of the holding-time law along the flow, in closed form.
 
-    Uses the exact antiderivative when one is registered for the
-    flow/intensity pair, otherwise adaptive Simpson at QUAD_TOL. The
+    The flow/intensity pair is classified once, when the hazard is built:
+    path-constant (a ConstantIntensity on any flow, or any intensity on a
+    FrozenFlow), where the rate does not change along the path and H =
+    lambda(y) * t; or saturating (a SaturatingIntensity on an AffineExpFlow),
+    with its exact antiderivative. Any other pair raises ValueError. The
     regime ``i`` is an int or an int array broadcasting with ``t`` and ``y``.
     """
 
     intensity: Intensity
     flow: Semiflow
-    closed_form: Optional[Callable] = None
+    path_constant: bool = field(init=False)
 
-    @classmethod
-    def for_model(cls, flow: Semiflow, intensity: Intensity):
-        return cls(intensity=intensity, flow=flow, closed_form=closed_form_hazard(flow, intensity))
+    def __post_init__(self):
+        path_constant = (isinstance(self.intensity, ConstantIntensity)
+                         or isinstance(self.flow, FrozenFlow))
+        if not (path_constant or (isinstance(self.intensity, SaturatingIntensity)
+                                  and isinstance(self.flow, AffineExpFlow))):
+            raise ValueError(f"no closed-form hazard for {type(self.intensity).__name__} "
+                             f"on {type(self.flow).__name__}")
+        object.__setattr__(self, "path_constant", path_constant)
 
     def along(self, i, y) -> Callable:
-        """t -> H(y, i, t) for fixed starts, with the per-start terms hoisted."""
+        """t -> H(y, i, t) for fixed starts; everything that depends only on the
+        start is computed once, and t broadcasts against the start arrays."""
         self.flow.check_regime(i)
-        if self.closed_form is not None:
-            return self.closed_form(i, y)
-        return lambda t: self._quadrature(i, t, y)
+        if self.path_constant:
+            rate = self.intensity(y)
+            return lambda t: rate * np.asarray(t, dtype=float)
+        kappa, _, at_decay = _saturating_terms(self.flow, self.intensity, i, y)
+
+        def hazard(t):
+            t = np.asarray(t, dtype=float)
+            return at_decay(t, np.exp(-kappa * t))
+
+        return hazard
 
     def value(self, i, t, y):
         """H(y, i, t); broadcasts over arrays. Rejects t < 0."""
@@ -208,27 +197,16 @@ class CumulativeHazard:
             raise ValueError("hazard time must be >= 0")
         return self.along(i, y)(t)
 
-    def _quadrature(self, i, t, y):
-        tb, yb, ib = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float),
-                                         np.asarray(i))
-        out = np.empty(tb.shape, dtype=float)
-        for idx in np.ndindex(tb.shape):
-            yv, iv = float(yb[idx]), int(ib[idx])
-            out[idx] = adaptive_simpson(
-                lambda h: float(self.intensity(self.flow.evaluate(iv, h, yv))),
-                0.0, float(tb[idx]))
-        if out.shape == ():
-            return float(out)
-        return out
-
     def survival(self, i, t, y):
         """P(holding time > t) = exp(-H(y, i, t)) in (0, 1]."""
         return np.exp(-np.asarray(self.value(i, t, y), dtype=float))
 
 
 def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Solve H(y, i, t) = target elementwise by safeguarded Newton ("rtsafe").
+    """Solve H(y, i, t) = target elementwise.
 
+    A path-constant pair has H = lambda(y) * t, so its root is target /
+    lambda(y). The saturating pair is solved by safeguarded Newton ("rtsafe").
     The rate bounds guarantee the bracket [target/upper, target/lower], and
     the t-derivative of H is the rate along the flow, lambda(S_i(t, y)) >=
     lower > 0. Each iteration narrows the bracket by the sign of H(t) -
@@ -247,8 +225,8 @@ def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) 
     if not np.isfinite(ys).all():
         raise ValueError("start locations must be finite")
     h.flow.check_regime(i)
-    if isinstance(h.intensity, ConstantIntensity):
-        return targets / h.intensity.rate
+    if h.path_constant:
+        return targets / h.intensity(ys)
     ys, targets, regimes = np.broadcast_arrays(ys, targets, np.asarray(i))
     flat_ys, flat_targets, flat_regimes = ys.ravel(), targets.ravel(), regimes.ravel()
     out = np.empty(flat_ys.size)
@@ -300,25 +278,21 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
 
 
 def _hazard_and_slope(h: CumulativeHazard, regimes: np.ndarray, ys: np.ndarray) -> Callable:
-    """t -> (H(y, i, t), lambda(S_i(t, y))) on one block of starts, for Newton.
+    """t -> (H(y, i, t), lambda(S_i(t, y))) on one block of saturating-pair starts, for Newton.
 
-    The closed-form saturating pair gets both from one exp(-kappa * t), by the
-    expressions of saturating_hazard, AffineExpFlow.evaluate and
-    SaturatingIntensity, so each value is bitwise that of the separate calls.
-    The regimes were checked on entry and t stays in its bracket, so the
-    checks evaluate repeats are skipped. Other pairs make the separate calls.
+    Both come from one exp(-kappa * t), by the expressions of
+    CumulativeHazard.along, AffineExpFlow.evaluate and SaturatingIntensity,
+    so each value is bitwise that of the separate calls. The regimes were
+    checked on entry and t stays in its bracket, so the checks evaluate
+    repeats are skipped.
     """
-    if (h.closed_form is not None and isinstance(h.intensity, SaturatingIntensity)
-            and isinstance(h.flow, AffineExpFlow)):
-        kappa, c, at_decay = _saturating_terms(h.flow, h.intensity, regimes, ys)
+    kappa, c, at_decay = _saturating_terms(h.flow, h.intensity, regimes, ys)
 
-        def fused(t):
-            decay = np.exp(-kappa * t)
-            return at_decay(t, decay), h.intensity(ys * decay + c * (1.0 - decay))
+    def fused(t):
+        decay = np.exp(-kappa * t)
+        return at_decay(t, decay), h.intensity(ys * decay + c * (1.0 - decay))
 
-        return fused
-    hazard = h.along(regimes, ys)
-    return lambda t: (hazard(t), h.intensity(h.flow.evaluate(regimes, t, ys)))
+    return fused
 
 
 def sample_holding_thinning_vec(h: CumulativeHazard, i, ys: np.ndarray,

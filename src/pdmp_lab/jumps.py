@@ -154,6 +154,8 @@ class SwitchingMatrix:
     ``check_rows`` validates the rows at given locations; ``ModelSpec``
     checks them on its own location window. A matrix of numbers only is
     checked at construction; a callable entry is first called by ``check_rows``.
+    ``rows_at`` stacks whole matrices for the grid and the diagnostics;
+    ``sample_vec`` evaluates each row only at the atoms of its own regime.
     """
 
     def __init__(self, entries: Sequence[Sequence]):
@@ -190,16 +192,30 @@ class SwitchingMatrix:
 
     def sample_vec(self, regimes: np.ndarray, ys_post: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
+        """Post-jump regimes by inverse CDF: one uniform per atom, drawn first.
+
+        Row i's CDF is built from its entries evaluated only at the atoms in
+        regime i, added in the order ``cumsum`` uses, and each atom gets the
+        number of CDF entries its uniform exceeds. Only the entries before the
+        last are needed: a row summing to within ROW_SUM_TOL below 1 leaves a
+        uniform above its last entry, which is given to the last regime. With
+        one regime that leaves nothing to evaluate.
+        """
         ys_post = np.asarray(ys_post, dtype=float)
         regimes = np.asarray(regimes, dtype=np.int64)
-        if self.n_regimes == 1:
-            rng.random(ys_post.shape)  # keep the draw count regime-independent
-            return np.zeros(ys_post.shape, dtype=np.int64)
-        rows = self.rows_at(ys_post)[np.arange(ys_post.size), regimes]
-        cdf = np.cumsum(rows, axis=1)
+        bad = (regimes < 0) | (regimes >= self.n_regimes)
+        if bad.any():
+            raise ValueError(f"regime {regimes[bad].flat[0]} outside 0..{self.n_regimes - 1}")
         us = rng.random(ys_post.shape)
-        out = (us[:, None] > cdf).sum(axis=1)
-        return np.minimum(out, self.n_regimes - 1).astype(np.int64)
+        out = np.zeros(ys_post.shape, dtype=np.int64)
+        cdfs = [0.0] * self.n_regimes
+        for j in range(self.n_regimes - 1):
+            for i, row in enumerate(self._fns):
+                at = regimes == i
+                cdfs[i] = cdfs[i] + np.asarray(row[j](ys_post[at]), dtype=float)
+                exceeded = us[at] > cdfs[i]  # before out[at] is gathered: never both at once
+                out[at] += exceeded
+        return out
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class ModelSpec:
             raise ValueError(f"flow {type(self.flow).__name__} has no contraction envelope")
         if self.intensity.lipschitz is None:
             raise ValueError(f"intensity {type(self.intensity).__name__} has no Lipschitz bound")
-        object.__setattr__(self, "hazard", CumulativeHazard.for_model(self.flow, self.intensity))
+        object.__setattr__(self, "hazard", CumulativeHazard(self.intensity, self.flow))
         # switching rows are checked where the model lives: its location window
         self.jump.switching.check_rows(np.linspace(0.0, self.y_max, 64))
 

@@ -234,8 +234,7 @@ def test_empirical_drift_detects_false_constants():
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants())
     from pdmp_lab.diagnostics import DriftConstants
-    false_constants = DriftConstants(multiplier=0.5, offset=1.0, flow_displacement=0.0,
-                                     jump_displacement=1.0)
+    false_constants = DriftConstants(multiplier=0.5, offset=1.0)
     report = verify_drift_empirically(model, false_constants, seed=10)
     assert not report.passed
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab import hazard as hazard_module
-from pdmp_lab.flows import AffineExpFlow
+from pdmp_lab.flows import AffineExpFlow, ExpandingFlow, FrozenFlow
 from pdmp_lab.hazard import (
     ConstantIntensity,
     CumulativeHazard,
@@ -15,14 +15,15 @@ from pdmp_lab.hazard import (
     invert_holding,
     sample_holding_thinning_vec,
 )
-from pdmp_lab.models import build_model
+from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.models import MODEL_REGISTRY, DeclaredConstants, ModelSpec, build_model
 
 from oracles import ks_critical, ks_statistic, ks_statistic_weighted
 
 FLOW = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
 # rate band [1, 2]: the variant used in the worked closed-form example
-WIDE = CumulativeHazard.for_model(FLOW, SaturatingIntensity(base=1.0, gain=1.0))
-CONST2 = CumulativeHazard.for_model(FLOW, ConstantIntensity(2.0))
+WIDE = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=FLOW)
+CONST2 = CumulativeHazard(intensity=ConstantIntensity(2.0), flow=FLOW)
 
 
 def closed_gene_hazard(y, t):
@@ -45,9 +46,11 @@ def test_closed_form_value():
 
 
 def test_quadrature_matches_closed_form():
-    quad = CumulativeHazard(intensity=WIDE.intensity, flow=FLOW, closed_form=None)
-    for t in (0.3, 1.0, 2.7):
-        assert quad.value(0, t, 1.0) == pytest.approx(closed_gene_hazard(1.0, t), abs=1e-9)
+    # adaptive Simpson of the rate along the flow reads only the intensity and the flow
+    for y in (0.0, 1.0, 7.5):
+        for t in (0.3, 1.0, 2.7):
+            quad = adaptive_simpson(lambda h: float(WIDE.intensity(FLOW.evaluate(0, h, y))), 0.0, t)
+            assert WIDE.value(0, t, y) == pytest.approx(quad, abs=1e-9)
 
 
 def test_negative_time_rejected():
@@ -173,7 +176,7 @@ def test_inversion_detects_invalid_rate_bounds():
             object.__setattr__(self, "lower", 5.0)
             object.__setattr__(self, "upper", 6.0)
 
-    bad = CumulativeHazard.for_model(FLOW, LyingIntensity(base=1.0, gain=0.5))
+    bad = CumulativeHazard(intensity=LyingIntensity(base=1.0, gain=0.5), flow=FLOW)
     with pytest.raises(RuntimeError, match="rate bounds"):
         invert_holding(bad, 0, np.array([1.0]), np.array([2.0]))
 
@@ -186,7 +189,7 @@ def test_adaptive_simpson_known_integrals(monkeypatch):
 
 def test_regime_array_matches_per_regime_calls():
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
-    hz = CumulativeHazard.for_model(flow, SaturatingIntensity(base=1.0, gain=0.5))
+    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
     rng = np.random.default_rng(22)
     n = 2000
     regimes = rng.integers(0, 2, n)
@@ -205,7 +208,7 @@ def test_out_of_range_regime_entry_rejected():
     regimes = np.array([0, 1, 2, 0])
     ys = np.ones(4)
     for intensity in (SaturatingIntensity(base=1.0, gain=0.5), ConstantIntensity(1.0)):
-        hz = CumulativeHazard.for_model(flow, intensity)
+        hz = CumulativeHazard(intensity=intensity, flow=flow)
         with pytest.raises(ValueError, match="regime"):
             hz.value(regimes, 1.0, ys)
         with pytest.raises(ValueError, match="regime"):
@@ -245,7 +248,7 @@ def test_newton_residual_on_gene_saturating():
 
 def test_inversion_of_an_atom_does_not_depend_on_its_batch():
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
-    hz = CumulativeHazard.for_model(flow, SaturatingIntensity(base=1.0, gain=0.5))
+    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
     rng = np.random.default_rng(9)
     n = 300
     regimes = rng.integers(0, 2, n)
@@ -264,31 +267,20 @@ def test_inversion_iteration_cap_names_the_atom(monkeypatch):
         invert_holding(WIDE, 0, np.array([0.0, 2.5]), np.array([0.0, 3.0]))
 
 
-class GenericRate(Intensity):
-    """A saturating rate that is not a SaturatingIntensity, so Newton takes the generic slope."""
-
-    def __init__(self, rate: SaturatingIntensity):
-        self.rate, self.lower, self.upper = rate, rate.lower, rate.upper
-
-    def __call__(self, y):
-        return self.rate(y)
-
-
 @pytest.mark.parametrize("flow", [AffineExpFlow(rates=(1.0,), anchors=(0.0,)),
                                   AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))])
 def test_fused_newton_slope_is_bitwise_the_generic_slope(flow):
-    # one exp per iteration for H and the slope must not change a single iterate
-    rate = SaturatingIntensity(base=1.0, gain=0.5)
-    fused = CumulativeHazard.for_model(flow, rate)
-    generic = CumulativeHazard(intensity=GenericRate(rate), flow=flow,
-                               closed_form=fused.closed_form)
+    # one exp per iteration for H and the slope must give the separate calls' bits
+    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
     rng = np.random.default_rng(10)
     n = 10_000
     regimes = rng.integers(0, flow.n_regimes, n)
     ys = np.concatenate([[0.0, 1e-9, 1e3], rng.uniform(0.0, 30.0, n - 3)])
-    targets = np.concatenate([[1.0, 1e-14, 40.0], -np.log1p(-rng.random(n - 3))])
-    expect = invert_holding(generic, regimes, ys, targets)
-    assert np.array_equal(invert_holding(fused, regimes, ys, targets), expect)
+    fused = hazard_module._hazard_and_slope(hz, regimes, ys)
+    for t in (np.zeros(n), np.full(n, 1e-14), rng.exponential(1.0, n), np.full(n, 40.0)):
+        hazard, slope = fused(t)
+        assert np.array_equal(hazard, hz.along(regimes, ys)(t))
+        assert np.array_equal(slope, hz.intensity(hz.flow.evaluate(regimes, t, ys)))
 
 
 def test_inversion_residual_check_runs_per_block(monkeypatch):
@@ -309,3 +301,42 @@ def test_inversion_residual_check_runs_per_block(monkeypatch):
     t = invert_holding(WIDE, 0, ys, targets)
     assert sizes == [16, 16, 8]
     assert np.abs(WIDE.value(0, t, ys) - targets).max() <= 1e-12 * (1.0 + targets.max())
+
+
+def test_every_registered_model_builds():
+    # each registered flow/intensity pair has a closed-form hazard
+    for name in MODEL_REGISTRY:
+        model = build_model(name)
+        assert model.hazard.path_constant == isinstance(model.intensity, ConstantIntensity)
+
+
+class PlainRate(Intensity):
+    """A bounded rate that is neither constant nor saturating."""
+
+    lower, upper, lipschitz = 1.0, 2.0, 1.0
+
+    def __call__(self, y):
+        return 1.0 + 0.5 * (1.0 + np.tanh(np.asarray(y, dtype=float)))
+
+
+@pytest.mark.parametrize("flow, intensity, message", [
+    (ExpandingFlow(), SaturatingIntensity(), "SaturatingIntensity on ExpandingFlow"),
+    (AffineExpFlow(), PlainRate(), "PlainRate on AffineExpFlow"),
+], ids=["expanding-saturating", "affine-plain"])
+def test_pair_without_closed_form_fails_at_model_build(flow, intensity, message):
+    with pytest.raises(ValueError, match=f"no closed-form hazard for {message}"):
+        ModelSpec(name="no-hazard", flow=flow, intensity=intensity,
+                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+                  declared=DeclaredConstants())
+
+
+def test_frozen_flow_with_saturating_rate_inverts_to_target_over_rate():
+    # the rate does not change along a frozen path, so H = lambda(y) * t
+    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=FrozenFlow())
+    assert hz.path_constant
+    rng = np.random.default_rng(12)
+    ys = np.concatenate([[0.0, 1e3], rng.uniform(0.0, 30.0, 998)])
+    targets = np.concatenate([[40.0, 1e-14], -np.log1p(-rng.random(998))])
+    t = invert_holding(hz, 0, ys, targets)
+    assert np.array_equal(t, targets / hz.intensity(ys))
+    assert (np.abs(hz.value(0, t, ys) - targets) <= 1e-12 * targets).all()

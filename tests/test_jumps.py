@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,70 @@ def test_switching_rows_stochastic_at_random_locations():
     rows = pi.rows_at(rng.uniform(0, 15, 1000))
     assert np.abs(rows.sum(axis=2) - 1.0).max() < 1e-12
     assert rows.min() >= 0.0 and rows.max() <= 1.0
+
+
+def test_switching_rejects_labels_outside_the_regimes():
+    ys = np.full(3, 0.5)
+    for pi, bad in ((SwitchingMatrix([[1.0]]), 1), (SwitchingMatrix([[1.0]]), -1),
+                    (SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]]), 2),
+                    (SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]]), -3)):
+        n = pi.n_regimes
+        with pytest.raises(ValueError, match=rf"regime {bad} outside 0\.\.{n - 1}"):
+            pi.sample_vec(np.array([0, bad, 0]), ys, np.random.default_rng(14))
+
+
+def _clip_stay(y):
+    return np.clip(np.asarray(y, dtype=float), 0.1, 0.9)
+
+
+SWITCHES = {
+    "one": [[1.0]],
+    "two-constant": [[0.25, 0.75], [0.6, 0.4]],
+    "two-ramp": [[_clip_stay, lambda y: 1.0 - _clip_stay(y)], [0.5, 0.5]],
+    "three-mixed": [[lambda y: 0.5 * _clip_stay(y), lambda y: 0.5 - 0.5 * _clip_stay(y), 0.5],
+                    [0.2, 0.3, 0.5],
+                    [0.0, _clip_stay, lambda y: 1.0 - _clip_stay(y)]],
+}
+
+
+def full_stack_switch(pi, regimes, ys, rng):
+    """The switch draw as it was written before it read only each atom's own row."""
+    rows = pi.rows_at(ys)[np.arange(ys.size), regimes]
+    cdf = np.cumsum(rows, axis=1)
+    us = rng.random(ys.shape)
+    out = (us[:, None] > cdf).sum(axis=1)
+    return np.minimum(out, pi.n_regimes - 1).astype(np.int64)
+
+
+@pytest.mark.parametrize("entries", SWITCHES.values(), ids=SWITCHES.keys())
+def test_switch_draw_is_bitwise_the_full_stack_draw(entries):
+    pi = SwitchingMatrix(entries)
+    pi.check_rows(np.linspace(0.0, 2.0, 64))
+    rng = np.random.default_rng(16)
+    n = 20_000
+    ys = np.concatenate([np.repeat([0.1, 0.9], 50), rng.uniform(0.0, 2.0, n - 100)])
+    regimes = rng.integers(0, pi.n_regimes, n)
+    new_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    draws = pi.sample_vec(regimes, ys, new_rng)
+    assert draws.dtype == np.int64
+    assert np.array_equal(draws, full_stack_switch(pi, regimes, ys, ref_rng))
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_switch_draw_scratch_is_bounded():
+    # rows evaluated at their own atoms only; the full (n, 2, 2) stack alone took 16 MB
+    pi = SwitchingMatrix(SWITCHES["two-ramp"])
+    rng = np.random.default_rng(18)
+    n = 250_000
+    ys, regimes = rng.uniform(0.0, 1.2, n), rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pi.sample_vec(regimes, ys, rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def _toy_post_jump():
