@@ -28,8 +28,9 @@ from .diagnostics import drift_constants, run_assumption_suite, verify_drift_emp
 from .grid import GRID_RESIDUAL_TOL, build_grid_model, check_factorization, oracle_correspondence
 from .metrics import measure_distance
 from .models import ModelSpec, build_model
-from .simulate import (ChainEnsemble, OccupationSample, chain_measure, count_jumps,
-                       occupation_from_ensemble, run_ensemble)
+# run_ensemble is not called here: perfbench/tracer.py wraps it at this import site
+from .simulate import (ChainEnsemble, EnsembleRun, OccupationSample, chain_measure,
+                       count_jumps, occupation_from_ensemble, run_ensemble, run_ensembles)
 from .transforms import chain_to_flow_stationary, flow_to_chain_stationary
 
 ETA_TIME = 2.0
@@ -250,24 +251,23 @@ def _check_max(tolerances: Tolerances, key: str, value: float, failures: list[st
         failures.append(f"{key}={value:.6g} exceeds {cap:.6g}")
 
 
-def _chain_run(cfg: ExperimentConfig, model: ModelSpec) -> ChainEnsemble:
-    """The chain ensemble, stream (seed, 1), as simulate and correspondence see it."""
-    return run_ensemble(model, cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps)
+def _ensembles(cfg: ExperimentConfig, model: ModelSpec) -> tuple[ChainEnsemble, ChainEnsemble]:
+    """The chain ensemble, stream (seed, 1), and the horizon ensemble, stream
+    (seed, 2), simulated together, as simulate and correspondence see them."""
+    return run_ensembles(model, [EnsembleRun(cfg.replicas, (cfg.seed, 1), n_steps=cfg.chain_steps),
+                                 EnsembleRun(cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon)])
 
 
-def _horizon_run(cfg: ExperimentConfig,
-                 model: ModelSpec) -> tuple[ChainEnsemble, OccupationSample]:
-    """The horizon ensemble and its occupation draw, streams (seed, 2) and (seed, 3)."""
-    occ_ens = run_ensemble(model, cfg.replicas, (cfg.seed, 2), t_end=cfg.horizon)
-    occ = occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
-                                   (cfg.seed, 3), burn_in=OCCUPATION_BURN_IN * cfg.horizon)
-    return occ_ens, occ
+def _occupation(cfg: ExperimentConfig, occ_ens: ChainEnsemble) -> OccupationSample:
+    """The occupation draw of the horizon ensemble, stream (seed, 3)."""
+    return occupation_from_ensemble(occ_ens, cfg.horizon, cfg.occupation_samples_per_replica,
+                                    (cfg.seed, 3), burn_in=OCCUPATION_BURN_IN * cfg.horizon)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     model = cfg.model.build()
-    ens = _chain_run(cfg, model)
-    occ_ens, occ = _horizon_run(cfg, model)
+    ens, occ_ens = _ensembles(cfg, model)
+    occ = _occupation(cfg, occ_ens)
     taus, ys, regimes = (column[0] for column in ens.chunks[0])
     _write_csv(out_dir / "chain.csv", ["n", "tau", "y", "xi"],
                [np.arange(taus.size), taus, ys, regimes])
@@ -303,8 +303,11 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     # Each ensemble, occupation draw and transform output is dropped after its
     # last use, so at most three measures are alive during a distance. Every
     # step draws from its own stream, so the order does not change the outputs.
-    mu_chain = chain_measure(_chain_run(cfg, model), cfg.chain_burn_in_steps)
-    mu_flow = _horizon_run(cfg, model)[1].measure()
+    ens, occ_ens = _ensembles(cfg, model)
+    mu_chain = chain_measure(ens, cfg.chain_burn_in_steps)
+    del ens
+    mu_flow = _occupation(cfg, occ_ens).measure()
+    del occ_ens
     rng_f = np.random.default_rng(np.random.SeedSequence((cfg.seed, 4)))
     rng_b = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5)))
     rng_r = np.random.default_rng(np.random.SeedSequence((cfg.seed, 6)))

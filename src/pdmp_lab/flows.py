@@ -66,8 +66,7 @@ class AffineExpFlow(Semiflow):
         object.__setattr__(self, "anchor_of", np.array(self.anchors, dtype=float))
 
     def evaluate(self, i, t, y):
-        # written as y*decay + c*(1-decay) so S(0, y) returns y exactly;
-        # hazard._hazard_and_slope repeats this expression for the saturating Newton slope
+        # written as y*decay + c*(1-decay) so S(0, y) returns y exactly
         t = self._checked_time(i, t)
         c = self.anchor_of[i]
         decay = np.exp(-self.rate_of[i] * t)

@@ -130,27 +130,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH)
 
 
-def _saturating_terms(flow: AffineExpFlow, intensity: SaturatingIntensity, i, y):
-    """Per-start terms of the saturating hazard: (kappa, c, (t, decay) -> H(y, i, t)).
-
-    H integrates base + gain*(c+w)/(1+c+w) along w_h = (y-c) e^{-kappa h}; the
-    caller passes decay = exp(-kappa * t), so the Newton slope can share it.
-    """
-    base, gain = intensity.base, intensity.gain
-    kappa, c = flow.rate_of[i], flow.anchor_of[i]
-    w0 = np.asarray(y, dtype=float) - c
-    one_c = 1.0 + c
-    start = one_c + w0
-    scale = kappa * one_c
-
-    def at_decay(t, decay):
-        wt = w0 * decay
-        inv_term = (kappa * t + np.log((one_c + wt) / start)) / scale
-        return (base + gain) * t - gain * inv_term
-
-    return kappa, c, at_decay
-
-
 @dataclass(frozen=True)
 class CumulativeHazard:
     """Cumulative hazard H(y, i, t) of the holding-time law along the flow, in closed form.
@@ -183,11 +162,19 @@ class CumulativeHazard:
         if self.path_constant:
             rate = self.intensity(y)
             return lambda t: rate * np.asarray(t, dtype=float)
-        kappa, _, at_decay = _saturating_terms(self.flow, self.intensity, i, y)
+        # H integrates base + gain*(c+w)/(1+c+w) along w_h = (y-c) e^{-kappa h}
+        base, gain = self.intensity.base, self.intensity.gain
+        kappa, c = self.flow.rate_of[i], self.flow.anchor_of[i]
+        w0 = np.asarray(y, dtype=float) - c
+        one_c = 1.0 + c
+        start = one_c + w0
+        scale = kappa * one_c
 
         def hazard(t):
             t = np.asarray(t, dtype=float)
-            return at_decay(t, np.exp(-kappa * t))
+            wt = w0 * np.exp(-kappa * t)
+            inv_term = (kappa * t + np.log((one_c + wt) / start)) / scale
+            return (base + gain) * t - gain * inv_term
 
         return hazard
 
@@ -206,17 +193,19 @@ def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) 
     """Solve H(y, i, t) = target elementwise.
 
     A path-constant pair has H = lambda(y) * t, so its root is target /
-    lambda(y). The saturating pair is solved by safeguarded Newton ("rtsafe").
-    The rate bounds guarantee the bracket [target/upper, target/lower], and
-    the t-derivative of H is the rate along the flow, lambda(S_i(t, y)) >=
-    lower > 0. Each iteration narrows the bracket by the sign of H(t) -
-    target, then takes the Newton step if it lies in the bracket, ends
-    included (a step from an exact hit stays put), else the midpoint. An
-    atom stops once its step is at most HOLDING_TIME_RTOL * max(1, t) and is
-    then frozen, so its result does not depend on the rest of the batch,
-    which is solved in blocks of HOLDING_NEWTON_BLOCK. Each block ends with a
-    residual check that guards against hazards inconsistent with their
-    declared bounds.
+    lambda(y). The saturating pair is solved by Newton's method, started at
+    target / lambda(y) and with each step clipped to the bracket
+    [target/upper, target/lower] that the rate bounds guarantee. The
+    t-derivative of H is the rate along the flow, lambda(S_i(t, y)) >= lower
+    > 0, and it moves one way along the path: down from a start above the
+    anchor, where H is concave, up from one below, where H is convex. So
+    the start and every iterate lie on one side of the root and approach it
+    monotonically, up to rounding near the root, and no bracket needs
+    narrowing. An atom stops once its step is at most HOLDING_TIME_RTOL *
+    max(1, t) and is then frozen, so its result does not depend on the rest
+    of the batch, which is solved in blocks of HOLDING_NEWTON_BLOCK. Each
+    block ends with a residual check that guards against hazards
+    inconsistent with their declared bounds.
     """
     ys = np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -248,24 +237,21 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
     moving = np.ones(t.shape, dtype=bool)
     for _ in range(HOLDING_NEWTON_MAX_ITER):
         hazard, slope = hazard_and_slope(t)
-        excess = hazard - targets
-        above = excess > 0
-        hi = np.where(above, t, hi)
-        lo = np.where(above, lo, t)
-        step = t - excess / slope
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        converged = np.abs(step - t) <= HOLDING_TIME_RTOL * np.maximum(1.0, t)
+        step = np.minimum(np.maximum(t - (hazard - targets) / slope, lo), hi)
+        moved = np.abs(step - t)
+        unconverged = moved > HOLDING_TIME_RTOL * np.maximum(1.0, t)
         # a converged atom keeps its last step; later passes over it change nothing
-        t = np.where(moving, step, t)
-        moving &= ~converged
+        np.copyto(t, step, where=moving)
+        moving &= unconverged
         if not moving.any():
             break
     else:
-        k = int(np.argmax(np.where(moving, hi - lo, -1.0)))
+        k = int(np.argmax(np.where(moving, moved, -1.0)))
         raise RuntimeError(
             f"hazard inversion did not converge in {HOLDING_NEWTON_MAX_ITER} iterations for "
-            f"{int(moving.sum())} atom(s); widest bracket [{lo[k]:.17g}, {hi[k]:.17g}] at "
-            f"y={ys[k]:.17g}, regime {regimes[k]}, target {targets[k]:.17g}")
+            f"{int(moving.sum())} atom(s); largest last step {moved[k]:.3e} to t={t[k]:.17g} "
+            f"in [{lo[k]:.17g}, {hi[k]:.17g}] at y={ys[k]:.17g}, regime {regimes[k]}, "
+            f"target {targets[k]:.17g}")
     residual = np.abs(np.asarray(h.along(regimes, ys)(t)) - targets)
     k = int(np.argmax(residual))
     if residual[k] > 1e-8 * (1.0 + targets[k]):
@@ -280,17 +266,25 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
 def _hazard_and_slope(h: CumulativeHazard, regimes: np.ndarray, ys: np.ndarray) -> Callable:
     """t -> (H(y, i, t), lambda(S_i(t, y))) on one block of saturating-pair starts, for Newton.
 
-    Both come from one exp(-kappa * t), by the expressions of
-    CumulativeHazard.along, AffineExpFlow.evaluate and SaturatingIntensity,
-    so each value is bitwise that of the separate calls. The regimes were
-    checked on entry and t stays in its bracket, so the checks evaluate
-    repeats are skipped.
+    Along the flow 1 + S_i(t, y) = s = 1 + c + (y - c) e^{-kappa t}, and
+    lambda(x) = upper - gain / (1 + x), so the slope is upper - gain / s and
+    H = lambda(c) t - gain / (kappa (1 + c)) log(s / (1 + y)): one exp, one log
+    and one division per call. These are CumulativeHazard.along and
+    lambda(AffineExpFlow.evaluate) rearranged, equal up to rounding. The
+    regimes were checked on entry and t stays in its bracket, so the checks
+    evaluate repeats are skipped.
     """
-    kappa, c, at_decay = _saturating_terms(h.flow, h.intensity, regimes, ys)
+    rate = h.intensity
+    kappa, c = h.flow.rate_of[regimes], h.flow.anchor_of[regimes]
+    one_c = 1.0 + c
+    w0 = ys - c
+    log_start = np.log(one_c + w0)
+    rate_c = rate.upper - rate.gain / one_c
+    coef = rate.gain / (kappa * one_c)
 
     def fused(t):
-        decay = np.exp(-kappa * t)
-        return at_decay(t, decay), h.intensity(ys * decay + c * (1.0 - decay))
+        s = one_c + w0 * np.exp(-kappa * t)
+        return rate_c * t - coef * (np.log(s) - log_start), rate.upper - rate.gain / s
 
     return fused
 

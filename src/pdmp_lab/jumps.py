@@ -89,6 +89,11 @@ class FiniteAffineIfs(IfsKernel):
     maps: tuple[tuple[float, float], ...] = ((0.5, 0.0), (0.5, 0.5))
     probs: object = None  # None -> uniform; array-like -> constant; callable(y) -> vector
 
+    def __post_init__(self):
+        # array copies so an index array gathers its maps' (scale, shift) in one index
+        object.__setattr__(self, "scales", np.array([m[0] for m in self.maps], dtype=float))
+        object.__setattr__(self, "shifts", np.array([m[1] for m in self.maps], dtype=float))
+
     def _prob_vector(self, y) -> np.ndarray:
         k = len(self.maps)
         if self.probs is None:
@@ -123,9 +128,7 @@ class FiniteAffineIfs(IfsKernel):
 
     def apply(self, theta, y):
         theta = np.asarray(theta, dtype=np.int64)
-        scales = np.array([m[0] for m in self.maps])
-        shifts = np.array([m[1] for m in self.maps])
-        return scales[theta] * np.asarray(y, dtype=float) + shifts[theta]
+        return self.scales[theta] * np.asarray(y, dtype=float) + self.shifts[theta]
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return float(np.abs(self._prob_vector(u) - self._prob_vector(v)).sum())

@@ -4,14 +4,18 @@ The embedded chain records post-jump states and cumulative jump times; the
 continuous-time process interpolates it deterministically along the regime
 flow of each segment. Heavy Monte Carlo runs as an ensemble of replicas,
 vectorized across replicas and split into chunks of ``REPLICA_CHUNK`` with one
-spawned RNG stream per chunk, run serially in chunk order, so results depend
-only on the seed and the replica count.
+spawned RNG stream per chunk. One stepping loop advances every chunk of one or
+several ensembles together: each step solves the holding times of all their
+atoms in one call, and each chunk draws from its own stream in a fixed order.
+So a chunk's arrays depend only on its run's seed and replica count, not on
+what runs beside it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +25,7 @@ from .models import ModelSpec
 from .state import WeightedEmpiricalMeasure
 
 REPLICA_CHUNK = 4096
-"""Replicas per spawned RNG stream in ``run_ensemble`` and ``jump_count_pmf``."""
+"""Replicas per spawned RNG stream in ``run_ensembles`` and ``jump_count_pmf``."""
 
 
 def count_jumps(taus: np.ndarray, t: float) -> np.ndarray:
@@ -66,20 +70,6 @@ class ChainEnsemble:
         return min(float(c[0][:, -1].min()) for c in self.chunks)
 
 
-def chain_step(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One vectorized chain step: (holding times, post-jump locations, post-jump regimes).
-
-    Exactly three RNG vectors are consumed per step (holding, jump, switch),
-    independent of the regime mix, which keeps streams reproducible.
-    """
-    targets = -np.log1p(-rng.random(ys.shape))
-    dts = invert_holding(model.hazard, regimes, ys, targets)
-    pre = model.flow.evaluate(regimes, dts, ys)
-    ys_post, regimes_post = model.jump.sample_vec(pre, regimes, rng)
-    return dts, ys_post, regimes_post
-
-
 def horizon_step_cap(mu: float) -> int:
     """Step cap of a horizon run with mu = lambda_high * t_end jumps expected at most.
 
@@ -98,34 +88,124 @@ def horizon_step_cap(mu: float) -> int:
     return math.ceil(math.e ** 2 * mu) + 64
 
 
-def _run_chunk(model: ModelSpec, size: int, y0: float, i0: int, seed,
-               n_steps: Optional[int], t_end: Optional[float]):
-    rng = np.random.default_rng(seed)
-    ys = np.full(size, float(y0))
-    regimes = np.full(size, int(i0), dtype=np.int64)
-    taus = np.zeros(size)
-    ys_hist = [ys]
-    regimes_hist = [regimes]
-    taus_hist = [taus]
-    horizon_mode = n_steps is None
-    cap = horizon_step_cap(model.intensity.upper * t_end) if horizon_mode else n_steps
-    for _ in range(cap):
-        if horizon_mode and float(taus.min()) >= t_end:
-            break
-        dts, ys, regimes = chain_step(model, ys, regimes, rng)
-        taus = taus + dts
-        ys_hist.append(ys)
-        regimes_hist.append(regimes)
-        taus_hist.append(taus)
-    else:
-        if horizon_mode and float(taus.min()) < t_end:
-            slow = int(np.argmin(taus))
+@dataclass(frozen=True)
+class EnsembleRun:
+    """Independent replicas of the chain from a common start, on the stream ``seed``.
+
+    Exactly one of a fixed step count or a time horizon is given; in horizon
+    mode every replica is advanced until its clock passes ``t_end``.
+    """
+
+    n_replicas: int
+    seed: object
+    y0: float = 0.0
+    i0: int = 0
+    n_steps: Optional[int] = None
+    t_end: Optional[float] = None
+
+    def __post_init__(self):
+        if (self.n_steps is None) == (self.t_end is None):
+            raise ValueError("give exactly one of n_steps or t_end")
+        if self.n_replicas <= 0:
+            raise ValueError("n_replicas must be > 0")
+
+
+class _Chunk:
+    """One chunk of an ensemble run: its generator, its replicas' current states,
+    and their history in preallocated (size, steps + 1) arrays.
+
+    A fixed-step chunk knows its width. A horizon chunk starts at
+    ceil(lambda_high * t_end) + 64 steps, about the most jumps an honest replica
+    makes by t_end, and doubles its width as needed up to ``horizon_step_cap``.
+    """
+
+    def __init__(self, model: ModelSpec, run: EnsembleRun, size: int, seed):
+        self.rng = np.random.default_rng(seed)
+        self.t_end = run.t_end
+        if run.n_steps is None:
+            mu = model.intensity.upper * run.t_end
+            self.cap = horizon_step_cap(mu)
+            width = math.ceil(max(mu, 0.0)) + 64 + 1
+        else:
+            self.cap = run.n_steps
+            width = run.n_steps + 1
+        self.clock = np.zeros(size)
+        self.ys = np.full(size, float(run.y0))
+        self.regimes = np.full(size, int(run.i0), dtype=np.int64)
+        self.history = (np.empty((size, width)), np.empty((size, width)),
+                        np.empty((size, width), dtype=np.int64))
+        self.steps = 0
+        self._record()
+
+    @property
+    def size(self) -> int:
+        return self.clock.size
+
+    def _record(self) -> None:
+        width = self.history[0].shape[1]
+        if self.steps == width:
+            grown = min(2 * width, self.cap + 1)
+            self.history = tuple(np.concatenate([a, np.empty((self.size, grown - width), a.dtype)],
+                                                axis=1) for a in self.history)
+        for column, current in zip(self.history, (self.clock, self.ys, self.regimes)):
+            column[:, self.steps] = current
+
+    def advance(self, dts: np.ndarray, ys: np.ndarray, regimes: np.ndarray) -> None:
+        """Record one step: holding times, then post-jump locations and regimes."""
+        self.clock = self.clock + dts
+        self.ys, self.regimes = ys, regimes
+        self.steps += 1
+        self._record()
+
+    def running(self) -> bool:
+        """Whether the chunk needs another step; RuntimeError when a horizon chunk
+        is at its cap short of t_end."""
+        if self.t_end is None:
+            return self.steps < self.cap
+        if float(self.clock.min()) >= self.t_end:
+            return False
+        if self.steps == self.cap:
+            slow = int(np.argmin(self.clock))
             raise RuntimeError(
-                f"horizon run hit its cap of {cap} steps short of t_end={t_end:.6g}: slowest "
-                f"replica {slow} of its chunk of {size} is at clock {taus[slow]:.17g} "
-                f"(y={ys[slow]:.17g}, regime {regimes[slow]}); are the declared rate bounds valid?")
-    return (np.column_stack(taus_hist), np.column_stack(ys_hist),
-            np.column_stack(regimes_hist))
+                f"horizon run hit its cap of {self.cap} steps short of t_end={self.t_end:.6g}: "
+                f"slowest replica {slow} of its chunk of {self.size} is at clock "
+                f"{self.clock[slow]:.17g} (y={self.ys[slow]:.17g}, regime "
+                f"{self.regimes[slow]}); are the declared rate bounds valid?")
+        return True
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(taus, ys, regimes), one row per replica and one column per recorded step.
+
+        A horizon chunk's unused columns are cut off by a copy, so the ensemble
+        does not keep them alive.
+        """
+        width = self.steps + 1
+        return tuple(a if a.shape[1] == width else a[:, :width].copy() for a in self.history)
+
+
+def _advance(model: ModelSpec, chunks: Sequence[_Chunk]) -> None:
+    """Step every chunk until it has its steps or has passed its horizon.
+
+    Each step draws every running chunk's holding uniforms, solves all their
+    holding times in one ``invert_holding`` call and moves all their atoms in
+    one ``flow.evaluate`` call; then each chunk draws its jumps and regime
+    switches. A chunk's stream thus gives, step after step, exactly three
+    vectors (holding, jump, switch) of its own size, whatever runs beside it,
+    and its atoms' holding times do not depend on their batch.
+    """
+    running = [c for c in chunks if c.running()]
+    while running:
+        targets = np.concatenate([-np.log1p(-c.rng.random(c.size)) for c in running])
+        ys = np.concatenate([c.ys for c in running])
+        regimes = np.concatenate([c.regimes for c in running])
+        dts = invert_holding(model.hazard, regimes, ys, targets)
+        pre = model.flow.evaluate(regimes, dts, ys)
+        stop = 0
+        for c in running:
+            part = slice(stop, stop + c.size)
+            stop = part.stop
+            c.advance(dts[part], *model.jump.sample_vec(pre[part], regimes[part], c.rng))
+        running = [c for c in running if c.running()]
 
 
 def _chunk_sizes(n_replicas: int) -> list[int]:
@@ -142,21 +222,24 @@ def _map_streams(work, items: Sequence, seed) -> list:
     return [work(item, s) for item, s in zip(items, seeds)]
 
 
+def run_ensembles(model: ModelSpec, runs: Sequence[EnsembleRun]) -> tuple[ChainEnsemble, ...]:
+    """Simulate several ensembles together, one per run, in one stepping loop.
+
+    Each ensemble is bitwise the one its run gives alone.
+    """
+    chunks = [_map_streams(partial(_Chunk, model, run), _chunk_sizes(run.n_replicas), run.seed)
+              for run in runs]
+    _advance(model, [c for run_chunks in chunks for c in run_chunks])
+    return tuple(ChainEnsemble(model=model, chunks=tuple(c.arrays() for c in run_chunks))
+                 for run_chunks in chunks)
+
+
 def run_ensemble(model: ModelSpec, n_replicas: int, seed, y0: float = 0.0, i0: int = 0,
                  n_steps: Optional[int] = None, t_end: Optional[float] = None) -> ChainEnsemble:
-    """Simulate independent replicas of the chain from a common start.
-
-    Either a fixed step count or a time horizon must be given; in horizon
-    mode every replica is advanced until its clock passes ``t_end``.
-    """
-    if (n_steps is None) == (t_end is None):
-        raise ValueError("give exactly one of n_steps or t_end")
-    if n_replicas <= 0:
-        raise ValueError("n_replicas must be > 0")
-    chunks = _map_streams(
-        lambda size, s: _run_chunk(model, size, y0, i0, s, n_steps, t_end),
-        _chunk_sizes(n_replicas), seed)
-    return ChainEnsemble(model=model, chunks=tuple(chunks))
+    """Simulate independent replicas of the chain from a common start: the one
+    ensemble of ``run_ensembles`` for ``EnsembleRun(n_replicas, seed, y0, i0,
+    n_steps, t_end)``."""
+    return run_ensembles(model, [EnsembleRun(n_replicas, seed, y0, i0, n_steps, t_end)])[0]
 
 
 def chain_measure(ens: ChainEnsemble, burn_in_steps: int) -> WeightedEmpiricalMeasure:
@@ -222,22 +305,23 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
 
     Returns, per time t, the vector of relative frequencies of {count = n}
     for n = 0..max_count (the last bin absorbs any overflow), pooled over
-    all replicas. Chunks are processed and discarded one by one, so replica
-    counts in the millions stay cheap. Every replica starts at (0, regime 0),
-    with the chunks and streams of
-    ``run_ensemble(model, n_replicas, seed, t_end=max(t_values))``.
-    ``threads`` is ignored; it stays for the callers in ``perfbench/workloads.py``.
+    all replicas. Each chunk runs through the stepping loop alone, and is
+    counted and discarded before the next starts, so replica counts in the
+    millions stay cheap. Every replica starts at (0, regime 0), with the
+    chunks and streams of ``run_ensemble(model, n_replicas, seed,
+    t_end=max(t_values))``. ``threads`` is ignored; it stays for the callers
+    in ``perfbench/workloads.py``.
     """
     if len(t_values) == 0:
         raise ValueError("t_values must hold at least one time")
     if max_count < 0:
         raise ValueError(f"max_count must be >= 0, got {max_count}")
-    if n_replicas <= 0:
-        raise ValueError("n_replicas must be > 0")
-    t_max = max(t_values)
+    run = EnsembleRun(n_replicas, seed, t_end=max(t_values))
 
     def work(size, chunk_seed):
-        taus, _, _ = _run_chunk(model, size, 0.0, 0, chunk_seed, None, t_max)
+        chunk = _Chunk(model, run, size, chunk_seed)
+        _advance(model, [chunk])
+        taus = chunk.arrays()[0]
         counts = np.empty((len(t_values), size), dtype=np.int64)
         for j, t in enumerate(t_values):
             counts[j] = count_jumps(taus, t)

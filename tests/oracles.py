@@ -13,7 +13,8 @@ import numpy as np
 from pdmp_lab.flows import Semiflow
 from pdmp_lab.grid import GridModel
 from pdmp_lab.models import ModelSpec
-from pdmp_lab.simulate import chain_step
+from pdmp_lab.hazard import invert_holding
+from pdmp_lab.simulate import horizon_step_cap
 from pdmp_lab.state import WeightedEmpiricalMeasure, ZeroMassError
 
 
@@ -130,9 +131,45 @@ def grid_measure(grid: GridModel, v: np.ndarray) -> WeightedEmpiricalMeasure:
     return WeightedEmpiricalMeasure(ys, regimes, np.asarray(v, dtype=float))
 
 
+def chain_step(model: ModelSpec, ys: np.ndarray, regimes: np.ndarray,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One vectorized chain step: (holding times, post-jump locations, post-jump regimes).
+
+    It draws what one chunk of the simulator's stepping loop draws per step:
+    the holding uniforms, then the jump, then the switch.
+    """
+    targets = -np.log1p(-rng.random(ys.shape))
+    dts = invert_holding(model.hazard, regimes, ys, targets)
+    pre = model.flow.evaluate(regimes, dts, ys)
+    ys_post, regimes_post = model.jump.sample_vec(pre, regimes, rng)
+    return dts, ys_post, regimes_post
+
+
+def reference_chunk(model: ModelSpec, size: int, seed, y0: float = 0.0, i0: int = 0,
+                    n_steps: Optional[int] = None, t_end: Optional[float] = None):
+    """(taus, ys, regimes) of one chunk run alone, one ``chain_step`` at a time into
+    per-step lists: the serial loop the simulator's stepping loop reproduces bitwise."""
+    rng = np.random.default_rng(seed)
+    ys = np.full(size, float(y0))
+    regimes = np.full(size, int(i0), dtype=np.int64)
+    taus = np.zeros(size)
+    history = [(taus, ys, regimes)]
+    cap = horizon_step_cap(model.intensity.upper * t_end) if n_steps is None else n_steps
+    for _ in range(cap):
+        if n_steps is None and taus.min() >= t_end:
+            break
+        dts, ys, regimes = chain_step(model, ys, regimes, rng)
+        taus = taus + dts
+        history.append((taus, ys, regimes))
+    else:
+        if n_steps is None and taus.min() < t_end:
+            raise RuntimeError(f"reference chunk hit its cap of {cap} steps")
+    return tuple(np.column_stack(column) for column in zip(*history))
+
+
 def chain_step_transform(model: ModelSpec, mu: WeightedEmpiricalMeasure,
                          rng: np.random.Generator) -> WeightedEmpiricalMeasure:
-    """The simulator's ``chain_step`` applied to every atom, weights unchanged."""
+    """One ``chain_step`` applied to every atom, weights unchanged."""
     if mu.total_mass <= 0.0:
         raise ZeroMassError("transform input has zero mass")
     _, ys_post, regimes_post = chain_step(model, mu.ys, mu.regimes, rng)

@@ -269,9 +269,12 @@ def test_inversion_iteration_cap_names_the_atom(monkeypatch):
 
 @pytest.mark.parametrize("flow", [AffineExpFlow(rates=(1.0,), anchors=(0.0,)),
                                   AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))])
-def test_fused_newton_slope_is_bitwise_the_generic_slope(flow):
-    # one exp per iteration for H and the slope must give the separate calls' bits
+def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
+    # the Newton kernel rearranges H and the slope around one shared s = 1 + S_i(t, y);
+    # both stay within rounding of the separate calls: H within 4 eps (1 + upper t),
+    # the slope within 2 eps upper (upper bounds each term of the rearranged sums)
     hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
+    eps, upper = np.finfo(float).eps, hz.intensity.upper
     rng = np.random.default_rng(10)
     n = 10_000
     regimes = rng.integers(0, flow.n_regimes, n)
@@ -279,8 +282,51 @@ def test_fused_newton_slope_is_bitwise_the_generic_slope(flow):
     fused = hazard_module._hazard_and_slope(hz, regimes, ys)
     for t in (np.zeros(n), np.full(n, 1e-14), rng.exponential(1.0, n), np.full(n, 40.0)):
         hazard, slope = fused(t)
-        assert np.array_equal(hazard, hz.along(regimes, ys)(t))
-        assert np.array_equal(slope, hz.intensity(hz.flow.evaluate(regimes, t, ys)))
+        assert (np.abs(hazard - hz.along(regimes, ys)(t)) <= 4 * eps * (1.0 + upper * t)).all()
+        generic = hz.intensity(hz.flow.evaluate(regimes, t, ys))
+        assert (np.abs(slope - generic) <= 2 * eps * upper).all()
+    assert np.array_equal(fused(np.zeros(n))[0], np.zeros(n))
+
+
+def test_newton_iterates_approach_the_root_from_one_side(monkeypatch):
+    # above its anchor a start's rate falls along the path (H concave), below it
+    # the rate rises (H convex): every iterate, the start included, stays below
+    # the root in the first case and above it in the second, moving toward it
+    flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
+    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=flow)
+    iterates = []
+    fused = hazard_module._hazard_and_slope
+
+    def recording(h, regimes, ys):
+        inner = fused(h, regimes, ys)
+
+        def record(t):
+            iterates.append(t.copy())
+            return inner(t)
+
+        return record
+
+    monkeypatch.setattr(hazard_module, "_hazard_and_slope", recording)
+    rng = np.random.default_rng(13)
+    n = 2000
+    regimes = rng.integers(0, 2, n)
+    ys = np.concatenate([[1.5, 1e3], rng.uniform(0.0, 4.0, n - 2)])
+    regimes[:2] = 1
+    targets = np.concatenate([[2.0, 7.0], -np.log1p(-rng.random(n - 2))])
+    root = invert_holding(hz, regimes, ys, targets)
+    path = np.array(iterates)
+    assert len(path) >= 3
+    above = ys > flow.anchor_of[regimes]
+    below = ys < flow.anchor_of[regimes]
+    assert above.sum() > 100 and below.sum() > 100
+    # near the root H is known to a few eps (1 + target), so t to that over the rate
+    slack = 8 * np.finfo(float).eps * (1.0 + targets) / hz.intensity.lower
+    assert (path[:, above] <= root[above] + slack[above]).all()
+    assert (np.diff(path[:, above], axis=0) >= -slack[above]).all()
+    assert (path[:, below] >= root[below] - slack[below]).all()
+    assert (np.diff(path[:, below], axis=0) <= slack[below]).all()
+    # a start on its anchor moves along a constant rate: the first step lands on the root
+    assert np.all(path[1:, 0] == root[0])
 
 
 def test_inversion_residual_check_runs_per_block(monkeypatch):

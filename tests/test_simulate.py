@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity, invert_holding
+from pdmp_lab.hazard import ConstantIntensity, SaturatingIntensity, invert_holding
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model, two_regime_model
 from pdmp_lab import simulate
@@ -13,6 +15,7 @@ from pdmp_lab.cli import ETA_TIME, main as cli_main
 from pdmp_lab.simulate import (
     REPLICA_CHUNK,
     ChainEnsemble,
+    EnsembleRun,
     chain_measure,
     count_jumps,
     evaluate_paths,
@@ -20,13 +23,17 @@ from pdmp_lab.simulate import (
     jump_count_pmf,
     occupation_from_ensemble,
     run_ensemble,
+    run_ensembles,
 )
 
-from oracles import ks_critical, ks_statistic, ks_statistic_weighted
+import oracles
+from oracles import ks_critical, ks_statistic, ks_statistic_weighted, reference_chunk
 
 GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
 TWO = two_regime_model()
+# two regimes whose holding times need Newton: mixed regimes in one inversion call
+TWO_SAT = dataclasses.replace(TWO, intensity=SaturatingIntensity(base=1.0, gain=0.5))
 
 
 def frozen_model(lam=1.0):
@@ -224,6 +231,90 @@ def test_horizon_mode_step_cap_names_slowest_replica(monkeypatch):
         run_ensemble(GENE_SAT, 8, 15, t_end=2.0)
     with pytest.raises(RuntimeError, match="slowest replica"):
         jump_count_pmf(GENE_SAT, [1.0, 2.0], 8, 15)
+
+
+def assert_matches_reference(model, ens, run):
+    # every chunk bitwise the serial per-step loop run alone on the chunk's own stream
+    seeds = np.random.SeedSequence(run.seed).spawn(len(ens.chunks))
+    assert ens.n_replicas == run.n_replicas
+    for chunk, seed in zip(ens.chunks, seeds):
+        expected = reference_chunk(model, chunk[0].shape[0], seed, run.y0, run.i0,
+                                   n_steps=run.n_steps, t_end=run.t_end)
+        for got, want in zip(chunk, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model, runs", [
+    # the fixed-step run finishes first, then last
+    (GENE_SAT, [EnsembleRun(40, 3, n_steps=5), EnsembleRun(70, 4, y0=2.0, t_end=30.0)]),
+    (GENE_SAT, [EnsembleRun(70, 4, y0=2.0, t_end=3.0), EnsembleRun(40, 3, n_steps=60)]),
+    (TWO_SAT, [EnsembleRun(25, 5, y0=0.3, i0=1, n_steps=8),
+               EnsembleRun(60, 6, y0=1.7, t_end=20.0)]),
+    (TWO_SAT, [EnsembleRun(60, 6, t_end=2.0), EnsembleRun(25, 5, i0=1, n_steps=50),
+               EnsembleRun(9, 7, y0=4.0, n_steps=0)]),
+    (TWO, [EnsembleRun(33, 8, n_steps=30), EnsembleRun(50, 9, y0=0.5, t_end=10.0)]),
+    # a run of two chunks beside a one-chunk run
+    (GENE_SAT, [EnsembleRun(REPLICA_CHUNK + 88, 10, n_steps=4),
+                EnsembleRun(30, 11, t_end=6.0)]),
+], ids=["fixed-first", "fixed-last", "two-regime", "three-runs", "two-regime-constant",
+        "two-chunks"])
+def test_runs_side_by_side_are_bitwise_each_run_alone(model, runs):
+    together = run_ensembles(model, runs)
+    assert len(together) == len(runs)
+    for ens, run in zip(together, runs):
+        alone = run_ensemble(model, run.n_replicas, run.seed, run.y0, run.i0,
+                             n_steps=run.n_steps, t_end=run.t_end)
+        for chunk_together, chunk_alone in zip(ens.chunks, alone.chunks, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(chunk_together, chunk_alone))
+        assert_matches_reference(model, ens, run)
+
+
+def test_horizon_history_grows_past_its_first_width(monkeypatch):
+    # holding times at a quarter of the law's need about 4 lambda_high t_end
+    # steps, past the first width of ceil(lambda_high t_end) + 64 columns
+    def quarter(h, i, ys, targets):
+        return 0.25 * invert_holding(h, i, ys, targets)
+
+    monkeypatch.setattr(simulate, "invert_holding", quarter)
+    monkeypatch.setattr(oracles, "invert_holding", quarter)
+    run = EnsembleRun(20, 12, t_end=40.0)
+    _, ens = run_ensembles(GENE_SAT, [EnsembleRun(15, 13, n_steps=3), run])
+    first_width = math.ceil(GENE_SAT.intensity.upper * run.t_end) + 64 + 1
+    assert ens.chunks[0][0].shape[1] > first_width
+    assert ens.min_horizon >= run.t_end
+    assert_matches_reference(GENE_SAT, ens, run)
+
+
+def test_step_cap_names_the_slowest_replica_of_its_chunk_beside_another_run(monkeypatch):
+    # holding times a millionth of the law's leave every clock short of t_end
+    def tiny(h, i, ys, targets):
+        return 1e-6 * np.asarray(targets)
+
+    monkeypatch.setattr(simulate, "invert_holding", tiny)
+    horizon = EnsembleRun(8, 15, t_end=2.0)
+    with pytest.raises(RuntimeError) as alone:
+        run_ensembles(GENE_SAT, [horizon])
+    assert "of its chunk of 8 " in str(alone.value)
+    assert "slowest replica 0 " not in str(alone.value)
+    for other in (EnsembleRun(5, 16, n_steps=3), EnsembleRun(5, 16, n_steps=500)):
+        with pytest.raises(RuntimeError) as beside:
+            run_ensembles(GENE_SAT, [other, horizon])
+        assert str(beside.value) == str(alone.value)
+
+
+def test_jump_count_pmf_holds_one_chunk_at_a_time():
+    # ten times the replicas, ten chunks in turn: the traced peak stays that of one
+    def peak(n_replicas):
+        tracemalloc.start()
+        try:
+            jump_count_pmf(GENE_SAT, (0.5, 1.0, 2.0), n_replicas, 23, max_count=6)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, ten = peak(REPLICA_CHUNK), peak(10 * REPLICA_CHUNK)
+    assert one > 1_000_000
+    assert ten <= 1.25 * one
 
 
 def test_horizon_step_cap_rejects_infinite_horizon():

@@ -11,7 +11,9 @@ run gets its own directory holding a copy of its tree's config (with the grid
 size replaced where one is given), so both sides pass the same arguments. Every
 output file, stdout, stderr and the exit code are compared. Every run is
 made; each differing run is printed with each of its differing items (exit
-code, stream or output file) and that item's first differing line. Exits 1
+code, stream or output file) and that item's first differing line; a differing
+CSV or JSON file also gets the largest relative difference over its numbers,
+so a rounding-level move shows its size. Exits 1
 when any run differs, 0 when every run matches, 2 when REV cannot be
 extracted. Runs serially; the 32 runs take about 35 s on two cores.
 """
@@ -73,6 +75,53 @@ def first_line_difference(a: bytes, b: bytes, rev: str) -> str:
     return f"in length: {len(lines_a)} lines at {rev}, {len(lines_b)} in the working tree"
 
 
+def _csv_numbers(data: bytes):
+    """(where, value) of every cell of a CSV file that parses as a number."""
+    for k, line in enumerate(data.decode().splitlines(), 1):
+        for j, cell in enumerate(line.split(","), 1):
+            try:
+                yield f"line {k} column {j}", float(cell)
+            except ValueError:
+                pass
+
+
+def _json_numbers(value, where: str = ""):
+    """(where, value) of every number of a parsed JSON document, by key path."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _json_numbers(value[key], f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _json_numbers(item, f"{where}[{k}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield where, float(value)
+
+
+def largest_relative_difference(name: str, a: bytes, b: bytes) -> str:
+    """The largest |x - y| / max(|x|, |y|) over the numbers of two CSV or JSON
+    files, paired by position, and where it is; empty for another kind of file,
+    or when the two files do not hold their numbers at the same places."""
+    if name.endswith(".csv"):
+        numbers_a, numbers_b = list(_csv_numbers(a)), list(_csv_numbers(b))
+    elif name.endswith(".json"):
+        numbers_a = list(_json_numbers(json.loads(a)))
+        numbers_b = list(_json_numbers(json.loads(b)))
+    else:
+        return ""
+    if [w for w, _ in numbers_a] != [w for w, _ in numbers_b]:
+        return "\n  its numbers do not pair up, so no relative difference is given"
+    largest, at = 0.0, None
+    for (where, x), (_, y) in zip(numbers_a, numbers_b):
+        if x == y or (x != x and y != y):  # equal, or both NaN
+            continue
+        gap = abs(x - y) / max(abs(x), abs(y))
+        if not gap <= largest:  # an infinity or a NaN against a number counts as largest
+            largest, at = gap, where
+    if at is None:
+        return "\n  its numbers are equal"
+    return f"\n  largest relative difference over its numbers: {largest:.3g} at {at}"
+
+
 def differences(base: dict, head: dict, rev: str) -> list[str]:
     """A description of each differing item of two runs; empty when they match."""
     found = []
@@ -87,7 +136,8 @@ def differences(base: dict, head: dict, rev: str) -> list[str]:
                      f"{sorted(head['files'])} in the working tree")
     for name, data in base["files"].items():
         if name in head["files"] and data != head["files"][name]:
-            found.append(f"{name} differs {first_line_difference(data, head['files'][name], rev)}")
+            found.append(f"{name} differs {first_line_difference(data, head['files'][name], rev)}"
+                         + largest_relative_difference(name, data, head["files"][name]))
     return found
 
 
