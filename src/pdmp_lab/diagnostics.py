@@ -182,8 +182,8 @@ def estimate_ifs_constants(model: ModelSpec, rng: np.random.Generator
     for u, v in zip(us, vs):
         gap = abs(u - v)
         thetas = model.jump.ifs.sample_vec(np.full(IFS_THETA_SAMPLES, u), rng)
-        spread = np.abs(np.asarray(model.jump.ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, u)))
-                        - np.asarray(model.jump.ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, v))))
+        images = model.jump.ifs.apply(thetas, np.array([[u], [v]]))  # (2, S): the pair's images
+        spread = np.abs(images[0] - images[1])
         lw_hat = max(lw_hat, float(spread.mean()) / gap)
         lp_hat = max(lp_hat, model.jump.ifs.density_l1_gap(u, v) / gap)
         dp_hat = min(dp_hat, model.jump.ifs.overlap_on(u, v, declared_lw))

@@ -90,9 +90,14 @@ class FiniteAffineIfs(IfsKernel):
     probs: object = None  # None -> uniform; array-like -> constant; callable(y) -> vector
 
     def __post_init__(self):
+        if not self.maps:
+            raise ValueError("an affine IFS needs at least one map")
         # array copies so an index array gathers its maps' (scale, shift) in one index
         object.__setattr__(self, "scales", np.array([m[0] for m in self.maps], dtype=float))
         object.__setattr__(self, "shifts", np.array([m[1] for m in self.maps], dtype=float))
+        # a constant law's CDF, checked and summed once; None when the law moves with y
+        object.__setattr__(self, "cdf", None if callable(self.probs)
+                           else np.cumsum(self._prob_vector(0.0)))
 
     def _prob_vector(self, y) -> np.ndarray:
         k = len(self.maps)
@@ -109,22 +114,21 @@ class FiniteAffineIfs(IfsKernel):
     def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Map indices by inverse CDF, one uniform per atom.
 
-        State-dependent probabilities are evaluated once per distinct location.
-        A vector summing to within ROW_SUM_TOL below 1 leaves a uniform above
-        its last CDF entry, which is given to the last map.
+        Each atom gets the number of CDF entries before the last that are at
+        or below its uniform: ``searchsorted(cdf, u, side="right")``, except
+        that a vector summing to within ROW_SUM_TOL below 1 leaves a uniform
+        above its last entry, which is given to the last map. State-dependent
+        probabilities are evaluated once per distinct location.
         """
         ys = np.asarray(ys, dtype=float)
-        last = len(self.maps) - 1
-        if self.probs is None or not callable(self.probs):
-            cdf = np.cumsum(self._prob_vector(0.0))
-            out = np.searchsorted(cdf, rng.random(ys.shape), side="right")
-            return np.minimum(out, last).astype(np.int64)
         us = rng.random(ys.shape)
-        locs, inverse = np.unique(ys.ravel(), return_inverse=True)
-        cdfs = np.array([np.cumsum(self._prob_vector(y)) for y in locs])
-        # entries of a nondecreasing cdf at or below u: searchsorted(cdf, u, side="right")
-        out = (cdfs[inverse] <= us.reshape(-1, 1)).sum(axis=1)
-        return np.minimum(out, last).reshape(ys.shape).astype(np.int64)
+        cdf = self.cdf
+        if cdf is None:
+            locs, inverse = np.unique(ys.ravel(), return_inverse=True)
+            cdfs = np.array([np.cumsum(self._prob_vector(y)) for y in locs])
+            # the reshape keeps an empty ys's CDF two-dimensional
+            cdf = cdfs.reshape(locs.size, len(self.maps))[inverse.reshape(ys.shape)]
+        return (cdf[..., :-1] <= us[..., None]).sum(-1)
 
     def apply(self, theta, y):
         theta = np.asarray(theta, dtype=np.int64)
@@ -158,7 +162,8 @@ class SwitchingMatrix:
     checks them on its own location window. A matrix of numbers only is
     checked at construction; a callable entry is first called by ``check_rows``.
     ``rows_at`` stacks whole matrices for the grid and the diagnostics;
-    ``sample_vec`` evaluates each row only at the atoms of its own regime.
+    ``sample_vec`` holds one column of entries at a time, each atom's from
+    its own regime's row.
     """
 
     def __init__(self, entries: Sequence[Sequence]):
@@ -197,12 +202,15 @@ class SwitchingMatrix:
                    rng: np.random.Generator) -> np.ndarray:
         """Post-jump regimes by inverse CDF: one uniform per atom, drawn first.
 
-        Row i's CDF is built from its entries evaluated only at the atoms in
-        regime i, added in the order ``cumsum`` uses, and each atom gets the
-        number of CDF entries its uniform exceeds. Only the entries before the
-        last are needed: a row summing to within ROW_SUM_TOL below 1 leaves a
-        uniform above its last entry, which is given to the last regime. With
-        one regime that leaves nothing to evaluate.
+        For each column j before the last, one full-length array holds every
+        atom's own-row entry: column j of the last row at every atom, then
+        column j of each other row i copied in at the atoms in regime i. The
+        entries are added to one running CDF in the order ``cumsum`` uses, and
+        each atom gets the number of CDF entries its uniform exceeds. Only the
+        entries before the last are needed: a row summing to within
+        ROW_SUM_TOL below 1 leaves a uniform above its last entry, which is
+        given to the last regime. With one regime that leaves nothing to
+        evaluate.
         """
         ys_post = np.asarray(ys_post, dtype=float)
         regimes = np.asarray(regimes, dtype=np.int64)
@@ -211,13 +219,15 @@ class SwitchingMatrix:
             raise ValueError(f"regime {regimes[bad].flat[0]} outside 0..{self.n_regimes - 1}")
         us = rng.random(ys_post.shape)
         out = np.zeros(ys_post.shape, dtype=np.int64)
-        cdfs = [0.0] * self.n_regimes
+        cdf = 0.0
         for j in range(self.n_regimes - 1):
-            for i, row in enumerate(self._fns):
-                at = regimes == i
-                cdfs[i] = cdfs[i] + np.asarray(row[j](ys_post[at]), dtype=float)
-                exceeded = us[at] > cdfs[i]  # before out[at] is gathered: never both at once
-                out[at] += exceeded
+            entry = np.empty(ys_post.shape)
+            np.copyto(entry, self._fns[-1][j](ys_post))
+            for i, row in enumerate(self._fns[:-1]):
+                np.copyto(entry, row[j](ys_post), where=regimes == i)
+            entry += cdf  # the running CDF, built in place of the entries
+            cdf = entry
+            out += us > cdf
         return out
 
 

@@ -115,8 +115,10 @@ class _Chunk:
     and their history in preallocated (size, steps + 1) arrays.
 
     A fixed-step chunk knows its width. A horizon chunk starts at
-    ceil(lambda_high * t_end) + 64 steps, about the most jumps an honest replica
-    makes by t_end, and doubles its width as needed up to ``horizon_step_cap``.
+    ceil(mu + 6 sqrt(mu)) + 64 steps with mu = lambda_high * t_end: the count
+    of an honest replica's jumps by t_end is dominated by a Poisson(mu) count,
+    and this is six of its standard deviations past its mean. It doubles its
+    width as needed up to ``horizon_step_cap``.
     """
 
     def __init__(self, model: ModelSpec, run: EnsembleRun, size: int, seed):
@@ -125,7 +127,8 @@ class _Chunk:
         if run.n_steps is None:
             mu = model.intensity.upper * run.t_end
             self.cap = horizon_step_cap(mu)
-            width = math.ceil(max(mu, 0.0)) + 64 + 1
+            mu = max(mu, 0.0)
+            width = math.ceil(mu + 6 * math.sqrt(mu)) + 64 + 1
         else:
             self.cap = run.n_steps
             width = run.n_steps + 1

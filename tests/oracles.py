@@ -10,8 +10,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from pdmp_lab.diagnostics import IFS_PAIRS, IFS_THETA_SAMPLES
 from pdmp_lab.flows import Semiflow
 from pdmp_lab.grid import GridModel
+from pdmp_lab.jumps import FiniteAffineIfs
 from pdmp_lab.models import ModelSpec
 from pdmp_lab.hazard import invert_holding
 from pdmp_lab.simulate import horizon_step_cap
@@ -174,3 +176,41 @@ def chain_step_transform(model: ModelSpec, mu: WeightedEmpiricalMeasure,
         raise ZeroMassError("transform input has zero mass")
     _, ys_post, regimes_post = chain_step(model, mu.ys, mu.regimes, rng)
     return WeightedEmpiricalMeasure(ys_post, regimes_post, mu.weights.copy())
+
+
+def searchsorted_ifs_draw(ifs: FiniteAffineIfs, ys: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """``FiniteAffineIfs.sample_vec`` as it was written with a binary search:
+    ``searchsorted(cdf, u, side="right")`` against a CDF summed at each call,
+    clipped to the last map."""
+    ys = np.asarray(ys, dtype=float)
+    last = len(ifs.maps) - 1
+    if not callable(ifs.probs):
+        cdf = np.cumsum(ifs._prob_vector(0.0))
+        out = np.searchsorted(cdf, rng.random(ys.shape), side="right")
+        return np.minimum(out, last).astype(np.int64)
+    us = rng.random(ys.shape)
+    locs, inverse = np.unique(ys.ravel(), return_inverse=True)
+    cdfs = np.array([np.cumsum(ifs._prob_vector(y)) for y in locs])
+    out = (cdfs[inverse] <= us.reshape(-1, 1)).sum(axis=1)
+    return np.minimum(out, last).reshape(ys.shape).astype(np.int64)
+
+
+def estimate_ifs_constants_two_calls(model: ModelSpec, rng: np.random.Generator
+                                     ) -> tuple[float, float, float]:
+    """``diagnostics.estimate_ifs_constants`` as it was written with one ``apply``
+    call per side of each pair, each on an ``np.full`` array."""
+    us = rng.uniform(0.0, model.y_max, size=IFS_PAIRS)
+    vs = rng.uniform(0.0, model.y_max, size=IFS_PAIRS)
+    keep = np.abs(us - vs) > 1e-9
+    ifs = model.jump.ifs
+    lw_hat, lp_hat, dp_hat = 0.0, 0.0, math.inf
+    for u, v in zip(us[keep], vs[keep]):
+        gap = abs(u - v)
+        thetas = ifs.sample_vec(np.full(IFS_THETA_SAMPLES, u), rng)
+        spread = np.abs(np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, u)))
+                        - np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, v))))
+        lw_hat = max(lw_hat, float(spread.mean()) / gap)
+        lp_hat = max(lp_hat, ifs.density_l1_gap(u, v) / gap)
+        dp_hat = min(dp_hat, ifs.overlap_on(u, v, model.declared.jump_mean_contraction))
+    return lw_hat, lp_hat, dp_hat

@@ -28,6 +28,7 @@ from pdmp_lab.models import (
     gene_expression_model,
     two_regime_model,
 )
+from oracles import estimate_ifs_constants_two_calls
 
 GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
@@ -123,6 +124,26 @@ def test_ifs_constants_state_dependent_density():
     assert lp > 0.0
     assert dp >= 0.6
     assert lw <= 0.5 + 0.05
+
+
+def _state_dependent_ifs_model():
+    def probs(y):
+        q = 0.3 + 0.2 * float(np.asarray(y)) / (1.0 + float(np.asarray(y)))
+        return np.array([q, 1.0 - q])
+
+    return ModelSpec(
+        name="state-dep", flow=FrozenFlow(), intensity=ConstantIntensity(1.0),
+        jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 0.25)), probs=probs),
+                            SwitchingMatrix([[1.0]])),
+        declared=DeclaredConstants(jump_mean_contraction=0.5))
+
+
+@pytest.mark.parametrize("model", [GENE, TWO, _state_dependent_ifs_model()],
+                         ids=["bursts", "halving", "state-dependent-affine"])
+def test_ifs_constants_are_bitwise_the_two_call_estimate(model):
+    new_rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
+    assert estimate_ifs_constants(model, new_rng) == estimate_ifs_constants_two_calls(model, ref_rng)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_switch_constants_uniform():

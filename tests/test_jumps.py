@@ -10,6 +10,7 @@ from pdmp_lab.jumps import (
     PostJumpKernel,
     SwitchingMatrix,
 )
+from oracles import searchsorted_ifs_draw
 
 
 def test_sample_theta_exponential_mean():
@@ -50,6 +51,74 @@ def test_uniform_past_a_short_cdf_selects_the_last_map(probs):
     assert np.array_equal(thetas, np.ones(3, dtype=np.int64))
     assert np.array_equal(kernel.apply(thetas, ys), 0.5 * ys + 0.5)
     assert np.array_equal(kernel.sample_vec(ys, FixedUniform(0.25)), np.zeros(3, dtype=np.int64))
+
+
+class GivenUniforms:
+    """Stands in for a Generator whose uniform draws are ``us``, in order."""
+
+    def __init__(self, us):
+        self.us = np.asarray(us, dtype=float)
+
+    def random(self, shape):
+        return self.us.reshape(shape)
+
+
+def _three_way(y):
+    q = 0.2 + 0.6 * float(y) / (1.0 + float(y))
+    return np.array([q, 0.5 * (1.0 - q), 0.5 * (1.0 - q)])
+
+
+IFS_DRAWS = {
+    "uniform": (((0.5, 0.0), (0.5, 0.5)), None),
+    "constant": (((0.5, 0.0), (1.0, 1.0)), (0.3, 0.7)),
+    "constant-three": (((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), (0.2, 0.0, 0.8)),
+    "callable": (((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), _three_way),
+    "one-map": (((0.5, 0.0),), (1.0,)),
+    "one-map-callable": (((0.5, 0.0),), lambda y: (1.0,)),
+    "short-cdf": (((0.5, 0.0), (0.5, 0.5)), (0.5, 0.5 - 1e-10)),
+    "short-cdf-callable": (((0.5, 0.0), (0.5, 0.5)), lambda y: (0.5, 0.5 - 1e-10)),
+}
+
+
+@pytest.mark.parametrize("maps, probs", IFS_DRAWS.values(), ids=IFS_DRAWS.keys())
+def test_ifs_draw_is_bitwise_the_searchsorted_draw(maps, probs):
+    kernel = FiniteAffineIfs(maps=maps, probs=probs)
+    rng = np.random.default_rng(22)
+    flat = np.concatenate([np.repeat([0.0, 0.5, 3.0], 40), rng.uniform(0.0, 8.0, 1880)])
+    for ys in (flat, flat.reshape(40, 50), np.full(700, 0.5)):
+        new_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        draws = kernel.sample_vec(ys, new_rng)
+        assert draws.dtype == np.int64 and draws.shape == ys.shape
+        assert np.array_equal(draws, searchsorted_ifs_draw(kernel, ys, ref_rng))
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    # uniforms on every CDF entry (a tie goes to the next map), between them,
+    # and above the last entry of a short CDF
+    cdf = np.cumsum(kernel._prob_vector(0.5))
+    us = np.concatenate([[0.0], cdf, cdf - 1e-12, [np.nextafter(1.0, 0.0)]])
+    ys = np.full(us.size, 0.5)
+    assert np.array_equal(kernel.sample_vec(ys, GivenUniforms(us)),
+                          searchsorted_ifs_draw(kernel, ys, GivenUniforms(us)))
+
+
+@pytest.mark.parametrize("probs", [(1.0,), (1.5, -0.5), (0.6, 0.4 + 2e-9)],
+                         ids=["wrong-shape", "negative", "sum-off"])
+def test_bad_constant_probabilities_fail_at_build(probs):
+    with pytest.raises(ValueError, match="probability vector"):
+        FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs)
+
+
+def test_an_ifs_without_maps_fails_at_build():
+    with pytest.raises(ValueError, match="at least one map"):
+        FiniteAffineIfs(maps=())
+
+
+def test_bad_callable_probabilities_fail_at_evaluation():
+    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)),
+                             probs=lambda y: (0.5, 0.6) if y > 1.0 else (0.5, 0.5))
+    assert np.array_equal(kernel.sample_vec(np.zeros(4), GivenUniforms(np.full(4, 0.75))),
+                          np.ones(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="probability vector"):
+        kernel.sample_vec(np.array([0.0, 2.0]), np.random.default_rng(24))
 
 
 def test_state_dependent_selection_is_per_atom_inverse_cdf():
@@ -201,7 +270,8 @@ def test_switch_draw_is_bitwise_the_full_stack_draw(entries):
 
 
 def test_switch_draw_scratch_is_bounded():
-    # rows evaluated at their own atoms only; the full (n, 2, 2) stack alone took 16 MB
+    # one column of own-row entries at a time: 8.5 MB traced here. The full
+    # (n, 2, 2) stack alone took 16 MB, and np.choose over every row's column 10.01 MB
     pi = SwitchingMatrix(SWITCHES["two-ramp"])
     rng = np.random.default_rng(18)
     n = 250_000
