@@ -24,6 +24,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .csvtext import encode_rows
 from .diagnostics import drift_constants, run_assumption_suite, verify_drift_empirically
 from .grid import GRID_RESIDUAL_TOL, build_grid_model, check_factorization, oracle_correspondence
 from .metrics import measure_distance
@@ -199,17 +200,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-CSV_BLOCK_ROWS = 1024
-"""Rows formatted per write, so the text of a large table is never held at once."""
+CSV_BLOCK_ROWS = 8192
+"""Rows formatted per write, so the text of a large table is never held at once
+and a block's scratch arrays stay small."""
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns as CSV rows: integers as-is, floats with 17 significant digits.
+    """Write columns as CSV rows: integers as "%d", floats as "%.17g".
 
-    Each block is one %-format of a repeated row template over its cells laid
-    out row by row; "%.17g" and "%d" give the bytes of "{:.17g}" and "{}".
-    A header of another width than the columns, or columns of unequal
-    length, is a ValueError, raised before the file is opened.
+    Each block of ``CSV_BLOCK_ROWS`` rows is formatted column by column by
+    ``csvtext.encode_rows``: a float with 1e-4 <= |x| < 1e16 gets its 17
+    digits by exact arithmetic (Dekker's product of x and a power of ten,
+    rounded half-even), an integer its digits from 4-digit groups, and any
+    other value (0, -0.0, NaN, inf, subnormal, the scientific range, int64's
+    minimum) goes through "%.17g" or "%d" on its own. The bytes are those of
+    one "%" per value. A header of another width than the columns, or columns
+    of unequal length, is a ValueError, raised before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns):
@@ -217,17 +223,11 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     sizes = {c.size for c in columns}
     if len(sizes) > 1:
         raise ValueError(f"{path.name}: columns of unequal lengths {sorted(sizes)}")
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-                   for c in columns) + "\n"
     n_rows = sizes.pop() if sizes else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            cells = [None] * ((stop - start) * len(columns))
-            for j, c in enumerate(columns):
-                cells[j::len(columns)] = c[start:stop].tolist()
-            fh.write((row * (stop - start)) % tuple(cells))
+            fh.write(encode_rows([c[start:start + CSV_BLOCK_ROWS] for c in columns]))
 
 
 def _finish(path: Path, payload: dict, failures: list[str]) -> dict:

@@ -3,6 +3,7 @@ import inspect
 import json
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +182,89 @@ def test_write_csv_bytes_match_per_value_format(tmp_path, n_rows):
         -300, 300, 50)]), n_rows)
     big = np.iinfo(np.int64)
     ints = np.resize(np.array([0, -1, 7, big.max, big.min, 2 ** 53 + 1], dtype=np.int64), n_rows)
-    columns = [np.arange(n_rows), floats, ints, floats[::-1].copy()]
-    header = ["n", "x", "k", "z"]
+    unsigned = np.resize(np.array([2 ** 64 - 1, 5, 2 ** 63], dtype=np.uint64), n_rows)
+    columns = [np.arange(n_rows), floats, ints, floats[::-1].copy(), unsigned]
+    header = ["n", "x", "k", "z", "u"]
     cli._write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, columns)
+
+
+def seventeenth_digit_ties(rng, per_decade):
+    # n 2^-j = n 5^j / 10^j with n odd and n 5^j of 18 digits: 18 significant
+    # digits ending in 5, a half-way case for 17 digits, in [10^(17-j), 10^(18-j))
+    out = []
+    for j in range(2, 22):
+        low = -(-10 ** 17 // 5 ** j)
+        high = min(10 ** 18 // 5 ** j, 2 ** 53)
+        n = rng.integers(low // 2, high // 2, per_decade) * 2 + 1
+        out.append(np.ldexp(n.astype(np.float64), -j))
+    return np.concatenate(out + [[1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 3 + 2.0 ** -16]])
+
+
+def test_write_csv_matches_per_value_format_on_every_branch(tmp_path):
+    rng = np.random.default_rng(19)
+    edges = []
+    for d in range(-7, 19):
+        edge = float(f"1e{d}")
+        below = above = edge
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges += [edge, edge * (1 + 5e-17), edge * (1 - 5e-17)]
+    fallback = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                9.9999999999999995e-5, 1e16, 1.7976931348623157e308, 1e-300]
+    special = [0.099999999999999992, 0.99999999999999989, 1e-4, 0.0001000000000000001,
+               9999999999999998.0, 1.0, 10.0, 0.5, 123456789012345.67]
+    digits17 = rng.integers(10 ** 16, 10 ** 17, 20_000)
+    decimals = np.array([float(f"{d}e{e}") for d, e in zip(digits17.tolist(),
+                                                          rng.integers(-21, 0, 20_000).tolist())])
+    spread = 10.0 ** rng.uniform(-8, 19, 60_000)
+    # the first block mixes per-value fallbacks into both columns; later blocks have none
+    floats = np.concatenate([fallback, special, edges, seventeenth_digit_ties(rng, 1000),
+                             decimals, spread])
+    floats *= np.where(rng.random(floats.size) < 0.5, -1.0, 1.0)
+    floats = np.concatenate([fallback, floats])
+    big = np.iinfo(np.int64)
+    powers = 10 ** np.arange(19, dtype=np.int64)
+    ints = np.concatenate([[big.min, big.max, big.min + 1, 0, -1], powers, powers - 1, -powers,
+                           rng.integers(big.min + 1, big.max, floats.size, endpoint=True)])
+    ints = ints[:floats.size]
+    assert floats.size >= 100_000
+    assert cli.CSV_BLOCK_ROWS < floats.size - cli.CSV_BLOCK_ROWS
+    short = rng.integers(-9999, 10_000, floats.size)
+    short[5] = big.min  # a per-value fallback beside 4-digit values in one block
+    columns = [np.arange(floats.size), floats, ints, short]
+    header = ["n", "x", "k", "s"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, columns)
+
+
+def test_no_seventeen_digit_rounding_carries_into_the_next_decade():
+    # the writer's digits need the largest double below 10^m, m in -3..16, to be
+    # more than 5e-18 of 10^m below it, so that rounding to 17 digits stays below 10^17
+    for m in range(-3, 17):
+        power = Fraction(10) ** m
+        below = float(f"1e{m}")
+        if Fraction(below) >= power:
+            below = np.nextafter(below, 0.0)
+        assert Fraction(below) < power * (1 - Fraction(5, 10 ** 18))
+
+
+def test_write_csv_scratch_is_bounded(tmp_path):
+    # occupation-shaped columns of 250k rows write about 10 MB; the writer holds
+    # one block of CSV_BLOCK_ROWS rows at a time
+    rng = np.random.default_rng(3)
+    n_rows = 250_000
+    columns = [np.sort(rng.uniform(80.0, 400.0, n_rows)), rng.exponential(1.0, n_rows),
+               rng.integers(0, 2, n_rows)]
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "occupation.csv", ["t", "y", "xi"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "occupation.csv").stat().st_size > 9e6
+    assert peak <= 6e6
 
 
 @pytest.mark.parametrize("header, columns, message", [

@@ -270,9 +270,9 @@ def test_runs_side_by_side_are_bitwise_each_run_alone(model, runs):
 
 
 def test_horizon_history_grows_past_its_first_width(monkeypatch):
-    # holding times at a quarter of the law's need about 4 times the law's
-    # steps, past the first width of ceil(mu + 6 sqrt(mu)) + 64 + 1 columns
-    # with mu = lambda_high t_end
+    # a fresh horizon chunk is ceil(mu + 6 sqrt(mu)) + 64 + 1 columns wide with
+    # mu = lambda_high t_end; holding times at a quarter of the law's need about
+    # 4 times the law's steps, so the run grows past that width
     def quarter(h, i, ys, targets):
         return 0.25 * invert_holding(h, i, ys, targets)
 
@@ -282,6 +282,8 @@ def test_horizon_history_grows_past_its_first_width(monkeypatch):
     _, ens = run_ensembles(GENE_SAT, [EnsembleRun(15, 13, n_steps=3), run])
     mu = GENE_SAT.intensity.upper * run.t_end
     first_width = math.ceil(mu + 6 * math.sqrt(mu)) + 64 + 1
+    fresh = simulate._Chunk(GENE_SAT, run, run.n_replicas, 12)
+    assert [a.shape[1] for a in fresh.history] == [first_width] * 3
     assert ens.chunks[0][0].shape[1] > first_width
     assert ens.min_horizon >= run.t_end
     assert_matches_reference(GENE_SAT, ens, run)
