@@ -106,6 +106,9 @@ class ModelBlock:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key, value in self.params.items():
+            if isinstance(value, (int, float)):  # a bool too: JSON true is not 1.0
+                _typed(value, float, f"model params {key}")
         try:
             self.build()
         except (KeyError, TypeError, ValueError) as exc:

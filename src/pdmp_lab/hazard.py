@@ -138,8 +138,9 @@ class CumulativeHazard:
     path-constant (a ConstantIntensity on any flow, or any intensity on a
     FrozenFlow), where the rate does not change along the path and H =
     lambda(y) * t; or saturating (a SaturatingIntensity on an AffineExpFlow),
-    with its exact antiderivative. Any other pair raises ValueError. The
-    regime ``i`` is an int or an int array broadcasting with ``t`` and ``y``.
+    whose exact antiderivative _saturating_hazard writes on the rate's own
+    base and gain. Any other pair raises ValueError. The regime ``i`` is an
+    int or an int array broadcasting with ``t`` and ``y``.
     """
 
     intensity: Intensity
@@ -155,34 +156,15 @@ class CumulativeHazard:
                              f"on {type(self.flow).__name__}")
         object.__setattr__(self, "path_constant", path_constant)
 
-    def along(self, i, y) -> Callable:
-        """t -> H(y, i, t) for fixed starts; everything that depends only on the
-        start is computed once, and t broadcasts against the start arrays."""
-        self.flow.check_regime(i)
-        if self.path_constant:
-            rate = self.intensity(y)
-            return lambda t: rate * np.asarray(t, dtype=float)
-        # H integrates base + gain*(c+w)/(1+c+w) along w_h = (y-c) e^{-kappa h}
-        base, gain = self.intensity.base, self.intensity.gain
-        kappa, c = self.flow.rate_of[i], self.flow.anchor_of[i]
-        w0 = np.asarray(y, dtype=float) - c
-        one_c = 1.0 + c
-        start = one_c + w0
-        scale = kappa * one_c
-
-        def hazard(t):
-            t = np.asarray(t, dtype=float)
-            wt = w0 * np.exp(-kappa * t)
-            inv_term = (kappa * t + np.log((one_c + wt) / start)) / scale
-            return (base + gain) * t - gain * inv_term
-
-        return hazard
-
     def value(self, i, t, y):
         """H(y, i, t); broadcasts over arrays. Rejects t < 0."""
-        if np.any(np.asarray(t) < 0):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("hazard time must be >= 0")
-        return self.along(i, y)(t)
+        self.flow.check_regime(i)
+        if self.path_constant:
+            return self.intensity(y) * t
+        return _saturating_hazard(self, i, y)(t)
 
     def survival(self, i, t, y):
         """P(holding time > t) = exp(-H(y, i, t)) in (0, 1]."""
@@ -204,8 +186,9 @@ def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) 
     narrowing. An atom stops once its step is at most HOLDING_TIME_RTOL *
     max(1, t) and is then frozen, so its result does not depend on the rest
     of the batch, which is solved in blocks of HOLDING_NEWTON_BLOCK. Each
-    block ends with a residual check that guards against hazards
-    inconsistent with their declared bounds.
+    block ends with a residual check on the same closed form, which guards
+    against declared bounds inconsistent with the rate: a root clipped at
+    such a bracket misses its target.
     """
     ys = np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -228,16 +211,18 @@ def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) 
 def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
     """The Newton iterations of invert_holding on one block of 1-D atoms, then
-    the residual check of the block's roots."""
+    the residual check of the block's roots. The declared rate bounds enter
+    only the bracket and the start clip; the iterations and the check read
+    the closed form of the saturating pair."""
     rate = h.intensity
-    hazard_and_slope = _hazard_and_slope(h, regimes, ys)
+    hazard = _saturating_hazard(h, regimes, ys)
     lo = targets / rate.upper
     hi = targets / rate.lower
     t = np.clip(targets / rate(ys), lo, hi)
     moving = np.ones(t.shape, dtype=bool)
     for _ in range(HOLDING_NEWTON_MAX_ITER):
-        hazard, slope = hazard_and_slope(t)
-        step = np.minimum(np.maximum(t - (hazard - targets) / slope, lo), hi)
+        value, slope = hazard(t, slope=True)
+        step = np.minimum(np.maximum(t - (value - targets) / slope, lo), hi)
         moved = np.abs(step - t)
         unconverged = moved > HOLDING_TIME_RTOL * np.maximum(1.0, t)
         # a converged atom keeps its last step; later passes over it change nothing
@@ -252,41 +237,44 @@ def _newton_holding(h: CumulativeHazard, ys: np.ndarray, regimes: np.ndarray,
             f"{int(moving.sum())} atom(s); largest last step {moved[k]:.3e} to t={t[k]:.17g} "
             f"in [{lo[k]:.17g}, {hi[k]:.17g}] at y={ys[k]:.17g}, regime {regimes[k]}, "
             f"target {targets[k]:.17g}")
-    residual = np.abs(np.asarray(h.along(regimes, ys)(t)) - targets)
+    residual = np.abs(hazard(t) - targets)
     k = int(np.argmax(residual))
     if residual[k] > 1e-8 * (1.0 + targets[k]):
         raise RuntimeError(
             f"hazard inversion missed its target by {residual[k]:.3e} "
-            f"(root {t[k]:.6g}, bracket [{targets[k] / rate.upper:.6g}, "
-            f"{targets[k] / rate.lower:.6g}], target {targets[k]:.6g}); "
+            f"(root {t[k]:.6g}, bracket [{lo[k]:.6g}, {hi[k]:.6g}], target {targets[k]:.6g}); "
             "are the declared rate bounds valid?")
     return t
 
 
-def _hazard_and_slope(h: CumulativeHazard, regimes: np.ndarray, ys: np.ndarray) -> Callable:
-    """t -> (H(y, i, t), lambda(S_i(t, y))) on one block of saturating-pair starts, for Newton.
+def _saturating_hazard(h: CumulativeHazard, i, y) -> Callable:
+    """The closed form of the saturating pair: t -> H(y, i, t) for fixed starts,
+    or (H, lambda(S_i(t, y))) with ``slope=True``, the pair Newton steps by.
 
-    Along the flow 1 + S_i(t, y) = s = 1 + c + (y - c) e^{-kappa t}, and
-    lambda(x) = upper - gain / (1 + x), so the slope is upper - gain / s and
-    H = lambda(c) t - gain / (kappa (1 + c)) log(s / (1 + y)): one exp, one log
-    and one division per call. These are CumulativeHazard.along and
-    lambda(AffineExpFlow.evaluate) rearranged, equal up to rounding. The
-    regimes were checked on entry and t stays in its bracket, so the checks
-    evaluate repeats are skipped.
+    Written on the rate's own base and gain g, never on its declared bounds:
+    lambda(x) = top - g / (1 + x) with top = base + g, the rate at infinity.
+    Along the flow 1 + S_i(t, y) = s = 1 + c + (y - c) e^{-kappa t}, so the
+    slope is top - g / s and H = lambda(c) t - g / (kappa (1 + c)) (log s -
+    log(1 + y)): one exp and one log per call, and one division more for the
+    slope. What depends only on the start is computed once. kappa and c are
+    scalars for a scalar regime and are gathered per start for a regime
+    array. The caller has checked the regime and t >= 0.
     """
-    rate = h.intensity
-    kappa, c = h.flow.rate_of[regimes], h.flow.anchor_of[regimes]
+    gain = h.intensity.gain
+    top = h.intensity.base + gain
+    kappa, c = h.flow.rate_of[i], h.flow.anchor_of[i]
     one_c = 1.0 + c
-    w0 = ys - c
+    w0 = np.asarray(y, dtype=float) - c
     log_start = np.log(one_c + w0)
-    rate_c = rate.upper - rate.gain / one_c
-    coef = rate.gain / (kappa * one_c)
+    rate_c = top - gain / one_c
+    coef = gain / (kappa * one_c)
 
-    def fused(t):
+    def hazard(t, slope=False):
         s = one_c + w0 * np.exp(-kappa * t)
-        return rate_c * t - coef * (np.log(s) - log_start), rate.upper - rate.gain / s
+        value = rate_c * t - coef * (np.log(s) - log_start)
+        return (value, top - gain / s) if slope else value
 
-    return fused
+    return hazard
 
 
 def sample_holding_thinning_vec(h: CumulativeHazard, i, ys: np.ndarray,

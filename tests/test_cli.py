@@ -378,6 +378,22 @@ def test_bad_config_values_exit_2_at_load(tmp_path, capsys, overrides, flags, me
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "correspondence", "oracle", "diagnostics"])
+@pytest.mark.parametrize("key, literal", [("kappa", "NaN"), ("lam", "Infinity"),
+                                          ("lam", "1e400"), ("lam", "true")])
+def test_non_finite_or_bool_model_params_exit_2_at_load(tmp_path, capsys, command, key, literal):
+    # Python's json reads NaN, Infinity and 1e400 (as inf); none is a model parameter
+    params = dict(BASE_CONFIG["model"]["params"], **{key: "PLACEHOLDER"})
+    cfg = write_config(tmp_path, {"model": {"params": params}})
+    cfg.write_text(cfg.read_text().replace('"PLACEHOLDER"', literal))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"model params {key}" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_correspondence_without_chain_steps_exits_2(tmp_path, capsys):
     # simulate runs a zero-step chain; correspondence has no chain measure then
     cfg = write_config(tmp_path, {"chain_steps": 0, "chain_burn_in_steps": 0})

@@ -267,25 +267,51 @@ def test_inversion_iteration_cap_names_the_atom(monkeypatch):
         invert_holding(WIDE, 0, np.array([0.0, 2.5]), np.array([0.0, 3.0]))
 
 
-@pytest.mark.parametrize("flow", [AffineExpFlow(rates=(1.0,), anchors=(0.0,)),
-                                  AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))])
-def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
-    # the Newton kernel rearranges H and the slope around one shared s = 1 + S_i(t, y);
-    # both stay within rounding of the separate calls: H within 4 eps (1 + upper t),
-    # the slope within 2 eps upper (upper bounds each term of the rearranged sums)
+def test_saturating_hazard_matches_quadrature_and_the_rate_at_both_regimes():
+    # the one closed form against routes that read only the intensity and the flow:
+    # H against adaptive Simpson of lambda(S_i(h, y)), its slope against
+    # lambda(S_i(t, y)) within 2 eps upper (upper bounds each term of the sum)
+    flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
     hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
     eps, upper = np.finfo(float).eps, hz.intensity.upper
     rng = np.random.default_rng(10)
     n = 10_000
-    regimes = rng.integers(0, flow.n_regimes, n)
-    ys = np.concatenate([[0.0, 1e-9, 1e3], rng.uniform(0.0, 30.0, n - 3)])
-    fused = hazard_module._hazard_and_slope(hz, regimes, ys)
+    regimes = np.concatenate([[0, 1, 0, 1, 0, 1], rng.integers(0, 2, n - 6)])
+    ys = np.concatenate([[0.0, 0.0, 1e-9, 1e-9, 1e3, 1e3], rng.uniform(0.0, 30.0, n - 6)])
+    hazard = hazard_module._saturating_hazard(hz, regimes, ys)
     for t in (np.zeros(n), np.full(n, 1e-14), rng.exponential(1.0, n), np.full(n, 40.0)):
-        hazard, slope = fused(t)
-        assert (np.abs(hazard - hz.along(regimes, ys)(t)) <= 4 * eps * (1.0 + upper * t)).all()
-        generic = hz.intensity(hz.flow.evaluate(regimes, t, ys))
-        assert (np.abs(slope - generic) <= 2 * eps * upper).all()
-    assert np.array_equal(fused(np.zeros(n))[0], np.zeros(n))
+        value, slope = hazard(t, slope=True)
+        assert np.array_equal(value, hazard(t))
+        assert np.array_equal(value, hz.value(regimes, t, ys))
+        assert (np.abs(slope - hz.intensity(flow.evaluate(regimes, t, ys))) <= 2 * eps * upper).all()
+    assert np.array_equal(hazard(np.zeros(n)), np.zeros(n))
+    # quadrature takes milliseconds a point: the six edge starts and 30 more, both regimes
+    ts = np.concatenate([[1e-14, 40.0, 0.7, 3.0, 40.0, 1e-14], rng.exponential(1.0, 30)])
+    for k, t in enumerate(ts):
+        i, y = int(regimes[k]), float(ys[k])
+        quad = adaptive_simpson(lambda h: float(hz.intensity(flow.evaluate(i, h, y))), 0.0, t)
+        assert abs(float(hz.value(i, t, y)) - quad) <= 1e-9
+    assert set(regimes[:ts.size]) == {0, 1}
+
+
+def test_declared_bounds_enter_only_the_bracket():
+    # a loose but valid upper bound widens the Newton bracket; the hazard is
+    # written on the rate's own base + gain, so every root keeps its bits
+    class LooseIntensity(SaturatingIntensity):
+        def __post_init__(self):
+            super().__post_init__()
+            object.__setattr__(self, "upper", 3.0)
+
+    flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
+    honest = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
+    loose = CumulativeHazard(intensity=LooseIntensity(base=1.0, gain=0.5), flow=flow)
+    rng = np.random.default_rng(14)
+    n = 1000
+    regimes = rng.integers(0, 2, n)
+    ys = np.concatenate([[0.0, 1e3], rng.uniform(0.0, 30.0, n - 2)])
+    targets = np.concatenate([[40.0, 1e-14], -np.log1p(-rng.random(n - 2))])
+    assert np.array_equal(invert_holding(loose, regimes, ys, targets),
+                          invert_holding(honest, regimes, ys, targets))
 
 
 def test_newton_iterates_approach_the_root_from_one_side(monkeypatch):
@@ -295,18 +321,19 @@ def test_newton_iterates_approach_the_root_from_one_side(monkeypatch):
     flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
     hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=flow)
     iterates = []
-    fused = hazard_module._hazard_and_slope
+    kernel = hazard_module._saturating_hazard
 
-    def recording(h, regimes, ys):
-        inner = fused(h, regimes, ys)
+    def recording(h, i, y):
+        inner = kernel(h, i, y)
 
-        def record(t):
-            iterates.append(t.copy())
-            return inner(t)
+        def record(t, slope=False):
+            if slope:  # a Newton iteration, not the residual check
+                iterates.append(t.copy())
+            return inner(t, slope)
 
         return record
 
-    monkeypatch.setattr(hazard_module, "_hazard_and_slope", recording)
+    monkeypatch.setattr(hazard_module, "_saturating_hazard", recording)
     rng = np.random.default_rng(13)
     n = 2000
     regimes = rng.integers(0, 2, n)
@@ -334,13 +361,19 @@ def test_inversion_residual_check_runs_per_block(monkeypatch):
     # scratch is bounded by the block size, not the batch size
     monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_BLOCK", 16)
     sizes = []
-    along = CumulativeHazard.along
+    kernel = hazard_module._saturating_hazard
 
-    def recording(self, i, y):
-        sizes.append(np.size(y))
-        return along(self, i, y)
+    def recording(h, i, y):
+        inner = kernel(h, i, y)
 
-    monkeypatch.setattr(CumulativeHazard, "along", recording)
+        def record(t, slope=False):
+            if not slope:  # the residual check, not a Newton iteration
+                sizes.append(np.size(t))
+            return inner(t, slope)
+
+        return record
+
+    monkeypatch.setattr(hazard_module, "_saturating_hazard", recording)
     rng = np.random.default_rng(11)
     ys = rng.uniform(0.0, 10.0, 40)
     targets = -np.log1p(-rng.random(40))

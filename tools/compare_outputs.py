@@ -12,8 +12,8 @@ size replaced where one is given), so both sides pass the same arguments. Every
 output file, stdout, stderr and the exit code are compared. Every run is
 made; each differing run is printed with each of its differing items (exit
 code, stream or output file) and that item's first differing line; a differing
-CSV or JSON file also gets the largest relative difference over its numbers,
-so a rounding-level move shows its size. Exits 1
+CSV or JSON file also gets the largest absolute and the largest relative
+difference over its numbers, so a rounding-level move shows its size. Exits 1
 when any run differs, 0 when every run matches, 2 when REV cannot be
 extracted. Runs serially; the 32 runs take about 25 s on two cores.
 """
@@ -97,10 +97,12 @@ def _json_numbers(value, where: str = ""):
         yield where, float(value)
 
 
-def largest_relative_difference(name: str, a: bytes, b: bytes) -> str:
-    """The largest |x - y| / max(|x|, |y|) over the numbers of two CSV or JSON
-    files, paired by position, and where it is; empty for another kind of file,
-    or when the two files do not hold their numbers at the same places."""
+def largest_differences(name: str, a: bytes, b: bytes) -> str:
+    """The largest |x - y| and the largest |x - y| / max(|x|, |y|) over the
+    numbers of two CSV or JSON files, paired by position, and where each is;
+    empty for another kind of file, or when the two files do not hold their
+    numbers at the same places. The absolute one sizes a move that the relative
+    one reads as 1, such as a round-off value that went from 2e-16 to 0."""
     if name.endswith(".csv"):
         numbers_a, numbers_b = list(_csv_numbers(a)), list(_csv_numbers(b))
     elif name.endswith(".json"):
@@ -109,17 +111,19 @@ def largest_relative_difference(name: str, a: bytes, b: bytes) -> str:
     else:
         return ""
     if [w for w, _ in numbers_a] != [w for w, _ in numbers_b]:
-        return "\n  its numbers do not pair up, so no relative difference is given"
-    largest, at = 0.0, None
+        return "\n  its numbers do not pair up, so no difference is sized"
+    largest = {"absolute": (0.0, None), "relative": (0.0, None)}
     for (where, x), (_, y) in zip(numbers_a, numbers_b):
         if x == y or (x != x and y != y):  # equal, or both NaN
             continue
-        gap = abs(x - y) / max(abs(x), abs(y))
-        if not gap <= largest:  # an infinity or a NaN against a number counts as largest
-            largest, at = gap, where
-    if at is None:
+        gap = abs(x - y)
+        for kind, size in (("absolute", gap), ("relative", gap / max(abs(x), abs(y)))):
+            if not size <= largest[kind][0]:  # an infinity or a NaN against a number is largest
+                largest[kind] = (size, where)
+    if largest["absolute"][1] is None:
         return "\n  its numbers are equal"
-    return f"\n  largest relative difference over its numbers: {largest:.3g} at {at}"
+    return "".join(f"\n  largest {kind} difference over its numbers: {size:.3g} at {where}"
+                   for kind, (size, where) in largest.items())
 
 
 def differences(base: dict, head: dict, rev: str) -> list[str]:
@@ -137,7 +141,7 @@ def differences(base: dict, head: dict, rev: str) -> list[str]:
     for name, data in base["files"].items():
         if name in head["files"] and data != head["files"][name]:
             found.append(f"{name} differs {first_line_difference(data, head['files'][name], rev)}"
-                         + largest_relative_difference(name, data, head["files"][name]))
+                         + largest_differences(name, data, head["files"][name]))
     return found
 
 
