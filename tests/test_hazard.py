@@ -267,16 +267,19 @@ def test_inversion_iteration_cap_names_the_atom(monkeypatch):
         invert_holding(WIDE, 0, np.array([0.0, 2.5]), np.array([0.0, 3.0]))
 
 
-def test_saturating_hazard_matches_quadrature_and_the_rate_at_both_regimes():
-    # the one closed form against routes that read only the intensity and the flow:
-    # H against adaptive Simpson of lambda(S_i(h, y)), its slope against
-    # lambda(S_i(t, y)) within 2 eps upper (upper bounds each term of the sum)
-    flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
+@pytest.mark.parametrize("flow", [AffineExpFlow(rates=(1.0,), anchors=(0.0,)),
+                                  AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))])
+def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
+    # the Newton's fused H and slope, from the one closed form, against routes that
+    # read only the intensity and the flow: H against adaptive Simpson of
+    # lambda(S_i(h, y)), the slope against lambda(S_i(t, y)) within 2 eps upper
+    # (upper bounds each term of the sum), at every regime of the flow
     hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
     eps, upper = np.finfo(float).eps, hz.intensity.upper
     rng = np.random.default_rng(10)
     n = 10_000
-    regimes = np.concatenate([[0, 1, 0, 1, 0, 1], rng.integers(0, 2, n - 6)])
+    regimes = np.concatenate([np.arange(6) % flow.n_regimes,
+                              rng.integers(0, flow.n_regimes, n - 6)])
     ys = np.concatenate([[0.0, 0.0, 1e-9, 1e-9, 1e3, 1e3], rng.uniform(0.0, 30.0, n - 6)])
     hazard = hazard_module._saturating_hazard(hz, regimes, ys)
     for t in (np.zeros(n), np.full(n, 1e-14), rng.exponential(1.0, n), np.full(n, 40.0)):
@@ -285,13 +288,13 @@ def test_saturating_hazard_matches_quadrature_and_the_rate_at_both_regimes():
         assert np.array_equal(value, hz.value(regimes, t, ys))
         assert (np.abs(slope - hz.intensity(flow.evaluate(regimes, t, ys))) <= 2 * eps * upper).all()
     assert np.array_equal(hazard(np.zeros(n)), np.zeros(n))
-    # quadrature takes milliseconds a point: the six edge starts and 30 more, both regimes
+    # quadrature takes milliseconds a point: the six edge starts and 30 more, every regime
     ts = np.concatenate([[1e-14, 40.0, 0.7, 3.0, 40.0, 1e-14], rng.exponential(1.0, 30)])
     for k, t in enumerate(ts):
         i, y = int(regimes[k]), float(ys[k])
         quad = adaptive_simpson(lambda h: float(hz.intensity(flow.evaluate(i, h, y))), 0.0, t)
         assert abs(float(hz.value(i, t, y)) - quad) <= 1e-9
-    assert set(regimes[:ts.size]) == {0, 1}
+    assert set(regimes[:ts.size]) == set(range(flow.n_regimes))
 
 
 def test_declared_bounds_enter_only_the_bracket():
