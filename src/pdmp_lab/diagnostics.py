@@ -82,7 +82,9 @@ def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator) -> tup
     """Fit the tightest envelope lipschitz * exp(rate * t) over sampled pairs.
 
     The log-slope of the per-time sup ratio gives the rate; the lipschitz
-    factor is the sup of ratios deflated by that rate.
+    factor is the sup of ratios deflated by that rate. A flow that contracts
+    too fast to resolve a pair at two of the sample times has all its times
+    halved, on the same pairs, until two resolve.
     """
     t_values = np.asarray(FLOW_CONTRACTION_TIMES, dtype=float)
     us = rng.uniform(0.0, model.y_max, size=FLOW_CONTRACTION_PAIRS)
@@ -98,22 +100,27 @@ def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator) -> tup
     # the kept relative error over dt, so keeping pairs below
     # FLOW_RATE_SLACK * dt / 2 holds it inside the slack of the rate check,
     # whatever |rate| * t is. Times where no pair is resolved are left out of
-    # the fit.
-    max_rel_err = FLOW_RATE_SLACK * float(np.diff(t_values).min()) / 2.0
-    sup_ratio = np.zeros(t_values.size)
-    for k, t in enumerate(t_values):
-        for i in range(model.n_regimes):
-            su = model.flow.evaluate(i, t, us)
-            sv = model.flow.evaluate(i, t, vs)
-            gap = np.abs(su - sv)
-            rounding = 4.0 * np.finfo(float).eps * np.maximum(np.abs(su), np.abs(sv))
-            resolved = rounding < max_rel_err * gap
-            if resolved.any():
-                sup_ratio[k] = max(sup_ratio[k], float(np.max(gap[resolved] / dist[resolved])))
-    fitted = sup_ratio > 0
-    if fitted.sum() < 2:
-        raise RuntimeError("flow contraction: fewer than two sample times have a pair whose "
-                           "flow difference is resolved above rounding")
+    # the fit. Since |S_u - S_v| <= 2 max(|S_u|, |S_v|), no pair is resolved
+    # once min(diff(t_values)) <= 4 eps / FLOW_RATE_SLACK, and halving stops.
+    while True:
+        max_rel_err = FLOW_RATE_SLACK * float(np.diff(t_values).min()) / 2.0
+        sup_ratio = np.zeros(t_values.size)
+        for k, t in enumerate(t_values):
+            for i in range(model.n_regimes):
+                su = model.flow.evaluate(i, t, us)
+                sv = model.flow.evaluate(i, t, vs)
+                gap = np.abs(su - sv)
+                rounding = 4.0 * np.finfo(float).eps * np.maximum(np.abs(su), np.abs(sv))
+                resolved = rounding < max_rel_err * gap
+                if resolved.any():
+                    sup_ratio[k] = max(sup_ratio[k], float(np.max(gap[resolved] / dist[resolved])))
+        fitted = sup_ratio > 0
+        if fitted.sum() >= 2:
+            break
+        t_values = t_values / 2.0
+        if np.diff(t_values).min() <= 4.0 * np.finfo(float).eps / FLOW_RATE_SLACK:
+            raise RuntimeError("flow contraction: fewer than two sample times have a pair "
+                               "whose flow difference is resolved above rounding")
     t_values, sup_ratio = t_values[fitted], sup_ratio[fitted]
     logs = np.log(sup_ratio)
     slopes = (logs[1:] - logs[:-1]) / (t_values[1:] - t_values[:-1])

@@ -40,9 +40,11 @@ from .models import ModelSpec
 DEFAULT_ROW_TOL = 1e-8
 """Allowed deviation of a grid matrix row sum from 1, and of occupation rows from their bracket."""
 DEFAULT_MASS_TOL = 1e-4
-"""Largest stationary mass that jumps may carry out of the location window."""
+"""Largest stationary mass that flows and jumps may carry out of the location window."""
 POWER_ITERATION_TOL = 1e-12
 """L1 change between successive power-iteration vectors at which the iteration stops."""
+POWER_ITERATION_MAX_ITER = 100_000
+"""Power-iteration steps after which a ConvergenceError is raised."""
 GRID_TIME_CELLS = 2000
 """Quantile cells of the holding time per grid row."""
 GRID_THETA_CELLS = 1000
@@ -61,11 +63,7 @@ class GridAssemblyError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """Power iteration ran out of iterations; the message gives the last residual."""
 
 
 def _first_bad_row(ok: np.ndarray) -> Optional[int]:
@@ -75,16 +73,13 @@ def _first_bad_row(ok: np.ndarray) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
-def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
-                    v0: Optional[np.ndarray] = None) -> np.ndarray:
+def power_iteration(matrix: np.ndarray, v0: Optional[np.ndarray] = None) -> np.ndarray:
     """Left fixed-point probability vector of a row-stochastic matrix.
 
     A row sum off 1 (NaN included) or a start vector that is not finite with a
     positive sum is a ValueError; a non-finite residual ends the iteration at
     once with a ConvergenceError.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     matrix = np.asarray(matrix, dtype=float)
     row_sums = matrix.sum(axis=1)
     row = _first_bad_row(np.abs(row_sums - 1.0) <= DEFAULT_ROW_TOL)
@@ -100,7 +95,7 @@ def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
         if not (np.isfinite(v0).all() and total > 0):
             raise ValueError(f"start vector must be finite with a positive sum, got sum {total}")
         v = v0 / total
-    for step in range(1, max_iter + 1):
+    for step in range(1, POWER_ITERATION_MAX_ITER + 1):
         nxt = v @ matrix
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - v).sum())
@@ -109,9 +104,9 @@ def power_iteration(matrix: np.ndarray, max_iter: int = 100_000,
             return v
         if not math.isfinite(residual):
             raise ConvergenceError(f"power iteration left the finite range at step {step} "
-                                   f"(residual {residual})", residual)
-    raise ConvergenceError(
-        f"no fixed point within {max_iter} iterations (residual {residual:.3e})", residual)
+                                   f"(residual {residual})")
+    raise ConvergenceError(f"no fixed point within {POWER_ITERATION_MAX_ITER} iterations "
+                           f"(residual {residual:.3e})")
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,6 @@ class GridModel:
     occupation: np.ndarray
     weighted_post_jump: np.ndarray
     residual_plain: float
-    leak_per_row: np.ndarray
     stationary_leak: float
     fixed_point: np.ndarray
 
@@ -154,9 +148,23 @@ def _node_blocks(m: int):
     return [slice(s, min(s + GRID_NODE_BLOCK, m)) for s in range(0, m, GRID_NODE_BLOCK)]
 
 
+def _nearest_node(pos: np.ndarray, spacing: float, m: int):
+    """Nearest of the m nodes k * spacing to each position, clipped onto 0..m-1,
+    and the masks (below, above) of the positions past half a spacing outside
+    the window, or None if there are none. Overwrites ``pos``."""
+    pos /= spacing
+    idx = np.round(pos, out=pos).astype(np.int64)
+    if idx.min() >= 0 and idx.max() < m:
+        return idx, None
+    sides = (idx < 0, idx >= m)
+    np.clip(idx, 0, m - 1, out=idx)
+    return idx, sides
+
+
 def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
                theta_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Post-jump matrix rows from every (node, regime), plus clipped mass.
+    """Post-jump matrix rows from every (node, regime), plus each row's jump
+    mass that leaves the window, (below, above) by row.
 
     For each origin node the map-index law is discretized, the images are
     projected to nodes, and the switch row is evaluated at the projected
@@ -167,15 +175,16 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     points, masses = model.jump.ifs.discretize(GRID_THETA_CELLS, theta_max, nodes)
     k = points.size
     rows = np.zeros((n_states, n_states))
-    clipped = np.zeros(n_states)
+    leak = np.zeros((2, n_regimes, m))
     spacing = nodes[1] - nodes[0]
     for blk in _node_blocks(m):
         ys = nodes[blk]
         b = ys.size
         images = np.asarray(model.jump.ifs.apply(points[None, :], ys[:, None]), dtype=float)
-        idx = np.clip(np.round(images / spacing).astype(np.int64), 0, m - 1)
-        out_of_window = (images > nodes[-1] + 0.5 * spacing) | (images < nodes[0] - 0.5 * spacing)
-        leak = np.where(out_of_window, masses[blk], 0.0).sum(axis=1)
+        idx, sides = _nearest_node(images, spacing, m)
+        if sides is not None:  # the same jump law from the node in every regime
+            for side, outside in zip(leak, sides):
+                side[:, blk] = np.where(outside, masses[blk], 0.0).sum(axis=1)
         switch = model.jump.switching.rows_at(nodes[idx.ravel()]).reshape(b, k, n_regimes, n_regimes)
         # bin of (row r, target regime j, theta): r*n_states + j*m + idx; the
         # flat (r, j, theta) order adds each bin's terms in theta order
@@ -185,13 +194,13 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
             weights = masses[blk, None, :] * switch[:, :, i, :].transpose(0, 2, 1)
             rows[i * m + blk.start: i * m + blk.stop] = np.bincount(
                 bins, weights.ravel(), minlength=b * n_states).reshape(b, n_states)
-            clipped[i * m + blk.start: i * m + blk.stop] = leak
-    return rows, clipped
+    return rows, leak.reshape(2, n_states)
 
 
 def _flow_rows(model: ModelSpec, nodes: np.ndarray,
-               rate_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-jump and occupation matrices, block-diagonal by regime.
+               rate_at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-jump and occupation matrices, block-diagonal by regime, plus each
+    row's pre-jump mass whose flow image leaves the window, (below, above) by row.
 
     Per regime and node block, survival at the quantile time edges becomes
     each cell's mass, with the tail survival(t_max) placed at t_max; the flow
@@ -209,6 +218,7 @@ def _flow_rows(model: ModelSpec, nodes: np.ndarray,
     times = np.append(0.5 * (edges[:-1] + edges[1:]), t_max)
     pre_jump = np.zeros((n_states, n_states))
     occupation = np.zeros((n_states, n_states))
+    leak = np.zeros((2, n_regimes, m))
     for i in range(n_regimes):
         band = slice(i * m, (i + 1) * m)
         for blk in _node_blocks(m):
@@ -219,10 +229,11 @@ def _flow_rows(model: ModelSpec, nodes: np.ndarray,
             mass = np.asarray(model.hazard.survival(i, edges[None, :], ys[:, None]), dtype=float)
             mass[:, :-1] -= mass[:, 1:]
             pos = model.flow.evaluate(i, times[None, :], ys[:, None])
-            pos /= spacing
-            img = np.round(pos, out=pos).astype(np.int64)
+            img, sides = _nearest_node(pos, spacing, m)
             del pos
-            np.clip(img, 0, m - 1, out=img)
+            if sides is not None:
+                for side, outside in zip(leak, sides):
+                    side[i, blk] = np.where(outside, mass, 0.0).sum(axis=1)
             occ_mass = rate_at[img]
             np.divide(mass, occ_mass, out=occ_mass)
             # bin r*m + img of row r; each bin adds its cells in time order
@@ -232,7 +243,7 @@ def _flow_rows(model: ModelSpec, nodes: np.ndarray,
                                                minlength=b * m).reshape(b, m)
             occupation[rows, band] = np.bincount(img.ravel(), occ_mass.ravel(),
                                                  minlength=b * m).reshape(b, m)
-    return pre_jump, occupation
+    return pre_jump, occupation, leak.reshape(2, n_states)
 
 
 def _column_span(block: np.ndarray) -> slice:
@@ -279,12 +290,13 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
 
     The row sums of ``pre_jump`` and ``post_jump`` are taken before either is
     overwritten. The map-index law is discretized on [0, y_max], like the
-    locations. The window check weighs each row's clipped jump mass by the
-    stationary fixed point, so a y_max too small for the model fails loudly
-    with the offending rows named. The switching rows are checked at every
-    node, since the jump rows evaluate them there, also past the model's own
-    window. A y_max that is not positive and finite is a ValueError; failed
-    checks raise GridAssemblyError.
+    locations. Flow and jump images past half a spacing outside the window are
+    clipped onto the end nodes; the window check weighs each row's clipped
+    mass by the stationary fixed point and names the side and the worst rows
+    (a larger y_max cannot hold mass below 0). The switching rows are checked
+    at every node, since the jump rows evaluate them there, also past the
+    model's own window. A y_max that is not positive and finite is a
+    ValueError; failed checks raise GridAssemblyError.
     """
     if m < 2:
         raise ValueError("need at least two grid nodes")
@@ -300,7 +312,8 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
     rate_at = np.asarray(model.intensity(nodes), dtype=float)
 
     post_jump, leak = _jump_rows(model, nodes, n_regimes, y_max)
-    pre_jump, occupation = _flow_rows(model, nodes, rate_at)
+    pre_jump, occupation, flow_leak = _flow_rows(model, nodes, rate_at)
+    leak += flow_leak
     pre_gaps = np.abs(pre_jump.sum(axis=1) - 1.0)
     post_gaps = np.abs(post_jump.sum(axis=1) - 1.0)
     residual_plain = _transition_over_pre_jump(pre_jump, post_jump, n_regimes)
@@ -322,16 +335,19 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
                                 f"row {row} has mass {occ_rows[row]:.6g}")
 
     fixed = power_iteration(transition)
-    stationary_leak = float(np.dot(fixed, leak))
+    below, above = (float(np.dot(fixed, side)) for side in leak)
+    stationary_leak = below + above
     if stationary_leak > DEFAULT_MASS_TOL:
-        worst = np.argsort(fixed * leak)[::-1][:5]
+        worst = np.argsort(fixed * leak.sum(axis=0))[::-1][:5]
+        fix = "increase y_max" if above > below else "no y_max holds mass below 0"
         raise GridAssemblyError(
-            f"boundary leakage {stationary_leak:.3e} exceeds {DEFAULT_MASS_TOL:.1e}; "
-            f"worst rows {worst.tolist()}; increase y_max")
+            f"boundary leakage {stationary_leak:.3e} exceeds {DEFAULT_MASS_TOL:.1e} "
+            f"({below:.3e} below 0, {above:.3e} above y_max={y_max:.6g}); "
+            f"worst rows {worst.tolist()}; {fix}")
     return GridModel(nodes=nodes, n_regimes=n_regimes, transition=transition,
                      occupation=occupation, weighted_post_jump=weighted_post_jump,
-                     residual_plain=residual_plain, leak_per_row=leak,
-                     stationary_leak=stationary_leak, fixed_point=fixed)
+                     residual_plain=residual_plain, stationary_leak=stationary_leak,
+                     fixed_point=fixed)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ class FiniteAffineIfs(IfsKernel):
     def discretize(self, n_cells: int, theta_max: float,
                    ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = np.arange(len(self.maps))
-        if self.probs is None or not callable(self.probs):
+        if not callable(self.probs):
             return points, np.broadcast_to(self._prob_vector(0.0), (len(ys), points.size))
         return points, np.stack([self._prob_vector(y) for y in ys])
 

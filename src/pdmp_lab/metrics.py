@@ -17,6 +17,8 @@ import numpy as np
 from .state import WeightedEmpiricalMeasure
 
 MASS_MATCH_TOL = 1e-9
+BL_ANCHORS = 64
+"""Ramp anchors of ``bl_lower_bound``, evenly spaced over the joint support."""
 
 
 def wasserstein1_1d(values_a: np.ndarray, weights_a: np.ndarray,
@@ -75,7 +77,7 @@ def _ramp_sums(m: WeightedEmpiricalMeasure, anchors: np.ndarray, n_regimes: int)
     holds breaks[b-1] < y <= breaks[b]. Below a - 1 (bins <= lo_pos) the ramp
     is -1, above a + 1 (bins > hi_pos) it is 1, and in between it is y - a,
     so each sum is a difference of per-bin prefix sums of w and w * y.
-    Returns an (n_regimes, n_anchors) array.
+    Returns an (n_regimes, anchors.size) array.
     """
     breaks = np.sort(np.concatenate([anchors - 1.0, anchors + 1.0]))
     lo_pos = np.searchsorted(breaks, anchors - 1.0)
@@ -98,12 +100,11 @@ def _ramp_sums(m: WeightedEmpiricalMeasure, anchors: np.ndarray, n_regimes: int)
     return above - below + (cum_moment[:, hi_pos] - cum_moment[:, lo_pos]) - anchors * inside
 
 
-def bl_lower_bound(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
-                   n_anchors: int = 64) -> float:
+def bl_lower_bound(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure) -> float:
     """Dictionary lower bound on the bounded-Lipschitz distance.
 
     Maximizes |<f, mu> - <f, nu>| over clamped affine ramps clip(y - a, -1, 1)
-    through a grid of anchors a, alone and crossed with regime indicators.
+    through BL_ANCHORS anchors a, alone and crossed with regime indicators.
     Every dictionary member is 1-Lipschitz for the product metric and bounded
     by 1, so the value is a valid lower bound of the true distance. The
     mirrored ramps clip(a - y, -1, 1) are exact negatives, so they add
@@ -111,7 +112,7 @@ def bl_lower_bound(mu: WeightedEmpiricalMeasure, nu: WeightedEmpiricalMeasure,
     """
     mu, nu = mu.normalize(), nu.normalize()
     anchors = np.linspace(min(mu.ys.min(), nu.ys.min()), max(mu.ys.max(), nu.ys.max()),
-                          n_anchors)
+                          BL_ANCHORS)
     n_regimes = int(max(mu.regimes.max(), nu.regimes.max())) + 1
     gaps = _ramp_sums(mu, anchors, n_regimes) - _ramp_sums(nu, anchors, n_regimes)
     per_regime = float(np.abs(gaps).max())

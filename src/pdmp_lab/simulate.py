@@ -62,10 +62,6 @@ class ChainEnsemble:
     chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @property
-    def n_replicas(self) -> int:
-        return sum(c[0].shape[0] for c in self.chunks)
-
-    @property
     def min_horizon(self) -> float:
         return min(float(c[0][:, -1].min()) for c in self.chunks)
 

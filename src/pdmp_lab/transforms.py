@@ -7,12 +7,11 @@ uniform fraction of the holding time), w * holding time); its deterministic
 reference is ``holding_occupation_quadrature``), and the *weighted-jump*
 transform, which jumps each atom and scales its weight by the local jump
 rate. Normalizing these two transforms maps a chain-stationary law to the
-flow-stationary law and back.
+flow-stationary law and back. Each transform returns its image measure and
+its normalizer, the output mass per unit input mass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +23,6 @@ HOLDING_QUADRATURE_CELLS = 200
 """Time cells of ``holding_occupation_quadrature``: half quantile, half uniform edges."""
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    """Mass accounting of one measure transform."""
-
-    output_mass: float
-    normalizer: float
-    stderr: float
-
-
 def _require_mass(mu: WeightedEmpiricalMeasure) -> None:
     if mu.total_mass <= 0.0:
         raise ZeroMassError("transform input has zero mass")
@@ -40,7 +30,7 @@ def _require_mass(mu: WeightedEmpiricalMeasure) -> None:
 
 def holding_occupation_transform(
     model: ModelSpec, mu: WeightedEmpiricalMeasure, rng: np.random.Generator,
-) -> tuple[WeightedEmpiricalMeasure, TransformReport]:
+) -> tuple[WeightedEmpiricalMeasure, float]:
     """Spread each atom along its flow, weighted by time-to-next-jump.
 
     For atom (x, w) draw the holding time T and a uniform fraction U and emit
@@ -53,16 +43,12 @@ def holding_occupation_transform(
     holding = invert_holding(model.hazard, mu.regimes, mu.ys, targets)
     out_ys = model.flow.evaluate(mu.regimes, rng.random(mu.ys.shape) * holding, mu.ys)
     out = WeightedEmpiricalMeasure(out_ys, mu.regimes, mu.weights * holding)
-    # variance of the output mass: independent holding draws, delta method
-    mean_holding = float(np.dot(mu.weights, holding) / mu.weights.sum())
-    stderr = float(np.sqrt(np.sum((mu.weights * (holding - mean_holding)) ** 2)))
-    return out, TransformReport(output_mass=out.total_mass,
-                                normalizer=out.total_mass / mu.total_mass, stderr=stderr)
+    return out, out.total_mass / mu.total_mass
 
 
 def holding_occupation_quadrature(
     model: ModelSpec, mu: WeightedEmpiricalMeasure,
-) -> tuple[WeightedEmpiricalMeasure, TransformReport]:
+) -> tuple[WeightedEmpiricalMeasure, float]:
     """Deterministic reference for ``holding_occupation_transform``.
 
     Each atom becomes one atom per time cell, at the cell midpoint of its
@@ -92,46 +78,42 @@ def holding_occupation_quadrature(
     pts = model.flow.evaluate(regimes, mids[None, :], ys)
     out = WeightedEmpiricalMeasure(pts.ravel(), np.repeat(mu.regimes, mids.size),
                                    (mu.weights[:, None] * cell).ravel())
-    return out, TransformReport(output_mass=out.total_mass,
-                                normalizer=out.total_mass / mu.total_mass, stderr=0.0)
+    return out, out.total_mass / mu.total_mass
 
 
 def weighted_jump_transform(
     model: ModelSpec, mu: WeightedEmpiricalMeasure, rng: np.random.Generator,
-) -> tuple[WeightedEmpiricalMeasure, TransformReport]:
+) -> tuple[WeightedEmpiricalMeasure, float]:
     """Jump every atom and scale its weight by the local jump rate."""
     _require_mass(mu)
     ys_post, regimes_post = model.jump.sample_vec(mu.ys, mu.regimes, rng)
     weights = mu.weights * np.asarray(model.intensity(mu.ys), dtype=float)
     out = WeightedEmpiricalMeasure(ys_post, regimes_post, weights)
-    stderr = 0.0  # the output mass is a deterministic function of the input
-    report = TransformReport(output_mass=out.total_mass,
-                             normalizer=out.total_mass / mu.total_mass, stderr=stderr)
-    return out, report
+    return out, out.total_mass / mu.total_mass
 
 
 def chain_to_flow_stationary(
     model: ModelSpec, mu_chain: WeightedEmpiricalMeasure, rng: np.random.Generator,
-) -> tuple[WeightedEmpiricalMeasure, TransformReport]:
+) -> tuple[WeightedEmpiricalMeasure, float]:
     """Normalized holding-occupation transform of a chain-stationary estimate.
 
     Applied to the stationary law of the embedded chain this produces the
-    stationary law of the continuous-time process; the report keeps the
-    normalizer (the mean holding time under the input law).
+    stationary law of the continuous-time process; the normalizer returned
+    with it is the mean holding time under the input law.
     """
     mu_chain = mu_chain.normalize()
-    out, report = holding_occupation_transform(model, mu_chain, rng)
-    return out.normalize(), report
+    out, normalizer = holding_occupation_transform(model, mu_chain, rng)
+    return out.normalize(), normalizer
 
 
 def flow_to_chain_stationary(
     model: ModelSpec, mu_flow: WeightedEmpiricalMeasure, rng: np.random.Generator,
-) -> tuple[WeightedEmpiricalMeasure, TransformReport]:
+) -> tuple[WeightedEmpiricalMeasure, float]:
     """Normalized weighted-jump transform of a flow-stationary estimate.
 
     The inverse direction of the correspondence; the normalizer equals the
     mean jump rate under the input law.
     """
     mu_flow = mu_flow.normalize()
-    out, report = weighted_jump_transform(model, mu_flow, rng)
-    return out.normalize(), report
+    out, normalizer = weighted_jump_transform(model, mu_flow, rng)
+    return out.normalize(), normalizer

@@ -156,9 +156,9 @@ def test_criterion_04_factorization(gene_sat_runs):
 
 def test_criterion_05_normalizer_identity(gene_sat_runs):
     mu_chain, mu_flow = gene_sat_runs
-    _, rep_f = chain_to_flow_stationary(GENE_SAT, mu_chain, np.random.default_rng(51))
-    _, rep_b = flow_to_chain_stationary(GENE_SAT, mu_flow, np.random.default_rng(52))
-    product = rep_f.normalizer * rep_b.normalizer
+    _, to_flow = chain_to_flow_stationary(GENE_SAT, mu_chain, np.random.default_rng(51))
+    _, to_chain = flow_to_chain_stationary(GENE_SAT, mu_flow, np.random.default_rng(52))
+    product = to_flow * to_chain
     grid_err = oracle_correspondence(build_grid_model(GENE_SAT, 400)).normalizer_product_error
     ok = abs(product - 1.0) <= 0.01 and grid_err <= 1e-8
     _report(5, ok, f"MC normalizer product {product:.4f} = 1 +- 0.01; "

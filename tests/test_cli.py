@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab import cli
+from pdmp_lab import grid as grid_module
 from pdmp_lab import hazard as hazard_module
 from pdmp_lab.cli import ConfigError, ExperimentConfig, GridBlock, main
 from pdmp_lab.flows import AffineExpFlow
@@ -504,7 +505,8 @@ def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hazard_module, "QUAD_TOL", 1e-14)
     monkeypatch.setattr(hazard_module, "QUAD_MAX_DEPTH", 3)
     wide = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=AffineExpFlow())
-    solvers = (lambda: power_iteration(np.array([[0.5, 0.5], [0.9, 0.1]]), max_iter=1),
+    monkeypatch.setattr(grid_module, "POWER_ITERATION_MAX_ITER", 1)
+    solvers = (lambda: power_iteration(np.array([[0.5, 0.5], [0.9, 0.1]])),
                lambda: invert_holding(wide, 0, np.array([2.5]), np.array([3.0])),
                lambda: adaptive_simpson(lambda t: abs(t) ** 0.5, -1.0, 1.0))
     for solve in solvers:
@@ -538,22 +540,35 @@ TEST_ONLY_NAMES = {
                                      "transform",
     "jump_count_pmf": "perfbench calls it",
     "WeightedEmpiricalMeasure.integrate": "the pairing <f, mu> of a measure with a test function",
+    "OracleReport.flow_vector": "the grid flow law: test_fixed_point_matches_closed_form_laws "
+                                "checks it against the closed form, and a cross-route check "
+                                "in oracle would compare it with the occupation sample",
 }
 
 
 def test_src_names_without_a_src_reader_are_pinned():
-    # every module-level function, class and constant, and every method, of
-    # src/pdmp_lab, against every name a src module loads (a method is read
-    # when any attribute of its name is loaded); dunder names are implicit
+    # every module-level function, class and constant, and every method,
+    # property and annotated field of src/pdmp_lab, against every name a src
+    # module loads (a member is read when any attribute of its name is loaded).
+    # A field also counts as read when a string constant passed to a call names
+    # it (the getattr keys of Tolerances) or when asdict writes its class whole.
+    # Dunder names are implicit. Being name-based, the check cannot see an
+    # unread member whose name another class loads: ChainEnsemble.n_replicas
+    # went unseen while EnsembleRun.n_replicas was read.
     defined, loaded = set(), set()
+    members, field_types, returns, assigned, dumped = {}, {}, {}, {}, []
     for path in sorted((ROOT / "src" / "pdmp_lab").glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
             if isinstance(node, ast.ClassDef):
-                defined.update(f"{node.name}.{item.name}" for item in node.body
-                               if isinstance(item, ast.FunctionDef))
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        members.setdefault(node.name, []).append(item.name)
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        members.setdefault(node.name, []).append(item.target.id)
+                        field_types[item.target.id] = ast.unparse(item.annotation)
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
@@ -562,6 +577,24 @@ def test_src_names_without_a_src_reader_are_pinned():
                 loaded.add(node.id)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    unread = {name for name in defined
-              if not name.split(".")[-1].startswith("__") and name.split(".")[-1] not in loaded}
+            if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                returns[node.name] = ast.unparse(node.returns)
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)):
+                assigned.update((t.id, node.value.func.id) for t in node.targets
+                                if isinstance(t, ast.Name))
+            if isinstance(node, ast.Call):
+                loaded.update(a.value for a in node.args
+                              if isinstance(a, ast.Constant) and isinstance(a.value, str))
+                if isinstance(node.func, ast.Name) and node.func.id == "asdict":
+                    dumped.append(node.args[0])
+    # the class of each asdict argument: a variable from a call, or an annotated field
+    for arg in dumped:
+        cls = (returns.get(assigned.get(arg.id)) if isinstance(arg, ast.Name)
+               else field_types.get(arg.attr))
+        assert cls in members, ast.unparse(arg)
+        loaded.update(f"{cls}.{name}" for name in members[cls])
+    defined.update(f"{cls}.{name}" for cls, names in members.items() for name in names)
+    unread = {name for name in defined if not name.split(".")[-1].startswith("__")
+              and name.split(".")[-1] not in loaded and name not in loaded}
     assert unread == set(TEST_ONLY_NAMES)

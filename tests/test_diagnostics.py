@@ -284,10 +284,17 @@ def test_flow_contraction_resolves_fast_decay_toward_nonzero_attractor():
         assert rate <= -3.0 + 1e-9
         assert rate == pytest.approx(-3.0, abs=1e-9) and lip == pytest.approx(1.0, abs=1e-9)
     # at kappa = 10 with both attractors off zero every t = 4 difference is
-    # below rounding; that time is left out of the fit instead of faking a rate
-    lip, rate = estimate_flow_contraction(two_regime_model(kappa=10.0, c0=0.5),
-                                          np.random.default_rng(0))
-    assert rate == pytest.approx(-10.0, abs=1e-9)
+    # below rounding; that time is left out of the fit instead of faking a rate.
+    # At kappa = 60 and 1000 fewer than two of the times 0.25..4 resolve a pair,
+    # so every time is halved (twice, six times) on the same pairs until two do,
+    # and the generator is left where the two pair draws leave it
+    for kappa in (10.0, 60.0, 1000.0):
+        rng = np.random.default_rng(0)
+        lip, rate = estimate_flow_contraction(two_regime_model(kappa=kappa, c0=0.5), rng)
+        assert rate == pytest.approx(-kappa, abs=1e-9) and lip == pytest.approx(1.0, abs=1e-9)
+        after_pairs = np.random.default_rng(0)
+        after_pairs.random(2 * diagnostics.FLOW_CONTRACTION_PAIRS)
+        assert rng.random() == after_pairs.random()
 
 
 def test_suite_negative_controls_fail_exactly_designated():

@@ -92,7 +92,7 @@ def test_trajectory_access_by_replica_index():
     # replica r is row r of the concatenated chunks, every row as long as the run
     ens = run_ensemble(GENE, REPLICA_CHUNK + 88, 7, n_steps=4)
     assert [c[0].shape for c in ens.chunks] == [(REPLICA_CHUNK, 5), (88, 5)]
-    assert ens.n_replicas == REPLICA_CHUNK + 88
+    assert sum(c[0].shape[0] for c in ens.chunks) == REPLICA_CHUNK + 88
     first = tuple(a[0] for a in ens.chunks[0])
     last = tuple(a[-1] for a in ens.chunks[1])
     assert first[0][0] == last[0][0] == 0.0 and (np.diff(last[0]) > 0).all()
@@ -103,5 +103,5 @@ def test_ensemble_chunk_boundary_sizes():
     c = REPLICA_CHUNK
     for n, sizes in ((1, [1]), (c - 1, [c - 1]), (c, [c]), (c + 1, [c, 1]), (2 * c + 1, [c, c, 1])):
         ens = run_ensemble(GENE, n, 6, n_steps=3)
-        assert ens.n_replicas == n
+        assert sum(chunk[0].shape[0] for chunk in ens.chunks) == n
         assert [chunk[0].shape for chunk in ens.chunks] == [(size, 4) for size in sizes]

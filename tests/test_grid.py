@@ -38,7 +38,8 @@ def reference_grid(model, m):
     """Brute-force assembly, one (regime, node) row at a time with np.add.at.
 
     The per-row loop build_grid_model used before it worked on node blocks;
-    returns the five matrices and the clipped jump mass per row.
+    returns the five matrices and, per row, the pre-jump plus jump mass that
+    leaves the window (below, above).
     """
     y_max = model.y_max
     nodes = np.linspace(0.0, y_max, m)
@@ -51,18 +52,19 @@ def reference_grid(model, m):
 
     points, node_masses = model.jump.ifs.discretize(GRID_THETA_CELLS, y_max, nodes)
     post_jump = np.zeros((n_states, n_states))
-    leak = np.zeros(n_states)
+    leak = np.zeros((2, n_states))
+    lo, hi = nodes[0] - 0.5 * spacing, nodes[-1] + 0.5 * spacing
     for node in range(m):
         y = nodes[node]
         masses = node_masses[node]
         images = np.asarray(model.jump.ifs.apply(points, y), dtype=float)
         idx = np.clip(np.round(images / spacing).astype(np.int64), 0, m - 1)
-        out_of_window = (images > nodes[-1] + 0.5 * spacing) | (images < nodes[0] - 0.5 * spacing)
         switch = model.jump.switching.rows_at(nodes[idx])
         for i in range(n_regimes):
             for j in range(n_regimes):
                 np.add.at(post_jump[i * m + node], j * m + idx, masses * switch[:, i, j])
-            leak[i * m + node] = masses[out_of_window].sum()
+            leak[0, i * m + node] = masses[images < lo].sum()
+            leak[1, i * m + node] = masses[images > hi].sum()
 
     rate_at = np.asarray(model.intensity(nodes), dtype=float)
     pre_jump = np.zeros((n_states, n_states))
@@ -73,9 +75,12 @@ def reference_grid(model, m):
             y = nodes[node]
             surv = np.asarray(model.hazard.survival(i, edges, np.full(edges.shape, y)), dtype=float)
             cell_mass = surv[:-1] - surv[1:]
-            img = np.clip(np.round(model.flow.evaluate(i, reps, np.full(reps.shape, y)) / spacing)
-                          .astype(np.int64), 0, m - 1)
-            tail_img = int(np.clip(round(float(model.flow.evaluate(i, t_max, y)) / spacing), 0, m - 1))
+            pos = model.flow.evaluate(i, reps, np.full(reps.shape, y))
+            img = np.clip(np.round(pos / spacing).astype(np.int64), 0, m - 1)
+            tail = float(model.flow.evaluate(i, t_max, y))
+            tail_img = int(np.clip(round(tail / spacing), 0, m - 1))
+            leak[0, i * m + node] += cell_mass[pos < lo].sum() + (surv[-1] if tail < lo else 0.0)
+            leak[1, i * m + node] += cell_mass[pos > hi].sum() + (surv[-1] if tail > hi else 0.0)
             row_arrival = np.zeros(m)
             np.add.at(row_arrival, img, cell_mass)
             row_arrival[tail_img] += surv[-1]
@@ -87,17 +92,18 @@ def reference_grid(model, m):
             transition[i * m + node] = row_arrival @ post_jump[i * m: (i + 1) * m]
     return {"pre_jump": pre_jump, "post_jump": post_jump, "occupation": occupation,
             "weighted_post_jump": post_jump * np.tile(rate_at, n_regimes)[:, None],
-            "transition": transition, "leak_per_row": leak}
+            "transition": transition, "leak": leak}
 
 
 def assembly_factors(model, m):
     """pre_jump, post_jump and occupation from the assembly helpers, as they are
-    before build_grid_model overwrites pre_jump and scales post_jump."""
+    before build_grid_model overwrites pre_jump and scales post_jump, and the
+    jump plus flow leak of each row."""
     nodes = np.linspace(0.0, model.y_max, m)
-    post_jump, _ = grid_module._jump_rows(model, nodes, model.n_regimes, model.y_max)
-    pre_jump, occupation = grid_module._flow_rows(
+    post_jump, jump_leak = grid_module._jump_rows(model, nodes, model.n_regimes, model.y_max)
+    pre_jump, occupation, flow_leak = grid_module._flow_rows(
         model, nodes, np.asarray(model.intensity(nodes), dtype=float))
-    return pre_jump, post_jump, occupation
+    return pre_jump, post_jump, occupation, jump_leak + flow_leak
 
 
 def state_dependent_ifs_model():
@@ -123,14 +129,14 @@ def state_dependent_ifs_model():
 def test_blocked_assembly_matches_per_row_reference(model, m):
     grid = build_grid_model(model, m)
     ref = reference_grid(model, m)
-    pre_jump, post_jump, occupation = assembly_factors(model, m)
+    pre_jump, post_jump, occupation, leak = assembly_factors(model, m)
     factors = {"pre_jump": pre_jump, "post_jump": post_jump, "occupation": occupation}
     for name, mat in factors.items():
         assert np.array_equal(mat, ref[name]), name
     for name in ("occupation", "weighted_post_jump"):
         assert np.array_equal(getattr(grid, name), ref[name]), name
     assert np.abs(grid.transition - ref["transition"]).max() <= 1e-15
-    assert np.abs(grid.leak_per_row - ref["leak_per_row"]).max() <= 1e-15
+    assert np.abs(leak - ref["leak"]).max() <= 1e-15
     # the fused pass writes the transition the grid holds over its pre_jump argument
     grid_module._transition_over_pre_jump(pre_jump, post_jump, model.n_regimes)
     assert np.array_equal(pre_jump, grid.transition)
@@ -249,14 +255,14 @@ def test_plain_residual_sees_pre_jump_mass_outside_its_band():
     m = GRID_NODE_BLOCK + 72
     grid = build_grid_model(GENE_SAT, m)
     assert grid.residual_plain == 0.0
-    pre_jump, post_jump, _ = assembly_factors(GENE_SAT, m)
+    pre_jump, post_jump, _, _ = assembly_factors(GENE_SAT, m)
     assert grid_module._transition_over_pre_jump(pre_jump, post_jump, 1) == 0.0
 
     # two regimes: a correct assembly holds no off-band mass, so again exactly 0
     model = two_regime_model()
     grid = build_grid_model(model, m)
     assert grid.residual_plain == 0.0
-    pre_jump, post_jump, _ = assembly_factors(model, m)
+    pre_jump, post_jump, _, _ = assembly_factors(model, m)
     clean = pre_jump.copy()
     assert grid_module._transition_over_pre_jump(clean, post_jump, 2) == grid.residual_plain
     assert grid.residual_plain <= 1e-15
@@ -320,7 +326,7 @@ def test_two_node_transition_row():
 
 def test_row_sums_are_stochastic():
     grid = build_grid_model(GENE_SAT, 100)
-    pre_jump, post_jump, _ = assembly_factors(GENE_SAT, 100)
+    pre_jump, post_jump, _, _ = assembly_factors(GENE_SAT, 100)
     for mat in (grid.transition, pre_jump, post_jump):
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-8
     occ = grid.occupation.sum(axis=1)
@@ -339,6 +345,24 @@ def test_boundary_leak_error_when_window_too_small():
         build_grid_model(GENE, 50, y_max=2.0)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"c1": 30.0}, r"\(0\.000e\+00 below 0, 2\.420e-01 above y_max=15\); .*; increase y_max$"),
+    ({"c0": -2.0}, r"\(3\.337e-01 below 0, 0\.000e\+00 above .*; no y_max holds mass below 0$"),
+    ({"c1": 14.9}, None),
+], ids=["attractor-above-window", "attractor-below-zero", "attractor-inside-window"])
+def test_window_check_counts_flow_images(params, message):
+    # halving jumps stay inside [0, 15]; only the regime-1 or regime-0 flow leaves it
+    model = two_regime_model(**params)
+    _, _, _, leak = assembly_factors(model, 60)
+    assert leak.any() == (message is not None)
+    assert np.abs(leak - reference_grid(model, 60)["leak"]).max() <= 1e-15
+    if message is None:
+        assert build_grid_model(model, 200).stationary_leak == 0.0
+    else:
+        with pytest.raises(GridAssemblyError, match=message):
+            build_grid_model(model, 200)
+
+
 def test_switching_rows_are_checked_on_the_grid_nodes():
     # stay-probability 1 - y/20 is a valid row on the model window [0, 15] only
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
@@ -350,7 +374,7 @@ def test_switching_rows_are_checked_on_the_grid_nodes():
                             SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
         declared=DeclaredConstants(), y_max=15.0)
     build_grid_model(model, 120)
-    _, post_jump, _ = assembly_factors(model, 120)
+    _, post_jump, _, _ = assembly_factors(model, 120)
     assert post_jump.min() >= 0.0
     with pytest.raises(GridAssemblyError, match=r"y_max=30: switching entries must lie in"):
         build_grid_model(model, 120, y_max=30.0)
@@ -373,9 +397,9 @@ def test_factorization_negative_control_mismatched_horizon(monkeypatch):
     # rebuilding only the pre-jump factor with a shorter horizon must break
     # the identity well beyond the tolerance
     grid = build_grid_model(GENE, 100)
-    _, post_jump, _ = assembly_factors(GENE, 100)
+    _, post_jump, _, _ = assembly_factors(GENE, 100)
     monkeypatch.setattr(grid_module, "survival_horizon", lambda intensity: 2.0)
-    short_pre_jump, _, _ = assembly_factors(GENE, 100)
+    short_pre_jump, _, _, _ = assembly_factors(GENE, 100)
     residual = np.abs(short_pre_jump @ post_jump - grid.transition).max()
     assert residual > 1e-6
 
@@ -399,17 +423,13 @@ def test_power_iteration_requires_stochastic_rows():
         power_iteration(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
-def test_power_iteration_non_convergence_reports_residual():
-    # period-2 chain never settles in l1
+def test_power_iteration_non_convergence_reports_residual(monkeypatch):
+    # period-2 chain never settles in l1: each step moves |0.9 - 0.1| twice
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ConvergenceError) as exc:
-        power_iteration(flip, v0=np.array([0.9, 0.1]), max_iter=50)
-    assert exc.value.residual > 0
-
-
-def test_power_iteration_rejects_no_iterations():
-    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
-        power_iteration(np.array([[0.5, 0.5], [0.5, 0.5]]), max_iter=0)
+    monkeypatch.setattr(grid_module, "POWER_ITERATION_MAX_ITER", 50)
+    with pytest.raises(ConvergenceError,
+                       match=r"no fixed point within 50 iterations \(residual 1\.600e\+00\)"):
+        power_iteration(flip, v0=np.array([0.9, 0.1]))
 
 
 def test_gene_fixed_point_moments():
@@ -495,9 +515,9 @@ def test_power_iteration_rejects_bad_start_vector(v0):
 def test_power_iteration_stops_at_first_non_finite_residual():
     # rows sum to 1, but the negative entries make the iterate grow without bound
     growing = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="finite range") as exc:
+    with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match=r"finite range at step \d+ \(residual (nan|inf)\)$"):
         power_iteration(growing, v0=np.array([1.0, 0.0]))
-    assert not np.isfinite(exc.value.residual)
 
 
 def test_grid_checks_name_a_nan_row(monkeypatch):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pdmp_lab import metrics
 from pdmp_lab.metrics import bl_lower_bound, measure_distance, wasserstein1_1d
 from pdmp_lab.state import WeightedEmpiricalMeasure
 
@@ -205,7 +206,7 @@ def test_effective_sample_size():
     assert effective_sample_size(w) == pytest.approx(1.0)
 
 
-def brute_force_bl_lower_bound(mu, nu, n_anchors=64):
+def brute_force_bl_lower_bound(mu, nu, n_anchors):
     # the ramp dictionary spelled out: both mirror ramps at every anchor,
     # regime-blind and restricted to each regime present in either measure
     mu, nu = mu.normalize(), nu.normalize()
@@ -227,7 +228,7 @@ def brute_force_bl_lower_bound(mu, nu, n_anchors=64):
     return best
 
 
-def test_bl_lower_bound_matches_brute_force_dictionary():
+def test_bl_lower_bound_matches_brute_force_dictionary(monkeypatch):
     rng = np.random.default_rng(5)
     for n_regimes in (1, 2, 3):
         for trial in range(15):
@@ -249,17 +250,19 @@ def test_bl_lower_bound_matches_brute_force_dictionary():
             mu = WeightedEmpiricalMeasure.from_samples(ya, ra, rng.random(ya.size))
             nu = WeightedEmpiricalMeasure.from_samples(yb, rb, rng.random(yb.size))
             expect = brute_force_bl_lower_bound(mu, nu, n_anchors)
-            assert abs(bl_lower_bound(mu, nu, n_anchors) - expect) <= 1e-12
+            monkeypatch.setattr(metrics, "BL_ANCHORS", n_anchors)
+            assert abs(bl_lower_bound(mu, nu) - expect) <= 1e-12
 
 
-def test_bl_lower_bound_atoms_on_breakpoints():
+def test_bl_lower_bound_atoms_on_breakpoints(monkeypatch):
     # anchors 0, 1, 2 put breakpoints at -1, 0, 1, 1, 2, 3; every atom sits on one
     mu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 2.0], regimes=[0, 1, 0])
     nu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0, 1.0, 2.0], regimes=[1, 1, 0, 0],
                                                weights=[0.5, 1.0, 1.0, 0.5])
     for n_anchors in (1, 2, 3, 5):
         expect = brute_force_bl_lower_bound(mu, nu, n_anchors)
-        assert abs(bl_lower_bound(mu, nu, n_anchors) - expect) <= 1e-12
+        monkeypatch.setattr(metrics, "BL_ANCHORS", n_anchors)
+        assert abs(bl_lower_bound(mu, nu) - expect) <= 1e-12
 
 
 def test_measure_distance_rejects_regimes_outside_range():

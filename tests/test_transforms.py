@@ -50,6 +50,15 @@ def expected_holding_times(model, ys):
     return out.weights.reshape(len(ys), -1).sum(axis=1)
 
 
+def holding_stderr(mu, out):
+    """Delta-method standard error of the occupation output mass, from the
+    holding times out.weights / mu.weights drawn independently per atom; for
+    equal weights 1/n it is the population std of the holding times over sqrt(n)."""
+    holding = out.weights / mu.weights
+    mean = np.dot(mu.weights, holding) / mu.weights.sum()
+    return float(np.sqrt(np.sum((mu.weights * (holding - mean)) ** 2)))
+
+
 def repeated(mu, reps):
     """``mu`` with each atom repeated ``reps`` times at 1/reps of its weight."""
     return WeightedEmpiricalMeasure(np.repeat(mu.ys, reps), np.repeat(mu.regimes, reps),
@@ -79,10 +88,11 @@ def test_occupation_transform_mass_constant_rate():
     lam = 2.0
     m = gene_expression_model(lam=lam)
     mu = WeightedEmpiricalMeasure.from_samples(np.linspace(0, 3, 50)).normalize()
-    quad, rep_q = holding_occupation_quadrature(m, mu)
-    assert rep_q.output_mass == pytest.approx(1.0 / lam, abs=1e-8)
-    mc, rep_m = holding_occupation_transform(m, repeated(mu, 200), np.random.default_rng(1))
-    assert abs(rep_m.output_mass - 1.0 / lam) <= 3 * rep_m.stderr + 1e-12
+    quad, _ = holding_occupation_quadrature(m, mu)
+    assert quad.total_mass == pytest.approx(1.0 / lam, abs=1e-8)
+    mu_rep = repeated(mu, 200)
+    mc, _ = holding_occupation_transform(m, mu_rep, np.random.default_rng(1))
+    assert abs(mc.total_mass - 1.0 / lam) <= 3 * holding_stderr(mu_rep, mc) + 1e-12
 
 
 def test_occupation_transform_frozen_flow_point_mass():
@@ -94,9 +104,9 @@ def test_occupation_transform_frozen_flow_point_mass():
                                       SwitchingMatrix([[1.0]])),
                   declared=DeclaredConstants())
     mu = WeightedEmpiricalMeasure.from_samples([2.5])
-    out, rep = holding_occupation_quadrature(m, mu)
+    out, _ = holding_occupation_quadrature(m, mu)
     assert np.allclose(out.ys, 2.5)
-    assert rep.output_mass == pytest.approx(1.0 / lam, abs=1e-8)
+    assert out.total_mass == pytest.approx(1.0 / lam, abs=1e-8)
 
 
 def test_occupation_transform_zero_mass_rejected():
@@ -120,15 +130,15 @@ def test_weighted_jump_mass_constant_rate():
     lam = 2.0
     m = gene_expression_model(lam=lam)
     mu = WeightedEmpiricalMeasure.from_samples(np.linspace(0, 3, 40)).normalize()
-    out, rep = weighted_jump_transform(m, mu, np.random.default_rng(5))
-    assert rep.output_mass == pytest.approx(lam, rel=1e-12)
+    out, _ = weighted_jump_transform(m, mu, np.random.default_rng(5))
+    assert out.total_mass == pytest.approx(lam, rel=1e-12)
 
 
 def test_weighted_jump_hand_example():
     # deterministic halving jump with rate 1 + y/(1+y): atoms map by hand
     m = linear_rate_model()
     mu = WeightedEmpiricalMeasure.from_samples([1.0, 2.0], weights=[1.0, 1.0])
-    out, rep = weighted_jump_transform(m, mu, np.random.default_rng(6))
+    out, _ = weighted_jump_transform(m, mu, np.random.default_rng(6))
     assert np.allclose(sorted(out.ys), [0.5, 1.0])
     expect = {0.5: 1.5, 1.0: 1.0 + 2.0 / 3.0}
     for y, w in zip(out.ys, out.weights):
@@ -137,8 +147,8 @@ def test_weighted_jump_hand_example():
 
 def test_weighted_jump_mass_bracket():
     mu = chain_stationary(GENE_SAT, 7, replicas=500, steps=60, burn=20)
-    out, rep = weighted_jump_transform(GENE_SAT, mu, np.random.default_rng(8))
-    assert 1.0 <= rep.normalizer <= 1.5
+    out, normalizer = weighted_jump_transform(GENE_SAT, mu, np.random.default_rng(8))
+    assert 1.0 <= normalizer <= 1.5
 
 
 def test_correspondence_constant_rate_reduces_to_plain_kernels():
@@ -146,18 +156,22 @@ def test_correspondence_constant_rate_reduces_to_plain_kernels():
     lam = 2.0
     m = gene_expression_model(lam=lam)
     mu = chain_stationary(m, 9, replicas=1000, steps=80, burn=30)
-    to_flow, rep_f = chain_to_flow_stationary(m, mu, np.random.default_rng(10))
-    assert rep_f.normalizer == pytest.approx(1.0 / lam, abs=3 * rep_f.stderr + 1e-9)
-    to_chain, rep_b = flow_to_chain_stationary(m, to_flow, np.random.default_rng(11))
-    assert rep_b.normalizer == pytest.approx(lam, rel=1e-12)
+    to_flow, to_flow_normalizer = chain_to_flow_stationary(m, mu, np.random.default_rng(10))
+    # the same draws unnormalized: to_flow is this occupation image over its mass
+    mu = mu.normalize()
+    occ, _ = holding_occupation_transform(m, mu, np.random.default_rng(10))
+    assert to_flow_normalizer == occ.total_mass / mu.total_mass
+    assert to_flow_normalizer == pytest.approx(1.0 / lam, abs=3 * holding_stderr(mu, occ) + 1e-9)
+    _, to_chain_normalizer = flow_to_chain_stationary(m, to_flow, np.random.default_rng(11))
+    assert to_chain_normalizer == pytest.approx(lam, rel=1e-12)
 
 
 def test_correspondence_normalizer_brackets():
     mu = chain_stationary(GENE_SAT, 12, replicas=1000, steps=80, burn=30)
-    to_flow, rep_f = chain_to_flow_stationary(GENE_SAT, mu, np.random.default_rng(13))
-    assert 1.0 / 1.5 <= rep_f.normalizer <= 1.0
-    to_chain, rep_b = flow_to_chain_stationary(GENE_SAT, to_flow, np.random.default_rng(14))
-    assert 1.0 <= rep_b.normalizer <= 1.5
+    to_flow, to_flow_normalizer = chain_to_flow_stationary(GENE_SAT, mu, np.random.default_rng(13))
+    assert 1.0 / 1.5 <= to_flow_normalizer <= 1.0
+    _, to_chain_normalizer = flow_to_chain_stationary(GENE_SAT, to_flow, np.random.default_rng(14))
+    assert 1.0 <= to_chain_normalizer <= 1.5
 
 
 def test_correspondence_stationary_means_constant_rate():
@@ -198,10 +212,10 @@ def test_moment_propagation_bounds():
     in_moment = mu.integrate(gauge)
     lam_low, lam_high = 1.0, 1.0
     lip, rate = 1.0, -1.0
-    occ, rep_occ = holding_occupation_transform(GENE, mu, rng=np.random.default_rng(26))
+    occ, _ = holding_occupation_transform(GENE, mu, rng=np.random.default_rng(26))
     occ_moment = occ.integrate(gauge)
     bound_occ = lip / (lam_low - rate) * in_moment + 0.0  # anchor fixed by the flow
-    se = 3.0 * rep_occ.stderr * max(1.0, occ_moment / max(rep_occ.output_mass, 1e-12))
+    se = 3.0 * holding_stderr(mu, occ) * max(1.0, occ_moment / max(occ.total_mass, 1e-12))
     assert np.isfinite(occ_moment)
     assert occ_moment <= bound_occ + se + 0.05
     jumped, _ = weighted_jump_transform(GENE, mu, np.random.default_rng(27))
