@@ -6,10 +6,11 @@ files. Outputs are byte-identical for identical (config, seed). Ensembles run
 serially; ``--threads`` is accepted and ignored with one note on stderr.
 Exit codes: 0 success, 2 config error, 3 a declared tolerance or
 positive-model check failed, 4 a numerical solver failed (hazard inversion hit
-its iteration cap, a horizon run hit its step cap, adaptive quadrature or
-power iteration did not converge, the grid matrices failed their switching-row,
-stochasticity, occupation or window-leak check); the last prints one
-``solver failure: ...`` line to stderr instead of a traceback.
+its iteration cap, a horizon run hit its step cap, power iteration did not
+converge, the flow-contraction fit resolved no pair above rounding, the grid
+matrices failed their switching-row, stochasticity, occupation or window-leak
+check); the last prints one ``solver failure: ...`` line to stderr instead of
+a traceback.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .hazard import adaptive_simpson, survival_horizon
+from .hazard import holding_time_rule
 from .models import ModelSpec
 from .simulate import run_ensemble
 
 ESTIMATE_RTOL = 0.05
 FLOW_RATE_SLACK = 1e-9
-"""Excess of the fitted contraction rate over the declared one that still passes."""
+"""Excess of the fitted contraction rate over the declared one that still passes, at |rate| <= 7e4."""
 # Sample sizes of the estimators; probe locations are evenly spaced over the model window.
 FLOW_CONTRACTION_PAIRS = 2000
 FLOW_CONTRACTION_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -78,6 +78,18 @@ class AssumptionReport:
         }
 
 
+def flow_rate_slack(rate: float) -> float:
+    """FLOW_RATE_SLACK, or 64 eps |rate| where that is larger (|rate| > 7e4).
+
+    At the halving of ``estimate_flow_contraction`` where x = |rate| t0 is in
+    [1/4, 1/2], so x e^{-2x} >= e^{-1/2} / 4, an affine flow with its attractor
+    in [0, y_max] resolves its widest pair (|u - v| > 0.9 y_max but with
+    probability 0.99^2000) at t0 and 2 t0 once 4 eps y_max < slack t0 / 2 *
+    e^{-2x} 0.9 y_max: slack > 58.6 eps |rate|, beyond 1e-9 past |rate| ~ 8e4.
+    """
+    return max(FLOW_RATE_SLACK, 64.0 * np.finfo(float).eps * abs(rate))
+
+
 def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator) -> tuple[float, float]:
     """Fit the tightest envelope lipschitz * exp(rate * t) over sampled pairs.
 
@@ -98,12 +110,13 @@ def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator) -> tup
     # term and the decay factor are shared by both points and cancel). A
     # log-slope over dt >= min(diff(t_values)) then moves by at most twice
     # the kept relative error over dt, so keeping pairs below
-    # FLOW_RATE_SLACK * dt / 2 holds it inside the slack of the rate check,
-    # whatever |rate| * t is. Times where no pair is resolved are left out of
-    # the fit. Since |S_u - S_v| <= 2 max(|S_u|, |S_v|), no pair is resolved
-    # once min(diff(t_values)) <= 4 eps / FLOW_RATE_SLACK, and halving stops.
+    # slack * dt / 2 holds it inside the slack of the rate check, whatever
+    # |rate| * t is. Times where no pair is resolved are left out of the fit.
+    # Since |S_u - S_v| <= 2 max(|S_u|, |S_v|), no pair is resolved once
+    # min(diff(t_values)) <= 4 eps / slack, and halving stops.
+    slack = flow_rate_slack(model.flow.contraction[1])
     while True:
-        max_rel_err = FLOW_RATE_SLACK * float(np.diff(t_values).min()) / 2.0
+        max_rel_err = slack * float(np.diff(t_values).min()) / 2.0
         sup_ratio = np.zeros(t_values.size)
         for k, t in enumerate(t_values):
             for i in range(model.n_regimes):
@@ -118,7 +131,7 @@ def estimate_flow_contraction(model: ModelSpec, rng: np.random.Generator) -> tup
         if fitted.sum() >= 2:
             break
         t_values = t_values / 2.0
-        if np.diff(t_values).min() <= 4.0 * np.finfo(float).eps / FLOW_RATE_SLACK:
+        if np.diff(t_values).min() <= 4.0 * np.finfo(float).eps / slack:
             raise RuntimeError("flow contraction: fewer than two sample times have a pair "
                                "whose flow difference is resolved above rounding")
     t_values, sup_ratio = t_values[fitted], sup_ratio[fitted]
@@ -136,22 +149,15 @@ def flow_displacement_integral(model: ModelSpec) -> float:
     truncating when the survival discount makes the remainder negligible.
     """
     anchor = model.declared.anchor
-    lam_low = model.intensity.lower
-    lip, rate = model.flow.contraction
-    t_max = survival_horizon(model.intensity)
-    if rate >= lam_low:
-        # integrand need not decay; probe for divergence and report it
-        probe = max(abs(float(model.flow.evaluate(i, t_max, anchor)) - anchor)
-                    for i in range(model.n_regimes))
-        if probe * math.exp(-lam_low * t_max) > 1e-6:
-            raise RuntimeError("displacement integrand does not decay; integral diverges")
-    best = 0.0
-    for i in range(model.n_regimes):
-        val = adaptive_simpson(
-            lambda t: math.exp(-lam_low * t) * abs(float(model.flow.evaluate(i, t, anchor)) - anchor),
-            0.0, t_max)
-        best = max(best, val)
-    return best
+    nodes, weights = holding_time_rule(model.intensity)
+    discount = np.exp(-model.intensity.lower * nodes)
+    gaps = [np.abs(model.flow.evaluate(i, nodes, anchor) - anchor) for i in range(model.n_regimes)]
+    # a flow rate at or above the discount rate need not let the integrand decay:
+    # its value at the last node, by the horizon, tells a divergent integral
+    if (model.flow.contraction[1] >= model.intensity.lower
+            and discount[-1, -1] * max(g[-1, -1] for g in gaps) > 1e-6):
+        raise RuntimeError("displacement integrand does not decay; integral diverges")
+    return max(float(np.sum(weights * discount * g)) for g in gaps)
 
 
 def jump_displacement_bound(model: ModelSpec, rng: np.random.Generator) -> float:
@@ -233,11 +239,9 @@ def check_flow_gap(model: ModelSpec, rng: np.random.Generator) -> CheckResult:
             worst = max(worst, float((gap - bound).max()))
     if worst > 1e-9:
         return CheckResult("flow-gap", False, f"bound violated by {worst:.3e}")
-    lam_low = model.intensity.lower
-    t_max = survival_horizon(model.intensity)
-    integral = adaptive_simpson(
-        lambda t: math.exp(-lam_low * t) * float(model.declared.flow_gap_time(np.array([t]))[0]),
-        0.0, t_max)
+    nodes, weights = holding_time_rule(model.intensity)
+    integral = float(np.sum(weights * np.exp(-model.intensity.lower * nodes)
+                            * model.declared.flow_gap_time(nodes)))
     if not math.isfinite(integral):
         return CheckResult("flow-gap", False, "discounted gap integral diverges")
     return CheckResult("flow-gap", True, f"discounted gap integral {integral:.6g}")
@@ -354,7 +358,7 @@ def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
     estimates["flow_lipschitz"] = lip_hat
     estimates["flow_rate"] = rate_hat
     envelope_ok = (_consistent_upper(lip_hat, flow_lip)
-                   and rate_hat <= flow_rate + FLOW_RATE_SLACK)
+                   and rate_hat <= flow_rate + flow_rate_slack(flow_rate))
     contraction_ok = envelope_ok and flow_rate < model.intensity.lower
     checks.append(CheckResult(
         "flow-contraction", contraction_ok,

@@ -5,7 +5,8 @@ The jump rate is a bounded continuous function of the location with
 has CDF 1 - exp(-H(y, i, t)) where H integrates the rate along the flow.
 H is in closed form for the two flow/intensity pairs the models use, and a
 model with any other pair is rejected when its hazard is built. Two
-independent batch samplers (hazard inversion and thinning) target that law.
+independent batch samplers (hazard inversion and thinning) target that law,
+and one Gauss-Legendre rule integrates over it.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ HOLDING_NEWTON_MAX_ITER = 100
 HOLDING_NEWTON_BLOCK = 8192
 """Atoms solved together. Bounds the scratch memory, and the passes over atoms
 that converged before the slowest atom of their block."""
-QUAD_TOL = 1e-10
-"""Absolute tolerance of adaptive Simpson, which runs the diagnostic time integrals."""
-QUAD_MAX_DEPTH = 48
-"""Bisection depth at which adaptive Simpson gives up."""
+HOLDING_RULE_CELLS = 200
+"""Time cells of ``holding_time_rule``: half quantile, half uniform edges."""
 SURVIVAL_TAIL_EPS = 1e-12
 """Survival mass below which a holding-time tail is truncated."""
 THINNING_MAX_ROUNDS = 10_000
@@ -49,6 +48,35 @@ def quantile_edges(intensity: Intensity, n_cells: int, t_max: float) -> np.ndarr
     edges = -np.log1p(-levels) / intensity.lower
     edges[-1] = t_max
     return edges
+
+
+# 4-point Gauss-Legendre on [-1, 1] in closed form: nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5))
+# with weights (18 +- sqrt(30)) / 36, the inner pair carrying the larger weight
+_GL4_INNER = math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
+_GL4_OUTER = math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
+_GL4_NODES = np.array([-_GL4_OUTER, -_GL4_INNER, _GL4_INNER, _GL4_OUTER])
+_GL4_WEIGHTS = np.array([18.0 - math.sqrt(30.0), 18.0 + math.sqrt(30.0),
+                         18.0 + math.sqrt(30.0), 18.0 - math.sqrt(30.0)]) / 36.0
+
+
+def holding_time_rule(intensity: Intensity) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, each (cells, 4), of 4-point Gauss-Legendre on each
+    time cell of [0, survival_horizon].
+
+    The cell edges are the union of HOLDING_RULE_CELLS / 2 quantile edges,
+    which resolve t ~ 0, and as many uniform ones, which cap the cell width in
+    the tail. An integral over [0, inf) of g = h * exp(-lower t), or of h
+    times a survival function, is then sum(weights * g(nodes)), up to the
+    rule's error and the tail past the horizon, at most SURVIVAL_TAIL_EPS /
+    lower times sup |h|.
+    """
+    t_max = survival_horizon(intensity)
+    half = HOLDING_RULE_CELLS // 2
+    edges = np.unique(np.concatenate([quantile_edges(intensity, half, t_max),
+                                      np.linspace(0.0, t_max, half + 1)]))
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half_widths = 0.5 * np.diff(edges)[:, None]
+    return mids + half_widths * _GL4_NODES, half_widths * _GL4_WEIGHTS
 
 
 class Intensity:
@@ -95,39 +123,6 @@ class SaturatingIntensity(Intensity):
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         return self.base + self.gain * y / (1.0 + y)
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Simpson quadrature to QUAD_TOL with Richardson acceptance test."""
-    if b < a:
-        raise ValueError("integration bounds out of order")
-    if b == a:
-        return 0.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth <= 0:
-            raise RuntimeError("adaptive quadrature did not converge")
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (
-            recurse(x0, x1, f0, flm, f1, left, 0.5 * eps, depth - 1)
-            + recurse(x1, x2, f1, frm, f2, right, 0.5 * eps, depth - 1)
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,9 @@ def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
                      lam: float = 1.0) -> ModelSpec:
     """Two relaxation regimes with distinct attractors and regime switching.
 
+    Both attractors must lie in the model window [0, y_max], where the
+    diagnostics probe and the grid keeps its mass.
+
     switching="ramp" keeps regime 0 with probability clip(y, 0.1, 0.9) and
     leaves regime 1 uniformly; "uniform" switches 50/50 everywhere.
     jumps="halving" uses the two contracting maps y/2 and y/2 + 1/2;
@@ -181,7 +184,11 @@ def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
         flow_gap_time=lambda t, g=gap: np.full_like(np.asarray(t, dtype=float), g),
         flow_gap_scale=lambda y: np.ones_like(np.asarray(y, dtype=float)),
     )
-    return _bundle("two-regime", flow, rate, ifs, pi, declared)
+    model = _bundle("two-regime", flow, rate, ifs, pi, declared)
+    if not (0.0 <= c0 <= model.y_max and 0.0 <= c1 <= model.y_max):
+        raise ValueError(f"attractors c0={c0:g} and c1={c1:g} must lie in the model window "
+                         f"[0, {model.y_max:g}]")
+    return model
 
 
 def control_expanding_flow() -> ModelSpec:

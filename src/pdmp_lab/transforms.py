@@ -1,26 +1,24 @@
 """Kernel operators on weighted empirical measures.
 
-Two bounded kernels drive everything: the *holding-occupation* transform,
-which spreads each atom along its flow weighted by the expected time spent
-there before the next jump (an atom (x, w) becomes ((flow point at a
-uniform fraction of the holding time), w * holding time); its deterministic
-reference is ``holding_occupation_quadrature``), and the *weighted-jump*
-transform, which jumps each atom and scales its weight by the local jump
-rate. Normalizing these two transforms maps a chain-stationary law to the
-flow-stationary law and back. Each transform returns its image measure and
-its normalizer, the output mass per unit input mass.
+Two bounded kernels drive everything. The *holding-occupation* transform
+spreads each atom along its flow, weighted by the expected time spent there
+before the next jump: an atom (x, w) becomes (flow point at a uniform
+fraction of the holding time, w * holding time). Its deterministic reference,
+``holding_occupation_quadrature``, integrates each atom's survival by
+``hazard.holding_time_rule``. The *weighted-jump* transform jumps each atom
+and scales its weight by the local jump rate. Normalizing these two
+transforms maps a chain-stationary law to the flow-stationary law and back.
+Each transform returns its image measure and its normalizer, the output
+mass per unit input mass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hazard import invert_holding, quantile_edges, survival_horizon
+from .hazard import holding_time_rule, invert_holding
 from .models import ModelSpec
 from .state import WeightedEmpiricalMeasure, ZeroMassError
-
-HOLDING_QUADRATURE_CELLS = 200
-"""Time cells of ``holding_occupation_quadrature``: half quantile, half uniform edges."""
 
 
 def _require_mass(mu: WeightedEmpiricalMeasure) -> None:
@@ -51,30 +49,21 @@ def holding_occupation_quadrature(
 ) -> tuple[WeightedEmpiricalMeasure, float]:
     """Deterministic reference for ``holding_occupation_transform``.
 
-    Each atom becomes one atom per time cell, at the cell midpoint of its
-    flow, with the cell's exact survival mass as weight. Its output mass per
-    unit input weight is the mean holding time of the atom, the integral of
-    its survival function.
+    Each atom becomes one atom per time cell of ``holding_time_rule``, at
+    the cell midpoint of its flow, with the cell's survival mass by the
+    rule's Gauss-Legendre nodes as weight. Its output mass per unit input
+    weight is the mean holding time of the atom, the integral of its
+    survival function.
     """
     _require_mass(mu)
-    t_max = survival_horizon(model.intensity)
-    # hybrid grid: quantile edges resolve t ~ 0, uniform edges cap the
-    # cell width so the 5-point Boole rule stays sharp in the tail
-    half = HOLDING_QUADRATURE_CELLS // 2
-    edges = np.unique(np.concatenate([quantile_edges(model.intensity, half, t_max),
-                                      np.linspace(0.0, t_max, half + 1)]))
-    widths = np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    nodes, weights = holding_time_rule(model.intensity)
+    # the nodes of a cell are symmetric about its midpoint
+    mids = nodes.mean(axis=1)
     regimes, ys = mu.regimes[:, None], mu.ys[:, None]
-    # occupation mass of each cell: Boole's rule on the survival curve
-    cell = np.zeros((mu.n_atoms, widths.size))
-    for k, coeff in enumerate((7.0, 32.0, 12.0, 32.0, 7.0)):
-        pts_t = edges[:-1] + widths * (k / 4.0)
-        cell += coeff * model.hazard.survival(regimes, pts_t[None, :], ys)
-    cell *= widths[None, :] / 90.0
-    tail_surv = np.asarray(model.hazard.survival(mu.regimes, t_max, mu.ys))
-    cell[:, -1] += tail_surv * 0.5 * (1.0 / model.intensity.lower
-                                      + 1.0 / model.intensity.upper)
+    # occupation mass of each cell, summed node by node to bound the scratch
+    cell = np.zeros((mu.n_atoms, mids.size))
+    for k in range(nodes.shape[1]):
+        cell += weights[:, k] * model.hazard.survival(regimes, nodes[None, :, k], ys)
     pts = model.flow.evaluate(regimes, mids[None, :], ys)
     out = WeightedEmpiricalMeasure(pts.ravel(), np.repeat(mu.regimes, mids.size),
                                    (mu.weights[:, None] * cell).ravel())

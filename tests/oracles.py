@@ -15,7 +15,7 @@ from pdmp_lab.flows import Semiflow
 from pdmp_lab.grid import GridModel
 from pdmp_lab.jumps import FiniteAffineIfs
 from pdmp_lab.models import ModelSpec
-from pdmp_lab.hazard import invert_holding
+from pdmp_lab.hazard import CumulativeHazard, invert_holding
 from pdmp_lab.simulate import horizon_step_cap
 from pdmp_lab.state import WeightedEmpiricalMeasure, ZeroMassError
 
@@ -87,6 +87,20 @@ def expected_holding_time_gl(model: ModelSpec, y: float, i: int = 0, n_nodes: in
     hazard = np.asarray(model.hazard.value(i, nodes, np.full(nodes.shape, y)))
     # combined exponent keeps large nodes finite (hazard grows at least linearly)
     return float(np.dot(weights, np.exp(nodes - hazard)))
+
+
+def hazard_by_legendre(hz: CumulativeHazard, i, t, y, n_nodes: int = 256) -> np.ndarray:
+    """H(y, i, t) as the integral of lambda(S_i(h, y)) over h in [0, t] by one
+    n_nodes-point Gauss-Legendre rule: reads only the intensity and the flow.
+
+    Broadcasts over i, t and y. The rate along an affine flow has its poles
+    pi / kappa off the real axis, so a long [0, t] at a fast rate needs the
+    many nodes: 256 reach 1e-13 on t <= 40 at kappa <= 2.5, where 64 miss by 1e-7.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    i, t, y = (np.asarray(a)[..., None] for a in np.broadcast_arrays(i, t, y))
+    h = 0.5 * t * (x + 1.0)
+    return 0.5 * t[..., 0] * (hz.intensity(hz.flow.evaluate(i, h, y)) @ w)
 
 
 @dataclass(frozen=True)

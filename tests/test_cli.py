@@ -15,7 +15,7 @@ from pdmp_lab import hazard as hazard_module
 from pdmp_lab.cli import ConfigError, ExperimentConfig, GridBlock, main
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.grid import power_iteration
-from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, adaptive_simpson, invert_holding
+from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, invert_holding
 from pdmp_lab.models import DeclaredConstants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -395,6 +395,32 @@ def test_non_finite_or_bool_model_params_exit_2_at_load(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "correspondence", "oracle", "diagnostics"])
+@pytest.mark.parametrize("attractor", [{"c1": 30.0}, {"c0": -2.0}], ids=["above", "below"])
+def test_two_regime_attractor_outside_window_exits_2_at_load(tmp_path, capsys, command,
+                                                             attractor):
+    # the diagnostics probe only the window [0, 15] and the grid loses what leaves
+    # it, so an attractor outside it is rejected before any command runs
+    cfg = write_config(tmp_path, {"model": {"name": "two-regime", "params": attractor}})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad model block: attractors ") and err.count("\n") == 1
+    assert "must lie in the model window [0, 15]" in err
+    assert not out.exists()
+
+
+def test_diagnostics_fits_a_very_fast_flow(tmp_path):
+    # at kappa = 1e8 an absolute rate slack of 1e-9 resolves no flow pair (exit 4)
+    cfg = write_config(tmp_path, {"model": {"name": "two-regime",
+                                            "params": {"c0": 0.5, "kappa": 1e8}}})
+    out = tmp_path / "out"
+    assert main(["diagnostics", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "diagnostics.json").read_text())
+    assert payload["assumptions"]["passed"] is True
+    assert payload["assumptions"]["estimates"]["flow_rate"] == pytest.approx(-1e8, rel=1e-12)
+
+
 def test_correspondence_without_chain_steps_exits_2(tmp_path, capsys):
     # simulate runs a zero-step chain; correspondence has no chain measure then
     cfg = write_config(tmp_path, {"chain_steps": 0, "chain_burn_in_steps": 0})
@@ -502,13 +528,10 @@ def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     out = ["--out", str(tmp_path / "o")]
     monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_MAX_ITER", 1)
-    monkeypatch.setattr(hazard_module, "QUAD_TOL", 1e-14)
-    monkeypatch.setattr(hazard_module, "QUAD_MAX_DEPTH", 3)
     wide = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=AffineExpFlow())
     monkeypatch.setattr(grid_module, "POWER_ITERATION_MAX_ITER", 1)
     solvers = (lambda: power_iteration(np.array([[0.5, 0.5], [0.9, 0.1]])),
-               lambda: invert_holding(wide, 0, np.array([2.5]), np.array([3.0])),
-               lambda: adaptive_simpson(lambda t: abs(t) ** 0.5, -1.0, 1.0))
+               lambda: invert_holding(wide, 0, np.array([2.5]), np.array([3.0])))
     for solve in solvers:
         monkeypatch.setitem(cli.COMMANDS, "oracle", lambda cfg, out_dir, solve=solve: solve())
         assert main(["oracle", "--config", str(cfg)] + out) == 4

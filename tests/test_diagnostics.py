@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,15 @@ def test_flow_displacement_fixed_point_anchor():
 def test_flow_displacement_two_regime_closed_form():
     # pull toward the far attractor: integral of e^{-t}(1 - e^{-t}) = 1/2
     assert flow_displacement_integral(TWO) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_flow_displacement_reports_a_divergent_integral():
+    # the expanding flow moves an anchor off its fixed point 0 at the discount's
+    # own rate, so e^{-t} |e^t - 1| tends to 1 and the horizon probe reports it
+    model = dataclasses.replace(control_expanding_flow(), declared=DeclaredConstants(anchor=1.0))
+    with pytest.raises(RuntimeError, match="integrand does not decay; integral diverges"):
+        flow_displacement_integral(model)
+    assert "flow-displacement" in run_assumption_suite(model, seed=3).failed_names()
 
 
 def test_jump_displacement_gene():
@@ -287,11 +297,14 @@ def test_flow_contraction_resolves_fast_decay_toward_nonzero_attractor():
     # below rounding; that time is left out of the fit instead of faking a rate.
     # At kappa = 60 and 1000 fewer than two of the times 0.25..4 resolve a pair,
     # so every time is halved (twice, six times) on the same pairs until two do,
-    # and the generator is left where the two pair draws leave it
-    for kappa in (10.0, 60.0, 1000.0):
+    # and the generator is left where the two pair draws leave it. At 1e8 and
+    # 1e12 the slack is 64 eps kappa: an absolute 1e-9 resolved no pair at 1e8
+    for kappa in (10.0, 60.0, 1000.0, 1e8, 1e12):
         rng = np.random.default_rng(0)
         lip, rate = estimate_flow_contraction(two_regime_model(kappa=kappa, c0=0.5), rng)
-        assert rate == pytest.approx(-kappa, abs=1e-9) and lip == pytest.approx(1.0, abs=1e-9)
+        slack = diagnostics.flow_rate_slack(-kappa)
+        assert slack == (1e-9 if kappa <= 1000.0 else 64 * np.finfo(float).eps * kappa)
+        assert rate == pytest.approx(-kappa, abs=slack) and lip == pytest.approx(1.0, abs=1e-9)
         after_pairs = np.random.default_rng(0)
         after_pairs.random(2 * diagnostics.FLOW_CONTRACTION_PAIRS)
         assert rng.random() == after_pairs.random()

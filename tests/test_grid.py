@@ -351,8 +351,12 @@ def test_boundary_leak_error_when_window_too_small():
     ({"c1": 14.9}, None),
 ], ids=["attractor-above-window", "attractor-below-zero", "attractor-inside-window"])
 def test_window_check_counts_flow_images(params, message):
-    # halving jumps stay inside [0, 15]; only the regime-1 or regime-0 flow leaves it
-    model = two_regime_model(**params)
+    # halving jumps stay inside [0, 15]; only the regime-1 or regime-0 flow leaves it.
+    # two_regime_model rejects an attractor outside its window, so the flow is
+    # swapped in through ModelSpec
+    attractors = {"c0": 0.0, "c1": 1.0, **params}
+    model = dataclasses.replace(two_regime_model(), flow=AffineExpFlow(
+        rates=(1.0, 1.0), anchors=(attractors["c0"], attractors["c1"])))
     _, _, _, leak = assembly_factors(model, 60)
     assert leak.any() == (message is not None)
     assert np.abs(leak - reference_grid(model, 60)["leak"]).max() <= 1e-15

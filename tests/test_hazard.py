@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from pdmp_lab import hazard as hazard_module
+from pdmp_lab.diagnostics import flow_displacement_integral
 from pdmp_lab.flows import AffineExpFlow, ExpandingFlow, FrozenFlow
 from pdmp_lab.hazard import (
     ConstantIntensity,
     CumulativeHazard,
     Intensity,
     SaturatingIntensity,
-    adaptive_simpson,
+    holding_time_rule,
     invert_holding,
     sample_holding_thinning_vec,
 )
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
-from pdmp_lab.models import MODEL_REGISTRY, DeclaredConstants, ModelSpec, build_model
+from pdmp_lab.models import MODEL_REGISTRY, DeclaredConstants, ModelSpec, build_model, two_regime_model
 
-from oracles import ks_critical, ks_statistic, ks_statistic_weighted
+from oracles import hazard_by_legendre, ks_critical, ks_statistic, ks_statistic_weighted
 
 FLOW = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
 # rate band [1, 2]: the variant used in the worked closed-form example
@@ -46,11 +47,9 @@ def test_closed_form_value():
 
 
 def test_quadrature_matches_closed_form():
-    # adaptive Simpson of the rate along the flow reads only the intensity and the flow
-    for y in (0.0, 1.0, 7.5):
-        for t in (0.3, 1.0, 2.7):
-            quad = adaptive_simpson(lambda h: float(WIDE.intensity(FLOW.evaluate(0, h, y))), 0.0, t)
-            assert WIDE.value(0, t, y) == pytest.approx(quad, abs=1e-9)
+    # Gauss-Legendre of the rate along the flow reads only the intensity and the flow
+    y, t = np.meshgrid([0.0, 1.0, 7.5], [0.3, 1.0, 2.7])
+    assert np.abs(WIDE.value(0, t, y) - hazard_by_legendre(WIDE, 0, t, y)).max() <= 1e-9
 
 
 def test_negative_time_rejected():
@@ -181,10 +180,41 @@ def test_inversion_detects_invalid_rate_bounds():
         invert_holding(bad, 0, np.array([1.0]), np.array([2.0]))
 
 
-def test_adaptive_simpson_known_integrals(monkeypatch):
-    monkeypatch.setattr(hazard_module, "QUAD_TOL", 1e-12)
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-    assert adaptive_simpson(lambda t: math.exp(-t), 0.0, 30.0) == pytest.approx(1.0, abs=1e-10)
+def gl4_error_bound(nodes, weights, mu):
+    """Bound on |rule - integral| of exp(-mu t) over the cells of the rule.
+
+    On a cell [a, a + h] with z = mu h the 4-point Gauss-Legendre remainder is
+    h^9 C times the 8th derivative, C = (4!)^4 / (9 (8!)^3), and that derivative
+    is at most mu^8 e^{-mu a}: h e^{-mu a} C z^8. Where z is large (the unresolved e^{-kappa t} layer in
+    the first cell) both the integral, h e^{-mu a} (1 - e^{-z}) / z, and the
+    rule, at most h e^{-mu a} e^{-z x1} with x1 the lowest node in [0, 1], lie
+    in [0, their larger], which bounds their difference instead.
+    """
+    h = weights.sum(axis=1)
+    a = nodes.mean(axis=1) - 0.5 * h
+    z = mu * h
+    remainder = math.factorial(4) ** 4 / (9 * math.factorial(8) ** 3) * z ** 8
+    layer = np.maximum(-np.expm1(-z) / z, np.exp(-z * (nodes[:, 0] - a) / h))
+    return float(np.sum(h * np.exp(-mu * a) * np.minimum(remainder, layer)))
+
+
+def test_holding_time_rule_known_integrals():
+    # the rule against two closed forms, each within the rule's own error bound,
+    # the tail past the horizon, e^{-lam t_max} / lam, and 16 eps / lam of
+    # rounding (a few eps per term, log2(800) ~ 10 more for the sum)
+    eps = np.finfo(float).eps
+    for lam in (0.3, 1.0, 5.0):
+        nodes, weights = holding_time_rule(ConstantIntensity(lam))
+        slack = (hazard_module.SURVIVAL_TAIL_EPS + 16 * eps) / lam
+        integral = float(np.sum(weights * np.exp(-lam * nodes)))
+        assert abs(integral - 1.0 / lam) <= gl4_error_bound(nodes, weights, lam) + slack
+        # the two_regime displacement integrates e^{-lam t} - e^{-(lam + kappa) t}
+        for kappa in np.logspace(-3.0, 9.0, 49):
+            exact = kappa / (lam * (lam + kappa))
+            bound = (gl4_error_bound(nodes, weights, lam)
+                     + gl4_error_bound(nodes, weights, lam + kappa) + slack)
+            model = two_regime_model(kappa=kappa, lam=lam)
+            assert abs(flow_displacement_integral(model) - exact) <= bound
 
 
 def test_regime_array_matches_per_regime_calls():
@@ -271,7 +301,7 @@ def test_inversion_iteration_cap_names_the_atom(monkeypatch):
                                   AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))])
 def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
     # the Newton's fused H and slope, from the one closed form, against routes that
-    # read only the intensity and the flow: H against adaptive Simpson of
+    # read only the intensity and the flow: H against Gauss-Legendre of
     # lambda(S_i(h, y)), the slope against lambda(S_i(t, y)) within 2 eps upper
     # (upper bounds each term of the sum), at every regime of the flow
     hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
@@ -288,13 +318,12 @@ def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
         assert np.array_equal(value, hz.value(regimes, t, ys))
         assert (np.abs(slope - hz.intensity(flow.evaluate(regimes, t, ys))) <= 2 * eps * upper).all()
     assert np.array_equal(hazard(np.zeros(n)), np.zeros(n))
-    # quadrature takes milliseconds a point: the six edge starts and 30 more, every regime
+    # the quadrature reference at the six edge starts and 30 more, every regime
     ts = np.concatenate([[1e-14, 40.0, 0.7, 3.0, 40.0, 1e-14], rng.exponential(1.0, 30)])
-    for k, t in enumerate(ts):
-        i, y = int(regimes[k]), float(ys[k])
-        quad = adaptive_simpson(lambda h: float(hz.intensity(flow.evaluate(i, h, y))), 0.0, t)
-        assert abs(float(hz.value(i, t, y)) - quad) <= 1e-9
-    assert set(regimes[:ts.size]) == set(range(flow.n_regimes))
+    head = slice(0, ts.size)
+    quad = hazard_by_legendre(hz, regimes[head], ts, ys[head])
+    assert np.abs(hz.value(regimes[head], ts, ys[head]) - quad).max() <= 1e-9
+    assert set(regimes[head]) == set(range(flow.n_regimes))
 
 
 def test_declared_bounds_enter_only_the_bracket():

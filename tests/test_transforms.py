@@ -77,7 +77,7 @@ def test_expected_holding_time_bracket():
 
 
 def test_expected_holding_time_dual_quadrature():
-    # Boole-rule occupation cells against Gauss-Laguerre, two independent rules
+    # Gauss-Legendre occupation cells against Gauss-Laguerre, two independent rules
     ys = (0.0, 0.5, 1.0, 4.0, 10.0)
     for y, a in zip(ys, expected_holding_times(GENE_SAT, ys)):
         b = expected_holding_time_gl(GENE_SAT, y)
