@@ -28,7 +28,7 @@ import numpy as np
 from .csvtext import encode_rows
 from .diagnostics import drift_constants, run_assumption_suite, verify_drift_empirically
 from .grid import GRID_RESIDUAL_TOL, build_grid_model, check_factorization, oracle_correspondence
-from .metrics import measure_distance
+from .metrics import measure_distance, sort_measure
 from .models import ModelSpec, build_model
 # run_ensemble is not called here: perfbench/tracer.py wraps it at this import site
 from .simulate import (ChainEnsemble, EnsembleRun, OccupationSample, chain_measure,
@@ -305,8 +305,10 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError(f"correspondence needs chain_steps >= 1, got {cfg.chain_steps}")
     model = cfg.model.build()
     # Each ensemble, occupation draw and transform output is dropped after its
-    # last use, so at most three measures are alive during a distance. Every
-    # step draws from its own stream, so the order does not change the outputs.
+    # last use, so at most three measures are alive during a distance; the
+    # chain measure is sorted once for its two distances, and the sorted form
+    # replaces it once its transform has read it. Every step draws from its
+    # own stream, so the order does not change the outputs.
     ens, occ_ens = _ensembles(cfg, model)
     mu_chain = chain_measure(ens, cfg.chain_burn_in_steps)
     del ens
@@ -316,14 +318,16 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rng_b = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5)))
     rng_r = np.random.default_rng(np.random.SeedSequence((cfg.seed, 6)))
     to_flow, normalizer_to_flow = chain_to_flow_stationary(model, mu_chain, rng_f)
+    chain_sorted = sort_measure(mu_chain, model.n_regimes)
+    del mu_chain
     forward = measure_distance(to_flow, mu_flow, n_regimes=model.n_regimes)
     to_chain, normalizer_to_chain = flow_to_chain_stationary(model, mu_flow, rng_b)
     del mu_flow
-    backward = measure_distance(to_chain, mu_chain, n_regimes=model.n_regimes)
+    backward = measure_distance(to_chain, chain_sorted, n_regimes=model.n_regimes)
     del to_chain
     round_measure, _ = flow_to_chain_stationary(model, to_flow, rng_r)
     del to_flow
-    roundtrip = measure_distance(round_measure, mu_chain, n_regimes=model.n_regimes)
+    roundtrip = measure_distance(round_measure, chain_sorted, n_regimes=model.n_regimes)
     payload = {
         "model": model.name,
         "seed": cfg.seed,

@@ -104,11 +104,16 @@ class EnsembleRun:
             raise ValueError("give exactly one of n_steps or t_end")
         if self.n_replicas <= 0:
             raise ValueError("n_replicas must be > 0")
+        if self.n_steps is not None and self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+        if self.t_end is not None and not self.t_end >= 0:
+            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
 
 
 class _Chunk:
     """One chunk of an ensemble run: its generator, its replicas' current states,
-    and their history in preallocated (size, steps + 1) arrays.
+    and their history in preallocated step-major (steps + 1, size) arrays, so
+    each step writes three contiguous rows.
 
     A fixed-step chunk knows its width. A horizon chunk starts at
     ceil(mu + 6 sqrt(mu)) + 64 steps with mu = lambda_high * t_end: the count
@@ -131,8 +136,8 @@ class _Chunk:
         self.clock = np.zeros(size)
         self.ys = np.full(size, float(run.y0))
         self.regimes = np.full(size, int(run.i0), dtype=np.int64)
-        self.history = (np.empty((size, width)), np.empty((size, width)),
-                        np.empty((size, width), dtype=np.int64))
+        self.history = (np.empty((width, size)), np.empty((width, size)),
+                        np.empty((width, size), dtype=np.int64))
         self.steps = 0
         self._record()
 
@@ -141,13 +146,13 @@ class _Chunk:
         return self.clock.size
 
     def _record(self) -> None:
-        width = self.history[0].shape[1]
+        width = self.history[0].shape[0]
         if self.steps == width:
             grown = min(2 * width, self.cap + 1)
-            self.history = tuple(np.concatenate([a, np.empty((self.size, grown - width), a.dtype)],
-                                                axis=1) for a in self.history)
-        for column, current in zip(self.history, (self.clock, self.ys, self.regimes)):
-            column[:, self.steps] = current
+            self.history = tuple(np.concatenate([a, np.empty((grown - width, self.size), a.dtype)])
+                                 for a in self.history)
+        for row, current in zip(self.history, (self.clock, self.ys, self.regimes)):
+            row[self.steps] = current
 
     def advance(self, dts: np.ndarray, ys: np.ndarray, regimes: np.ndarray) -> None:
         """Record one step: holding times, then post-jump locations and regimes."""
@@ -173,13 +178,19 @@ class _Chunk:
         return True
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(taus, ys, regimes), one row per replica and one column per recorded step.
+        """(taus, ys, regimes), C-contiguous, one row per replica and one column per
+        recorded step; the chunk gives them once.
 
-        A horizon chunk's unused columns are cut off by a copy, so the ensemble
-        does not keep them alive.
+        Each history array's recorded steps are transposed into a copy, and the
+        array is freed before the next is copied, so the copies add one array
+        to the chunk's memory and a horizon chunk's unused steps are not kept.
         """
         width = self.steps + 1
-        return tuple(a if a.shape[1] == width else a[:, :width].copy() for a in self.history)
+        history, self.history = list(self.history), ()
+        out = []
+        while history:
+            out.append(np.ascontiguousarray(history.pop(0)[:width].T))
+        return tuple(out)
 
 
 def _advance(model: ModelSpec, chunks: Sequence[_Chunk]) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab import metrics
-from pdmp_lab.metrics import bl_lower_bound, measure_distance, wasserstein1_1d
+from pdmp_lab.metrics import bl_lower_bound, measure_distance, sort_measure, wasserstein1_1d
 from pdmp_lab.state import WeightedEmpiricalMeasure
 
 from oracles import (
@@ -262,6 +262,94 @@ def test_bl_lower_bound_atoms_on_breakpoints(monkeypatch):
     for n_anchors in (1, 2, 3, 5):
         expect = brute_force_bl_lower_bound(mu, nu, n_anchors)
         monkeypatch.setattr(metrics, "BL_ANCHORS", n_anchors)
+        assert abs(bl_lower_bound(mu, nu) - expect) <= 1e-12
+
+
+def two_regime_measures_with_ties(rng, n_regimes):
+    # locations on a 0.1 grid: ties inside each measure and across the two;
+    # the last regime carries atoms of the first measure only
+    n_a, n_b = 3000, 2000
+    ya, yb = np.round(rng.normal(0.0, 1.0, n_a), 1), np.round(rng.normal(0.3, 1.0, n_b), 1)
+    ra = rng.integers(0, n_regimes, n_a)
+    rb = rng.integers(0, n_regimes - 1, n_b)
+    mu = WeightedEmpiricalMeasure(ya, ra, rng.random(n_a))
+    nu = WeightedEmpiricalMeasure(yb, rb, rng.random(n_b))
+    return mu, nu
+
+
+def test_sorted_distance_is_bitwise_w1_on_each_regimes_raw_arrays():
+    # each measure is sorted once per regime; the per-regime W1, the mass gap
+    # and the combined score keep the bits of wasserstein1_1d on the regime's
+    # unsorted arrays, whether a side comes raw or presorted
+    rng = np.random.default_rng(11)
+    for n_regimes in (2, 3):
+        mu, nu = two_regime_measures_with_ties(rng, n_regimes)
+        mu_n, nu_n = mu.normalize(), nu.normalize()
+        mass_mu, mass_nu = mu_n.regime_mass(n_regimes), nu_n.regime_mass(n_regimes)
+        expect, combined = {}, 0.0
+        for i in range(n_regimes):
+            shared = min(mass_mu[i], mass_nu[i])
+            if shared > 0:
+                ya, wa = mu_n.restrict_regime(i)
+                yb, wb = nu_n.restrict_regime(i)
+                expect[i] = wasserstein1_1d(ya, wa / wa.sum(), yb, wb / wb.sum())
+                combined += shared * expect[i]
+        gap = float(np.abs(mass_mu - mass_nu).sum())
+        combined += gap
+        assert n_regimes - 1 not in expect  # the regime empty in nu has no W1
+        for sides in ((mu, nu), (sort_measure(mu, n_regimes), nu),
+                      (mu, sort_measure(nu, n_regimes))):
+            report = measure_distance(*sides, n_regimes=n_regimes)
+            assert report.per_regime_w1 == expect
+            assert report.regime_mass_gap == gap and report.combined == combined
+        assert measure_distance(mu, nu, n_regimes + 1).per_regime_w1 == expect
+        # a presorted run beside raw arrays
+        yb, wb = nu_n.restrict_regime(0)
+        run = sort_measure(mu, n_regimes).runs[0]
+        assert wasserstein1_1d(run, None, yb, wb / wb.sum()) == expect[0]
+
+
+def test_measure_distance_rejects_a_sorted_side_of_other_regimes():
+    mu = WeightedEmpiricalMeasure.from_samples([0.0, 1.0], regimes=[0, 1])
+    with pytest.raises(ValueError, match="^the first measure is sorted over 2 regimes, not 3"):
+        measure_distance(sort_measure(mu, 2), mu, n_regimes=3)
+    with pytest.raises(ValueError, match="^the measure is sorted over 3 regimes, not 2"):
+        bl_lower_bound(sort_measure(mu, 2), sort_measure(mu, 3))
+
+
+def test_bl_lower_bound_within_rounding_of_an_fsum_reference():
+    # the dictionary maximum with every ramp integral summed exactly by fsum.
+    # On these measures the sums over sorted runs are 0.5 to 2.1 eps from it,
+    # and the bincount sums in atom order they replaced were 0.3 to 2.8 eps
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    for _ in range(3):
+        n = 20_000
+        mu, nu = (WeightedEmpiricalMeasure(rng.normal(shift, 2.0, n), rng.integers(0, 2, n),
+                                           rng.random(n)) for shift in (0.0, 0.2))
+        mu_n, nu_n = mu.normalize(), nu.normalize()
+        anchors = np.linspace(min(mu.ys.min(), nu.ys.min()), max(mu.ys.max(), nu.ys.max()),
+                              metrics.BL_ANCHORS)
+        expect = 0.0
+        for a in anchors:
+            rows = [math.fsum(np.concatenate([
+                m.weights[m.regimes == i] * np.clip(m.ys[m.regimes == i] - a, -1.0, 1.0) * sign
+                for m, sign in ((mu_n, 1.0), (nu_n, -1.0))])) for i in (0, 1)]
+            expect = max(expect, abs(rows[0]), abs(rows[1]), abs(math.fsum(rows)))
+        assert abs(bl_lower_bound(mu, nu) - expect) <= 16 * eps
+        assert abs(measure_distance(mu, nu, 2).bl_lower - expect) <= 16 * eps
+
+
+def test_ramp_sums_cut_runs_into_blocks_within_bins(monkeypatch):
+    # blocks of 1 to 7 atoms against one block per bin: the cuts of a sorted
+    # run never drop or double an atom, on ties and on breakpoints
+    rng = np.random.default_rng(13)
+    ys = np.round(rng.normal(0.0, 2.0, 500), 1)
+    mu = WeightedEmpiricalMeasure(ys, rng.integers(0, 2, 500), np.ones(500))
+    nu = WeightedEmpiricalMeasure.from_samples(np.concatenate([ys[:200], [-1.0, 1.0]]))
+    expect = brute_force_bl_lower_bound(mu, nu, metrics.BL_ANCHORS)
+    for block in (1, 2, 7, 10_000):
+        monkeypatch.setattr(metrics, "BL_SUM_BLOCK", block)
         assert abs(bl_lower_bound(mu, nu) - expect) <= 1e-12
 
 

@@ -270,9 +270,9 @@ def test_runs_side_by_side_are_bitwise_each_run_alone(model, runs):
 
 
 def test_horizon_history_grows_past_its_first_width(monkeypatch):
-    # a fresh horizon chunk is ceil(mu + 6 sqrt(mu)) + 64 + 1 columns wide with
-    # mu = lambda_high t_end; holding times at a quarter of the law's need about
-    # 4 times the law's steps, so the run grows past that width
+    # a fresh horizon chunk's step-major history is ceil(mu + 6 sqrt(mu)) + 64 + 1
+    # steps wide with mu = lambda_high t_end; holding times at a quarter of the
+    # law's need about 4 times the law's steps, so the run grows past that width
     def quarter(h, i, ys, targets):
         return 0.25 * invert_holding(h, i, ys, targets)
 
@@ -283,10 +283,32 @@ def test_horizon_history_grows_past_its_first_width(monkeypatch):
     mu = GENE_SAT.intensity.upper * run.t_end
     first_width = math.ceil(mu + 6 * math.sqrt(mu)) + 64 + 1
     fresh = simulate._Chunk(GENE_SAT, run, run.n_replicas, 12)
-    assert [a.shape[1] for a in fresh.history] == [first_width] * 3
+    assert [a.shape for a in fresh.history] == [(first_width, run.n_replicas)] * 3
     assert ens.chunks[0][0].shape[1] > first_width
     assert ens.min_horizon >= run.t_end
     assert_matches_reference(GENE_SAT, ens, run)
+
+
+def test_chunk_arrays_are_replica_major_copies_of_the_grown_history(monkeypatch):
+    # the step-major history, grown once, hands out C-contiguous (replicas,
+    # steps + 1) arrays bitwise the serial reference's, and keeps nothing
+    def quarter(h, i, ys, targets):
+        return 0.25 * invert_holding(h, i, ys, targets)
+
+    monkeypatch.setattr(simulate, "invert_holding", quarter)
+    monkeypatch.setattr(oracles, "invert_holding", quarter)
+    run = EnsembleRun(37, 21, y0=1.5, t_end=40.0)
+    seed = np.random.SeedSequence(run.seed).spawn(1)[0]
+    chunk = simulate._Chunk(GENE_SAT, run, run.n_replicas, seed)
+    first_width = chunk.history[0].shape[0]
+    simulate._advance(GENE_SAT, [chunk])
+    assert chunk.history[0].shape == (2 * first_width, run.n_replicas)
+    got = chunk.arrays()
+    assert chunk.history == ()
+    expected = reference_chunk(GENE_SAT, run.n_replicas, seed, run.y0, t_end=run.t_end)
+    assert got[0].shape == (run.n_replicas, chunk.steps + 1) and chunk.steps > first_width
+    for a, want in zip(got, expected, strict=True):
+        assert a.flags.c_contiguous and a.dtype == want.dtype and np.array_equal(a, want)
 
 
 def test_step_cap_names_the_slowest_replica_of_its_chunk_beside_another_run(monkeypatch):
@@ -324,6 +346,19 @@ def test_jump_count_pmf_holds_one_chunk_at_a_time():
 def test_horizon_step_cap_rejects_infinite_horizon():
     with pytest.raises(ValueError, match="finite t_end"):
         run_ensemble(GENE, 4, 16, t_end=math.inf)
+
+
+def test_ensemble_run_rejects_a_negative_step_count_or_horizon():
+    # n_steps=-3 used to fail inside the chunk's history allocation, and
+    # t_end=-1.0 to give a zero-step ensemble
+    for kwargs, field in (({"n_steps": -3}, "n_steps"), ({"t_end": -1.0}, "t_end"),
+                          ({"t_end": math.nan}, "t_end")):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got "):
+            run_ensemble(GENE, 10, 1, **kwargs)
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            EnsembleRun(10, 1, **kwargs)
+    assert run_ensemble(GENE, 10, 1, n_steps=0).chunks[0][0].shape == (10, 1)
+    assert run_ensemble(GENE, 10, 1, t_end=0.0).chunks[0][0].shape == (10, 1)
 
 
 def test_chain_measure_counts_and_normalization():
