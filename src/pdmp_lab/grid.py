@@ -12,9 +12,10 @@ is overwritten block by block with ``transition`` = pre_jump @ post_jump per
 regime band, and ``post_jump`` is scaled in place by the rate at each origin
 node into ``weighted_post_jump``.
 
-Both factorization residuals are assembly checks whose products skip columns
-that can only add zeros. ``residual_plain`` is the off-band term of the
-transition pass: exactly 0 on a correct assembly, it still catches planted
+The transition pass and both factorization residuals form each row block's
+products over its column span only, skipping columns that can only add zeros.
+Both residuals are assembly checks. ``residual_plain`` is the off-band term of
+the transition pass: exactly 0 on a correct assembly, it still catches planted
 off-band ``pre_jump`` mass or a NaN. ``residual_weighted`` is an identity up to
 rounding: occupation divides each cell's mass by the rate at the node the flow
 reaches while weighted_post_jump multiplies each jump row by the rate there.
@@ -257,9 +258,10 @@ def _transition_over_pre_jump(pre_jump: np.ndarray, post_jump: np.ndarray,
     """Write transition over ``pre_jump``, GRID_NODE_BLOCK rows per regime band
     at a time, and return the plain factorization residual.
 
-    Each block's rows are the one product pre_jump[rows, band] @ post_jump[band]
-    over the whole band: BLAS splits a sum by its length, so a shorter inner
-    dimension would move the fixed point's bits. The residual is max
+    Each block's rows are the one product pre_jump[rows, inner] @ post_jump[inner]
+    over ``inner``, the block's column span within its band: the columns outside
+    it can only add zeros. An empty span gives zero rows, which the
+    stochasticity check rejects. The residual is max
     |pre_jump[rows, off-band] @ post_jump[off-band]| over the off-band column
     spans holding a nonzero or NaN, both sides of the band in one sum; normally
     there are none and it is exactly 0. A NaN in it is kept.
@@ -279,7 +281,9 @@ def _transition_over_pre_jump(pre_jump: np.ndarray, post_jump: np.ndarray,
                 if above.stop:
                     out += pre_jump[rows, band.stop:][:, above] @ post_jump[band.stop:][above]
                 worst = np.maximum(worst, np.abs(out, out=out).max())  # np.maximum keeps a NaN
-            np.matmul(pre_jump[rows, band], post_jump[band], out=out)
+            span = _column_span(pre_jump[rows, band])
+            inner = slice(band.start + span.start, band.start + span.stop)
+            np.matmul(pre_jump[rows, inner], post_jump[inner], out=out)
             pre_jump[rows] = out
     return float(worst)
 

@@ -30,6 +30,8 @@ REPLICA_CHUNK = 4096
 
 def count_jumps(taus: np.ndarray, t: float) -> np.ndarray:
     """Jumps up to and including time t (boundary inclusive), one count per row of ``taus``."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     if np.any(t < taus[:, 0]):
         raise ValueError("time precedes the start of the trajectory")
     return (taus <= t).sum(axis=1) - 1
@@ -319,13 +321,19 @@ def jump_count_pmf(model: ModelSpec, t_values: Sequence[float], n_replicas: int,
     counted and discarded before the next starts, so replica counts in the
     millions stay cheap. Every replica starts at (0, regime 0), with the
     chunks and streams of ``run_ensemble(model, n_replicas, seed,
-    t_end=max(t_values))``. ``threads`` is ignored; it stays for the callers
-    in ``perfbench/workloads.py``.
+    t_end=max(t_values))``. A time that is not finite or is negative is a
+    ValueError, raised before anything is simulated. ``threads`` is ignored;
+    it stays for the callers in ``perfbench/workloads.py``.
     """
     if len(t_values) == 0:
         raise ValueError("t_values must hold at least one time")
     if max_count < 0:
         raise ValueError(f"max_count must be >= 0, got {max_count}")
+    for t in t_values:
+        if not math.isfinite(t):
+            raise ValueError(f"t_values must be finite, got {t}")
+        if t < 0:
+            raise ValueError(f"time {t} precedes the start of the trajectory at 0")
     run = EnsembleRun(n_replicas, seed, t_end=max(t_values))
 
     def work(size, chunk_seed):

@@ -99,4 +99,5 @@ class WeightedEmpiricalMeasure:
         mask = self.regimes == i
         if mask.all():
             return self.ys, self.weights
-        return self.ys[mask], self.weights[mask]
+        idx = np.flatnonzero(mask)
+        return self.ys.take(idx), self.weights.take(idx)

@@ -120,12 +120,17 @@ def state_dependent_ifs_model():
         declared=DeclaredConstants(), y_max=1.0)
 
 
-@pytest.mark.parametrize("model, m", [
-    (GENE_SAT, 2 * GRID_NODE_BLOCK + 44),  # one regime, last block partial
-    (two_regime_model(switching="ramp"), GRID_NODE_BLOCK + 22),
-    (state_dependent_ifs_model(), 90),  # state-dependent masses, a single partial block
-    (GENE, GRID_NODE_BLOCK),
-], ids=["gene-saturating", "two-regime-ramp", "state-dependent-ifs", "gene-one-full-block"])
+ASSEMBLY_CASES = [
+    pytest.param(GENE_SAT, 2 * GRID_NODE_BLOCK + 44,  # one regime, last block partial
+                 id="gene-saturating"),
+    pytest.param(two_regime_model(switching="ramp"), GRID_NODE_BLOCK + 22, id="two-regime-ramp"),
+    pytest.param(state_dependent_ifs_model(), 90,  # state-dependent masses, a single partial block
+                 id="state-dependent-ifs"),
+    pytest.param(GENE, GRID_NODE_BLOCK, id="gene-one-full-block"),
+]
+
+
+@pytest.mark.parametrize("model, m", ASSEMBLY_CASES)
 def test_blocked_assembly_matches_per_row_reference(model, m):
     grid = build_grid_model(model, m)
     ref = reference_grid(model, m)
@@ -140,6 +145,27 @@ def test_blocked_assembly_matches_per_row_reference(model, m):
     # the fused pass writes the transition the grid holds over its pre_jump argument
     grid_module._transition_over_pre_jump(pre_jump, post_jump, model.n_regimes)
     assert np.array_equal(pre_jump, grid.transition)
+
+
+@pytest.mark.parametrize("model, m", ASSEMBLY_CASES + [
+    # the shipped size, where the two products' bits differ
+    pytest.param(GENE_SAT, 400, id="gene-saturating-400"),
+])
+def test_span_transition_is_the_band_product_up_to_gemm_rounding(model, m):
+    # each computed product of inner length at most K lies within gamma_K |A| |B|
+    # of the exact one, gamma_K = K u / (1 - K u) (Higham 2002, section 3.5), so
+    # the span and the full-band products differ by at most twice that
+    grid = build_grid_model(model, m)
+    pre_jump, post_jump, _, _ = assembly_factors(model, m)
+    u = 2.0 ** -53
+    gamma = m * u / (1.0 - m * u)
+    for i in range(model.n_regimes):
+        band = slice(i * m, (i + 1) * m)
+        for blk in grid_module._node_blocks(m):
+            rows = slice(i * m + blk.start, i * m + blk.stop)
+            full = pre_jump[rows, band] @ post_jump[band]
+            bound = 2.0 * gamma * (np.abs(pre_jump[rows, band]) @ np.abs(post_jump[band]))
+            assert np.all(np.abs(grid.transition[rows] - full) <= bound), (i, blk)
 
 
 def test_grid_holds_three_matrices():
@@ -266,12 +292,16 @@ def test_plain_residual_sees_pre_jump_mass_outside_its_band():
     clean = pre_jump.copy()
     assert grid_module._transition_over_pre_jump(clean, post_jump, 2) == grid.residual_plain
     assert grid.residual_plain <= 1e-15
-    # each block's transition rows are its one band product, byte for byte
+    # each block's transition rows are its one product over its column span
+    # within the band, byte for byte
     for i in range(model.n_regimes):
         band = slice(i * m, (i + 1) * m)
         for blk in grid_module._node_blocks(m):
             rows = slice(i * m + blk.start, i * m + blk.stop)
-            assert np.array_equal(grid.transition[rows], pre_jump[rows, band] @ post_jump[band])
+            span = grid_module._column_span(pre_jump[rows, band])
+            inner = slice(band.start + span.start, band.start + span.stop)
+            assert inner.start < inner.stop
+            assert np.array_equal(grid.transition[rows], pre_jump[rows, inner] @ post_jump[inner])
     # regime-0 row in the last, partial block of its band; its mass leaks into regime 1
     row, col = m - 1, m + 5
     pre_jump[row, col] += 3e-7

@@ -184,6 +184,26 @@ def test_jump_count_pmf_rejects_time_before_start():
         jump_count_pmf(GENE, (1.0, -0.5), 10, 21)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_count_jumps_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+        count_jumps(np.array([[0.0, 0.5, 1.2]]), t)
+
+
+@pytest.mark.parametrize("t, message", [
+    (np.nan, "t_values must be finite, got nan"),
+    (np.inf, "t_values must be finite, got inf"),
+    (-0.5, "time -0.5 precedes the start of the trajectory at 0"),
+])
+def test_jump_count_pmf_checks_its_times_before_simulating(t, message, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking t_values")
+
+    monkeypatch.setattr(simulate, "_advance", no_run)
+    with pytest.raises(ValueError, match=message):
+        jump_count_pmf(GENE, (1.0, t), 100, 1, max_count=5)
+
+
 def test_occupation_frozen_flow_point_mass():
     model = frozen_model()
     ens = one_chunk(model, [0.0, 100.0], [2.0, 3.0], [0, 0])

@@ -85,6 +85,20 @@ def test_restrict_regime_shares_arrays_only_when_every_atom_is_in_it():
     ys, weights = mixed.restrict_regime(0)
     assert np.array_equal(ys, [0.0, 2.0]) and np.array_equal(weights, [1.0, 3.0])
     assert not np.shares_memory(ys, mixed.ys) and not np.shares_memory(weights, mixed.weights)
+    # random labels over 2 and 3 regimes, and one regime past them left empty:
+    # each restriction holds the bytes of the boolean-mask copy
+    rng = np.random.default_rng(41)
+    for n_regimes in (2, 3):
+        mu = WeightedEmpiricalMeasure.from_samples(
+            rng.normal(size=5000), regimes=rng.integers(0, n_regimes, 5000),
+            weights=rng.random(5000))
+        for i in range(n_regimes + 1):
+            mask = mu.regimes == i
+            ys, weights = mu.restrict_regime(i)
+            assert ys.tobytes() == mu.ys[mask].tobytes(), (n_regimes, i)
+            assert weights.tobytes() == mu.weights[mask].tobytes(), (n_regimes, i)
+            assert not np.shares_memory(ys, mu.ys), (n_regimes, i)
+        assert mu.restrict_regime(n_regimes)[0].size == 0
 
 
 def test_negative_regime_label_rejected():
