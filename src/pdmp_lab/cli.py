@@ -4,13 +4,18 @@ Four subcommands (simulate, correspondence, oracle, diagnostics) read one
 JSON config document, run a batch experiment, and write plot-ready CSV/JSON
 files. Outputs are byte-identical for identical (config, seed). Ensembles run
 serially; ``--threads`` is accepted and ignored with one note on stderr.
-Exit codes: 0 success, 2 config error, 3 a declared tolerance or
-positive-model check failed, 4 a numerical solver failed (hazard inversion hit
-its iteration cap, a horizon run hit its step cap, power iteration did not
-converge, the flow-contraction fit resolved no pair above rounding, the grid
-matrices failed their switching-row, stochasticity, occupation or window-leak
-check); the last prints one ``solver failure: ...`` line to stderr instead of
-a traceback.
+Each command writes its verdicts as ``checks.Check`` records under the
+top-level ``checks`` key of its JSON output: one per tolerance bound the
+config sets, the grid residuals of ``oracle``, the assumption and drift
+records of ``diagnostics``.
+Exit codes: 0 success, 2 config error, 3 a record failed (``diagnostics``
+enforces its records on positive models only), 4 a numerical solver failed
+(hazard inversion hit its iteration cap, a horizon run hit its step cap, power
+iteration did not converge, the flow-contraction fit resolved no pair above
+rounding, the grid matrices failed their switching-row, stochasticity,
+occupation or window-leak check). Code 3 prints one ``tolerance failure: ...``
+line listing each failed record as ``name value side bound``, code 4 one
+``solver failure: ...`` line, to stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .checks import Check
 from .csvtext import encode_rows
 from .diagnostics import drift_constants, run_assumption_suite, verify_drift_empirically
-from .grid import GRID_RESIDUAL_TOL, build_grid_model, check_factorization, oracle_correspondence
+from .grid import build_grid_model, check_factorization, oracle_correspondence
 from .metrics import measure_distance, sort_measure
 from .models import ModelSpec, build_model
 # run_ensemble is not called here: perfbench/tracer.py wraps it at this import site
@@ -42,10 +48,6 @@ OCCUPATION_BURN_IN = 0.2
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class ToleranceFailure(RuntimeError):
     pass
 
 
@@ -234,25 +236,31 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write(encode_rows([c[start:start + CSV_BLOCK_ROWS] for c in columns]))
 
 
-def _finish(path: Path, payload: dict, failures: list[str]) -> dict:
-    """Write ``payload`` with its ``tolerance_failures``, then raise ToleranceFailure if any."""
-    payload["tolerance_failures"] = failures
+def _finish(path: Path, payload: dict, checks: Sequence[Check], enforce: bool = True) -> int:
+    """Write ``payload`` with its ``checks`` records and return the exit code: 3,
+    with each failed record on stderr as ``name value side bound``, if ``enforce``
+    and a record failed, else 0."""
+    payload["checks"] = [c.to_json() for c in checks]
     _write_json(path, payload)
-    if failures:
-        raise ToleranceFailure("; ".join(failures))
-    return payload
+    failed = [f"{c.name} {float(c.value)!r} {c.side} {float(c.bound)!r}"
+              for c in checks if not c.passed]
+    if enforce and failed:
+        print(f"tolerance failure: {'; '.join(failed)}", file=sys.stderr)
+        return 3
+    return 0
 
 
-def _check_range(tolerances: Tolerances, key: str, value: float, failures: list[str]) -> None:
-    lo, hi = getattr(tolerances, key)
-    if not lo <= value <= hi:
-        failures.append(f"{key}={value:.6g} outside [{lo:.6g}, {hi:.6g}]")
-
-
-def _check_max(tolerances: Tolerances, key: str, value: float, failures: list[str]) -> None:
-    cap = getattr(tolerances, key)
-    if value > cap:
-        failures.append(f"{key}={value:.6g} exceeds {cap:.6g}")
+def _config_checks(tolerances: Tolerances, key: str, value: float) -> list[Check]:
+    """The records of ``value`` against tolerance ``key``, one per bound the config
+    sets: a range gives ``key:lo`` (>=) and ``key:hi`` (<=), a cap ``key`` (<=). A
+    bound left at its infinite default writes none."""
+    setting = getattr(tolerances, key)
+    if isinstance(setting, tuple):
+        bounds = ((f"{key}:lo", setting[0], ">="), (f"{key}:hi", setting[1], "<="))
+    else:
+        bounds = ((key, setting, "<="),)
+    return [Check(name, value, bound, side, "config")
+            for name, bound, side in bounds if math.isfinite(bound)]
 
 
 def _ensembles(cfg: ExperimentConfig, model: ModelSpec) -> tuple[ChainEnsemble, ChainEnsemble]:
@@ -268,7 +276,7 @@ def _occupation(cfg: ExperimentConfig, occ_ens: ChainEnsemble) -> OccupationSamp
                                     (cfg.seed, 3), burn_in=OCCUPATION_BURN_IN * cfg.horizon)
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model.build()
     ens, occ_ens = _ensembles(cfg, model)
     occ = _occupation(cfg, occ_ens)
@@ -293,14 +301,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "eta_time": ETA_TIME,
         "eta_histogram": [float(v) for v in hist],
     }
-    failures: list[str] = []
-    _check_range(cfg.tolerances, "occupation_mean", summary["occupation_mean"], failures)
+    checks = _config_checks(cfg.tolerances, "occupation_mean", summary["occupation_mean"])
     if chain is not None:
-        _check_range(cfg.tolerances, "chain_mean", summary["chain_mean"], failures)
-    return _finish(out_dir / "summary.json", summary, failures)
+        checks += _config_checks(cfg.tolerances, "chain_mean", summary["chain_mean"])
+    return _finish(out_dir / "summary.json", summary, checks)
 
 
-def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.chain_steps < 1:  # the chain measure needs a step past the burn-in
         raise ConfigError(f"correspondence needs chain_steps >= 1, got {cfg.chain_steps}")
     model = cfg.model.build()
@@ -338,14 +345,13 @@ def cmd_correspondence(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "normalizer_to_chain": normalizer_to_chain,
         "normalizer_product": normalizer_to_flow * normalizer_to_chain,
     }
-    failures: list[str] = []
-    _check_max(cfg.tolerances, "w1_forward_max", forward.combined, failures)
-    _check_max(cfg.tolerances, "w1_backward_max", backward.combined, failures)
-    _check_max(cfg.tolerances, "w1_roundtrip_max", roundtrip.combined, failures)
-    return _finish(out_dir / "distances.json", payload, failures)
+    checks = (_config_checks(cfg.tolerances, "w1_forward_max", forward.combined)
+              + _config_checks(cfg.tolerances, "w1_backward_max", backward.combined)
+              + _config_checks(cfg.tolerances, "w1_roundtrip_max", roundtrip.combined))
+    return _finish(out_dir / "distances.json", payload, checks)
 
 
-def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model.build()
     grid = build_grid_model(model, cfg.grid.nodes, y_max=cfg.grid.y_max)
     fact = check_factorization(grid)
@@ -353,7 +359,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
     payload = {
         "model": model.name,
         "grid_nodes": cfg.grid.nodes,
-        "factorization": fact.to_json(),
+        "factorization": asdict(fact),
         "correspondence": corr.to_json(),
         "stationary_leak": grid.stationary_leak,
     }
@@ -361,29 +367,21 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
                [np.tile(grid.nodes, grid.n_regimes),
                 np.repeat(np.arange(grid.n_regimes), grid.nodes.size).astype(int),
                 grid.fixed_point])
-    failures: list[str] = []
-    if not fact.passed:
-        failures.append(f"factorization residuals {fact.residual_plain:.3e}/"
-                        f"{fact.residual_weighted:.3e} exceed {GRID_RESIDUAL_TOL:.1e}")
-    if not corr.passed:
-        failures.append("correspondence residuals exceed tolerance")
-    return _finish(out_dir / "oracle.json", payload, failures)
+    return _finish(out_dir / "oracle.json", payload, fact.checks + corr.checks)
 
 
-def cmd_diagnostics(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def cmd_diagnostics(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model.build()
     report = run_assumption_suite(model, seed=(cfg.seed, 1))
     payload = {"assumptions": report.to_json(), "model": model.name, "positive": model.positive}
-    # without a positive margin a check has failed already, so report.passed decides
+    # without a positive margin a record has failed already, and the drift probes are skipped
+    checks = report.checks
     drift = None
     if report.stability_margin is not None and report.stability_margin > 0:
         drift = verify_drift_empirically(model, drift_constants(model), seed=(cfg.seed, 2))
+        checks += drift.checks
     payload["drift"] = None if drift is None else drift.to_json()
-    _write_json(out_dir / "diagnostics.json", payload)
-    if model.positive and not (report.passed and (drift is None or drift.passed)):
-        raise ToleranceFailure(
-            f"positive model failed checks: {report.failed_names() or 'drift probes'}")
-    return payload
+    return _finish(out_dir / "diagnostics.json", payload, checks, enforce=model.positive)
 
 
 COMMANDS = {
@@ -419,17 +417,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        COMMANDS[args.command](cfg, out_dir)
+        return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ToleranceFailure as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return 3
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

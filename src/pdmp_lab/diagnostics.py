@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import Check
 from .hazard import holding_time_rule
 from .models import ModelSpec
 from .simulate import run_ensemble
@@ -45,36 +46,19 @@ class DriftConstants:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: Optional[bool]  # None: not applicable given earlier failures
-    detail: str
-
-
-@dataclass(frozen=True)
 class AssumptionReport:
     model_name: str
     estimates: dict
     declared: dict
-    checks: tuple[CheckResult, ...]
+    checks: tuple[Check, ...]
     stability_margin: Optional[float]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None)
-
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if c.passed is False]
 
     def to_json(self) -> dict:
         return {
             "model": self.model_name,
             "estimates": self.estimates,
             "declared": self.declared,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
             "stability_margin": self.stability_margin,
-            "passed": self.passed,
         }
 
 
@@ -223,11 +207,12 @@ def estimate_switch_constants(model: ModelSpec) -> tuple[float, float]:
     return lip_hat, overlap
 
 
-def check_flow_gap(model: ModelSpec, rng: np.random.Generator) -> CheckResult:
+def check_flow_gap(model: ModelSpec, rng: np.random.Generator) -> list[Check]:
     """Sampled bound |S_i(t,y) - S_j(t,y)| <= gap_time(t) * gap_scale(y),
-    plus quadrature finiteness of the discounted gap_time integral."""
+    plus quadrature finiteness of the discounted gap_time integral; no record
+    for a single regime, whose gap is identically 0."""
     if model.n_regimes == 1:
-        return CheckResult("flow-gap", True, "single regime: gap identically 0")
+        return []
     ts = rng.uniform(0.0, 8.0, size=FLOW_GAP_SAMPLES)
     ys = rng.uniform(0.0, model.y_max, size=FLOW_GAP_SAMPLES)
     bound = np.asarray(model.declared.flow_gap_time(ts)) * np.asarray(model.declared.flow_gap_scale(ys))
@@ -236,15 +221,12 @@ def check_flow_gap(model: ModelSpec, rng: np.random.Generator) -> CheckResult:
         for j in range(i + 1, model.n_regimes):
             gap = np.abs(np.asarray(model.flow.evaluate(i, ts, ys))
                          - np.asarray(model.flow.evaluate(j, ts, ys)))
-            worst = max(worst, float((gap - bound).max()))
-    if worst > 1e-9:
-        return CheckResult("flow-gap", False, f"bound violated by {worst:.3e}")
+            worst = np.maximum(worst, (gap - bound).max())  # np.maximum keeps a NaN
     nodes, weights = holding_time_rule(model.intensity)
     integral = float(np.sum(weights * np.exp(-model.intensity.lower * nodes)
                             * model.declared.flow_gap_time(nodes)))
-    if not math.isfinite(integral):
-        return CheckResult("flow-gap", False, "discounted gap integral diverges")
-    return CheckResult("flow-gap", True, f"discounted gap integral {integral:.6g}")
+    return [Check("flow-gap:excess", float(worst), 1e-9, "<=", "declared"),
+            Check("flow-gap:integral", integral, math.inf, "<", "derived")]
 
 
 def intensity_lipschitz_scan(model: ModelSpec) -> float:
@@ -292,10 +274,6 @@ class DriftProbe:
     bound: float
     stderr: float
 
-    @property
-    def ok(self) -> bool:
-        return self.estimate <= self.bound + 3.0 * self.stderr
-
 
 @dataclass(frozen=True)
 class DriftReport:
@@ -303,18 +281,19 @@ class DriftReport:
     probes: tuple[DriftProbe, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(p.ok for p in self.probes)
+    def checks(self) -> tuple[Check, ...]:
+        """Each probe's estimate at most its bound plus 3 standard errors."""
+        return tuple(Check(f"drift:mean-at-{p.location:g}", p.estimate,
+                           p.bound + 3.0 * p.stderr, "<=", "statistical") for p in self.probes)
 
     def to_json(self) -> dict:
         return {
             "constants": asdict(self.constants),
             "probes": [
                 {"location": p.location, "regime": 0, "gauge": p.gauge,
-                 "estimate": p.estimate, "bound": p.bound, "stderr": p.stderr, "ok": p.ok}
+                 "estimate": p.estimate, "bound": p.bound, "stderr": p.stderr}
                 for p in self.probes
             ],
-            "passed": self.passed,
         }
 
 
@@ -334,96 +313,77 @@ def verify_drift_empirically(model: ModelSpec, constants: DriftConstants, seed) 
     return DriftReport(constants=constants, probes=tuple(probes))
 
 
-def _consistent_upper(estimate: float, declared: float) -> bool:
-    return estimate <= declared * (1.0 + ESTIMATE_RTOL) + 1e-9
+def _upper(name: str, estimate: float, declared: float) -> Check:
+    """The estimate at most the declared constant, within ESTIMATE_RTOL and 1e-9."""
+    return Check(name, estimate, declared * (1.0 + ESTIMATE_RTOL) + 1e-9, "<=", "declared")
 
 
-def _consistent_lower(estimate: float, declared: float) -> bool:
-    return estimate >= declared * (1.0 - ESTIMATE_RTOL) - 1e-9
+def _lower(name: str, estimate: float, declared: float) -> Check:
+    """The estimate at least the declared constant, within ESTIMATE_RTOL and 1e-9."""
+    return Check(name, estimate, declared * (1.0 - ESTIMATE_RTOL) - 1e-9, ">=", "declared")
 
 
 def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
-    """Estimate every constant and compare against the declaration.
+    """Estimate every constant and compare it with the declaration, one
+    record per comparison, named family:quantity.
 
-    The stability margin is reported as not-applicable when the flow
-    contraction check fails, since its formula needs a valid envelope.
+    The stability margin has no record when a flow-contraction record fails,
+    since its formula needs a valid envelope.
     """
     rng = np.random.default_rng(seed)
     d = model.declared
     flow_lip, flow_rate = model.flow.contraction
-    checks: list[CheckResult] = []
     estimates: dict = {}
 
     lip_hat, rate_hat = estimate_flow_contraction(model, rng)
     estimates["flow_lipschitz"] = lip_hat
     estimates["flow_rate"] = rate_hat
-    envelope_ok = (_consistent_upper(lip_hat, flow_lip)
-                   and rate_hat <= flow_rate + flow_rate_slack(flow_rate))
-    contraction_ok = envelope_ok and flow_rate < model.intensity.lower
-    checks.append(CheckResult(
-        "flow-contraction", contraction_ok,
-        f"estimated (lip, rate) = ({lip_hat:.4g}, {rate_hat:.4g}); "
-        f"declared ({flow_lip:.4g}, {flow_rate:.4g}); "
-        f"rate must stay below {model.intensity.lower:.4g}"))
+    contraction = [
+        _upper("flow-contraction:lipschitz", lip_hat, flow_lip),
+        Check("flow-contraction:rate", rate_hat, flow_rate + flow_rate_slack(flow_rate),
+              "<=", "declared"),
+        Check("flow-contraction:declared-rate", flow_rate, model.intensity.lower, "<", "declared"),
+    ]
+    checks = list(contraction)
 
     try:
         beta_hat = flow_displacement_integral(model)
-        disp_ok = abs(beta_hat - d.flow_displacement) <= ESTIMATE_RTOL * max(1.0, d.flow_displacement)
-        checks.append(CheckResult("flow-displacement", disp_ok,
-                                  f"integral {beta_hat:.6g} vs declared {d.flow_displacement:.6g}"))
-    except RuntimeError as exc:
+    except RuntimeError:  # the integrand does not decay
         beta_hat = math.inf
-        checks.append(CheckResult("flow-displacement", False, str(exc)))
     estimates["flow_displacement"] = beta_hat
+    checks.append(Check("flow-displacement:deviation", abs(beta_hat - d.flow_displacement),
+                        ESTIMATE_RTOL * max(1.0, d.flow_displacement), "<=", "declared"))
 
     gamma_hat = jump_displacement_bound(model, rng)
     estimates["jump_displacement"] = gamma_hat
-    checks.append(CheckResult(
-        "jump-displacement", _consistent_upper(gamma_hat, d.jump_displacement),
-        f"sup estimate {gamma_hat:.4g} vs declared {d.jump_displacement:.4g}"))
+    checks.append(_upper("jump-displacement:sup", gamma_hat, d.jump_displacement))
 
-    checks.append(check_flow_gap(model, rng))
+    checks += check_flow_gap(model, rng)
 
     lpi_hat, dpi_hat = estimate_switch_constants(model)
     estimates["switch_lipschitz"] = lpi_hat
     estimates["switch_overlap"] = dpi_hat
-    switch_ok = (_consistent_upper(lpi_hat, d.switch_lipschitz)
-                 and _consistent_lower(dpi_hat, d.switch_overlap)
-                 and dpi_hat > 0)
-    checks.append(CheckResult(
-        "switch-regularity", switch_ok,
-        f"estimated (L1 modulus, overlap) = ({lpi_hat:.4g}, {dpi_hat:.4g}); "
-        f"declared ({d.switch_lipschitz:.4g}, {d.switch_overlap:.4g}); overlap must be > 0"))
+    checks += [_upper("switch-regularity:lipschitz", lpi_hat, d.switch_lipschitz),
+               _lower("switch-regularity:overlap", dpi_hat, d.switch_overlap),
+               Check("switch-regularity:overlap-positive", dpi_hat, 0.0, ">", "derived")]
 
     lw_hat, lp_hat, dp_hat = estimate_ifs_constants(model, rng)
     estimates["jump_mean_contraction"] = lw_hat
     estimates["density_lipschitz"] = lp_hat
     estimates["density_overlap"] = dp_hat
-    ifs_ok = (_consistent_upper(lw_hat, d.jump_mean_contraction)
-              and _consistent_upper(lp_hat, d.density_lipschitz)
-              and _consistent_lower(dp_hat, d.density_overlap)
-              and dp_hat > 0)
-    checks.append(CheckResult(
-        "jump-regularity", ifs_ok,
-        f"estimated (contraction, density modulus, overlap) = "
-        f"({lw_hat:.4g}, {lp_hat:.4g}, {dp_hat:.4g})"))
+    checks += [_upper("jump-regularity:mean-contraction", lw_hat, d.jump_mean_contraction),
+               _upper("jump-regularity:density-lipschitz", lp_hat, d.density_lipschitz),
+               _lower("jump-regularity:density-overlap", dp_hat, d.density_overlap),
+               Check("jump-regularity:density-overlap-positive", dp_hat, 0.0, ">", "derived")]
 
     llam_hat = intensity_lipschitz_scan(model)
     estimates["intensity_lipschitz"] = llam_hat
-    checks.append(CheckResult(
-        "intensity-lipschitz", _consistent_upper(llam_hat, model.intensity.lipschitz),
-        f"slope scan {llam_hat:.4g} vs declared {model.intensity.lipschitz:.4g}"))
+    checks.append(_upper("intensity-lipschitz:slope", llam_hat, model.intensity.lipschitz))
 
-    if contraction_ok:
+    margin = None
+    if all(c.passed for c in contraction):
         margin = stability_margin(model)
-        checks.append(CheckResult(
-            "stability-margin", margin > 0,
-            f"margin {margin:.4g} (positive means the drift multiplier is < 1)"))
-    else:
-        margin = None
-        checks.append(CheckResult(
-            "stability-margin", None,
-            "not applicable: flow contraction invalid, no admissible envelope"))
+        checks.append(Check("stability-margin:margin", margin, 0.0, ">", "derived"))
 
     declared = {f.name: getattr(d, f.name) for f in fields(d) if not callable(getattr(d, f.name))}
     declared.update(flow_lipschitz=flow_lip, flow_rate=flow_rate,

@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import Check
 from .hazard import quantile_edges, survival_horizon
 from .models import ModelSpec
 
@@ -354,6 +355,11 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
                      fixed_point=fixed)
 
 
+def _residual_check(name: str, residual: float) -> Check:
+    """The record of a residual at most GRID_RESIDUAL_TOL."""
+    return Check(name, residual, GRID_RESIDUAL_TOL, "<=", "derived")
+
+
 @dataclass(frozen=True)
 class FactorizationReport:
     """Max-abs residuals of the two discrete factorization identities."""
@@ -362,14 +368,9 @@ class FactorizationReport:
     residual_weighted: float
 
     @property
-    def passed(self) -> bool:
-        # not max(): max(0.0, nan) is 0.0, so a NaN in the second place would pass
-        return (self.residual_plain <= GRID_RESIDUAL_TOL
-                and self.residual_weighted <= GRID_RESIDUAL_TOL)
-
-    def to_json(self) -> dict:
-        return {"residual_plain": self.residual_plain, "residual_weighted": self.residual_weighted,
-                "tol": GRID_RESIDUAL_TOL, "passed": self.passed}
+    def checks(self) -> tuple[Check, ...]:
+        return (_residual_check("factorization:residual_plain", self.residual_plain),
+                _residual_check("factorization:residual_weighted", self.residual_weighted))
 
 
 def _max_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> float:
@@ -411,9 +412,11 @@ class OracleReport:
     mean_flow: float
 
     @property
-    def passed(self) -> bool:
-        return (self.residual_flow_invariance <= GRID_RESIDUAL_TOL
-                and self.residual_chain_roundtrip <= GRID_RESIDUAL_TOL)
+    def checks(self) -> tuple[Check, ...]:
+        return (_residual_check("correspondence:residual_flow_invariance",
+                                self.residual_flow_invariance),
+                _residual_check("correspondence:residual_chain_roundtrip",
+                                self.residual_chain_roundtrip))
 
     def to_json(self) -> dict:
         return {
@@ -424,8 +427,6 @@ class OracleReport:
             "normalizer_product_error": self.normalizer_product_error,
             "mean_chain": self.mean_chain,
             "mean_flow": self.mean_flow,
-            "tol": GRID_RESIDUAL_TOL,
-            "passed": self.passed,
         }
 
 

@@ -237,7 +237,7 @@ def test_criterion_09_drift_constants_and_probes(monkeypatch):
     report = verify_drift_empirically(GENE, constants, seed=91)
     probe4 = [p for p in report.probes if p.location == 4.0][0]
     tight = abs(probe4.estimate - 3.0) <= 0.02
-    ok = bool(exact and report.passed and tight)
+    ok = bool(exact and all(c.passed for c in report.checks) and tight)
     _report(9, ok, f"constants (a, b) = ({constants.multiplier}, {constants.offset}) exact; "
                    f"all probes below bound + 3 s.e.; tight probe at 4: "
                    f"{probe4.estimate:.4f} = 3.00 +- 0.02")
@@ -247,23 +247,22 @@ def test_criterion_10_assumption_suite():
     ok = True
     details = []
     for model in (GENE, GENE_SAT, TWO):
-        rep = run_assumption_suite(model, seed=100)
-        if not rep.passed:
+        failed = [c.name for c in run_assumption_suite(model, seed=100).checks if not c.passed]
+        if failed:
             ok = False
-            details.append(f"{model.name} failed {rep.failed_names()}")
+            details.append(f"{model.name} failed {failed}")
     designated = {
-        "control-expanding-flow": ["flow-contraction"],
-        "control-supercritical": ["stability-margin"],
-        "control-degenerate-switching": ["switch-regularity"],
+        "control-expanding-flow": ["flow-contraction:declared-rate"],
+        "control-supercritical": ["stability-margin:margin"],
+        "control-degenerate-switching": ["switch-regularity:overlap-positive"],
     }
     for factory in (control_expanding_flow, control_supercritical,
                     control_degenerate_switching):
         model = factory()
-        rep = run_assumption_suite(model, seed=100)
-        if rep.failed_names() != designated[model.name]:
+        failed = [c.name for c in run_assumption_suite(model, seed=100).checks if not c.passed]
+        if failed != designated[model.name]:
             ok = False
-            details.append(f"{model.name} failed {rep.failed_names()} "
-                           f"instead of {designated[model.name]}")
+            details.append(f"{model.name} failed {failed} instead of {designated[model.name]}")
     _report(10, ok, "positive models pass all checks; each negative control fails exactly "
                     f"its designated check{'; ' + '; '.join(details) if details else ''}")
 

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import inspect
 import json
+import math
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -12,9 +14,10 @@ import pytest
 from pdmp_lab import cli
 from pdmp_lab import grid as grid_module
 from pdmp_lab import hazard as hazard_module
+from pdmp_lab.checks import BASES, SIDES, Check
 from pdmp_lab.cli import ConfigError, ExperimentConfig, GridBlock, main
 from pdmp_lab.flows import AffineExpFlow
-from pdmp_lab.grid import power_iteration
+from pdmp_lab.grid import GRID_RESIDUAL_TOL, power_iteration
 from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, invert_holding
 from pdmp_lab.models import DeclaredConstants
 
@@ -47,6 +50,10 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 
 def read_bytes(folder, names):
     return {n: (Path(folder) / n).read_bytes() for n in names}
+
+
+def failed_names(payload):
+    return {c["name"] for c in payload["checks"] if not c["passed"]}
 
 
 def test_simulate_writes_expected_files(tmp_path):
@@ -88,7 +95,10 @@ def test_oracle_outputs_residuals(tmp_path):
     out = tmp_path / "out"
     assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "oracle.json").read_text())
-    assert payload["factorization"]["passed"] is True
+    assert {c["name"]: (c["bound"], c["passed"]) for c in payload["checks"]} == {
+        f"{block}:{key}": (GRID_RESIDUAL_TOL, True)
+        for block in ("factorization", "correspondence") for key in payload[block]
+        if key.startswith("residual_")}
     assert payload["correspondence"]["normalizer_product_error"] <= 1e-8
     assert (out / "fixed_point.csv").exists()
 
@@ -98,8 +108,9 @@ def test_diagnostics_positive_model(tmp_path):
     out = tmp_path / "out"
     assert main(["diagnostics", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "diagnostics.json").read_text())
-    assert payload["assumptions"]["passed"] is True
-    assert payload["drift"]["passed"] is True
+    assert failed_names(payload) == set()
+    assert [c["name"] for c in payload["checks"] if c["name"].startswith("drift:")] == [
+        f"drift:mean-at-{p['location']:g}" for p in payload["drift"]["probes"]]
     # the declared block: every plain DeclaredConstants field plus the flow and rate bounds
     plain = {f.name for f in fields(DeclaredConstants)
              if not callable(getattr(DeclaredConstants(), f.name))}
@@ -112,9 +123,8 @@ def test_diagnostics_negative_control_reports_without_failing(tmp_path):
     out = tmp_path / "out"
     assert main(["diagnostics", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "diagnostics.json").read_text())
-    assert payload["assumptions"]["passed"] is False
-    failed = [c["name"] for c in payload["assumptions"]["checks"] if c["passed"] is False]
-    assert failed == ["flow-contraction"]
+    assert failed_names(payload) == {"flow-contraction:declared-rate"}
+    assert payload["drift"] is None
 
 
 def test_exit_code_2_on_config_errors(tmp_path):
@@ -130,13 +140,60 @@ def test_exit_code_2_on_config_errors(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_exit_code_3_on_tolerance_failure(tmp_path):
+def test_exit_code_3_on_tolerance_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tolerances": {"occupation_mean": [42.0, 43.0]}})
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     # outputs are still written for post-mortem
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["tolerance_failures"]
+    mean = summary["occupation_mean"]
+    assert summary["checks"] == [
+        {"name": "occupation_mean:lo", "value": mean, "bound": 42.0, "side": ">=",
+         "basis": "config", "passed": False},
+        {"name": "occupation_mean:hi", "value": mean, "bound": 43.0, "side": "<=",
+         "basis": "config", "passed": True}]
+    assert capsys.readouterr().err == f"tolerance failure: occupation_mean:lo {mean!r} >= 42.0\n"
+
+
+def test_a_nan_w1_fails_its_cap(tmp_path, monkeypatch, capsys):
+    # a NaN compares False on every side, so it fails the cap it is held to
+    distance = cli.measure_distance
+
+    def nan_combined(*args, **kwargs):
+        return dataclasses.replace(distance(*args, **kwargs), combined=math.nan)
+    monkeypatch.setattr(cli, "measure_distance", nan_combined)
+    cfg = write_config(tmp_path, {"tolerances": {"w1_backward_max": 0.5}})
+    out = tmp_path / "out"
+    assert main(["correspondence", "--config", str(cfg), "--out", str(out)]) == 3
+    payload = json.loads((out / "distances.json").read_text())
+    (record,) = payload["checks"]
+    assert math.isnan(record.pop("value"))
+    assert record == {"name": "w1_backward_max", "bound": 0.5, "side": "<=",
+                      "basis": "config", "passed": False}
+    assert capsys.readouterr().err == "tolerance failure: w1_backward_max nan <= 0.5\n"
+
+
+# every tolerance set: the range of occupation_mean fails (its mean is about 1), the rest pass
+SHAPE_TOLERANCES = {"occupation_mean": [0.0, 0.5], "chain_mean": [0.0, 10.0],
+                    "w1_forward_max": 1.0, "w1_backward_max": 1.0, "w1_roundtrip_max": 1.0}
+
+
+@pytest.mark.parametrize("command, output", [
+    ("simulate", "summary.json"), ("correspondence", "distances.json"),
+    ("oracle", "oracle.json"), ("diagnostics", "diagnostics.json")])
+def test_every_command_writes_check_records(tmp_path, command, output):
+    cfg = write_config(tmp_path, {"tolerances": SHAPE_TOLERANCES})
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    checks = json.loads((out / output).read_text())["checks"]
+    assert checks
+    for record in checks:
+        assert set(record) == {"name", "value", "bound", "side", "basis", "passed"}
+        assert record["side"] in SIDES and record["basis"] in BASES
+        assert record["passed"] is Check(**{k: v for k, v in record.items()
+                                            if k != "passed"}).passed
+    # the test model is positive, so diagnostics enforces its records too
+    assert code == (0 if all(record["passed"] for record in checks) else 3)
 
 
 def test_config_seed_and_threads_overrides(tmp_path, monkeypatch):
@@ -417,7 +474,7 @@ def test_diagnostics_fits_a_very_fast_flow(tmp_path):
     out = tmp_path / "out"
     assert main(["diagnostics", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "diagnostics.json").read_text())
-    assert payload["assumptions"]["passed"] is True
+    assert failed_names(payload) == set()
     assert payload["assumptions"]["estimates"]["flow_rate"] == pytest.approx(-1e8, rel=1e-12)
 
 
@@ -539,9 +596,11 @@ def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
         assert err.startswith("solver failure: ") and err.count("\n") == 1
 
     def tolerance(cfg, out_dir):
-        raise cli.ToleranceFailure("w1_forward_max exceeded")
+        return cli._finish(out_dir / "t.json", {}, [Check("w1_forward_max", 0.2, 0.1, "<=",
+                                                         "config")])
     monkeypatch.setitem(cli.COMMANDS, "oracle", tolerance)
     assert main(["oracle", "--config", str(cfg)] + out) == 3
+    assert capsys.readouterr().err == "tolerance failure: w1_forward_max 0.2 <= 0.1\n"
 
 
 def test_package_binds_only_its_version():

@@ -36,6 +36,11 @@ GENE_SAT = gene_expression_model(intensity="saturating")
 TWO = two_regime_model()
 
 
+def failed(checks):
+    """Names of the records that failed, in order."""
+    return [c.name for c in checks if not c.passed]
+
+
 def test_flow_contraction_gene_exact():
     lip, rate = estimate_flow_contraction(GENE, np.random.default_rng(0))
     assert lip == pytest.approx(1.0, abs=1e-9)
@@ -75,7 +80,7 @@ def test_flow_displacement_reports_a_divergent_integral():
     model = dataclasses.replace(control_expanding_flow(), declared=DeclaredConstants(anchor=1.0))
     with pytest.raises(RuntimeError, match="integrand does not decay; integral diverges"):
         flow_displacement_integral(model)
-    assert "flow-displacement" in run_assumption_suite(model, seed=3).failed_names()
+    assert "flow-displacement:deviation" in failed(run_assumption_suite(model, seed=3).checks)
 
 
 def test_jump_displacement_gene():
@@ -206,8 +211,22 @@ def test_switch_constants_ramp_enumerated():
 
 
 def test_flow_gap_two_regime():
-    report = [c for c in run_assumption_suite(TWO, seed=1).checks if c.name == "flow-gap"][0]
-    assert report.passed
+    records = [c for c in run_assumption_suite(TWO, seed=1).checks if c.name.startswith("flow-gap")]
+    assert [c.name for c in records] == ["flow-gap:excess", "flow-gap:integral"]
+    assert all(c.passed for c in records)
+    # one regime has no gap to bound, so no record
+    assert not [c for c in run_assumption_suite(GENE, seed=1).checks
+                if c.name.startswith("flow-gap")]
+
+
+def test_flow_gap_keeps_a_nan_bound():
+    # the builtin max(-inf, nan) is -inf, which would pass; np.maximum keeps the NaN
+    declared = dataclasses.replace(TWO.declared, flow_gap_time=lambda t: np.full_like(
+        np.asarray(t, dtype=float), np.nan))
+    model = dataclasses.replace(TWO, declared=declared)
+    excess, integral = diagnostics.check_flow_gap(model, np.random.default_rng(1))
+    assert excess.name == "flow-gap:excess" and math.isnan(excess.value) and not excess.passed
+    assert integral.name == "flow-gap:integral" and not integral.passed
 
 
 def test_intensity_lipschitz_scan():
@@ -250,7 +269,9 @@ def test_drift_constants_reject_closed_gap():
 def test_empirical_drift_gene_probes(monkeypatch):
     monkeypatch.setattr(diagnostics, "DRIFT_REPLICAS", 40_000)  # tighter than the default
     report = verify_drift_empirically(GENE, drift_constants(GENE), seed=9)
-    assert report.passed
+    assert failed(report.checks) == []
+    assert [(c.value, c.bound) for c in report.checks] == [
+        (p.estimate, p.bound + 3.0 * p.stderr) for p in report.probes]
     probe4 = [p for p in report.probes if p.location == 4.0][0]
     # E[4 e^{-T} + burst] = 4/2 + 1 = 3: the bound is tight here
     assert probe4.estimate == pytest.approx(3.0, abs=0.03)
@@ -267,20 +288,20 @@ def test_empirical_drift_detects_false_constants():
     from pdmp_lab.diagnostics import DriftConstants
     false_constants = DriftConstants(multiplier=0.5, offset=1.0)
     report = verify_drift_empirically(model, false_constants, seed=10)
-    assert not report.passed
+    assert failed(report.checks)
 
 
 def test_suite_positive_models_pass():
     for model in (GENE, GENE_SAT, TWO):
         report = run_assumption_suite(model, seed=11)
-        assert report.passed, (model.name, report.failed_names())
+        assert failed(report.checks) == [], model.name
 
 
 def test_suite_flow_contraction_ignores_rounding_of_near_pairs():
     # this seed drew pairs a few 1e-7 apart whose ratio rounding (~1e-8) once
     # pushed the fitted rate past the 1e-9 slack of the rate check
     report = run_assumption_suite(GENE_SAT, seed=(257464735, 1))
-    assert report.passed, report.failed_names()
+    assert failed(report.checks) == []
     assert report.estimates["flow_rate"] == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -312,29 +333,28 @@ def test_flow_contraction_resolves_fast_decay_toward_nonzero_attractor():
 
 def test_suite_negative_controls_fail_exactly_designated():
     expected = {
-        "control-expanding-flow": ["flow-contraction"],
-        "control-supercritical": ["stability-margin"],
-        "control-degenerate-switching": ["switch-regularity"],
+        "control-expanding-flow": ["flow-contraction:declared-rate"],
+        "control-supercritical": ["stability-margin:margin"],
+        "control-degenerate-switching": ["switch-regularity:overlap-positive"],
     }
     for factory in (control_expanding_flow, control_supercritical,
                     control_degenerate_switching):
         model = factory()
         report = run_assumption_suite(model, seed=12)
-        assert report.failed_names() == expected[model.name]
+        assert failed(report.checks) == expected[model.name]
 
 
 def test_suite_margin_skipped_without_envelope():
     report = run_assumption_suite(control_expanding_flow(), seed=13)
-    margin_check = [c for c in report.checks if c.name == "stability-margin"][0]
-    assert margin_check.passed is None
+    assert not [c for c in report.checks if c.name.startswith("stability-margin")]
     assert report.stability_margin is None
 
 
 def test_suite_report_serializes():
     report = run_assumption_suite(GENE, seed=14)
-    payload = report.to_json()
-    assert payload["passed"] is True
-    assert {c["name"] for c in payload["checks"]} >= {
+    assert set(report.to_json()) == {"model", "estimates", "declared", "stability_margin"}
+    assert failed(report.checks) == []
+    assert {c.to_json()["name"].split(":")[0] for c in report.checks} >= {
         "flow-contraction", "flow-displacement", "jump-displacement",
         "switch-regularity", "jump-regularity", "intensity-lipschitz",
         "stability-margin"}

@@ -34,6 +34,15 @@ GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
 
 
+def failed_names(report):
+    """Names of the report's residual records that fail GRID_RESIDUAL_TOL."""
+    return [c.name for c in report.checks if not c.passed]
+
+
+def passed(report):
+    return failed_names(report) == []
+
+
 def reference_grid(model, m):
     """Brute-force assembly, one (regime, node) row at a time with np.add.at.
 
@@ -226,9 +235,9 @@ def test_blocked_residuals_equal_unblocked_expression():
         assert fact.residual_weighted == float(
             np.abs(g.occupation @ g.weighted_post_jump - g.transition).max())
     fact = check_factorization(planted)
-    assert fact.residual_weighted == pytest.approx(3e-7, rel=1e-6) and fact.passed
+    assert fact.residual_weighted == pytest.approx(3e-7, rel=1e-6) and passed(fact)
     transition[3, 0] = np.nan
-    assert not check_factorization(planted).passed
+    assert failed_names(check_factorization(planted)) == ["factorization:residual_weighted"]
     assert np.isnan(check_factorization(planted).residual_weighted)
 
 
@@ -252,7 +261,7 @@ def test_span_residual_matches_the_full_product(model, m):
     transition = grid.transition.copy()
     transition[-1, 7] += 3e-7  # planted in the last, partial row block
     fact = check_factorization(dataclasses.replace(grid, transition=transition))
-    assert fact.residual_weighted == pytest.approx(3e-7, rel=1e-6) and fact.passed
+    assert fact.residual_weighted == pytest.approx(3e-7, rel=1e-6) and passed(fact)
 
 
 @pytest.mark.parametrize("model", [GENE_SAT, two_regime_model()],
@@ -260,7 +269,7 @@ def test_span_residual_matches_the_full_product(model, m):
 def test_a_nan_in_either_weighted_factor_fails(model):
     m = GRID_NODE_BLOCK + 72
     grid = build_grid_model(model, m)
-    assert check_factorization(grid).passed
+    assert passed(check_factorization(grid))
     # check_factorization's row blocks; the last one is partial
     starts = range(0, grid.n_states, GRID_NODE_BLOCK)
     spans = [grid_module._column_span(grid.occupation[s:s + GRID_NODE_BLOCK]) for s in starts]
@@ -273,7 +282,8 @@ def test_a_nan_in_either_weighted_factor_fails(model):
         planted = getattr(grid, name).copy()
         planted[entry] = np.nan
         fact = check_factorization(dataclasses.replace(grid, **{name: planted}))
-        assert np.isnan(fact.residual_weighted) and not fact.passed, (name, entry)
+        assert np.isnan(fact.residual_weighted), (name, entry)
+        assert failed_names(fact) == ["factorization:residual_weighted"], (name, entry)
 
 
 def test_plain_residual_sees_pre_jump_mass_outside_its_band():
@@ -315,7 +325,8 @@ def test_plain_residual_sees_pre_jump_mass_outside_its_band():
     planted[row, col] = np.nan
     residual = grid_module._transition_over_pre_jump(planted, post_jump, 2)
     assert np.isnan(residual)
-    assert not dataclasses.replace(check_factorization(grid), residual_plain=residual).passed
+    assert failed_names(dataclasses.replace(check_factorization(grid), residual_plain=residual)
+                        ) == ["factorization:residual_plain"]
 
 
 def test_plain_residual_sums_off_band_mass_on_both_sides():
@@ -492,10 +503,8 @@ def test_oracle_constant_rate_normalizers():
 
 def test_two_regime_grid_correspondence():
     grid = build_grid_model(two_regime_model(), 120)
-    fact = check_factorization(grid)
-    assert fact.passed
-    report = oracle_correspondence(grid)
-    assert report.passed
+    assert passed(check_factorization(grid))
+    assert passed(oracle_correspondence(grid))
 
 
 def test_grid_refinement_converges_to_mc_law():
