@@ -5,6 +5,12 @@ theta is drawn from a place-dependent density against a reference measure.
 After the jump the regime switches according to a row-stochastic matrix of
 continuous functions evaluated at the *post-jump* location. That evaluation
 order is fixed here on purpose: it is easy to get wrong.
+
+Each kernel splits its sampling into a ``draw``, which takes one variate per
+atom from a generator, and a map from those variates to the outcome, which
+takes no randomness and works elementwise over any batch of atoms. So the
+simulator's stepping loop draws each chunk's variates from the chunk's own
+stream and maps all chunks' atoms at once; ``sample_vec`` is the two in turn.
 """
 
 from __future__ import annotations
@@ -20,11 +26,25 @@ ROW_SUM_TOL = 1e-9
 class IfsKernel:
     """Family of continuous maps indexed by theta plus a sampling density."""
 
-    def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with one variate per atom from ``rng`` and return it."""
         raise NotImplementedError
+
+    def thetas(self, ys: np.ndarray, variates: np.ndarray) -> np.ndarray:
+        """Each atom's theta from its ``draw`` variate and its pre-jump location."""
+        raise NotImplementedError
+
+    def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One theta per atom of ``ys``: ``draw`` into a fresh array, then ``thetas``."""
+        ys = np.asarray(ys, dtype=float)
+        return self.thetas(ys, self.draw(rng, np.empty(ys.shape)))
 
     def apply(self, theta, y):
         """w_theta(y), broadcasting over theta and/or y."""
+        raise NotImplementedError
+
+    def mean_contraction(self, u: float, v: float) -> float:
+        """E_{theta ~ p(u)} |w_theta(u) - w_theta(v)| / |u - v|, in closed form."""
         raise NotImplementedError
 
     def density_l1_gap(self, u: float, v: float) -> float:
@@ -56,11 +76,19 @@ class AdditiveBurstKernel(IfsKernel):
         if self.mean <= 0:
             raise ValueError("burst mean must be > 0")
 
-    def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(self.mean, size=np.asarray(ys).shape)
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Standard exponentials; ``thetas`` scales them, which gives bitwise
+        ``rng.exponential(mean)``."""
+        return rng.standard_exponential(out=out)
+
+    def thetas(self, ys: np.ndarray, variates: np.ndarray) -> np.ndarray:
+        return self.mean * variates
 
     def apply(self, theta, y):
         return np.asarray(y, dtype=float) + np.asarray(theta, dtype=float)
+
+    def mean_contraction(self, u: float, v: float) -> float:
+        return 1.0
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return 0.0
@@ -111,8 +139,12 @@ class FiniteAffineIfs(IfsKernel):
             raise ValueError("selection probabilities must be a probability vector")
         return p
 
-    def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Map indices by inverse CDF, one uniform per atom.
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """One uniform per atom."""
+        return rng.random(out=out)
+
+    def thetas(self, ys: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Map indices by inverse CDF.
 
         Each atom gets the number of CDF entries before the last that are at
         or below its uniform: ``searchsorted(cdf, u, side="right")``, except
@@ -121,7 +153,6 @@ class FiniteAffineIfs(IfsKernel):
         probabilities are evaluated once per distinct location.
         """
         ys = np.asarray(ys, dtype=float)
-        us = rng.random(ys.shape)
         cdf = self.cdf
         if cdf is None:
             locs, inverse = np.unique(ys.ravel(), return_inverse=True)
@@ -133,6 +164,10 @@ class FiniteAffineIfs(IfsKernel):
     def apply(self, theta, y):
         theta = np.asarray(theta, dtype=np.int64)
         return self.scales[theta] * np.asarray(y, dtype=float) + self.shifts[theta]
+
+    def mean_contraction(self, u: float, v: float) -> float:
+        """sum_k p_k(u) |scale_k|: map k moves the pair's gap by the factor |scale_k|."""
+        return float(np.sum(self._prob_vector(u) * np.abs(self.scales)))
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return float(np.abs(self._prob_vector(u) - self._prob_vector(v)).sum())
@@ -162,8 +197,8 @@ class SwitchingMatrix:
     checks them on its own location window. A matrix of numbers only is
     checked at construction; a callable entry is first called by ``check_rows``.
     ``rows_at`` stacks whole matrices for the grid and the diagnostics;
-    ``sample_vec`` holds one column of entries at a time, each atom's from
-    its own regime's row.
+    ``switch`` holds one column of entries at a time, each atom's from its
+    own regime's row.
     """
 
     def __init__(self, entries: Sequence[Sequence]):
@@ -198,9 +233,18 @@ class SwitchingMatrix:
                 out[:, i, j] = fn(ys)
         return out
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """One uniform per atom, whatever the regime count."""
+        return rng.random(out=out)
+
     def sample_vec(self, regimes: np.ndarray, ys_post: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-        """Post-jump regimes by inverse CDF: one uniform per atom, drawn first.
+        """Post-jump regimes: ``draw`` into a fresh array, then ``switch``."""
+        ys_post = np.asarray(ys_post, dtype=float)
+        return self.switch(regimes, ys_post, self.draw(rng, np.empty(ys_post.shape)))
+
+    def switch(self, regimes: np.ndarray, ys_post: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Post-jump regimes by inverse CDF of the uniforms ``us``.
 
         For each column j before the last, one full-length array holds every
         atom's own-row entry: column j of the last row at every atom, then
@@ -217,7 +261,6 @@ class SwitchingMatrix:
         bad = (regimes < 0) | (regimes >= self.n_regimes)
         if bad.any():
             raise ValueError(f"regime {regimes[bad].flat[0]} outside 0..{self.n_regimes - 1}")
-        us = rng.random(ys_post.shape)
         out = np.zeros(ys_post.shape, dtype=np.int64)
         cdf = 0.0
         for j in range(self.n_regimes - 1):
@@ -238,9 +281,24 @@ class PostJumpKernel:
     ifs: IfsKernel
     switching: SwitchingMatrix
 
+    def draw(self, rng: np.random.Generator, jump_out: np.ndarray,
+             switch_out: np.ndarray) -> None:
+        """Fill ``jump_out`` with the jump variates, then ``switch_out`` with the
+        switch uniforms, from ``rng``."""
+        self.ifs.draw(rng, jump_out)
+        self.switching.draw(rng, switch_out)
+
+    def move(self, ys: np.ndarray, regimes: np.ndarray, jump_variates: np.ndarray,
+             switch_uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Post-jump locations and regimes of atoms at pre-jump (ys, regimes)
+        from their ``draw`` variates."""
+        ys_post = self.ifs.apply(self.ifs.thetas(ys, jump_variates), ys)
+        return ys_post, self.switching.switch(regimes, ys_post, switch_uniforms)
+
     def sample_vec(self, ys: np.ndarray, regimes: np.ndarray,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        thetas = self.ifs.sample_vec(ys, rng)
-        ys_post = self.ifs.apply(thetas, ys)
-        regimes_post = self.switching.sample_vec(regimes, ys_post, rng)
-        return ys_post, regimes_post
+        """``draw`` into fresh arrays, then ``move``."""
+        ys = np.asarray(ys, dtype=float)
+        jump, switch = np.empty(ys.shape), np.empty(ys.shape)
+        self.draw(rng, jump, switch)
+        return self.move(ys, regimes, jump, switch)

@@ -5,10 +5,12 @@ continuous-time process interpolates it deterministically along the regime
 flow of each segment. Heavy Monte Carlo runs as an ensemble of replicas,
 vectorized across replicas and split into chunks of ``REPLICA_CHUNK`` with one
 spawned RNG stream per chunk. One stepping loop advances every chunk of one or
-several ensembles together: each step solves the holding times of all their
-atoms in one call, and each chunk draws from its own stream in a fixed order.
-So a chunk's arrays depend only on its run's seed and replica count, not on
-what runs beside it.
+several ensembles together over one flat state of all their atoms. Per chunk,
+each step only draws the chunk's variates from its own stream, in a fixed
+order, and records the chunk's new states; the holding-time solve, the flow
+and the jump and switch maps each run once per step over all atoms. So a
+chunk's arrays depend only on its run's seed and replica count, not on what
+runs beside it.
 """
 
 from __future__ import annotations
@@ -156,10 +158,9 @@ class _Chunk:
         for row, current in zip(self.history, (self.clock, self.ys, self.regimes)):
             row[self.steps] = current
 
-    def advance(self, dts: np.ndarray, ys: np.ndarray, regimes: np.ndarray) -> None:
-        """Record one step: holding times, then post-jump locations and regimes."""
-        self.clock = self.clock + dts
-        self.ys, self.regimes = ys, regimes
+    def advance(self, clock: np.ndarray, ys: np.ndarray, regimes: np.ndarray) -> None:
+        """Record one step: the jump times, post-jump locations and regimes."""
+        self.clock, self.ys, self.regimes = clock, ys, regimes
         self.steps += 1
         self._record()
 
@@ -198,26 +199,37 @@ class _Chunk:
 def _advance(model: ModelSpec, chunks: Sequence[_Chunk]) -> None:
     """Step every chunk until it has its steps or has passed its horizon.
 
-    Each step draws every running chunk's holding uniforms, solves all their
-    holding times in one ``invert_holding`` call and moves all their atoms in
-    one ``flow.evaluate`` call; then each chunk draws its jumps and regime
-    switches. A chunk's stream thus gives, step after step, exactly three
-    vectors (holding, jump, switch) of its own size, whatever runs beside it,
-    and its atoms' holding times do not depend on their batch.
+    The running chunks' states are concatenated into one flat (clock, ys,
+    regimes) state, rebuilt only when a chunk stops. Per chunk, each step
+    draws the chunk's holding uniforms, jump variates and switch uniforms, in
+    that order, from its own stream into its slice of three flat buffers, and
+    records the chunk's slice of the new state. Once per step, over all atoms,
+    ``invert_holding`` solves the holding times, ``flow.evaluate`` moves the
+    atoms to their jump locations and ``jump.move`` maps the variates to the
+    post-jump states. A chunk's stream thus gives, step after step, exactly
+    three vectors of its own size, whatever runs beside it, and every map is
+    elementwise, so its atoms do not depend on their batch.
     """
     running = [c for c in chunks if c.running()]
     while running:
-        targets = np.concatenate([-np.log1p(-c.rng.random(c.size)) for c in running])
-        ys = np.concatenate([c.ys for c in running])
-        regimes = np.concatenate([c.regimes for c in running])
-        dts = invert_holding(model.hazard, regimes, ys, targets)
-        pre = model.flow.evaluate(regimes, dts, ys)
-        stop = 0
-        for c in running:
-            part = slice(stop, stop + c.size)
-            stop = part.stop
-            c.advance(dts[part], *model.jump.sample_vec(pre[part], regimes[part], c.rng))
-        running = [c for c in running if c.running()]
+        stops = np.cumsum([c.size for c in running])
+        parts = [slice(stop - c.size, stop) for c, stop in zip(running, stops)]
+        clock, ys, regimes = (np.concatenate(states) for states in
+                              zip(*((c.clock, c.ys, c.regimes) for c in running)))
+        holding, jump, switch = np.empty((3, clock.size))
+        still = running
+        while len(still) == len(running):
+            for c, part in zip(running, parts):
+                c.rng.random(out=holding[part])
+                model.jump.draw(c.rng, jump[part], switch[part])
+            dts = invert_holding(model.hazard, regimes, ys, -np.log1p(-holding))
+            clock = clock + dts
+            ys, regimes = model.jump.move(model.flow.evaluate(regimes, dts, ys), regimes,
+                                          jump, switch)
+            for c, part in zip(running, parts):
+                c.advance(clock[part], ys[part], regimes[part])
+            still = [c for c in running if c.running()]
+        running = still
 
 
 def _chunk_sizes(n_replicas: int) -> list[int]:

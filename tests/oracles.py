@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from pdmp_lab.diagnostics import IFS_PAIRS, IFS_THETA_SAMPLES
+from pdmp_lab.diagnostics import IFS_PAIRS
 from pdmp_lab.flows import Semiflow
 from pdmp_lab.grid import GridModel
 from pdmp_lab.jumps import FiniteAffineIfs
@@ -210,21 +210,59 @@ def searchsorted_ifs_draw(ifs: FiniteAffineIfs, ys: np.ndarray,
     return np.minimum(out, last).reshape(ys.shape).astype(np.int64)
 
 
-def estimate_ifs_constants_two_calls(model: ModelSpec, rng: np.random.Generator
-                                     ) -> tuple[float, float, float]:
-    """``diagnostics.estimate_ifs_constants`` as it was written with one ``apply``
-    call per side of each pair, each on an ``np.full`` array."""
+IFS_THETA_SAMPLES = 20_000
+"""Map indices drawn at each pair by ``ifs_pairs_two_calls``."""
+
+
+@dataclass(frozen=True)
+class IfsPair:
+    """One location pair of ``ifs_pairs_two_calls`` and its per-pair estimates."""
+
+    u: float
+    v: float
+    contraction: float  # mean |w(u) - w(v)| over |u - v|, over the sampled thetas
+    contraction_se: float  # its standard error
+    contraction_rounding: float  # 4 eps of the mean |w(u)| + |w(v)|, over |u - v|
+    density_lipschitz: float
+    overlap: float
+
+
+def ifs_pairs_two_calls(model: ModelSpec, rng: np.random.Generator) -> list[IfsPair]:
+    """The kept location pairs of ``diagnostics.estimate_ifs_constants``, each with
+    the Monte Carlo mean contraction over IFS_THETA_SAMPLES thetas drawn at u, as
+    that estimate was written with one ``apply`` call per side of the pair, each
+    on an ``np.full`` array.
+
+    Each spread is rounded by about eps times the size of its images, far more
+    than its standard error where every map moves the gap by the same factor;
+    ``contraction_rounding`` bounds that with margin (1.5 eps seen at most)."""
     us = rng.uniform(0.0, model.y_max, size=IFS_PAIRS)
     vs = rng.uniform(0.0, model.y_max, size=IFS_PAIRS)
     keep = np.abs(us - vs) > 1e-9
     ifs = model.jump.ifs
-    lw_hat, lp_hat, dp_hat = 0.0, 0.0, math.inf
+    pairs = []
     for u, v in zip(us[keep], vs[keep]):
         gap = abs(u - v)
         thetas = ifs.sample_vec(np.full(IFS_THETA_SAMPLES, u), rng)
-        spread = np.abs(np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, u)))
-                        - np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, v))))
-        lw_hat = max(lw_hat, float(spread.mean()) / gap)
-        lp_hat = max(lp_hat, ifs.density_l1_gap(u, v) / gap)
-        dp_hat = min(dp_hat, ifs.overlap_on(u, v, model.declared.jump_mean_contraction))
-    return lw_hat, lp_hat, dp_hat
+        image_u = np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, u)))
+        image_v = np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, v)))
+        spread = np.abs(image_u - image_v)
+        size = float(np.mean(np.abs(image_u) + np.abs(image_v)))
+        pairs.append(IfsPair(
+            u=float(u), v=float(v), contraction=float(spread.mean()) / gap,
+            contraction_se=float(spread.std()) / math.sqrt(spread.size) / gap,
+            contraction_rounding=4.0 * np.finfo(float).eps * size / gap,
+            density_lipschitz=ifs.density_l1_gap(u, v) / gap,
+            overlap=ifs.overlap_on(u, v, model.declared.jump_mean_contraction)))
+    return pairs
+
+
+def estimate_ifs_constants_two_calls(model: ModelSpec, rng: np.random.Generator
+                                     ) -> tuple[float, float, float]:
+    """The Monte Carlo reference of ``diagnostics.estimate_ifs_constants``: sup of
+    the sampled mean contraction and of the density L1 modulus, and inf of the
+    contracting overlap, over the pairs of ``ifs_pairs_two_calls``."""
+    pairs = ifs_pairs_two_calls(model, rng)
+    return (max([0.0] + [p.contraction for p in pairs]),
+            max([0.0] + [p.density_lipschitz for p in pairs]),
+            min([math.inf] + [p.overlap for p in pairs]))

@@ -6,6 +6,7 @@ import pytest
 
 from pdmp_lab import diagnostics
 from pdmp_lab.diagnostics import (
+    IFS_PAIRS,
     drift_constants,
     estimate_flow_contraction,
     estimate_ifs_constants,
@@ -29,7 +30,7 @@ from pdmp_lab.models import (
     gene_expression_model,
     two_regime_model,
 )
-from oracles import estimate_ifs_constants_two_calls
+from oracles import estimate_ifs_constants_two_calls, ifs_pairs_two_calls
 
 GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
@@ -108,14 +109,14 @@ def test_jump_displacement_scales_with_burst_mean():
 
 def test_ifs_constants_additive_bursts():
     lw, lp, dp = estimate_ifs_constants(GENE, np.random.default_rng(6))
-    assert lw == pytest.approx(1.0, abs=1e-9)  # isometries
+    assert lw == 1.0  # isometries, in closed form
     assert lp == 0.0
     assert dp == 1.0
 
 
 def test_ifs_constants_halving_maps():
     lw, lp, dp = estimate_ifs_constants(TWO, np.random.default_rng(7))
-    assert lw == pytest.approx(0.5, abs=1e-9)
+    assert lw == 0.5
     assert lp == 0.0
     assert dp == 1.0
 
@@ -156,8 +157,20 @@ def _state_dependent_ifs_model():
 @pytest.mark.parametrize("model", [GENE, TWO, _state_dependent_ifs_model()],
                          ids=["bursts", "halving", "state-dependent-affine"])
 def test_ifs_constants_are_bitwise_the_two_call_estimate(model):
-    new_rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
-    assert estimate_ifs_constants(model, new_rng) == estimate_ifs_constants_two_calls(model, ref_rng)
+    new_rng = np.random.default_rng(25)
+    lw, lp, dp = estimate_ifs_constants(model, new_rng)
+    _, lp_ref, dp_ref = estimate_ifs_constants_two_calls(model, np.random.default_rng(25))
+    assert (lp, dp) == (lp_ref, dp_ref)
+    # the closed-form mean contraction at each pair agrees with the Monte Carlo one
+    pairs = ifs_pairs_two_calls(model, np.random.default_rng(25))
+    exact = [model.jump.ifs.mean_contraction(p.u, p.v) for p in pairs]
+    for p, value in zip(pairs, exact):
+        assert abs(value - p.contraction) <= 4.0 * p.contraction_se + p.contraction_rounding
+    assert lw == max(exact)
+    # only the pair locations are drawn
+    ref_rng = np.random.default_rng(25)
+    ref_rng.uniform(0.0, model.y_max, IFS_PAIRS)
+    ref_rng.uniform(0.0, model.y_max, IFS_PAIRS)
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,13 +34,17 @@ def test_sample_theta_degenerate_two_atom_density():
 
 
 class FixedUniform:
-    """Stands in for a Generator whose every uniform draw is ``u``."""
+    """Stands in for a Generator whose every uniform draw is ``u``, into a new
+    array of shape ``size`` or into ``out``."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, shape):
-        return np.full(shape, self.u)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)
+        out[...] = self.u
+        return out
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.5 - 1e-10), lambda y: (0.5, 0.5 - 1e-10)])
@@ -54,13 +59,17 @@ def test_uniform_past_a_short_cdf_selects_the_last_map(probs):
 
 
 class GivenUniforms:
-    """Stands in for a Generator whose uniform draws are ``us``, in order."""
+    """Stands in for a Generator whose uniform draws are ``us``, in order, into a
+    new array of shape ``size`` or into ``out``."""
 
     def __init__(self, us):
         self.us = np.asarray(us, dtype=float)
 
-    def random(self, shape):
-        return self.us.reshape(shape)
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.us.reshape(size)
+        out[...] = self.us.reshape(out.shape)
+        return out
 
 
 def _three_way(y):
@@ -339,11 +348,64 @@ def test_mean_contraction_of_shipped_kernels():
             u, v = rng.uniform(0, 10, 2)
             if abs(u - v) < 1e-9:
                 continue
+            assert kernel.mean_contraction(u, v) == factor
             thetas = kernel.sample_vec(np.full(5000, u), rng)
             spread = np.abs(kernel.apply(thetas, np.full(5000, u))
                             - kernel.apply(thetas, np.full(5000, v)))
             se = spread.std() / math.sqrt(spread.size)
             assert spread.mean() <= factor * abs(u - v) + 3 * se + 1e-12
+
+
+def test_mean_contraction_of_a_state_dependent_kernel():
+    # sum_k p_k(u) |s_k|: the law at the first point of the pair, a negative scale by its size
+    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (-1.0, 2.0), (0.25, 1.0)), probs=_three_way)
+    for u, v in ((0.0, 1.0), (3.0, 0.5), (7.25, 7.5)):
+        p = _three_way(u)
+        assert kernel.mean_contraction(u, v) == p[0] * 0.5 + p[1] * 1.0 + p[2] * 0.25
+        assert kernel.mean_contraction(u, v) == kernel.mean_contraction(u, v + 1.0)
+
+
+JUMP_FAMILIES = {
+    "bursts": AdditiveBurstKernel(mean=0.7),
+    "constant": FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 1.0)), probs=(0.3, 0.7)),
+    "callable": FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=_three_way),
+}
+
+
+def pre_split_jump(kernel, ys, regimes, rng):
+    """The post-jump draw as it was written before it was split into a draw and a
+    map: the theta law sampled whole, then the switch."""
+    if isinstance(kernel.ifs, AdditiveBurstKernel):
+        thetas = rng.exponential(kernel.ifs.mean, size=ys.shape)
+    else:
+        thetas = searchsorted_ifs_draw(kernel.ifs, ys, rng)
+    ys_post = kernel.ifs.apply(thetas, ys)
+    return ys_post, full_stack_switch(kernel.switching, regimes, ys_post, rng)
+
+
+@pytest.mark.parametrize("switches", ["one", "two-ramp", "three-mixed"])
+@pytest.mark.parametrize("family", JUMP_FAMILIES.keys())
+def test_split_draw_over_chunks_is_bitwise_each_chunks_sample_vec(family, switches):
+    # each chunk draws from its own stream into its slice; one map over all chunks
+    kernel = PostJumpKernel(JUMP_FAMILIES[family], SwitchingMatrix(SWITCHES[switches]))
+    data = np.random.default_rng(30)
+    sizes = (7, 300, 1, 45)
+    ys = [np.concatenate([[0.5], data.uniform(0.0, 3.0, n - 1)]) for n in sizes]
+    regimes = [data.integers(0, kernel.switching.n_regimes, n) for n in sizes]
+    jump, switch = np.empty(sum(sizes)), np.empty(sum(sizes))
+    parts = [slice(stop - n, stop) for n, stop in zip(sizes, np.cumsum(sizes))]
+    streams = [np.random.default_rng(40 + k) for k in range(len(sizes))]
+    for rng, part in zip(streams, parts):
+        kernel.draw(rng, jump[part], switch[part])
+    ys_post, regimes_post = kernel.move(np.concatenate(ys), np.concatenate(regimes), jump, switch)
+    assert regimes_post.dtype == np.int64
+    for k, part in enumerate(parts):
+        for reference in (kernel.sample_vec, partial(pre_split_jump, kernel)):
+            ref_rng = np.random.default_rng(40 + k)
+            want_ys, want_regimes = reference(ys[k], regimes[k], ref_rng)
+            assert np.array_equal(ys_post[part], want_ys)
+            assert np.array_equal(regimes_post[part], want_regimes)
+            assert streams[k].bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_drift_of_jump_gauge():

@@ -273,11 +273,14 @@ def assert_matches_reference(model, ens, run):
     (TWO_SAT, [EnsembleRun(60, 6, t_end=2.0), EnsembleRun(25, 5, i0=1, n_steps=50),
                EnsembleRun(9, 7, y0=4.0, n_steps=0)]),
     (TWO, [EnsembleRun(33, 8, n_steps=30), EnsembleRun(50, 9, y0=0.5, t_end=10.0)]),
+    # the middle run stops first (after 9 steps), leaving survivors on both sides of it
+    (TWO_SAT, [EnsembleRun(40, 21, n_steps=50), EnsembleRun(30, 22, y0=1.0, t_end=2.0),
+               EnsembleRun(35, 23, i0=1, n_steps=30)]),
     # a run of two chunks beside a one-chunk run
     (GENE_SAT, [EnsembleRun(REPLICA_CHUNK + 88, 10, n_steps=4),
                 EnsembleRun(30, 11, t_end=6.0)]),
 ], ids=["fixed-first", "fixed-last", "two-regime", "three-runs", "two-regime-constant",
-        "two-chunks"])
+        "middle-stops-first", "two-chunks"])
 def test_runs_side_by_side_are_bitwise_each_run_alone(model, runs):
     together = run_ensembles(model, runs)
     assert len(together) == len(runs)
