@@ -66,11 +66,16 @@ class AffineExpFlow(Semiflow):
         object.__setattr__(self, "anchor_of", np.array(self.anchors, dtype=float))
 
     def evaluate(self, i, t, y):
-        # written as y*decay + c*(1-decay) so S(0, y) returns y exactly
+        # written as y*decay + c*(1-decay) so S(0, y) returns y exactly; the
+        # sum is formed in place of y*decay, the one array of the full shape
         t = self._checked_time(i, t)
         c = self.anchor_of[i]
         decay = np.exp(-self.rate_of[i] * t)
-        return np.asarray(y, dtype=float) * decay + c * (1.0 - decay)
+        out = np.asarray(y, dtype=float) * decay
+        decay = 1.0 - decay
+        decay *= c
+        out += decay
+        return out
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ Locations are discretized to M nodes on [0, y_max]; the regime label stays
 exact, so states are flat indices i*M + m. Time and map-index integrals are
 replaced by quadrature cells whose masses come from the exact survival
 function; images are projected to the nearest node. Rows are assembled
-GRID_NODE_BLOCK nodes at a time, each block's cells binned into its rows by
-one ``np.bincount``.
+GRID_ASSEMBLY_NODES nodes at a time, each block's cells binned into its rows
+by one ``np.bincount``.
 
 Five kernels are assembled, three are kept, each n_states^2 floats: ``pre_jump``
 is overwritten block by block with ``transition`` = pre_jump @ post_jump per
 regime band, and ``post_jump`` is scaled in place by the rate at each origin
-node into ``weighted_post_jump``.
+node into ``weighted_post_jump``. Beside those three, an oracle pass (build,
+factorization check, correspondence) holds at most four (GRID_ASSEMBLY_NODES,
+cell) assembly arrays or one product row block, GRID_NODE_BLOCK x n_states
+floats with its nonzero mask, whichever is larger, plus vectors.
 
 The transition pass and both factorization residuals form each row block's
 products over its column span only, skipping columns that can only add zeros.
@@ -54,8 +57,13 @@ GRID_THETA_CELLS = 1000
 GRID_RESIDUAL_TOL = 1e-6
 """Largest factorization and correspondence residual that passes."""
 GRID_NODE_BLOCK = 128
-"""Nodes assembled together, and matrix rows per factorization residual block.
-At GRID_TIME_CELLS one (block, cell) array is 2 MB."""
+"""Matrix rows per block of the grid products: the transition pass and the
+factorization residual. It fixes how each product is split, and so its
+rounding."""
+GRID_ASSEMBLY_NODES = 16
+"""Nodes per block of grid assembly (``_flow_rows``, ``_jump_rows``): a
+(block, GRID_TIME_CELLS + 1) float array is 256 KB. Assembly splits only
+elementwise work and whole rows, so the block size changes no bit."""
 
 
 class GridAssemblyError(RuntimeError):
@@ -145,9 +153,9 @@ class GridModel:
         return float(np.dot(v, ys) / np.sum(v))
 
 
-def _node_blocks(m: int):
-    """Consecutive slices of at most GRID_NODE_BLOCK nodes covering 0..m-1."""
-    return [slice(s, min(s + GRID_NODE_BLOCK, m)) for s in range(0, m, GRID_NODE_BLOCK)]
+def _node_blocks(m: int, size: int = GRID_NODE_BLOCK):
+    """Consecutive slices of at most ``size`` nodes covering 0..m-1."""
+    return [slice(s, min(s + size, m)) for s in range(0, m, size)]
 
 
 def _nearest_node(pos: np.ndarray, spacing: float, m: int):
@@ -179,11 +187,12 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
     rows = np.zeros((n_states, n_states))
     leak = np.zeros((2, n_regimes, m))
     spacing = nodes[1] - nodes[0]
-    for blk in _node_blocks(m):
+    for blk in _node_blocks(m, GRID_ASSEMBLY_NODES):
         ys = nodes[blk]
         b = ys.size
         images = np.asarray(model.jump.ifs.apply(points[None, :], ys[:, None]), dtype=float)
         idx, sides = _nearest_node(images, spacing, m)
+        del images
         if sides is not None:  # the same jump law from the node in every regime
             for side, outside in zip(leak, sides):
                 side[:, blk] = np.where(outside, masses[blk], 0.0).sum(axis=1)
@@ -192,10 +201,13 @@ def _jump_rows(model: ModelSpec, nodes: np.ndarray, n_regimes: int,
         # flat (r, j, theta) order adds each bin's terms in theta order
         bins = (np.arange(b)[:, None, None] * n_states + np.arange(n_regimes)[None, :, None] * m
                 + idx[:, None, :]).ravel()
+        del idx
+        weights = np.empty((b, n_regimes, k))
         for i in range(n_regimes):
-            weights = masses[blk, None, :] * switch[:, :, i, :].transpose(0, 2, 1)
+            np.multiply(masses[blk, None, :], switch[:, :, i, :].transpose(0, 2, 1), out=weights)
             rows[i * m + blk.start: i * m + blk.stop] = np.bincount(
                 bins, weights.ravel(), minlength=b * n_states).reshape(b, n_states)
+        del switch, bins, weights  # freed before the next block's are made
     return rows, leak.reshape(2, n_states)
 
 
@@ -223,7 +235,7 @@ def _flow_rows(model: ModelSpec, nodes: np.ndarray,
     leak = np.zeros((2, n_regimes, m))
     for i in range(n_regimes):
         band = slice(i * m, (i + 1) * m)
-        for blk in _node_blocks(m):
+        for blk in _node_blocks(m, GRID_ASSEMBLY_NODES):
             ys = nodes[blk]
             b = ys.size
             # survival at the edges becomes, in place, each cell's mass with
@@ -245,6 +257,7 @@ def _flow_rows(model: ModelSpec, nodes: np.ndarray,
                                                minlength=b * m).reshape(b, m)
             occupation[rows, band] = np.bincount(img.ravel(), occ_mass.ravel(),
                                                  minlength=b * m).reshape(b, m)
+            del mass, img, occ_mass  # freed before the next block's are made
     return pre_jump, occupation, leak.reshape(2, n_states)
 
 

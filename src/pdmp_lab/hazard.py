@@ -162,8 +162,11 @@ class CumulativeHazard:
         return _saturating_hazard(self, i, y)(t)
 
     def survival(self, i, t, y):
-        """P(holding time > t) = exp(-H(y, i, t)) in (0, 1]."""
-        return np.exp(-np.asarray(self.value(i, t, y), dtype=float))
+        """P(holding time > t) = exp(-H(y, i, t)) in (0, 1], computed in place
+        of the fresh array ``value`` returns."""
+        h = np.asarray(self.value(i, t, y), dtype=float)
+        np.negative(h, out=h)
+        return np.exp(h, out=h)[()]
 
 
 def invert_holding(h: CumulativeHazard, i, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -253,7 +256,10 @@ def _saturating_hazard(h: CumulativeHazard, i, y) -> Callable:
     log(1 + y)): one exp and one log per call, and one division more for the
     slope. What depends only on the start is computed once. kappa and c are
     scalars for a scalar regime and are gathered per start for a regime
-    array. The caller has checked the regime and t >= 0.
+    array. The caller has checked the regime and t >= 0. Each call fills one
+    array of the broadcast shape with s and, without ``slope``, turns it into
+    H in place by the same operations in the same order; a 0-d result is
+    returned as a scalar, as a ufunc returns it.
     """
     gain = h.intensity.gain
     top = h.intensity.base + gain
@@ -265,9 +271,14 @@ def _saturating_hazard(h: CumulativeHazard, i, y) -> Callable:
     coef = gain / (kappa * one_c)
 
     def hazard(t, slope=False):
-        s = one_c + w0 * np.exp(-kappa * t)
-        value = rate_c * t - coef * (np.log(s) - log_start)
-        return (value, top - gain / s) if slope else value
+        s = np.asarray(w0 * np.exp(-kappa * t))
+        s += one_c
+        if slope:
+            return rate_c * t - coef * (np.log(s) - log_start), top - gain / s
+        np.log(s, out=s)
+        s -= log_start
+        s *= coef
+        return np.subtract(rate_c * t, s, out=s)[()]
 
     return hazard
 

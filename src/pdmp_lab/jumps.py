@@ -237,12 +237,6 @@ class SwitchingMatrix:
         """One uniform per atom, whatever the regime count."""
         return rng.random(out=out)
 
-    def sample_vec(self, regimes: np.ndarray, ys_post: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-        """Post-jump regimes: ``draw`` into a fresh array, then ``switch``."""
-        ys_post = np.asarray(ys_post, dtype=float)
-        return self.switch(regimes, ys_post, self.draw(rng, np.empty(ys_post.shape)))
-
     def switch(self, regimes: np.ndarray, ys_post: np.ndarray, us: np.ndarray) -> np.ndarray:
         """Post-jump regimes by inverse CDF of the uniforms ``us``.
 

@@ -266,3 +266,31 @@ def estimate_ifs_constants_two_calls(model: ModelSpec, rng: np.random.Generator
     return (max([0.0] + [p.contraction for p in pairs]),
             max([0.0] + [p.density_lipschitz for p in pairs]),
             min([math.inf] + [p.overlap for p in pairs]))
+
+
+def saturating_hazard_out_of_place(hz: CumulativeHazard, i, t, y, slope: bool = False):
+    """H(y, i, t) of the saturating pair, or (H, lambda(S_i(t, y))) with ``slope``,
+    as ``hazard._saturating_hazard`` wrote it with a fresh array per operation."""
+    gain = hz.intensity.gain
+    top = hz.intensity.base + gain
+    kappa, c = hz.flow.rate_of[i], hz.flow.anchor_of[i]
+    one_c = 1.0 + c
+    w0 = np.asarray(y, dtype=float) - c
+    log_start = np.log(one_c + w0)
+    rate_c = top - gain / one_c
+    coef = gain / (kappa * one_c)
+    s = one_c + w0 * np.exp(-kappa * t)
+    value = rate_c * t - coef * (np.log(s) - log_start)
+    return (value, top - gain / s) if slope else value
+
+
+def survival_out_of_place(hz: CumulativeHazard, i, t, y):
+    """``CumulativeHazard.survival`` as it was written with a fresh array per operation."""
+    return np.exp(-np.asarray(hz.value(i, t, y), dtype=float))
+
+
+def affine_flow_out_of_place(flow: Semiflow, i, t, y):
+    """``AffineExpFlow.evaluate`` as it was written with a fresh array per operation."""
+    c = flow.anchor_of[i]
+    decay = np.exp(-flow.rate_of[i] * np.asarray(t, dtype=float))
+    return np.asarray(y, dtype=float) * decay + c * (1.0 - decay)

@@ -7,6 +7,7 @@ import pytest
 from pdmp_lab import grid as grid_module
 from pdmp_lab.flows import AffineExpFlow, FrozenFlow
 from pdmp_lab.grid import (
+    GRID_ASSEMBLY_NODES,
     GRID_NODE_BLOCK,
     GRID_THETA_CELLS,
     GRID_TIME_CELLS,
@@ -129,6 +130,17 @@ def state_dependent_ifs_model():
         declared=DeclaredConstants(), y_max=1.0)
 
 
+def frozen_saturating_model():
+    """Two regimes on a frozen flow with a saturating rate: a path-constant pair
+    whose rate differs at every node, under halving maps."""
+    return ModelSpec(
+        name="frozen-saturating", flow=FrozenFlow(n_regimes=2),
+        intensity=SaturatingIntensity(base=1.0, gain=0.5),
+        jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5))),
+                            SwitchingMatrix([[0.25, 0.75], [0.6, 0.4]])),
+        declared=DeclaredConstants(), y_max=1.0)
+
+
 ASSEMBLY_CASES = [
     pytest.param(GENE_SAT, 2 * GRID_NODE_BLOCK + 44,  # one regime, last block partial
                  id="gene-saturating"),
@@ -136,6 +148,8 @@ ASSEMBLY_CASES = [
     pytest.param(state_dependent_ifs_model(), 90,  # state-dependent masses, a single partial block
                  id="state-dependent-ifs"),
     pytest.param(GENE, GRID_NODE_BLOCK, id="gene-one-full-block"),
+    # a frozen flow: each cell's image is its own node, at a distinct rate per node
+    pytest.param(frozen_saturating_model(), 75, id="frozen-saturating"),
 ]
 
 
@@ -154,6 +168,23 @@ def test_blocked_assembly_matches_per_row_reference(model, m):
     # the fused pass writes the transition the grid holds over its pre_jump argument
     grid_module._transition_over_pre_jump(pre_jump, post_jump, model.n_regimes)
     assert np.array_equal(pre_jump, grid.transition)
+
+
+@pytest.mark.parametrize("model, m", ASSEMBLY_CASES)
+def test_assembly_does_not_depend_on_its_node_blocks(model, m, monkeypatch):
+    # the assembly blocks split only elementwise work and whole rows; every
+    # product keeps its GRID_NODE_BLOCK rows, so the grid keeps its bits too
+    def assembled():
+        grid = build_grid_model(model, m)
+        return (*assembly_factors(model, m), grid.transition, grid.occupation,
+                grid.weighted_post_jump, grid.fixed_point,
+                np.array([grid.residual_plain, grid.stationary_leak]))
+
+    default = assembled()
+    for size in (1, 7, 32, 128):
+        monkeypatch.setattr(grid_module, "GRID_ASSEMBLY_NODES", size)
+        for want, got in zip(default, assembled()):
+            assert got.tobytes() == want.tobytes(), size
 
 
 @pytest.mark.parametrize("model, m", ASSEMBLY_CASES + [
@@ -201,6 +232,28 @@ def test_grid_memory_grows_by_three_matrices_per_state_squared():
             tracemalloc.stop()
     growth = (peaks[1600] - peaks[1024]) / (8 * (1600 ** 2 - 1024 ** 2))
     assert growth <= 3.5
+
+
+def test_grid_scratch_stays_within_its_budget():
+    # beyond its three matrices an oracle pass holds at most four assembly
+    # arrays of GRID_ASSEMBLY_NODES rows by GRID_TIME_CELLS + 1 cells or one
+    # product row block with its nonzero mask (9 bytes an entry), whichever is
+    # larger, and vectors: here 1.96 MB against 2.10 MB; flow rows assembled in
+    # blocks of GRID_NODE_BLOCK nodes hold 7.9 MB
+    m = 1600
+    tracemalloc.start()
+    try:
+        grid = build_grid_model(GENE_SAT, m)
+        check_factorization(grid)
+        oracle_correspondence(grid)
+        del grid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vectors = 16 * 8 * max(m, GRID_TIME_CELLS + 1)
+    assembly = 4 * 8 * GRID_ASSEMBLY_NODES * (GRID_TIME_CELLS + 1)
+    budget = max(assembly, 9 * GRID_NODE_BLOCK * m) + vectors
+    assert peak <= 3 * m * m * 8 + budget
 
 
 @pytest.mark.parametrize("y_max", [0.0, -5.0, np.nan, np.inf])

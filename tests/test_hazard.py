@@ -19,7 +19,15 @@ from pdmp_lab.hazard import (
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import MODEL_REGISTRY, DeclaredConstants, ModelSpec, build_model, two_regime_model
 
-from oracles import hazard_by_legendre, ks_critical, ks_statistic, ks_statistic_weighted
+from oracles import (
+    affine_flow_out_of_place,
+    hazard_by_legendre,
+    ks_critical,
+    ks_statistic,
+    ks_statistic_weighted,
+    saturating_hazard_out_of_place,
+    survival_out_of_place,
+)
 
 FLOW = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
 # rate band [1, 2]: the variant used in the worked closed-form example
@@ -324,6 +332,48 @@ def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
     quad = hazard_by_legendre(hz, regimes[head], ts, ys[head])
     assert np.abs(hz.value(regimes[head], ts, ys[head]) - quad).max() <= 1e-9
     assert set(regimes[head]) == set(range(flow.n_regimes))
+
+
+def _same_bits(new, old):
+    """Equal type, shape and bytes: a 0-d result stays a numpy scalar, and a
+    zero keeps its sign."""
+    return (type(new) is type(old) and np.shape(new) == np.shape(old)
+            and np.asarray(new).tobytes() == np.asarray(old).tobytes())
+
+
+_RNG = np.random.default_rng(31)
+# (regime, t, y): 0-d arrays, scalars, 1-D arrays, a regime array, and the
+# grid's (b, 1) starts against (1, k) times; t = 0 gives H = 0 exactly
+CLOSED_FORM_INPUTS = {
+    "0-d": (np.array(1), np.array(0.7), np.array(2.5)),
+    "scalar": (0, 0.7, 2.5),
+    "scalar-t-zero": (1, 0.0, 2.5),
+    "1-d": (1, _RNG.exponential(1.0, 50), _RNG.uniform(0.0, 30.0, 50)),
+    "1-d-t-scalar": (0, 1.3, np.concatenate([[0.0, 1.5], _RNG.uniform(0.0, 30.0, 48)])),
+    "regime-array": (_RNG.integers(0, 2, 50), np.concatenate([[0.0], _RNG.exponential(1.0, 49)]),
+                     _RNG.uniform(0.0, 30.0, 50)),
+    "block-by-cells": (1, np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 30)])[None, :],
+                       np.linspace(0.0, 15.0, 7)[:, None]),
+}
+INPLACE_FLOW = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
+
+
+@pytest.mark.parametrize("i, t, y", CLOSED_FORM_INPUTS.values(), ids=CLOSED_FORM_INPUTS.keys())
+def test_in_place_closed_forms_are_bitwise_the_out_of_place_expressions(i, t, y):
+    saturating = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5),
+                                  flow=INPLACE_FLOW)
+    hazard = hazard_module._saturating_hazard(saturating, i, y)
+    assert _same_bits(hazard(t), saturating_hazard_out_of_place(saturating, i, t, y))
+    for new, old in zip(hazard(t, slope=True),
+                        saturating_hazard_out_of_place(saturating, i, t, y, slope=True)):
+        assert _same_bits(new, old)
+    assert _same_bits(saturating.value(i, t, y), saturating_hazard_out_of_place(saturating, i, t, y))
+    for hz in (saturating,
+               CumulativeHazard(intensity=ConstantIntensity(2.0), flow=INPLACE_FLOW),
+               CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5),
+                                flow=FrozenFlow(n_regimes=2))):
+        assert _same_bits(hz.survival(i, t, y), survival_out_of_place(hz, i, t, y))
+    assert _same_bits(INPLACE_FLOW.evaluate(i, t, y), affine_flow_out_of_place(INPLACE_FLOW, i, t, y))
 
 
 def test_declared_bounds_enter_only_the_bracket():

@@ -181,14 +181,15 @@ def test_density_normalization_over_quadrature():
 def test_switching_single_regime():
     rng = np.random.default_rng(7)
     pi = SwitchingMatrix([[1.0]])
-    assert np.array_equal(pi.sample_vec(np.zeros(10, dtype=np.int64), np.full(10, 3.0), rng),
-                          np.zeros(10, dtype=np.int64))
+    draws = pi.switch(np.zeros(10, dtype=np.int64), np.full(10, 3.0), pi.draw(rng, np.empty(10)))
+    assert np.array_equal(draws, np.zeros(10, dtype=np.int64))
 
 
 def test_switching_uniform_frequencies():
     rng = np.random.default_rng(8)
     pi = SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]])
-    draws = pi.sample_vec(np.zeros(100_000, dtype=np.int64), np.zeros(100_000), rng)
+    draws = pi.switch(np.zeros(100_000, dtype=np.int64), np.zeros(100_000),
+                      pi.draw(rng, np.empty(100_000)))
     assert (draws == 0).mean() == pytest.approx(0.5, abs=0.005)
 
 
@@ -196,7 +197,7 @@ def test_switching_absorbing_row():
     rng = np.random.default_rng(9)
     pi = SwitchingMatrix([[1.0, 0.0], [1.0, 0.0]])
     ys = np.repeat([0.0, 2.0, 7.5], 2)
-    draws = pi.sample_vec(np.tile([0, 1], 3), ys, rng)
+    draws = pi.switch(np.tile([0, 1], 3), ys, pi.draw(rng, np.empty(6)))
     assert np.array_equal(draws, np.zeros(6, dtype=np.int64))
 
 
@@ -237,7 +238,7 @@ def test_switching_rejects_labels_outside_the_regimes():
                     (SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]]), -3)):
         n = pi.n_regimes
         with pytest.raises(ValueError, match=rf"regime {bad} outside 0\.\.{n - 1}"):
-            pi.sample_vec(np.array([0, bad, 0]), ys, np.random.default_rng(14))
+            pi.switch(np.array([0, bad, 0]), ys, pi.draw(np.random.default_rng(14), np.empty(3)))
 
 
 def _clip_stay(y):
@@ -272,7 +273,7 @@ def test_switch_draw_is_bitwise_the_full_stack_draw(entries):
     ys = np.concatenate([np.repeat([0.1, 0.9], 50), rng.uniform(0.0, 2.0, n - 100)])
     regimes = rng.integers(0, pi.n_regimes, n)
     new_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    draws = pi.sample_vec(regimes, ys, new_rng)
+    draws = pi.switch(regimes, ys, pi.draw(new_rng, np.empty(n)))
     assert draws.dtype == np.int64
     assert np.array_equal(draws, full_stack_switch(pi, regimes, ys, ref_rng))
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -288,7 +289,7 @@ def test_switch_draw_scratch_is_bounded():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pi.sample_vec(regimes, ys, rng)
+        pi.switch(regimes, ys, pi.draw(rng, np.empty(n)))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
