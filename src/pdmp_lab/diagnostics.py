@@ -6,10 +6,11 @@ samples show. Suprema over continuous domains cannot be certified by
 sampling alone, so estimates carry a tolerance and the declared value is
 treated as the bound being claimed.
 
-The jump kernel's constants are sampled only over location pairs: at each
-pair, the mean contraction E_{theta ~ p(u)} |w_theta(u) - w_theta(v)| / |u - v|,
-the density L1 gap and the contracting overlap are the kernel's closed forms,
-so no theta is drawn for them.
+The jump kernel's constants are its closed forms, sampled only over
+locations, so no theta is drawn: at each probe location y the mean jump
+displacement E_{theta ~ p(y)} |w_theta(anchor) - anchor|, and at each pair
+(u, v) the mean contraction E_{theta ~ p(u)} |w_theta(u) - w_theta(v)| / |u - v|,
+the density L1 gap and the contracting overlap.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ FLOW_CONTRACTION_PAIRS = 2000
 FLOW_CONTRACTION_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)
 FLOW_GAP_SAMPLES = 4000
 JUMP_DISPLACEMENT_PROBES = 16
-JUMP_DISPLACEMENT_SAMPLES = 20_000  # jumps drawn at each probe
 SWITCH_PROBES = 200
 IFS_PAIRS = 300  # location pairs, before coincident ones are dropped
 INTENSITY_SCAN_POINTS = 4000
@@ -148,21 +148,12 @@ def flow_displacement_integral(model: ModelSpec) -> float:
     return max(float(np.sum(weights * discount * g)) for g in gaps)
 
 
-def jump_displacement_bound(model: ModelSpec, rng: np.random.Generator) -> float:
-    """Sup over probe locations of the mean jump distance of the anchor.
-
-    Estimate plus three standard errors, so a passing declared bound is
-    unlikely to be overrun by Monte Carlo noise. Exact in y for the shipped
-    state-independent selection densities.
-    """
+def jump_displacement_bound(model: ModelSpec) -> float:
+    """Sup over probe locations y of the kernel's closed-form mean jump distance
+    of the anchor, E_{theta ~ p(y)} |w_theta(anchor) - anchor|."""
     anchor = model.declared.anchor
-    n = JUMP_DISPLACEMENT_SAMPLES
-    worst = 0.0
-    for y in np.linspace(0.0, model.y_max, JUMP_DISPLACEMENT_PROBES):
-        thetas = model.jump.ifs.sample_vec(np.full(n, y), rng)
-        dist = np.abs(np.asarray(model.jump.ifs.apply(thetas, np.full(n, anchor))) - anchor)
-        worst = max(worst, float(dist.mean() + 3.0 * dist.std() / math.sqrt(n)))
-    return worst
+    return max(model.jump.ifs.mean_displacement(y, anchor)
+               for y in np.linspace(0.0, model.y_max, JUMP_DISPLACEMENT_PROBES))
 
 
 def estimate_ifs_constants(model: ModelSpec, rng: np.random.Generator
@@ -354,7 +345,7 @@ def run_assumption_suite(model: ModelSpec, seed) -> AssumptionReport:
     checks.append(Check("flow-displacement:deviation", abs(beta_hat - d.flow_displacement),
                         ESTIMATE_RTOL * max(1.0, d.flow_displacement), "<=", "declared"))
 
-    gamma_hat = jump_displacement_bound(model, rng)
+    gamma_hat = jump_displacement_bound(model)
     estimates["jump_displacement"] = gamma_hat
     checks.append(_upper("jump-displacement:sup", gamma_hat, d.jump_displacement))
 

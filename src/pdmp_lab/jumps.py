@@ -34,17 +34,16 @@ class IfsKernel:
         """Each atom's theta from its ``draw`` variate and its pre-jump location."""
         raise NotImplementedError
 
-    def sample_vec(self, ys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One theta per atom of ``ys``: ``draw`` into a fresh array, then ``thetas``."""
-        ys = np.asarray(ys, dtype=float)
-        return self.thetas(ys, self.draw(rng, np.empty(ys.shape)))
-
     def apply(self, theta, y):
         """w_theta(y), broadcasting over theta and/or y."""
         raise NotImplementedError
 
     def mean_contraction(self, u: float, v: float) -> float:
         """E_{theta ~ p(u)} |w_theta(u) - w_theta(v)| / |u - v|, in closed form."""
+        raise NotImplementedError
+
+    def mean_displacement(self, y: float, anchor: float) -> float:
+        """E_{theta ~ p(y)} |w_theta(anchor) - anchor|, in closed form."""
         raise NotImplementedError
 
     def density_l1_gap(self, u: float, v: float) -> float:
@@ -89,6 +88,10 @@ class AdditiveBurstKernel(IfsKernel):
 
     def mean_contraction(self, u: float, v: float) -> float:
         return 1.0
+
+    def mean_displacement(self, y: float, anchor: float) -> float:
+        """Every map moves the anchor by its theta >= 0, whose mean is the burst mean."""
+        return float(self.mean)
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return 0.0
@@ -168,6 +171,10 @@ class FiniteAffineIfs(IfsKernel):
     def mean_contraction(self, u: float, v: float) -> float:
         """sum_k p_k(u) |scale_k|: map k moves the pair's gap by the factor |scale_k|."""
         return float(np.sum(self._prob_vector(u) * np.abs(self.scales)))
+
+    def mean_displacement(self, y: float, anchor: float) -> float:
+        """sum_k p_k(y) |scale_k anchor + shift_k - anchor|: map k moves the anchor that far."""
+        return float(self._prob_vector(y) @ np.abs(self.scales * anchor + self.shifts - anchor))
 
     def density_l1_gap(self, u: float, v: float) -> float:
         return float(np.abs(self._prob_vector(u) - self._prob_vector(v)).sum())

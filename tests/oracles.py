@@ -10,10 +10,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from pdmp_lab.diagnostics import IFS_PAIRS
+from pdmp_lab.diagnostics import IFS_PAIRS, JUMP_DISPLACEMENT_PROBES
 from pdmp_lab.flows import Semiflow
 from pdmp_lab.grid import GridModel
-from pdmp_lab.jumps import FiniteAffineIfs
+from pdmp_lab.jumps import FiniteAffineIfs, IfsKernel
 from pdmp_lab.models import ModelSpec
 from pdmp_lab.hazard import CumulativeHazard, invert_holding
 from pdmp_lab.simulate import horizon_step_cap
@@ -192,9 +192,16 @@ def chain_step_transform(model: ModelSpec, mu: WeightedEmpiricalMeasure,
     return WeightedEmpiricalMeasure(ys_post, regimes_post, mu.weights.copy())
 
 
+def sample_thetas(ifs: IfsKernel, ys, rng) -> np.ndarray:
+    """One theta per atom of ``ys`` as the stepping loop draws them: ``draw`` into
+    a fresh array, then ``thetas``."""
+    ys = np.asarray(ys, dtype=float)
+    return ifs.thetas(ys, ifs.draw(rng, np.empty(ys.shape)))
+
+
 def searchsorted_ifs_draw(ifs: FiniteAffineIfs, ys: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
-    """``FiniteAffineIfs.sample_vec`` as it was written with a binary search:
+    """``sample_thetas`` of a ``FiniteAffineIfs`` as it was written with a binary search:
     ``searchsorted(cdf, u, side="right")`` against a CDF summed at each call,
     clipped to the last map."""
     ys = np.asarray(ys, dtype=float)
@@ -243,7 +250,7 @@ def ifs_pairs_two_calls(model: ModelSpec, rng: np.random.Generator) -> list[IfsP
     pairs = []
     for u, v in zip(us[keep], vs[keep]):
         gap = abs(u - v)
-        thetas = ifs.sample_vec(np.full(IFS_THETA_SAMPLES, u), rng)
+        thetas = sample_thetas(ifs, np.full(IFS_THETA_SAMPLES, u), rng)
         image_u = np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, u)))
         image_v = np.asarray(ifs.apply(thetas, np.full(IFS_THETA_SAMPLES, v)))
         spread = np.abs(image_u - image_v)
@@ -266,6 +273,29 @@ def estimate_ifs_constants_two_calls(model: ModelSpec, rng: np.random.Generator
     return (max([0.0] + [p.contraction for p in pairs]),
             max([0.0] + [p.density_lipschitz for p in pairs]),
             min([math.inf] + [p.overlap for p in pairs]))
+
+
+JUMP_DISPLACEMENT_SAMPLES = 20_000
+"""Thetas drawn at each location by ``sampled_displacements``."""
+
+
+def sampled_displacements(ifs: IfsKernel, y: float, anchor: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """|w_theta(anchor) - anchor| for JUMP_DISPLACEMENT_SAMPLES thetas drawn at ``y``."""
+    n = JUMP_DISPLACEMENT_SAMPLES
+    thetas = sample_thetas(ifs, np.full(n, y), rng)
+    return np.abs(np.asarray(ifs.apply(thetas, np.full(n, anchor))) - anchor)
+
+
+def jump_displacement_bound_sampled(model: ModelSpec, rng: np.random.Generator) -> float:
+    """The Monte Carlo reference of ``diagnostics.jump_displacement_bound``, as that
+    bound was written: at each of the JUMP_DISPLACEMENT_PROBES locations, the mean
+    of ``sampled_displacements`` plus three standard errors; the sup of those."""
+    worst = 0.0
+    for y in np.linspace(0.0, model.y_max, JUMP_DISPLACEMENT_PROBES):
+        dist = sampled_displacements(model.jump.ifs, y, model.declared.anchor, rng)
+        worst = max(worst, float(dist.mean() + 3.0 * dist.std() / math.sqrt(dist.size)))
+    return worst
 
 
 def saturating_hazard_out_of_place(hz: CumulativeHazard, i, t, y, slope: bool = False):

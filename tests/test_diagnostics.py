@@ -30,7 +30,11 @@ from pdmp_lab.models import (
     gene_expression_model,
     two_regime_model,
 )
-from oracles import estimate_ifs_constants_two_calls, ifs_pairs_two_calls
+from oracles import (
+    estimate_ifs_constants_two_calls,
+    ifs_pairs_two_calls,
+    jump_displacement_bound_sampled,
+)
 
 GENE = gene_expression_model()
 GENE_SAT = gene_expression_model(intensity="saturating")
@@ -85,10 +89,15 @@ def test_flow_displacement_reports_a_divergent_integral():
 
 
 def test_jump_displacement_gene():
-    # the estimator reports sup over probes of (mean + 3 s.e.), so it sits
-    # a hair above the exact burst mean
-    val = jump_displacement_bound(GENE, np.random.default_rng(3))
-    assert 1.0 - 0.02 <= val <= 1.0 + 0.05
+    # exactly the burst mean; the Monte Carlo reference (mean + 3 s.e.) sits a hair above it
+    assert jump_displacement_bound(GENE) == 1.0
+    sampled = jump_displacement_bound_sampled(GENE, np.random.default_rng(3))
+    assert 1.0 - 0.02 <= sampled <= 1.0 + 0.05
+
+
+def test_jump_displacement_two_regime():
+    # the halving maps move the anchor 0 by 0 and by 0.5, each with probability 1/2
+    assert jump_displacement_bound(TWO) == 0.25
 
 
 def test_jump_displacement_identity_map():
@@ -98,13 +107,31 @@ def test_jump_displacement_identity_map():
                       jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                           SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants(jump_displacement=0.0))
-    assert jump_displacement_bound(model, np.random.default_rng(4)) == pytest.approx(0.0, abs=1e-12)
+    assert jump_displacement_bound(model) == 0.0
 
 
 def test_jump_displacement_scales_with_burst_mean():
     model = gene_expression_model(burst_mean=0.7)
-    val = jump_displacement_bound(model, np.random.default_rng(5))
-    assert 0.7 - 0.015 <= val <= 0.7 + 0.04
+    assert jump_displacement_bound(model) == 0.7
+    sampled = jump_displacement_bound_sampled(model, np.random.default_rng(5))
+    assert 0.7 - 0.015 <= sampled <= 0.7 + 0.04
+
+
+def test_jump_displacement_record_does_not_depend_on_the_seed():
+    # no theta is drawn, so no seed can push the record past its bound
+    values = {next(c.value for c in run_assumption_suite(GENE, seed).checks
+                   if c.name == "jump-displacement:sup") for seed in range(20)}
+    assert values == {1.0}
+
+
+def test_assumption_suite_draws_no_jump_variate(monkeypatch):
+    def no_draw(self, rng, out):
+        raise AssertionError("the assumption suite drew a jump variate")
+
+    for kernel in (AdditiveBurstKernel, FiniteAffineIfs):
+        monkeypatch.setattr(kernel, "draw", no_draw)
+    for model in (GENE, GENE_SAT, TWO):
+        assert failed(run_assumption_suite(model, seed=9).checks) == []
 
 
 def test_ifs_constants_additive_bursts():

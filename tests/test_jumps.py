@@ -11,26 +11,27 @@ from pdmp_lab.jumps import (
     PostJumpKernel,
     SwitchingMatrix,
 )
-from oracles import searchsorted_ifs_draw
+from oracles import sample_thetas, sampled_displacements, searchsorted_ifs_draw
 
 
 def test_sample_theta_exponential_mean():
     rng = np.random.default_rng(0)
     kernel = AdditiveBurstKernel(mean=1.0)
-    draws = kernel.sample_vec(np.zeros(100_000), rng)
+    draws = sample_thetas(kernel, np.zeros(100_000), rng)
     assert draws.mean() == pytest.approx(1.0, abs=0.02)
 
 
 def test_sample_theta_singleton_support():
     rng = np.random.default_rng(1)
     kernel = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    assert np.array_equal(kernel.sample_vec(np.full(10, 2.0), rng), np.zeros(10, dtype=np.int64))
+    assert np.array_equal(sample_thetas(kernel, np.full(10, 2.0), rng),
+                          np.zeros(10, dtype=np.int64))
 
 
 def test_sample_theta_degenerate_two_atom_density():
     rng = np.random.default_rng(2)
     kernel = FiniteAffineIfs(maps=((1.0, 0.0), (1.0, 5.0)), probs=(1.0, 0.0))
-    assert np.array_equal(kernel.sample_vec(np.zeros(100), rng), np.zeros(100, dtype=np.int64))
+    assert np.array_equal(sample_thetas(kernel, np.zeros(100), rng), np.zeros(100, dtype=np.int64))
 
 
 class FixedUniform:
@@ -52,10 +53,11 @@ def test_uniform_past_a_short_cdf_selects_the_last_map(probs):
     # the probabilities sum to within ROW_SUM_TOL below 1, so u can exceed every cdf entry
     kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs)
     ys = np.array([0.0, 1.0, 1.0])
-    thetas = kernel.sample_vec(ys, FixedUniform(0.99999999995))
+    thetas = sample_thetas(kernel, ys, FixedUniform(0.99999999995))
     assert np.array_equal(thetas, np.ones(3, dtype=np.int64))
     assert np.array_equal(kernel.apply(thetas, ys), 0.5 * ys + 0.5)
-    assert np.array_equal(kernel.sample_vec(ys, FixedUniform(0.25)), np.zeros(3, dtype=np.int64))
+    assert np.array_equal(sample_thetas(kernel, ys, FixedUniform(0.25)),
+                          np.zeros(3, dtype=np.int64))
 
 
 class GivenUniforms:
@@ -96,7 +98,7 @@ def test_ifs_draw_is_bitwise_the_searchsorted_draw(maps, probs):
     flat = np.concatenate([np.repeat([0.0, 0.5, 3.0], 40), rng.uniform(0.0, 8.0, 1880)])
     for ys in (flat, flat.reshape(40, 50), np.full(700, 0.5)):
         new_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
-        draws = kernel.sample_vec(ys, new_rng)
+        draws = sample_thetas(kernel, ys, new_rng)
         assert draws.dtype == np.int64 and draws.shape == ys.shape
         assert np.array_equal(draws, searchsorted_ifs_draw(kernel, ys, ref_rng))
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -105,7 +107,7 @@ def test_ifs_draw_is_bitwise_the_searchsorted_draw(maps, probs):
     cdf = np.cumsum(kernel._prob_vector(0.5))
     us = np.concatenate([[0.0], cdf, cdf - 1e-12, [np.nextafter(1.0, 0.0)]])
     ys = np.full(us.size, 0.5)
-    assert np.array_equal(kernel.sample_vec(ys, GivenUniforms(us)),
+    assert np.array_equal(sample_thetas(kernel, ys, GivenUniforms(us)),
                           searchsorted_ifs_draw(kernel, ys, GivenUniforms(us)))
 
 
@@ -124,10 +126,10 @@ def test_an_ifs_without_maps_fails_at_build():
 def test_bad_callable_probabilities_fail_at_evaluation():
     kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)),
                              probs=lambda y: (0.5, 0.6) if y > 1.0 else (0.5, 0.5))
-    assert np.array_equal(kernel.sample_vec(np.zeros(4), GivenUniforms(np.full(4, 0.75))),
+    assert np.array_equal(sample_thetas(kernel, np.zeros(4), GivenUniforms(np.full(4, 0.75))),
                           np.ones(4, dtype=np.int64))
     with pytest.raises(ValueError, match="probability vector"):
-        kernel.sample_vec(np.array([0.0, 2.0]), np.random.default_rng(24))
+        sample_thetas(kernel, np.array([0.0, 2.0]), np.random.default_rng(24))
 
 
 def test_state_dependent_selection_is_per_atom_inverse_cdf():
@@ -138,7 +140,7 @@ def test_state_dependent_selection_is_per_atom_inverse_cdf():
 
     kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=probs)
     ys = np.random.default_rng(20).choice([0.0, 0.5, 3.0, 7.25], size=2000)
-    draws = kernel.sample_vec(ys, np.random.default_rng(21))
+    draws = sample_thetas(kernel, ys, np.random.default_rng(21))
     us = np.random.default_rng(21).random(ys.size)
     expect = [np.searchsorted(np.cumsum(probs(y)), u, side="right") for y, u in zip(ys, us)]
     assert draws.dtype == np.int64
@@ -149,7 +151,7 @@ def test_sample_jump_additive_bursts():
     rng = np.random.default_rng(3)
     kernel = AdditiveBurstKernel(mean=1.0)
     y = 1.3
-    out = kernel.apply(kernel.sample_vec(np.full(100_000, y), rng), np.full(100_000, y))
+    out = kernel.apply(sample_thetas(kernel, np.full(100_000, y), rng), np.full(100_000, y))
     assert (out >= y).all()
     assert (out - y).mean() == pytest.approx(1.0, abs=0.02)
 
@@ -158,14 +160,14 @@ def test_sample_jump_deterministic_map():
     rng = np.random.default_rng(4)
     kernel = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
     ys = np.full(10, 4.0)
-    assert kernel.apply(kernel.sample_vec(ys, rng), ys) == pytest.approx(np.full(10, 2.0))
+    assert kernel.apply(sample_thetas(kernel, ys, rng), ys) == pytest.approx(np.full(10, 2.0))
 
 
 def test_jump_displacement_from_anchor():
     # displacement of the anchor 0 has mean exactly the burst mean
     rng = np.random.default_rng(5)
     kernel = AdditiveBurstKernel(mean=1.0)
-    out = kernel.apply(kernel.sample_vec(np.zeros(100_000), rng), np.zeros(100_000))
+    out = kernel.apply(sample_thetas(kernel, np.zeros(100_000), rng), np.zeros(100_000))
     assert np.abs(out).mean() == pytest.approx(1.0, abs=0.02)
 
 
@@ -350,16 +352,19 @@ def test_mean_contraction_of_shipped_kernels():
             if abs(u - v) < 1e-9:
                 continue
             assert kernel.mean_contraction(u, v) == factor
-            thetas = kernel.sample_vec(np.full(5000, u), rng)
+            thetas = sample_thetas(kernel, np.full(5000, u), rng)
             spread = np.abs(kernel.apply(thetas, np.full(5000, u))
                             - kernel.apply(thetas, np.full(5000, v)))
             se = spread.std() / math.sqrt(spread.size)
             assert spread.mean() <= factor * abs(u - v) + 3 * se + 1e-12
 
 
+NEGATIVE_SCALE = FiniteAffineIfs(maps=((0.5, 0.0), (-1.0, 2.0), (0.25, 1.0)), probs=_three_way)
+
+
 def test_mean_contraction_of_a_state_dependent_kernel():
     # sum_k p_k(u) |s_k|: the law at the first point of the pair, a negative scale by its size
-    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (-1.0, 2.0), (0.25, 1.0)), probs=_three_way)
+    kernel = NEGATIVE_SCALE
     for u, v in ((0.0, 1.0), (3.0, 0.5), (7.25, 7.5)):
         p = _three_way(u)
         assert kernel.mean_contraction(u, v) == p[0] * 0.5 + p[1] * 1.0 + p[2] * 0.25
@@ -371,6 +376,18 @@ JUMP_FAMILIES = {
     "constant": FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 1.0)), probs=(0.3, 0.7)),
     "callable": FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=_three_way),
 }
+
+
+@pytest.mark.parametrize("kernel", [*JUMP_FAMILIES.values(), NEGATIVE_SCALE],
+                         ids=[*JUMP_FAMILIES, "negative-scale"])
+def test_mean_displacement_matches_sampling(kernel):
+    # E_{theta ~ p(y)} |w_theta(anchor) - anchor| against thetas drawn as the stepping loop does
+    rng = np.random.default_rng(31)
+    anchor = 1.5
+    for y in (0.0, 0.5, 3.0, 7.25):
+        dist = sampled_displacements(kernel, y, anchor, rng)
+        se = dist.std() / math.sqrt(dist.size)
+        assert abs(dist.mean() - kernel.mean_displacement(y, anchor)) <= 4 * se
 
 
 def pre_split_jump(kernel, ys, regimes, rng):
@@ -415,7 +432,7 @@ def test_drift_of_jump_gauge():
     rng = np.random.default_rng(16)
     kernel = AdditiveBurstKernel(mean=1.0)
     for y in (0.0, 1.0, 4.0, 9.0):
-        thetas = kernel.sample_vec(np.full(20_000, y), rng)
+        thetas = sample_thetas(kernel, np.full(20_000, y), rng)
         dist = np.abs(kernel.apply(thetas, np.full(20_000, y)))
         se = dist.std() / math.sqrt(dist.size)
         assert dist.mean() <= 1.0 * y + 1.0 + 3 * se
@@ -430,7 +447,7 @@ def test_jump_kernel_continuity_in_origin():
     contraction, density_modulus = 1.0, 0.0
     n = 200_000
     for y0, y1 in ((1.0, 1.2), (3.0, 3.05), (0.0, 0.5)):
-        m0 = g(kernel.apply(kernel.sample_vec(np.full(n, y0), rng), np.full(n, y0))).mean()
-        m1 = g(kernel.apply(kernel.sample_vec(np.full(n, y1), rng), np.full(n, y1))).mean()
+        m0 = g(kernel.apply(sample_thetas(kernel, np.full(n, y0), rng), np.full(n, y0))).mean()
+        m1 = g(kernel.apply(sample_thetas(kernel, np.full(n, y1), rng), np.full(n, y1))).mean()
         bound = (lip_g * contraction + sup_g * density_modulus) * abs(y1 - y0)
         assert abs(m0 - m1) <= bound + 4.0 / math.sqrt(n) + 1e-12
