@@ -76,16 +76,17 @@ def horizon_step_cap(mu: float) -> int:
     A holding time solves H(y, i, t) = E with E ~ Exp(1), and H grows at
     most at rate lambda_high, so it is at least E / lambda_high. A replica
     still short of t_end after n steps therefore has E_1 + ... + E_n <
-    mu, and P(E_1 + ... + E_n < mu) = P(Poisson(mu) >= n). The Chernoff
-    bound P(Poisson(mu) >= n) <= exp(-mu) (e mu / n)^n for n > mu gives,
-    at n >= e^2 mu, at most exp(-mu - n) <= exp(-n). With n = ceil(e^2 mu)
-    + 64 an honest replica reaches the cap with probability below exp(-64)
-    ~ 1.6e-28, so hitting it means the holding times are shorter than the
-    rate bound allows.
+    mu, and P(E_1 + ... + E_n < mu) = P(Poisson(mu) >= n). Bernstein's
+    inequality bounds P(Poisson(mu) >= mu + x) by exp(-x^2 / (2 (mu + x/3))),
+    which is exp(-64) at x = 64/3 + sqrt((64/3)^2 + 128 mu). With n =
+    ceil(mu + x) an honest replica reaches the cap with probability below
+    exp(-64) ~ 1.6e-28, so hitting it means the holding times are shorter
+    than the rate bound allows. The cap also sizes a horizon chunk's history.
     """
     if not math.isfinite(mu):
         raise ValueError(f"horizon run needs a finite t_end (lambda_high * t_end = {mu})")
-    return math.ceil(math.e ** 2 * mu) + 64
+    mu = max(mu, 0.0)
+    return math.ceil(mu + 64 / 3 + math.sqrt((64 / 3) ** 2 + 128 * mu))
 
 
 @dataclass(frozen=True)
@@ -116,30 +117,24 @@ class EnsembleRun:
 
 class _Chunk:
     """One chunk of an ensemble run: its generator, its replicas' current states,
-    and their history in preallocated step-major (steps + 1, size) arrays, so
+    and their history in step-major (cap + 1, size) arrays allocated once, so
     each step writes three contiguous rows.
 
-    A fixed-step chunk knows its width. A horizon chunk starts at
-    ceil(mu + 6 sqrt(mu)) + 64 steps with mu = lambda_high * t_end: the count
-    of an honest replica's jumps by t_end is dominated by a Poisson(mu) count,
-    and this is six of its standard deviations past its mean. It doubles its
-    width as needed up to ``horizon_step_cap``.
+    The cap is the step count of a fixed-step run and ``horizon_step_cap`` of
+    a horizon run. Rows are written step by step, so the rows a horizon run
+    never reaches are never written, and fresh pages of them are never
+    paged in.
     """
 
     def __init__(self, model: ModelSpec, run: EnsembleRun, size: int, seed):
         self.rng = np.random.default_rng(seed)
         self.t_end = run.t_end
-        if run.n_steps is None:
-            mu = model.intensity.upper * run.t_end
-            self.cap = horizon_step_cap(mu)
-            mu = max(mu, 0.0)
-            width = math.ceil(mu + 6 * math.sqrt(mu)) + 64 + 1
-        else:
-            self.cap = run.n_steps
-            width = run.n_steps + 1
+        self.cap = (run.n_steps if run.t_end is None
+                    else horizon_step_cap(model.intensity.upper * run.t_end))
         self.clock = np.zeros(size)
         self.ys = np.full(size, float(run.y0))
         self.regimes = np.full(size, int(run.i0), dtype=np.int64)
+        width = self.cap + 1
         self.history = (np.empty((width, size)), np.empty((width, size)),
                         np.empty((width, size), dtype=np.int64))
         self.steps = 0
@@ -150,11 +145,6 @@ class _Chunk:
         return self.clock.size
 
     def _record(self) -> None:
-        width = self.history[0].shape[0]
-        if self.steps == width:
-            grown = min(2 * width, self.cap + 1)
-            self.history = tuple(np.concatenate([a, np.empty((grown - width, self.size), a.dtype)])
-                                 for a in self.history)
         for row, current in zip(self.history, (self.clock, self.ys, self.regimes)):
             row[self.steps] = current
 

@@ -245,7 +245,7 @@ def test_horizon_mode_step_cap_names_slowest_replica(monkeypatch):
     monkeypatch.setattr(simulate, "invert_holding",
                         lambda h, i, ys, targets: np.zeros(np.shape(ys)))
     cap = horizon_step_cap(GENE_SAT.intensity.upper * 2.0)
-    assert cap == math.ceil(math.e ** 2 * 3.0) + 64
+    assert cap == math.ceil(3.0 + 64 / 3 + math.sqrt((64 / 3) ** 2 + 128 * 3.0)) == 54
     with pytest.raises(RuntimeError, match=rf"cap of {cap} steps .*slowest replica 0 of its "
                                            r"chunk of 8 is at clock 0\b"):
         run_ensemble(GENE_SAT, 8, 15, t_end=2.0)
@@ -292,46 +292,99 @@ def test_runs_side_by_side_are_bitwise_each_run_alone(model, runs):
         assert_matches_reference(model, ens, run)
 
 
-def test_horizon_history_grows_past_its_first_width(monkeypatch):
-    # a fresh horizon chunk's step-major history is ceil(mu + 6 sqrt(mu)) + 64 + 1
-    # steps wide with mu = lambda_high t_end; holding times at a quarter of the
-    # law's need about 4 times the law's steps, so the run grows past that width
-    def quarter(h, i, ys, targets):
-        return 0.25 * invert_holding(h, i, ys, targets)
+def log_poisson_tail(mu, n):
+    """log P(Poisson(mu) >= n) for an integer n > mu, summed term by term in log space.
 
-    monkeypatch.setattr(simulate, "invert_holding", quarter)
-    monkeypatch.setattr(oracles, "invert_holding", quarter)
-    run = EnsembleRun(20, 12, t_end=40.0)
-    _, ens = run_ensembles(GENE_SAT, [EnsembleRun(15, 13, n_steps=3), run])
+    The terms past n fall at least by the ratio mu / (n + 1) < 1 each; they
+    are summed until one is below e^-60 of the first, where the rest of the
+    series is too small to move the sum by a rounding unit.
+    """
+    if mu == 0:
+        return -math.inf
+    first = -mu + n * math.log(mu) - math.lgamma(n + 1)
+    relative, k, log_term = [], n, first
+    while log_term > first - 60:
+        relative.append(math.exp(log_term - first))
+        k += 1
+        log_term += math.log(mu / k)
+    return first + math.log(math.fsum(relative))
+
+
+def test_log_poisson_tail_matches_the_summed_pmf():
+    for mu, n in ((3.0, 5), (3.0, 12), (60.0, 80)):
+        pmf = [math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1)) for k in range(n)]
+        assert log_poisson_tail(mu, n) == pytest.approx(math.log1p(-math.fsum(pmf)), rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [0.0, 3.0, 60.0, 400.0, 600.0, 1e4])
+def test_horizon_step_cap_is_the_bernstein_bound_at_exp_minus_64(mu):
+    # an honest replica is short of t_end after n steps with probability
+    # P(Poisson(mu) >= n); Bernstein's bound exp(-x^2 / (2 (mu + x / 3))) at
+    # x = n - mu reaches exp(-64) first at the cap
+    cap = horizon_step_cap(mu)
+
+    def bernstein_exponent(x):
+        return x * x / (2 * (mu + x / 3))
+
+    assert bernstein_exponent(cap - mu) >= 64 > bernstein_exponent(cap - 1 - mu)
+    assert log_poisson_tail(mu, cap) <= -64
+    assert cap <= math.ceil(math.e ** 2 * mu) + 64
+    assert horizon_step_cap(-mu) == horizon_step_cap(0.0)
+
+
+def test_chunk_history_is_allocated_once_at_its_step_cap():
+    # the shipped gene_saturating horizon: one (cap + 1, replicas) array each
+    # for clocks, locations and regimes, and n_steps + 1 rows for a fixed run
+    horizon = EnsembleRun(20, 12, t_end=400.0)
+    cap = horizon_step_cap(GENE_SAT.intensity.upper * horizon.t_end)
+    fixed = EnsembleRun(20, 12, n_steps=7)
+    for run, width in ((horizon, cap + 1), (fixed, 8)):
+        fresh = simulate._Chunk(GENE_SAT, run, run.n_replicas, 12)
+        assert fresh.cap + 1 == width
+        assert [(a.shape, a.dtype) for a in fresh.history] == [
+            ((width, 20), np.float64), ((width, 20), np.float64), ((width, 20), np.int64)]
+
+
+def scaled_holding(monkeypatch, factor):
+    # holding times at a fraction of the law's, in the stepping loop and the reference
+    def scaled(h, i, ys, targets):
+        return factor * invert_holding(h, i, ys, targets)
+
+    monkeypatch.setattr(simulate, "invert_holding", scaled)
+    monkeypatch.setattr(oracles, "invert_holding", scaled)
+
+
+def test_half_time_horizon_run_beside_a_fixed_run_is_the_reference(monkeypatch):
+    # holding times at half the law's need about twice the law's steps, past
+    # the Poisson mean mu but within the cap; the chunk hands out C-contiguous
+    # (replicas, steps + 1) arrays bitwise the serial reference's, and keeps nothing
+    scaled_holding(monkeypatch, 0.5)
+    run = EnsembleRun(37, 21, y0=1.5, t_end=40.0)
     mu = GENE_SAT.intensity.upper * run.t_end
-    first_width = math.ceil(mu + 6 * math.sqrt(mu)) + 64 + 1
-    fresh = simulate._Chunk(GENE_SAT, run, run.n_replicas, 12)
-    assert [a.shape for a in fresh.history] == [(first_width, run.n_replicas)] * 3
-    assert ens.chunks[0][0].shape[1] > first_width
+    seed = np.random.SeedSequence(run.seed).spawn(1)[0]
+    fixed = simulate._Chunk(GENE_SAT, EnsembleRun(15, 13, n_steps=3), 15, 13)
+    chunk = simulate._Chunk(GENE_SAT, run, run.n_replicas, seed)
+    simulate._advance(GENE_SAT, [fixed, chunk])
+    assert mu < chunk.steps < chunk.cap
+    got = chunk.arrays()
+    assert chunk.history == ()
+    assert got[0].shape == (run.n_replicas, chunk.steps + 1)
+    assert all(a.flags.c_contiguous for a in got)
+    ens = ChainEnsemble(GENE_SAT, (got,))
     assert ens.min_horizon >= run.t_end
     assert_matches_reference(GENE_SAT, ens, run)
 
 
-def test_chunk_arrays_are_replica_major_copies_of_the_grown_history(monkeypatch):
-    # the step-major history, grown once, hands out C-contiguous (replicas,
-    # steps + 1) arrays bitwise the serial reference's, and keeps nothing
-    def quarter(h, i, ys, targets):
-        return 0.25 * invert_holding(h, i, ys, targets)
-
-    monkeypatch.setattr(simulate, "invert_holding", quarter)
-    monkeypatch.setattr(oracles, "invert_holding", quarter)
+def test_quarter_time_horizon_run_hits_its_step_cap(monkeypatch):
+    # holding times at a quarter of the law's need about four times the law's
+    # steps, past the cap of 172 at mu = 60
+    scaled_holding(monkeypatch, 0.25)
     run = EnsembleRun(37, 21, y0=1.5, t_end=40.0)
-    seed = np.random.SeedSequence(run.seed).spawn(1)[0]
-    chunk = simulate._Chunk(GENE_SAT, run, run.n_replicas, seed)
-    first_width = chunk.history[0].shape[0]
-    simulate._advance(GENE_SAT, [chunk])
-    assert chunk.history[0].shape == (2 * first_width, run.n_replicas)
-    got = chunk.arrays()
-    assert chunk.history == ()
-    expected = reference_chunk(GENE_SAT, run.n_replicas, seed, run.y0, t_end=run.t_end)
-    assert got[0].shape == (run.n_replicas, chunk.steps + 1) and chunk.steps > first_width
-    for a, want in zip(got, expected, strict=True):
-        assert a.flags.c_contiguous and a.dtype == want.dtype and np.array_equal(a, want)
+    cap = horizon_step_cap(GENE_SAT.intensity.upper * run.t_end)
+    assert cap == 172
+    with pytest.raises(RuntimeError, match=rf"cap of {cap} steps short of t_end=40: slowest "
+                                           r"replica \d+ of its chunk of 37 is at clock "):
+        run_ensembles(GENE_SAT, [EnsembleRun(15, 13, n_steps=3), run])
 
 
 def test_step_cap_names_the_slowest_replica_of_its_chunk_beside_another_run(monkeypatch):

@@ -8,14 +8,20 @@ under ``configs/``, at the config seed and at ``--seed 7``, once with that tree
 and once with the working tree. ``oracle`` also runs at the larger grid sizes of
 ``ORACLE_NODES``, the node counts of the benchmark's grid-refine workload. Each
 run gets its own directory holding a copy of its tree's config (with the grid
-size replaced where one is given), so both sides pass the same arguments. Every
-output file, stdout, stderr and the exit code are compared. Every run is
-made; each differing run is printed with each of its differing items (exit
-code, stream or output file) and that item's first differing line; a differing
-CSV or JSON file also gets the largest absolute and the largest relative
-difference over its numbers, so a rounding-level move shows its size. Exits 1
-when any run differs, 0 when every run matches, 2 when REV cannot be
-extracted. Runs serially; the 32 runs take about 25 s on two cores.
+size replaced where one is given), so both sides pass the same arguments. Two
+more runs call ``simulate.jump_count_pmf``, which no CLI command reaches, at
+the sizes of the benchmark's sat-verify workload (``PMF_CONFIG``, ``PMF_TIMES``,
+``PMF_REPLICAS``, ``PMF_MAX_COUNT``, stream (seed, 7)), at the config seed and
+at seed 7; each runs in a subprocess with its tree's ``src``, as the CLI runs
+do, and writes the pmf to ``jump_count_pmf.csv`` with every value as its
+shortest round-trip ``repr``. Every output file, stdout, stderr and the exit
+code are compared. Every run is made; each differing run is printed with each
+of its differing items (exit code, stream or output file) and that item's
+first differing line; a differing CSV or JSON file also gets the largest
+absolute and the largest relative difference over its numbers, so a
+rounding-level move shows its size. Exits 1 when any run differs, 0 when every
+run matches, 2 when REV cannot be extracted. Runs serially; the 34 runs take
+about 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -34,6 +40,48 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("simulate", "correspondence", "oracle", "diagnostics")
 SEEDS = (None, 7)
 ORACLE_NODES = {"gene_saturating.json": (800, 1600), "two_regime.json": (400, 800)}
+PMF_CONFIG = "gene_saturating.json"
+PMF_TIMES = (0.5, 1.0, 2.0)
+PMF_REPLICAS = 20_000
+PMF_MAX_COUNT = 12
+PMF_SCRIPT = """\
+import json, sys
+from pathlib import Path
+from pdmp_lab.models import build_model
+from pdmp_lab.simulate import jump_count_pmf
+times, replicas, max_count, seed = json.loads(sys.argv[1])
+cfg = json.loads(Path("config.json").read_text())
+model = build_model(cfg["model"]["name"], cfg["model"]["params"])
+seed = cfg["seed"] if seed is None else seed
+pmf = jump_count_pmf(model, times, replicas, (seed, 7), max_count=max_count)
+Path("out").mkdir()
+Path("out/jump_count_pmf.csv").write_text("t,count,p\\n" + "".join(
+    f"{t!r},{n},{p!r}\\n" for t, row in pmf.items() for n, p in enumerate(row.tolist())))
+"""
+
+
+def cases(configs: list[str]) -> list[tuple[str, str, str, list[str], int | None]]:
+    """(label, run name, config, interpreter arguments, grid nodes) of every run:
+    each command on each config at each seed, ``oracle`` at each of
+    ``ORACLE_NODES``, then ``jump_count_pmf`` at each seed."""
+    def label(what, config, seed, nodes=None):
+        return (f"{what} {config}" + ("" if nodes is None else f" at {nodes} nodes")
+                + ("" if seed is None else f" --seed {seed}"))
+
+    def cli(command, config, seed, nodes):
+        args = ["-m", "pdmp_lab.cli", command, "--config", "config.json", "--out", "out"]
+        args += [] if seed is None else ["--seed", str(seed)]
+        return (label(command, config, seed, nodes), f"{command}-{config[:-5]}-{nodes}-{seed}",
+                config, args, nodes)
+
+    found = [cli(command, config, seed, None)
+             for config in configs for command in COMMANDS for seed in SEEDS]
+    found += [cli("oracle", config, seed, nodes) for config in configs
+              for nodes in ORACLE_NODES.get(config, ()) for seed in SEEDS]
+    found += [(label("jump_count_pmf", PMF_CONFIG, seed), f"jump_count_pmf-{seed}", PMF_CONFIG,
+               ["-c", PMF_SCRIPT, json.dumps([PMF_TIMES, PMF_REPLICAS, PMF_MAX_COUNT, seed])],
+               None) for seed in SEEDS]
+    return found
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -43,9 +91,9 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(tree: Path, command: str, config: str, seed, nodes, run_dir: Path) -> dict:
-    """One CLI run from ``tree``, at ``nodes`` grid nodes unless None: its exit
-    code, stdout, stderr and output files."""
+def run(tree: Path, args: list[str], config: str, nodes, run_dir: Path) -> dict:
+    """One run of the interpreter with ``args`` from ``tree``, at ``nodes`` grid
+    nodes unless None: its exit code, stdout, stderr and output files."""
     run_dir.mkdir(parents=True)
     source = tree / "configs" / config
     if source.exists() and nodes is not None:
@@ -54,12 +102,8 @@ def run(tree: Path, command: str, config: str, seed, nodes, run_dir: Path) -> di
         (run_dir / "config.json").write_text(json.dumps(cfg))
     elif source.exists():
         shutil.copyfile(source, run_dir / "config.json")
-    args = [sys.executable, "-m", "pdmp_lab.cli", command,
-            "--config", "config.json", "--out", "out"]
-    if seed is not None:
-        args += ["--seed", str(seed)]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(args, cwd=run_dir, env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, *args], cwd=run_dir, env=env, capture_output=True)
     out = run_dir / "out"
     files = {} if not out.is_dir() else {
         str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
@@ -158,17 +202,11 @@ def main(argv: list[str]) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"cannot extract {rev}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        cases = [(command, config, seed, None)
-                 for config in configs for command in COMMANDS for seed in SEEDS]
-        cases += [("oracle", config, seed, nodes) for config in configs
-                  for nodes in ORACLE_NODES.get(config, ()) for seed in SEEDS]
+        runs = cases(configs)
         differing = 0
-        for command, config, seed, nodes in cases:
-            label = (f"{command} {config}" + ("" if nodes is None else f" at {nodes} nodes")
-                     + ("" if seed is None else f" --seed {seed}"))
-            name = f"{command}-{config[:-5]}-{nodes}-{seed}"
-            base = run(tmp / "base", command, config, seed, nodes, tmp / "runs" / "base" / name)
-            head = run(ROOT, command, config, seed, nodes, tmp / "runs" / "head" / name)
+        for label, name, config, args, nodes in runs:
+            base = run(tmp / "base", args, config, nodes, tmp / "runs" / "base" / name)
+            head = run(ROOT, args, config, nodes, tmp / "runs" / "head" / name)
             found = differences(base, head, rev)
             differing += bool(found)
             if not found:
@@ -177,9 +215,9 @@ def main(argv: list[str]) -> int:
             for item in found:
                 print(f"{label}: {item}", flush=True)
     if differing:
-        print(f"{differing} of {len(cases)} runs differ from {rev}")
+        print(f"{differing} of {len(runs)} runs differ from {rev}")
         return 1
-    print(f"all {len(cases)} runs identical to {rev}")
+    print(f"all {len(runs)} runs identical to {rev}")
     return 0
 
 
