@@ -290,7 +290,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     final_clocks = np.concatenate([taus[:, -1] for taus, _, _ in occ_ens.chunks])
     n_jumps = sum(taus.shape[0] * (taus.shape[1] - 1) for taus, _, _ in occ_ens.chunks)
     eta_counts = np.concatenate([count_jumps(chunk[0], ETA_TIME) for chunk in occ_ens.chunks])
-    hist = np.bincount(eta_counts, minlength=11)[:11] / eta_counts.size
+    # the last bin reads "10 or more", as in jump_count_pmf
+    hist = np.bincount(np.minimum(eta_counts, 10), minlength=11) / eta_counts.size
     summary = {
         "model": model.name,
         "seed": cfg.seed,

@@ -83,12 +83,12 @@ def _first_bad_row(ok: np.ndarray) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
-def power_iteration(matrix: np.ndarray, v0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Left fixed-point probability vector of a row-stochastic matrix.
+def power_iteration(matrix: np.ndarray) -> np.ndarray:
+    """Left fixed-point probability vector of a row-stochastic matrix, from the
+    uniform start.
 
-    A row sum off 1 (NaN included) or a start vector that is not finite with a
-    positive sum is a ValueError; a non-finite residual ends the iteration at
-    once with a ConvergenceError.
+    A row sum off 1 (NaN included) is a ValueError; a non-finite residual ends
+    the iteration at once with a ConvergenceError.
     """
     matrix = np.asarray(matrix, dtype=float)
     row_sums = matrix.sum(axis=1)
@@ -96,15 +96,7 @@ def power_iteration(matrix: np.ndarray, v0: Optional[np.ndarray] = None) -> np.n
     if row is not None:
         raise ValueError(f"matrix is not row-stochastic within tolerance: "
                          f"row {row} sums to {row_sums[row]:.17g}")
-    n = matrix.shape[0]
-    if v0 is None:
-        v = np.full(n, 1.0 / n)
-    else:
-        v0 = np.asarray(v0, dtype=float)
-        total = v0.sum()
-        if not (np.isfinite(v0).all() and total > 0):
-            raise ValueError(f"start vector must be finite with a positive sum, got sum {total}")
-        v = v0 / total
+    v = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
     for step in range(1, POWER_ITERATION_MAX_ITER + 1):
         nxt = v @ matrix
         nxt /= nxt.sum()

@@ -1,19 +1,20 @@
 """State-dependent jump intensity, cumulative hazard, holding-time samplers.
 
-The jump rate is a bounded continuous function of the location with
-0 < lambda_low <= lambda(y) <= lambda_high. The holding time from (y, i)
-has CDF 1 - exp(-H(y, i, t)) where H integrates the rate along the flow.
-H is in closed form for the two flow/intensity pairs the models use, and a
-model with any other pair is rejected when its hazard is built. Two
-independent batch samplers (hazard inversion and thinning) target that law,
-and one Gauss-Legendre rule integrates over it.
+The jump rate lambda(y) = base + gain * y / (1 + y) is bounded, with
+0 < base <= lambda(y) <= base + gain, and constant at gain 0. The holding
+time from (y, i) has CDF 1 - exp(-H(y, i, t)) where H integrates the rate
+along the flow. H is in closed form for a constant rate on any flow and for
+any rate on a frozen or affine-exponential flow; any other pair is rejected
+when its hazard is built. Two independent batch samplers (hazard inversion
+and thinning) target that law, and one Gauss-Legendre rule integrates over
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -79,45 +80,23 @@ def holding_time_rule(intensity: Intensity) -> tuple[np.ndarray, np.ndarray]:
     return mids + half_widths * _GL4_NODES, half_widths * _GL4_WEIGHTS
 
 
+@dataclass(frozen=True)
 class Intensity:
-    """Jump rate y -> lambda(y), with certified positive bounds."""
+    """Jump rate lambda(y) = base + gain * y / (1 + y) on y >= 0, constant at gain 0.
 
-    lower: float
-    upper: float
-    lipschitz: Optional[float] = None
+    Its certified bounds ``lower`` = base and ``upper`` = base + gain, and its
+    Lipschitz bound ``lipschitz`` = gain (the slope of y / (1 + y) is at most 1,
+    at y = 0), are instance attributes set at construction, not fields.
+    """
 
-    def __call__(self, y):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantIntensity(Intensity):
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
-        object.__setattr__(self, "lower", self.rate)
-        object.__setattr__(self, "upper", self.rate)
-        object.__setattr__(self, "lipschitz", 0.0)
-
-    def __call__(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.rate)
-
-
-@dataclass(frozen=True)
-class SaturatingIntensity(Intensity):
-    """lambda(y) = base + gain * y / (1 + y) on y >= 0; bounds (base, base + gain)."""
-
-    base: float = 1.0
-    gain: float = 0.5
+    base: float
+    gain: float = 0.0
 
     def __post_init__(self):
         if self.base <= 0 or self.gain < 0:
             raise ValueError("need base > 0 and gain >= 0")
         object.__setattr__(self, "lower", self.base)
         object.__setattr__(self, "upper", self.base + self.gain)
-        # sup |d/dy  y/(1+y)| = 1 at y = 0
         object.__setattr__(self, "lipschitz", self.gain)
 
     def __call__(self, y):
@@ -130,12 +109,12 @@ class CumulativeHazard:
     """Cumulative hazard H(y, i, t) of the holding-time law along the flow, in closed form.
 
     The flow/intensity pair is classified once, when the hazard is built:
-    path-constant (a ConstantIntensity on any flow, or any intensity on a
+    path-constant (a rate of gain 0 on any flow, or any rate on a
     FrozenFlow), where the rate does not change along the path and H =
-    lambda(y) * t; or saturating (a SaturatingIntensity on an AffineExpFlow),
-    whose exact antiderivative _saturating_hazard writes on the rate's own
-    base and gain. Any other pair raises ValueError. The regime ``i`` is an
-    int or an int array broadcasting with ``t`` and ``y``.
+    lambda(y) * t; or saturating (a rate of positive gain on an
+    AffineExpFlow), whose exact antiderivative _saturating_hazard writes on
+    the rate's own base and gain. Any other pair raises ValueError. The
+    regime ``i`` is an int or an int array broadcasting with ``t`` and ``y``.
     """
 
     intensity: Intensity
@@ -143,11 +122,9 @@ class CumulativeHazard:
     path_constant: bool = field(init=False)
 
     def __post_init__(self):
-        path_constant = (isinstance(self.intensity, ConstantIntensity)
-                         or isinstance(self.flow, FrozenFlow))
-        if not (path_constant or (isinstance(self.intensity, SaturatingIntensity)
-                                  and isinstance(self.flow, AffineExpFlow))):
-            raise ValueError(f"no closed-form hazard for {type(self.intensity).__name__} "
+        path_constant = self.intensity.gain == 0 or isinstance(self.flow, FrozenFlow)
+        if not (path_constant or isinstance(self.flow, AffineExpFlow)):
+            raise ValueError(f"no closed-form hazard for a rate of gain {self.intensity.gain:g} "
                              f"on {type(self.flow).__name__}")
         object.__setattr__(self, "path_constant", path_constant)
 

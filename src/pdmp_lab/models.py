@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flows import AffineExpFlow, ExpandingFlow, Semiflow
-from .hazard import ConstantIntensity, CumulativeHazard, Intensity, SaturatingIntensity
+from .hazard import CumulativeHazard, Intensity
 from .jumps import AdditiveBurstKernel, FiniteAffineIfs, IfsKernel, PostJumpKernel, SwitchingMatrix
 
 
@@ -61,11 +61,9 @@ class ModelSpec:
     hazard: CumulativeHazard = field(init=False)
 
     def __post_init__(self):
-        # the diagnostics check these bounds; a model must declare them
+        # the diagnostics check this envelope; a model must declare it
         if self.flow.contraction is None:
             raise ValueError(f"flow {type(self.flow).__name__} has no contraction envelope")
-        if self.intensity.lipschitz is None:
-            raise ValueError(f"intensity {type(self.intensity).__name__} has no Lipschitz bound")
         object.__setattr__(self, "hazard", CumulativeHazard(self.intensity, self.flow))
         # switching rows are checked where the model lives: its location window
         self.jump.switching.check_rows(np.linspace(0.0, self.y_max, 64))
@@ -82,28 +80,21 @@ def _bundle(name, flow, intensity, ifs, switching, declared, positive=True):
 
 
 def gene_expression_model(kappa: float = 1.0, burst_mean: float = 1.0,
-                          intensity: str = "constant", lam: float = 1.0,
-                          lam_low: float = 1.0, lam_high: float = 1.5) -> ModelSpec:
+                          lam_low: float = 1.0, lam_high: float = 1.0) -> ModelSpec:
     """Protein bursting model: decay flow y*exp(-kappa t), additive bursts.
 
-    One regime; bursts are exponential with the given mean. The jump rate is
-    either constant or saturating between lam_low and lam_high, mirroring a
-    production rate that grows with the current protein level.
+    One regime; bursts are exponential with the given mean. The jump rate
+    saturates from lam_low at y = 0 towards lam_high, mirroring a production
+    rate that grows with the current protein level; it is constant, and the
+    model is named gene-constant instead of gene-saturating, when the two
+    are equal.
     """
     if kappa <= 0 or burst_mean <= 0:
         raise ValueError("kappa and burst_mean must be > 0")
-    if intensity == "constant":
-        if lam <= 0:
-            raise ValueError("lam must be > 0")
-        rate: Intensity = ConstantIntensity(lam)
-        name = "gene-constant"
-    elif intensity == "saturating":
-        if not 0 < lam_low <= lam_high:
-            raise ValueError("need 0 < lam_low <= lam_high")
-        rate = SaturatingIntensity(base=lam_low, gain=lam_high - lam_low)
-        name = "gene-saturating"
-    else:
-        raise ValueError(f"unknown intensity choice {intensity!r}")
+    if not 0 < lam_low <= lam_high:
+        raise ValueError("need 0 < lam_low <= lam_high")
+    rate = Intensity(base=lam_low, gain=lam_high - lam_low)
+    name = "gene-constant" if rate.gain == 0 else "gene-saturating"
     declared = DeclaredConstants(
         jump_mean_contraction=1.0,
         density_lipschitz=0.0,
@@ -150,7 +141,7 @@ def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
     if kappa <= 0 or lam <= 0:
         raise ValueError("kappa and lam must be > 0")
     flow = AffineExpFlow(rates=(kappa, kappa), anchors=(c0, c1))
-    rate = ConstantIntensity(lam)
+    rate = Intensity(lam)
     gap = abs(c1 - c0)
     if switching == "ramp":
         pi = _ramp_switch()
@@ -197,7 +188,7 @@ def control_expanding_flow() -> ModelSpec:
     Designed to fail exactly the flow-contraction check (expansion rate equals
     the lower intensity bound, so no admissible envelope exists).
     """
-    rate = ConstantIntensity(1.0)
+    rate = Intensity(1.0)
     declared = DeclaredConstants(
         jump_mean_contraction=1.0,
         jump_displacement=1.0,
@@ -223,7 +214,7 @@ def control_supercritical() -> ModelSpec:
     so exactly the margin check fails.
     """
     kappa = 0.5
-    rate = SaturatingIntensity(base=1.0, gain=1.0)  # band [1, 2]
+    rate = Intensity(base=1.0, gain=1.0)  # band [1, 2]
     declared = DeclaredConstants(
         jump_mean_contraction=1.0,
         anchor=0.0,
@@ -244,7 +235,7 @@ def control_supercritical() -> ModelSpec:
 def control_degenerate_switching() -> ModelSpec:
     """Negative control: absorbing regimes, so the switching minorization is 0."""
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
-    rate = ConstantIntensity(1.0)
+    rate = Intensity(1.0)
     declared = DeclaredConstants(
         jump_mean_contraction=0.5,
         switch_lipschitz=0.0,
@@ -268,8 +259,6 @@ def control_degenerate_switching() -> ModelSpec:
 
 MODEL_REGISTRY: dict[str, Callable[..., ModelSpec]] = {
     "gene": gene_expression_model,
-    "gene-constant": lambda **kw: gene_expression_model(intensity="constant", **kw),
-    "gene-saturating": lambda **kw: gene_expression_model(intensity="saturating", **kw),
     "two-regime": two_regime_model,
     "control-expanding-flow": control_expanding_flow,
     "control-supercritical": control_supercritical,

@@ -50,7 +50,7 @@ from oracles import (
 )
 
 GENE = gene_expression_model()
-GENE_SAT = gene_expression_model(intensity="saturating")
+GENE_SAT = gene_expression_model(lam_high=1.5)
 TWO = two_regime_model()
 
 REPLICAS = 1000
@@ -310,7 +310,7 @@ def test_criterion_12_flow_axioms():
 def test_criterion_13_cli_determinism(tmp_path):
     config = {
         "model": {"name": "gene", "params": {"kappa": 1.0, "burst_mean": 1.0,
-                                             "intensity": "constant", "lam": 1.0}},
+                                             "lam_low": 1.0, "lam_high": 1.0}},
         "seed": 1313,
         "replicas": 200,
         "chain_steps": 200,

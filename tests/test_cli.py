@@ -18,14 +18,14 @@ from pdmp_lab.checks import BASES, SIDES, Check
 from pdmp_lab.cli import ConfigError, ExperimentConfig, GridBlock, main
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.grid import GRID_RESIDUAL_TOL, power_iteration
-from pdmp_lab.hazard import CumulativeHazard, SaturatingIntensity, invert_holding
+from pdmp_lab.hazard import CumulativeHazard, Intensity, invert_holding
 from pdmp_lab.models import DeclaredConstants
 
 ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "model": {"name": "gene", "params": {"kappa": 1.0, "burst_mean": 1.0,
-                                         "intensity": "constant", "lam": 1.0}},
+                                         "lam_low": 1.0, "lam_high": 1.0}},
     "seed": 777,
     "replicas": 120,
     "chain_steps": 150,
@@ -340,8 +340,7 @@ def test_correspondence_peak_memory_per_atom(tmp_path):
     # alive through every distance peaked at 154 B per chain or flow atom here
     cfg = ExperimentConfig.from_dict({
         **BASE_CONFIG, "model": {"name": "gene", "params": {
-            "kappa": 1.0, "burst_mean": 1.0, "intensity": "saturating",
-            "lam_low": 1.0, "lam_high": 1.5}},
+            "kappa": 1.0, "burst_mean": 1.0, "lam_low": 1.0, "lam_high": 1.5}},
         "seed": 20260802, "replicas": 200, "chain_steps": 150, "chain_burn_in_steps": 25,
         "occupation_samples_per_replica": 125})
     n_atoms = cfg.replicas * (cfg.chain_steps - cfg.chain_burn_in_steps
@@ -448,6 +447,20 @@ def test_non_finite_or_bool_model_params_exit_2_at_load(tmp_path, capsys, comman
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"model params {key}" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "correspondence", "oracle", "diagnostics"])
+def test_old_style_gene_rate_block_exits_2_at_load(tmp_path, capsys, command):
+    # the gene rate is set by lam_low and lam_high alone: the old constant-rate
+    # switch and its single rate are unknown parameters
+    cfg = write_config(tmp_path, {"model": {"name": "gene", "params": {
+        "kappa": 1.0, "burst_mean": 1.0, "intensity": "constant", "lam": 1.0}}})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad model block: ") and "'intensity'" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -585,7 +598,7 @@ def test_exit_code_4_on_solver_failure(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     out = ["--out", str(tmp_path / "o")]
     monkeypatch.setattr(hazard_module, "HOLDING_NEWTON_MAX_ITER", 1)
-    wide = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=AffineExpFlow())
+    wide = CumulativeHazard(intensity=Intensity(base=1.0, gain=1.0), flow=AffineExpFlow())
     monkeypatch.setattr(grid_module, "POWER_ITERATION_MAX_ITER", 1)
     solvers = (lambda: power_iteration(np.array([[0.5, 0.5], [0.9, 0.1]])),
                lambda: invert_holding(wide, 0, np.array([2.5]), np.array([3.0])))

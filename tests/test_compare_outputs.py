@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pdmp_lab.models import build_model
+from pdmp_lab.models import MODEL_REGISTRY, build_model
 from pdmp_lab.simulate import jump_count_pmf
 
 _spec = importlib.util.spec_from_file_location(
@@ -62,22 +62,35 @@ def test_a_non_finite_value_against_a_number_is_the_largest():
 
 def test_every_command_config_and_seed_runs_then_the_pmf_at_each_seed():
     # 4 commands x 3 configs x 2 seeds, oracle at 2 more grid sizes on two
-    # configs, then jump_count_pmf at the benchmark's sat-verify sizes
+    # configs, jump_count_pmf at the benchmark's sat-verify sizes, then
+    # diagnostics on 3 negative controls x 2 seeds
     configs = ["gene_constant.json", "gene_saturating.json", "two_regime.json"]
     runs = compare_outputs.cases(configs)
-    assert len(runs) == 24 + 8 + 2
+    assert len(runs) == 24 + 8 + 2 + 6
     assert len({name for _, name, _, _, _ in runs}) == len(runs)
     assert runs[1] == ("simulate gene_constant.json --seed 7", "simulate-gene_constant-None-7",
                        "gene_constant.json", ["-m", "pdmp_lab.cli", "simulate", "--config",
                                               "config.json", "--out", "out", "--seed", "7"], None)
-    assert runs[-3][0] == "oracle two_regime.json at 800 nodes --seed 7" and runs[-3][4] == 800
-    assert [(label, config, args[:2]) for label, _, config, args, _ in runs[-2:]] == [
+    assert runs[-9][0] == "oracle two_regime.json at 800 nodes --seed 7" and runs[-9][4] == 800
+    assert [(label, config, args[:2]) for label, _, config, args, _ in runs[-8:-6]] == [
         ("jump_count_pmf gene_saturating.json", "gene_saturating.json",
          ["-c", compare_outputs.PMF_SCRIPT]),
         ("jump_count_pmf gene_saturating.json --seed 7", "gene_saturating.json",
          ["-c", compare_outputs.PMF_SCRIPT])]
-    assert [json.loads(args[2]) for _, _, _, args, _ in runs[-2:]] == [
+    assert [json.loads(args[2]) for _, _, _, args, _ in runs[-8:-6]] == [
         [[0.5, 1.0, 2.0], 20_000, 12, None], [[0.5, 1.0, 2.0], 20_000, 12, 7]]
+    controls = [(label, config["model"]["name"], config["seed"])
+                for label, _, config, _, _ in runs[-6:]]
+    assert controls == [(f"diagnostics {name} (config seed {seed})", name, seed)
+                        for name in compare_outputs.CONTROLS for seed in (1, 7)]
+    assert runs[-1][2:] == ({"model": {"name": "control-supercritical", "params": {}}, "seed": 7},
+                            ["-m", "pdmp_lab.cli", "diagnostics", "--config", "config.json",
+                             "--out", "out"], None)
+
+
+def test_controls_are_the_registered_negative_models():
+    assert list(compare_outputs.CONTROLS) == sorted(
+        name for name in MODEL_REGISTRY if not build_model(name).positive)
 
 
 def test_pmf_script_writes_every_value_exactly(tmp_path, monkeypatch):

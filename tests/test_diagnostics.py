@@ -19,7 +19,7 @@ from pdmp_lab.diagnostics import (
     verify_drift_empirically,
 )
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity
+from pdmp_lab.hazard import Intensity
 from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import (
     DeclaredConstants,
@@ -37,7 +37,7 @@ from oracles import (
 )
 
 GENE = gene_expression_model()
-GENE_SAT = gene_expression_model(intensity="saturating")
+GENE_SAT = gene_expression_model(lam_high=1.5)
 TWO = two_regime_model()
 
 
@@ -54,7 +54,7 @@ def test_flow_contraction_gene_exact():
 
 def test_flow_contraction_frozen_flow():
     flow = FrozenFlow()
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     model = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants())
@@ -102,7 +102,7 @@ def test_jump_displacement_two_regime():
 
 def test_jump_displacement_identity_map():
     flow = FrozenFlow()
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     model = ModelSpec(name="idmap", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                           SwitchingMatrix([[1.0]])),
@@ -155,7 +155,7 @@ def test_ifs_constants_state_dependent_density():
         return np.array([q, 1.0 - q])
 
     flow = FrozenFlow()
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     model = ModelSpec(
         name="state-dep", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs),
@@ -175,7 +175,7 @@ def _state_dependent_ifs_model():
         return np.array([q, 1.0 - q])
 
     return ModelSpec(
-        name="state-dep", flow=FrozenFlow(), intensity=ConstantIntensity(1.0),
+        name="state-dep", flow=FrozenFlow(), intensity=Intensity(1.0),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 0.25)), probs=probs),
                             SwitchingMatrix([[1.0]])),
         declared=DeclaredConstants(jump_mean_contraction=0.5))
@@ -321,7 +321,7 @@ def test_empirical_drift_gene_probes(monkeypatch):
 def test_empirical_drift_detects_false_constants():
     # frozen flow has no drift toward the anchor: multiplier 0.5 is a lie
     flow = FrozenFlow()
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     model = ModelSpec(name="no-drift", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
                       declared=DeclaredConstants())

@@ -68,7 +68,7 @@ def test_pdmp_path_two_regime_segments():
 
 
 def test_thinning_agrees_with_law_gene_saturating():
-    model = gene_expression_model(intensity="saturating")
+    model = gene_expression_model(lam_high=1.5)
     rng = np.random.default_rng(5)
     draws = sample_holding_thinning_vec(model.hazard, 0, np.full(20_000, 1.0), rng)
 

@@ -18,12 +18,7 @@ from pdmp_lab.grid import (
     oracle_correspondence,
     power_iteration,
 )
-from pdmp_lab.hazard import (
-    ConstantIntensity,
-    SaturatingIntensity,
-    quantile_edges,
-    survival_horizon,
-)
+from pdmp_lab.hazard import Intensity, quantile_edges, survival_horizon
 from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model, two_regime_model
@@ -32,7 +27,7 @@ from pdmp_lab.simulate import chain_measure, run_ensemble
 from oracles import grid_measure
 
 GENE = gene_expression_model()
-GENE_SAT = gene_expression_model(intensity="saturating")
+GENE_SAT = gene_expression_model(lam_high=1.5)
 
 
 def failed_names(report):
@@ -119,7 +114,7 @@ def assembly_factors(model, m):
 def state_dependent_ifs_model():
     """Two regimes, halving maps whose selection law depends on the location."""
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
-    intensity = SaturatingIntensity(base=1.0, gain=0.5)
+    intensity = Intensity(base=1.0, gain=0.5)
     ifs = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)),
                           probs=lambda y: [0.2 + 0.6 * y, 0.8 - 0.6 * y])
     stay = lambda y: np.clip(np.asarray(y, dtype=float), 0.1, 0.9)  # noqa: E731
@@ -135,7 +130,7 @@ def frozen_saturating_model():
     whose rate differs at every node, under halving maps."""
     return ModelSpec(
         name="frozen-saturating", flow=FrozenFlow(n_regimes=2),
-        intensity=SaturatingIntensity(base=1.0, gain=0.5),
+        intensity=Intensity(base=1.0, gain=0.5),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5))),
                             SwitchingMatrix([[0.25, 0.75], [0.6, 0.4]])),
         declared=DeclaredConstants(), y_max=1.0)
@@ -265,9 +260,9 @@ def test_y_max_must_be_positive_and_finite(y_max):
 def test_oracle_reuses_the_build_fixed_point(monkeypatch):
     calls = []
 
-    def counted(matrix, *args, **kwargs):
+    def counted(matrix):
         calls.append(matrix.shape)
-        return power_iteration(matrix, *args, **kwargs)
+        return power_iteration(matrix)
 
     monkeypatch.setattr(grid_module, "power_iteration", counted)
     grid = build_grid_model(two_regime_model(), 120)
@@ -403,7 +398,7 @@ def test_plain_residual_sums_off_band_mass_on_both_sides():
 def two_node_model():
     """Frozen flow plus a deterministic jump onto the upper node."""
     flow = FrozenFlow()
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     return ModelSpec(
         name="two-node", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.0, 1.0),), probs=(1.0,)),
@@ -464,7 +459,7 @@ def test_window_check_counts_flow_images(params, message):
 def test_switching_rows_are_checked_on_the_grid_nodes():
     # stay-probability 1 - y/20 is a valid row on the model window [0, 15] only
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     stay = lambda y: 1.0 - np.asarray(y, dtype=float) / 20.0  # noqa: E731
     model = ModelSpec(
         name="stay-ramp", flow=flow, intensity=intensity,
@@ -507,27 +502,19 @@ def test_power_iteration_doubly_stochastic():
     assert np.allclose(v, [0.5, 0.5], atol=1e-12)
 
 
-def test_power_iteration_identity_flags_non_uniqueness():
-    eye = np.eye(2)
-    a = power_iteration(eye, v0=np.array([1.0, 0.0]))
-    b = power_iteration(eye, v0=np.array([0.0, 1.0]))
-    assert np.allclose(a, [1.0, 0.0])
-    # a second start exposes the non-uniqueness
-    assert not np.allclose(a, b)
-
-
 def test_power_iteration_requires_stochastic_rows():
     with pytest.raises(ValueError):
         power_iteration(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
 def test_power_iteration_non_convergence_reports_residual(monkeypatch):
-    # period-2 chain never settles in l1: each step moves |0.9 - 0.1| twice
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # period-2 chain between state 0 and states {1, 2}: from the uniform start
+    # the iterate alternates (1/3, 1/3, 1/3) <-> (2/3, 1/6, 1/6), an l1 move of 2/3
+    flip = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     monkeypatch.setattr(grid_module, "POWER_ITERATION_MAX_ITER", 50)
     with pytest.raises(ConvergenceError,
-                       match=r"no fixed point within 50 iterations \(residual 1\.600e\+00\)"):
-        power_iteration(flip, v0=np.array([0.9, 0.1]))
+                       match=r"no fixed point within 50 iterations \(residual 6\.667e-01\)"):
+        power_iteration(flip)
 
 
 def test_gene_fixed_point_moments():
@@ -548,7 +535,7 @@ def test_oracle_correspondence_residuals():
 def test_oracle_constant_rate_normalizers():
     lam = 2.0
     # rate 2 pushes the stationary law higher, so the window must widen
-    grid = build_grid_model(gene_expression_model(lam=lam), 150, y_max=20.0)
+    grid = build_grid_model(gene_expression_model(lam_low=lam, lam_high=lam), 150, y_max=20.0)
     report = oracle_correspondence(grid)
     assert report.normalizer_to_flow == pytest.approx(1.0 / lam, abs=1e-10)
     assert report.normalizer_to_chain == pytest.approx(lam, abs=1e-8)
@@ -602,18 +589,14 @@ def test_power_iteration_names_a_nan_row_at_once():
         power_iteration(matrix)
 
 
-@pytest.mark.parametrize("v0", [[1.0, -1.0], [np.nan, 1.0], [0.0, 0.0]])
-def test_power_iteration_rejects_bad_start_vector(v0):
-    with pytest.raises(ValueError, match="start vector must be finite with a positive sum"):
-        power_iteration(np.full((2, 2), 0.5), v0=np.array(v0))
-
-
 def test_power_iteration_stops_at_first_non_finite_residual():
-    # rows sum to 1, but the negative entries make the iterate grow without bound
-    growing = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    # rows sum to 1, but the negative entries give a second eigenvalue 4: the
+    # uniform start is off the fixed point (1, 2) / 3, so the iterate grows
+    # without bound
+    growing = np.array([[3.0, -2.0], [-1.0, 2.0]])
     with np.errstate(all="ignore"), pytest.raises(
             ConvergenceError, match=r"finite range at step \d+ \(residual (nan|inf)\)$"):
-        power_iteration(growing, v0=np.array([1.0, 0.0]))
+        power_iteration(growing)
 
 
 def test_grid_checks_name_a_nan_row(monkeypatch):

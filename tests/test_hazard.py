@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -8,10 +9,8 @@ from pdmp_lab import hazard as hazard_module
 from pdmp_lab.diagnostics import flow_displacement_integral
 from pdmp_lab.flows import AffineExpFlow, ExpandingFlow, FrozenFlow
 from pdmp_lab.hazard import (
-    ConstantIntensity,
     CumulativeHazard,
     Intensity,
-    SaturatingIntensity,
     holding_time_rule,
     invert_holding,
     sample_holding_thinning_vec,
@@ -31,13 +30,29 @@ from oracles import (
 
 FLOW = AffineExpFlow(rates=(1.0,), anchors=(0.0,))
 # rate band [1, 2]: the variant used in the worked closed-form example
-WIDE = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=FLOW)
-CONST2 = CumulativeHazard(intensity=ConstantIntensity(2.0), flow=FLOW)
+WIDE = CumulativeHazard(intensity=Intensity(base=1.0, gain=1.0), flow=FLOW)
+CONST2 = CumulativeHazard(intensity=Intensity(2.0), flow=FLOW)
 
 
 def closed_gene_hazard(y, t):
     # integral of 1 + u/(1+u) along u = y e^{-h}
     return t + math.log((1.0 + y) / (1.0 + y * math.exp(-t)))
+
+
+def test_one_rate_class_is_constant_at_gain_zero():
+    # the fields are base and gain; the bounds are plain attributes that a test
+    # may overwrite with lying values
+    assert [f.name for f in dataclasses.fields(Intensity)] == ["base", "gain"]
+    ys = np.array([0.0, 1e-9, 0.5, 7.0, 1e3])
+    constant = Intensity(2.0)
+    assert np.array_equal(constant(ys), np.full(ys.shape, 2.0))
+    assert (constant.lower, constant.upper, constant.lipschitz) == (2.0, 2.0, 0.0)
+    saturating = Intensity(base=1.0, gain=0.5)
+    assert np.array_equal(saturating(ys), 1.0 + 0.5 * ys / (1.0 + ys))
+    assert (saturating.lower, saturating.upper, saturating.lipschitz) == (1.0, 1.5, 0.5)
+    for base, gain in ((0.0, 0.0), (-1.0, 0.5), (1.0, -0.1)):
+        with pytest.raises(ValueError, match="need base > 0 and gain >= 0"):
+            Intensity(base, gain)
 
 
 def test_constant_hazard_is_linear():
@@ -177,7 +192,7 @@ def test_holding_moment_bracket():
 def test_inversion_detects_invalid_rate_bounds():
     # declared bounds that exclude the true rates leave the root outside the
     # bracket; the residual guard must trip instead of returning junk
-    class LyingIntensity(SaturatingIntensity):
+    class LyingIntensity(Intensity):
         def __post_init__(self):
             super().__post_init__()
             object.__setattr__(self, "lower", 5.0)
@@ -212,7 +227,7 @@ def test_holding_time_rule_known_integrals():
     # rounding (a few eps per term, log2(800) ~ 10 more for the sum)
     eps = np.finfo(float).eps
     for lam in (0.3, 1.0, 5.0):
-        nodes, weights = holding_time_rule(ConstantIntensity(lam))
+        nodes, weights = holding_time_rule(Intensity(lam))
         slack = (hazard_module.SURVIVAL_TAIL_EPS + 16 * eps) / lam
         integral = float(np.sum(weights * np.exp(-lam * nodes)))
         assert abs(integral - 1.0 / lam) <= gl4_error_bound(nodes, weights, lam) + slack
@@ -227,7 +242,7 @@ def test_holding_time_rule_known_integrals():
 
 def test_regime_array_matches_per_regime_calls():
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
-    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
+    hz = CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5), flow=flow)
     rng = np.random.default_rng(22)
     n = 2000
     regimes = rng.integers(0, 2, n)
@@ -245,7 +260,7 @@ def test_out_of_range_regime_entry_rejected():
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
     regimes = np.array([0, 1, 2, 0])
     ys = np.ones(4)
-    for intensity in (SaturatingIntensity(base=1.0, gain=0.5), ConstantIntensity(1.0)):
+    for intensity in (Intensity(base=1.0, gain=0.5), Intensity(1.0)):
         hz = CumulativeHazard(intensity=intensity, flow=flow)
         with pytest.raises(ValueError, match="regime"):
             hz.value(regimes, 1.0, ys)
@@ -258,7 +273,7 @@ def test_out_of_range_regime_entry_rejected():
 def test_inversion_terminates_where_float_steps_exceed_tolerance():
     # at t ~ 8192 one float step (1.8e-12) is wider than 1e-12, so an
     # absolute 1e-12 stop could never be met there
-    model = build_model("gene", {"intensity": "saturating", "lam_low": 1e-3, "lam_high": 2e-3})
+    model = build_model("gene", {"lam_low": 1e-3, "lam_high": 2e-3})
     ys, targets = np.array([1.0]), np.array([30.0])
     start = time.perf_counter()
     t = invert_holding(model.hazard, 0, ys, targets)
@@ -268,14 +283,14 @@ def test_inversion_terminates_where_float_steps_exceed_tolerance():
 
 
 def test_inversion_rejects_non_finite_starts():
-    model = build_model("gene", {"intensity": "saturating"})
+    model = build_model("gene", {"lam_high": 1.5})
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             invert_holding(model.hazard, 0, np.array([bad, 1.0]), np.array([1.0, 1.0]))
 
 
 def test_newton_residual_on_gene_saturating():
-    model = build_model("gene", {"intensity": "saturating"})
+    model = build_model("gene", {"lam_high": 1.5})
     rng = np.random.default_rng(8)
     ys = np.concatenate([[0.0, 1e-9, 1e3], rng.uniform(0.0, 50.0, 4000)])
     targets = np.concatenate([[0.0, 1e-14, 40.0], -np.log1p(-rng.random(4000))])
@@ -286,7 +301,7 @@ def test_newton_residual_on_gene_saturating():
 
 def test_inversion_of_an_atom_does_not_depend_on_its_batch():
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
-    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
+    hz = CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5), flow=flow)
     rng = np.random.default_rng(9)
     n = 300
     regimes = rng.integers(0, 2, n)
@@ -312,7 +327,7 @@ def test_fused_newton_terms_match_the_generic_hazard_and_slope(flow):
     # read only the intensity and the flow: H against Gauss-Legendre of
     # lambda(S_i(h, y)), the slope against lambda(S_i(t, y)) within 2 eps upper
     # (upper bounds each term of the sum), at every regime of the flow
-    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
+    hz = CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5), flow=flow)
     eps, upper = np.finfo(float).eps, hz.intensity.upper
     rng = np.random.default_rng(10)
     n = 10_000
@@ -360,7 +375,7 @@ INPLACE_FLOW = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
 
 @pytest.mark.parametrize("i, t, y", CLOSED_FORM_INPUTS.values(), ids=CLOSED_FORM_INPUTS.keys())
 def test_in_place_closed_forms_are_bitwise_the_out_of_place_expressions(i, t, y):
-    saturating = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5),
+    saturating = CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5),
                                   flow=INPLACE_FLOW)
     hazard = hazard_module._saturating_hazard(saturating, i, y)
     assert _same_bits(hazard(t), saturating_hazard_out_of_place(saturating, i, t, y))
@@ -369,8 +384,8 @@ def test_in_place_closed_forms_are_bitwise_the_out_of_place_expressions(i, t, y)
         assert _same_bits(new, old)
     assert _same_bits(saturating.value(i, t, y), saturating_hazard_out_of_place(saturating, i, t, y))
     for hz in (saturating,
-               CumulativeHazard(intensity=ConstantIntensity(2.0), flow=INPLACE_FLOW),
-               CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5),
+               CumulativeHazard(intensity=Intensity(2.0), flow=INPLACE_FLOW),
+               CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5),
                                 flow=FrozenFlow(n_regimes=2))):
         assert _same_bits(hz.survival(i, t, y), survival_out_of_place(hz, i, t, y))
     assert _same_bits(INPLACE_FLOW.evaluate(i, t, y), affine_flow_out_of_place(INPLACE_FLOW, i, t, y))
@@ -379,13 +394,13 @@ def test_in_place_closed_forms_are_bitwise_the_out_of_place_expressions(i, t, y)
 def test_declared_bounds_enter_only_the_bracket():
     # a loose but valid upper bound widens the Newton bracket; the hazard is
     # written on the rate's own base + gain, so every root keeps its bits
-    class LooseIntensity(SaturatingIntensity):
+    class LooseIntensity(Intensity):
         def __post_init__(self):
             super().__post_init__()
             object.__setattr__(self, "upper", 3.0)
 
     flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
-    honest = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=flow)
+    honest = CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5), flow=flow)
     loose = CumulativeHazard(intensity=LooseIntensity(base=1.0, gain=0.5), flow=flow)
     rng = np.random.default_rng(14)
     n = 1000
@@ -401,7 +416,7 @@ def test_newton_iterates_approach_the_root_from_one_side(monkeypatch):
     # the rate rises (H convex): every iterate, the start included, stays below
     # the root in the first case and above it in the second, moving toward it
     flow = AffineExpFlow(rates=(1.0, 2.5), anchors=(0.0, 1.5))
-    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=1.0), flow=flow)
+    hz = CumulativeHazard(intensity=Intensity(base=1.0, gain=1.0), flow=flow)
     iterates = []
     kernel = hazard_module._saturating_hazard
 
@@ -465,25 +480,17 @@ def test_inversion_residual_check_runs_per_block(monkeypatch):
 
 
 def test_every_registered_model_builds():
-    # each registered flow/intensity pair has a closed-form hazard
+    # each registered flow/intensity pair has a closed-form hazard, path-constant
+    # exactly where the rate is flat over the model's window
     for name in MODEL_REGISTRY:
         model = build_model(name)
-        assert model.hazard.path_constant == isinstance(model.intensity, ConstantIntensity)
-
-
-class PlainRate(Intensity):
-    """A bounded rate that is neither constant nor saturating."""
-
-    lower, upper, lipschitz = 1.0, 2.0, 1.0
-
-    def __call__(self, y):
-        return 1.0 + 0.5 * (1.0 + np.tanh(np.asarray(y, dtype=float)))
+        rates = model.intensity(np.linspace(0.0, model.y_max, 64))
+        assert model.hazard.path_constant == (rates.min() == rates.max())
 
 
 @pytest.mark.parametrize("flow, intensity, message", [
-    (ExpandingFlow(), SaturatingIntensity(), "SaturatingIntensity on ExpandingFlow"),
-    (AffineExpFlow(), PlainRate(), "PlainRate on AffineExpFlow"),
-], ids=["expanding-saturating", "affine-plain"])
+    (ExpandingFlow(), Intensity(base=1.0, gain=0.5), "a rate of gain 0.5 on ExpandingFlow"),
+], ids=["expanding-saturating"])
 def test_pair_without_closed_form_fails_at_model_build(flow, intensity, message):
     with pytest.raises(ValueError, match=f"no closed-form hazard for {message}"):
         ModelSpec(name="no-hazard", flow=flow, intensity=intensity,
@@ -493,7 +500,7 @@ def test_pair_without_closed_form_fails_at_model_build(flow, intensity, message)
 
 def test_frozen_flow_with_saturating_rate_inverts_to_target_over_rate():
     # the rate does not change along a frozen path, so H = lambda(y) * t
-    hz = CumulativeHazard(intensity=SaturatingIntensity(base=1.0, gain=0.5), flow=FrozenFlow())
+    hz = CumulativeHazard(intensity=Intensity(base=1.0, gain=0.5), flow=FrozenFlow())
     assert hz.path_constant
     rng = np.random.default_rng(12)
     ys = np.concatenate([[0.0, 1e3], rng.uniform(0.0, 30.0, 998)])

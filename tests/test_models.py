@@ -3,9 +3,10 @@ import pytest
 
 from pdmp_lab.diagnostics import stability_margin
 from pdmp_lab.flows import AffineExpFlow
-from pdmp_lab.hazard import ConstantIntensity, Intensity
+from pdmp_lab.hazard import Intensity
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import (
+    MODEL_REGISTRY,
     DeclaredConstants,
     ModelSpec,
     build_model,
@@ -26,12 +27,12 @@ def test_gene_margin_constant_rate():
 
 def test_gene_margin_saturating_default():
     # shipped band [1, 1.5]: margin 1 - (1.5 - 1) = 0.5
-    assert stability_margin(gene_expression_model(intensity="saturating")) == pytest.approx(0.5)
+    assert stability_margin(gene_expression_model(lam_high=1.5)) == pytest.approx(0.5)
 
 
 def test_gene_margin_wide_band_boundary():
     # band [1, 2] with unit decay sits exactly at the stability boundary
-    model = gene_expression_model(intensity="saturating", lam_low=1.0, lam_high=2.0)
+    model = gene_expression_model(lam_low=1.0, lam_high=2.0)
     assert stability_margin(model) == pytest.approx(0.0)
 
 
@@ -41,9 +42,13 @@ def test_gene_parameter_validation():
     with pytest.raises(ValueError):
         gene_expression_model(burst_mean=-1.0)
     with pytest.raises(ValueError):
-        gene_expression_model(intensity="saturating", lam_low=2.0, lam_high=1.0)
+        gene_expression_model(lam_low=2.0, lam_high=1.0)
     with pytest.raises(ValueError):
-        gene_expression_model(intensity="nope")
+        gene_expression_model(lam_low=0.0, lam_high=1.0)
+    # the rate is set by its two bounds alone
+    for old in ({"intensity": "constant"}, {"lam": 1.0}):
+        with pytest.raises(TypeError):
+            gene_expression_model(**old)
 
 
 def test_two_regime_declared_constants():
@@ -74,18 +79,20 @@ def test_negative_controls_flagged_not_positive():
 
 
 def test_registry_round_trip():
-    model = build_model("gene", {"kappa": 1.0, "burst_mean": 1.0, "intensity": "constant",
-                                 "lam": 1.0})
-    assert model.name == "gene-constant"
+    model = build_model("gene", {"kappa": 1.0, "burst_mean": 1.0, "lam_low": 1.0,
+                                 "lam_high": 1.0})
+    assert model.name == "gene-constant" and model.intensity == Intensity(1.0)
+    model = build_model("gene", {"lam_low": 1.0, "lam_high": 1.5})
+    assert model.name == "gene-saturating" and model.intensity == Intensity(1.0, 0.5)
     assert build_model("two-regime").n_regimes == 2
     with pytest.raises(KeyError):
         build_model("unknown-model")
 
 
 def test_registry_covers_all_shipped_models():
-    for name in ("gene", "gene-constant", "gene-saturating", "two-regime",
-                 "control-expanding-flow", "control-supercritical",
-                 "control-degenerate-switching"):
+    assert sorted(MODEL_REGISTRY) == ["control-degenerate-switching", "control-expanding-flow",
+                                      "control-supercritical", "gene", "two-regime"]
+    for name in MODEL_REGISTRY:
         assert build_model(name) is not None
 
 
@@ -98,7 +105,7 @@ def switching_window_model(edge, y_max):
         return np.full_like(np.asarray(y, dtype=float), 0.5)
 
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     return ModelSpec(name="switching-window", flow=flow, intensity=intensity,
                      jump=PostJumpKernel(AdditiveBurstKernel(1.0),
                                          SwitchingMatrix([[stay, leave], [0.5, 0.5]])),
@@ -128,29 +135,19 @@ def test_switching_entries_checked_on_the_model_window():
     # rows sum to 1 everywhere, but entries leave [0, 1] above 12
     switching = SwitchingMatrix([[stay, leave], [0.5, 0.5]])
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
-    intensity = ConstantIntensity(1.0)
+    intensity = Intensity(1.0)
     with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
         ModelSpec(name="switching-entries", flow=flow, intensity=intensity,
                   jump=PostJumpKernel(AdditiveBurstKernel(1.0), switching),
                   declared=DeclaredConstants(), y_max=15.0)
 
 
-class NoSlopeIntensity(Intensity):
-    """A bounded rate that declares no Lipschitz bound."""
-
-    lower, upper = 1.0, 2.0
-
-    def __call__(self, y):
-        return 1.0 + np.abs(np.sin(np.asarray(y, dtype=float)))
-
-
 @pytest.mark.parametrize("flow, intensity, message", [
-    (QuadraticDriftFlow(), ConstantIntensity(1.0),
+    (QuadraticDriftFlow(), Intensity(1.0),
      "flow QuadraticDriftFlow has no contraction envelope"),
-    (AffineExpFlow(), NoSlopeIntensity(), "intensity NoSlopeIntensity has no Lipschitz bound"),
-], ids=["flow", "intensity"])
+], ids=["flow"])
 def test_model_without_declared_bounds_fails_at_build(flow, intensity, message):
-    # the assumption suite needs both bounds, so such a model is rejected when built
+    # the assumption suite needs the flow's envelope, so such a model is rejected when built
     with pytest.raises(ValueError, match=message):
         ModelSpec(name="no-bounds", flow=flow, intensity=intensity,
                   jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),

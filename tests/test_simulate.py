@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity, SaturatingIntensity, invert_holding
+from pdmp_lab.hazard import Intensity, invert_holding
 from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model, two_regime_model
 from pdmp_lab import simulate
@@ -30,15 +30,15 @@ import oracles
 from oracles import ks_critical, ks_statistic, ks_statistic_weighted, reference_chunk
 
 GENE = gene_expression_model()
-GENE_SAT = gene_expression_model(intensity="saturating")
+GENE_SAT = gene_expression_model(lam_high=1.5)
 TWO = two_regime_model()
 # two regimes whose holding times need Newton: mixed regimes in one inversion call
-TWO_SAT = dataclasses.replace(TWO, intensity=SaturatingIntensity(base=1.0, gain=0.5))
+TWO_SAT = dataclasses.replace(TWO, intensity=Intensity(base=1.0, gain=0.5))
 
 
 def frozen_model(lam=1.0):
     flow = FrozenFlow()
-    intensity = ConstantIntensity(lam)
+    intensity = Intensity(lam)
     return ModelSpec(
         name="frozen", flow=flow, intensity=intensity,
         jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
@@ -499,7 +499,7 @@ def test_discounted_jump_time_transform_bound():
 
 def test_trajectory_csv_round_trip(tmp_path):
     # chain.csv of `pdmp-lab simulate` is row 0 of the (seed, 1) chain ensemble
-    config = {"model": {"name": "gene-saturating"}, "seed": 18, "replicas": 40,
+    config = {"model": {"name": "gene", "params": {"lam_high": 1.5}}, "seed": 18, "replicas": 40,
               "chain_steps": 25, "chain_burn_in_steps": 5, "horizon": 20.0,
               "occupation_samples_per_replica": 10}
     path = tmp_path / "config.json"
@@ -518,7 +518,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_eta_histogram_counts_jumps_of_the_horizon_ensemble(tmp_path):
-    config = {"model": {"name": "gene-saturating"}, "seed": 22, "replicas": 600,
+    config = {"model": {"name": "gene", "params": {"lam_high": 1.5}}, "seed": 22, "replicas": 600,
               "chain_steps": 10, "chain_burn_in_steps": 2, "horizon": 8.0,
               "occupation_samples_per_replica": 5}
     path = tmp_path / "config.json"
@@ -527,7 +527,26 @@ def test_eta_histogram_counts_jumps_of_the_horizon_ensemble(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     ens = run_ensemble(GENE_SAT, 600, (22, 2), t_end=8.0)
     counts = np.concatenate([count_jumps(taus, ETA_TIME) for taus, _, _ in ens.chunks])
-    assert summary["eta_histogram"] == (np.bincount(counts, minlength=11)[:11] / 600).tolist()
+    assert summary["eta_histogram"] == (np.bincount(np.minimum(counts, 10), minlength=11)
+                                        / 600).tolist()
+
+
+def test_eta_histogram_last_bin_holds_ten_or_more_jumps(tmp_path):
+    # at rate 5 a replica makes 10 jumps by ETA_TIME on average, so about 42%
+    # make more; they all land in the last bin and the histogram sums to 1
+    config = {"model": {"name": "gene", "params": {"lam_low": 5.0, "lam_high": 5.0}},
+              "seed": 23, "replicas": 400, "chain_steps": 10, "chain_burn_in_steps": 2,
+              "horizon": ETA_TIME, "occupation_samples_per_replica": 5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    hist = json.loads((tmp_path / "summary.json").read_text())["eta_histogram"]
+    ens = run_ensemble(gene_expression_model(lam_low=5.0, lam_high=5.0), 400, (23, 2),
+                       t_end=ETA_TIME)
+    counts = np.concatenate([count_jumps(taus, ETA_TIME) for taus, _, _ in ens.chunks])
+    assert 0.3 < np.mean(counts > 10) < 0.55
+    assert len(hist) == 11 and math.isclose(sum(hist), 1.0, rel_tol=1e-12)
+    assert hist[10] == np.mean(counts >= 10)
 
 
 @pytest.mark.parametrize("t_values, max_count, n_replicas, message", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdmp_lab.flows import FrozenFlow
-from pdmp_lab.hazard import ConstantIntensity, SaturatingIntensity
+from pdmp_lab.hazard import Intensity
 from pdmp_lab.jumps import FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
 from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model
@@ -25,13 +25,13 @@ from oracles import (
 )
 
 GENE = gene_expression_model()
-GENE_SAT = gene_expression_model(intensity="saturating")
+GENE_SAT = gene_expression_model(lam_high=1.5)
 
 
 def linear_rate_model():
     """Deterministic hand-checkable model: halving jumps, frozen flow."""
     flow = FrozenFlow()
-    intensity = SaturatingIntensity(base=1.0, gain=1.0)
+    intensity = Intensity(base=1.0, gain=1.0)
     return ModelSpec(
         name="hand", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,)),
@@ -66,7 +66,7 @@ def repeated(mu, reps):
 
 
 def test_expected_holding_time_constant_rate():
-    m = gene_expression_model(lam=2.0)
+    m = gene_expression_model(lam_low=2.0, lam_high=2.0)
     assert expected_holding_times(m, [3.0])[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -86,7 +86,7 @@ def test_expected_holding_time_dual_quadrature():
 
 def test_occupation_transform_mass_constant_rate():
     lam = 2.0
-    m = gene_expression_model(lam=lam)
+    m = gene_expression_model(lam_low=lam, lam_high=lam)
     mu = WeightedEmpiricalMeasure.from_samples(np.linspace(0, 3, 50)).normalize()
     quad, _ = holding_occupation_quadrature(m, mu)
     assert quad.total_mass == pytest.approx(1.0 / lam, abs=1e-8)
@@ -98,7 +98,7 @@ def test_occupation_transform_mass_constant_rate():
 def test_occupation_transform_frozen_flow_point_mass():
     flow = FrozenFlow()
     lam = 2.0
-    intensity = ConstantIntensity(lam)
+    intensity = Intensity(lam)
     m = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                   jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
                                       SwitchingMatrix([[1.0]])),
@@ -128,7 +128,7 @@ def test_occupation_transform_mc_vs_quadrature_w1():
 
 def test_weighted_jump_mass_constant_rate():
     lam = 2.0
-    m = gene_expression_model(lam=lam)
+    m = gene_expression_model(lam_low=lam, lam_high=lam)
     mu = WeightedEmpiricalMeasure.from_samples(np.linspace(0, 3, 40)).normalize()
     out, _ = weighted_jump_transform(m, mu, np.random.default_rng(5))
     assert out.total_mass == pytest.approx(lam, rel=1e-12)
@@ -154,7 +154,7 @@ def test_weighted_jump_mass_bracket():
 def test_correspondence_constant_rate_reduces_to_plain_kernels():
     # with a constant rate the normalizers are exactly (1/rate, rate)
     lam = 2.0
-    m = gene_expression_model(lam=lam)
+    m = gene_expression_model(lam_low=lam, lam_high=lam)
     mu = chain_stationary(m, 9, replicas=1000, steps=80, burn=30)
     to_flow, to_flow_normalizer = chain_to_flow_stationary(m, mu, np.random.default_rng(10))
     # the same draws unnormalized: to_flow is this occupation image over its mass

@@ -14,13 +14,16 @@ the sizes of the benchmark's sat-verify workload (``PMF_CONFIG``, ``PMF_TIMES``,
 ``PMF_REPLICAS``, ``PMF_MAX_COUNT``, stream (seed, 7)), at the config seed and
 at seed 7; each runs in a subprocess with its tree's ``src``, as the CLI runs
 do, and writes the pmf to ``jump_count_pmf.csv`` with every value as its
-shortest round-trip ``repr``. Every output file, stdout, stderr and the exit
+shortest round-trip ``repr``. Last, ``diagnostics`` runs on each registered
+negative control (``CONTROLS``), which no shipped config names, from a config
+generated on both sides, ``{"model": {"name": C, "params": {}}, "seed": s}``
+for each s of ``CONTROL_SEEDS``. Every output file, stdout, stderr and the exit
 code are compared. Every run is made; each differing run is printed with each
 of its differing items (exit code, stream or output file) and that item's
 first differing line; a differing CSV or JSON file also gets the largest
 absolute and the largest relative difference over its numbers, so a
 rounding-level move shows its size. Exits 1 when any run differs, 0 when every
-run matches, 2 when REV cannot be extracted. Runs serially; the 34 runs take
+run matches, 2 when REV cannot be extracted. Runs serially; the 40 runs take
 about 30 s on two cores.
 """
 
@@ -58,12 +61,16 @@ Path("out").mkdir()
 Path("out/jump_count_pmf.csv").write_text("t,count,p\\n" + "".join(
     f"{t!r},{n},{p!r}\\n" for t, row in pmf.items() for n, p in enumerate(row.tolist())))
 """
+CONTROLS = ("control-degenerate-switching", "control-expanding-flow", "control-supercritical")
+CONTROL_SEEDS = (1, 7)
 
 
-def cases(configs: list[str]) -> list[tuple[str, str, str, list[str], int | None]]:
+def cases(configs: list[str]) -> list[tuple[str, str, str | dict, list[str], int | None]]:
     """(label, run name, config, interpreter arguments, grid nodes) of every run:
     each command on each config at each seed, ``oracle`` at each of
-    ``ORACLE_NODES``, then ``jump_count_pmf`` at each seed."""
+    ``ORACLE_NODES``, ``jump_count_pmf`` at each seed, then ``diagnostics`` on
+    each negative control at each of ``CONTROL_SEEDS``. A config is a file name
+    under ``configs/`` or, for a control, the generated config itself."""
     def label(what, config, seed, nodes=None):
         return (f"{what} {config}" + ("" if nodes is None else f" at {nodes} nodes")
                 + ("" if seed is None else f" --seed {seed}"))
@@ -81,6 +88,10 @@ def cases(configs: list[str]) -> list[tuple[str, str, str, list[str], int | None
     found += [(label("jump_count_pmf", PMF_CONFIG, seed), f"jump_count_pmf-{seed}", PMF_CONFIG,
                ["-c", PMF_SCRIPT, json.dumps([PMF_TIMES, PMF_REPLICAS, PMF_MAX_COUNT, seed])],
                None) for seed in SEEDS]
+    found += [(f"diagnostics {control} (config seed {seed})", f"diagnostics-{control}-{seed}",
+               {"model": {"name": control, "params": {}}, "seed": seed},
+               ["-m", "pdmp_lab.cli", "diagnostics", "--config", "config.json", "--out", "out"],
+               None) for control in CONTROLS for seed in CONTROL_SEEDS]
     return found
 
 
@@ -91,12 +102,15 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(tree: Path, args: list[str], config: str, nodes, run_dir: Path) -> dict:
-    """One run of the interpreter with ``args`` from ``tree``, at ``nodes`` grid
-    nodes unless None: its exit code, stdout, stderr and output files."""
+def run(tree: Path, args: list[str], config: str | dict, nodes, run_dir: Path) -> dict:
+    """One run of the interpreter with ``args`` from ``tree`` on ``config`` (a file
+    of the tree's ``configs/``, or a generated config), at ``nodes`` grid nodes
+    unless None: its exit code, stdout, stderr and output files."""
     run_dir.mkdir(parents=True)
-    source = tree / "configs" / config
-    if source.exists() and nodes is not None:
+    source = None if isinstance(config, dict) else tree / "configs" / config
+    if source is None:
+        (run_dir / "config.json").write_text(json.dumps(config))
+    elif source.exists() and nodes is not None:
         cfg = json.loads(source.read_text())
         cfg["grid"] = {**cfg.get("grid", {}), "nodes": nodes}
         (run_dir / "config.json").write_text(json.dumps(cfg))
