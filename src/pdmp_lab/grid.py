@@ -317,7 +317,7 @@ def build_grid_model(model: ModelSpec, m: int, y_max: Optional[float] = None) ->
     try:
         model.jump.switching.check_rows(nodes)
     except ValueError as exc:
-        raise GridAssemblyError(f"on the grid nodes up to y_max={y_max:.6g}: {exc}") from exc
+        raise GridAssemblyError(f"switching rows at nodes to y_max={y_max:.6g}: {exc}") from exc
     n_regimes = model.n_regimes
     rate_at = np.asarray(model.intensity(nodes), dtype=float)
 

@@ -4,7 +4,9 @@ A jump from location y applies a random transformation w_theta(y), where
 theta is drawn from a place-dependent density against a reference measure.
 After the jump the regime switches according to a row-stochastic matrix of
 continuous functions evaluated at the *post-jump* location. That evaluation
-order is fixed here on purpose: it is easy to get wrong.
+order is fixed here on purpose: it is easy to get wrong. Both laws that move
+with the location, the map selection of a ``FiniteAffineIfs`` and the regime
+switch, are ``ProbabilityRows``, drawn by its one inverse-CDF loop, ``pick``.
 
 Each kernel splits its sampling into a ``draw``, which takes one variate per
 atom from a generator, and a map from those variates to the outcome, which
@@ -109,60 +111,133 @@ class AdditiveBurstKernel(IfsKernel):
         return reps, np.broadcast_to(masses, (len(ys), n_cells))
 
 
+class ProbabilityRows:
+    """Rows of probability vectors that may move with the location: the one
+    law of every location-dependent draw, the map selection of a
+    ``FiniteAffineIfs`` (one row) and the regime switch (one row per regime).
+
+    ``entries[i][j]`` is either a number or a callable y -> probability
+    evaluated over arrays; every row has the same length. Rows of numbers only
+    are checked at construction, since they do not depend on the location; a
+    callable entry is first called when ``check_rows`` checks it, and the
+    callers decide where that is. ``rows_at`` stacks the rows at given
+    locations; ``pick`` draws a column from each atom's own row.
+    """
+
+    def __init__(self, entries: Sequence[Sequence]):
+        self.entries = tuple(tuple(e if callable(e) else float(e) for e in row) for row in entries)
+        self.shape = (len(self.entries), len(self.entries[0]) if self.entries else 0)
+        if not self.shape[1] or any(len(row) != self.shape[1] for row in self.entries):
+            raise ValueError("probability rows must be non-empty and of equal length")
+        self.moves = any(callable(e) for row in self.entries for e in row)
+        if not self.moves:
+            self.check_rows(np.zeros(1))
+
+    def check_rows(self, ys) -> np.ndarray:
+        """``rows_at(ys)``, after raising ValueError unless every row is a
+        probability vector at each of ``ys``."""
+        ys = np.asarray(ys, dtype=float).ravel()
+        rows = self.rows_at(ys)
+        gaps = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
+        if gaps.max() > ROW_SUM_TOL:
+            k = int(np.argmax(gaps))
+            raise ValueError(f"probability rows must sum to 1; off by {gaps[k]:.3e} "
+                             f"at y={ys[k]:.6g}")
+        if rows.min() < -ROW_SUM_TOL or rows.max() > 1.0 + ROW_SUM_TOL:
+            raise ValueError("probability entries must lie in [0, 1]")
+        return rows
+
+    def rows_at(self, ys) -> np.ndarray:
+        """Stacked rows: shape (len(ys), n_rows, n_columns)."""
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        out = np.empty((ys.size, *self.shape))
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                out[:, i, j] = e(ys) if callable(e) else e
+        return out
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """One uniform per atom, whatever the shape."""
+        return rng.random(out=out)
+
+    def pick(self, rows, ys: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Columns by inverse CDF of the uniforms ``us``: each atom's from its own
+        row of ``rows`` (row labels, or one label for all) at its location ``ys``.
+        Unchecked: the callers check the rows where they evaluate them.
+
+        Column by column before the last, one full-length array takes every
+        atom's own-row entry (column j of the last row, then of each other row
+        copied in at its atoms; a number that every row shares stays a number)
+        and adds it in place to one running CDF, in the order ``cumsum`` uses.
+        Each atom gets the count of CDF entries at or below its uniform, as
+        ``searchsorted(cdf, u, side="right")``: a uniform on an entry goes to the
+        next column, so a column of probability 0 is never drawn, and a row
+        summing to within ROW_SUM_TOL below 1 gives a uniform past its last
+        entry to the last column.
+        """
+        ys = np.asarray(ys, dtype=float)
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
+            bad = (rows < 0) | (rows >= self.shape[0])
+            raise ValueError(f"row {rows[bad].flat[0]} outside 0..{self.shape[0] - 1}")
+        out = np.zeros(ys.shape, dtype=np.int64)
+        cdf = 0.0
+        for j in range(self.shape[1] - 1):
+            last = self.entries[-1][j]
+            if not callable(last) and all(row[j] == last for row in self.entries):
+                cdf = cdf + last  # one number in every row: no array of entries
+            else:
+                entry = np.empty(ys.shape)
+                np.copyto(entry, last(ys) if callable(last) else last)
+                for i, row in enumerate(self.entries[:-1]):
+                    np.copyto(entry, row[j](ys) if callable(row[j]) else row[j], where=rows == i)
+                entry += cdf  # the running CDF, built in place of the entries
+                cdf = entry
+            out += cdf <= us
+        return out
+
+
 @dataclass(frozen=True)
 class FiniteAffineIfs(IfsKernel):
     """Finitely many affine maps y -> scale*y + shift with selection probabilities.
 
-    Probabilities may depend on the pre-jump location (callable returning a
-    probability vector) or be constant.
+    ``probs`` is None (the uniform law) or one entry per map, each a number or
+    a callable y -> probability evaluated over arrays. ``law`` holds them as
+    the one row of a ``ProbabilityRows``: a row of numbers is checked when the
+    kernel is built, a row with a callable wherever it is evaluated (each
+    draw, ``discretize`` and the scalar constants).
     """
 
     maps: tuple[tuple[float, float], ...] = ((0.5, 0.0), (0.5, 0.5))
-    probs: object = None  # None -> uniform; array-like -> constant; callable(y) -> vector
+    probs: object = None
 
     def __post_init__(self):
-        if not self.maps:
+        k = len(self.maps)
+        if not k:
             raise ValueError("an affine IFS needs at least one map")
+        probs = (1.0 / k,) * k if self.probs is None else self.probs
+        if callable(probs) or len(probs) != k:
+            raise ValueError("selection probabilities must be None or one entry per map")
+        object.__setattr__(self, "law", ProbabilityRows([probs]))
         # array copies so an index array gathers its maps' (scale, shift) in one index
         object.__setattr__(self, "scales", np.array([m[0] for m in self.maps], dtype=float))
         object.__setattr__(self, "shifts", np.array([m[1] for m in self.maps], dtype=float))
-        # a constant law's CDF, checked and summed once; None when the law moves with y
-        object.__setattr__(self, "cdf", None if callable(self.probs)
-                           else np.cumsum(self._prob_vector(0.0)))
 
-    def _prob_vector(self, y) -> np.ndarray:
-        k = len(self.maps)
-        if self.probs is None:
-            return np.full(k, 1.0 / k)
-        if callable(self.probs):
-            p = np.asarray(self.probs(y), dtype=float)
-        else:
-            p = np.asarray(self.probs, dtype=float)
-        if p.shape != (k,) or (p < 0).any() or abs(p.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError("selection probabilities must be a probability vector")
-        return p
+    def _rows(self, ys) -> np.ndarray:
+        """The selection probabilities at each of ``ys``, one row per location,
+        checked when the law moves with the location; else one row for all."""
+        return self.law.check_rows(ys)[:, 0] if self.law.moves else np.array(self.law.entries)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """One uniform per atom."""
         return rng.random(out=out)
 
     def thetas(self, ys: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Map indices by inverse CDF.
-
-        Each atom gets the number of CDF entries before the last that are at
-        or below its uniform: ``searchsorted(cdf, u, side="right")``, except
-        that a vector summing to within ROW_SUM_TOL below 1 leaves a uniform
-        above its last entry, which is given to the last map. State-dependent
-        probabilities are evaluated once per distinct location.
-        """
-        ys = np.asarray(ys, dtype=float)
-        cdf = self.cdf
-        if cdf is None:
-            locs, inverse = np.unique(ys.ravel(), return_inverse=True)
-            cdfs = np.array([np.cumsum(self._prob_vector(y)) for y in locs])
-            # the reshape keeps an empty ys's CDF two-dimensional
-            cdf = cdfs.reshape(locs.size, len(self.maps))[inverse.reshape(ys.shape)]
-        return (cdf[..., :-1] <= us[..., None]).sum(-1)
+        """Map indices: ``law.pick`` from its one row, checked first at every
+        location when it moves with the location."""
+        if self.law.moves:
+            self.law.check_rows(ys)
+        return self.law.pick(0, ys, us)
 
     def apply(self, theta, y):
         theta = np.asarray(theta, dtype=np.int64)
@@ -170,17 +245,17 @@ class FiniteAffineIfs(IfsKernel):
 
     def mean_contraction(self, u: float, v: float) -> float:
         """sum_k p_k(u) |scale_k|: map k moves the pair's gap by the factor |scale_k|."""
-        return float(np.sum(self._prob_vector(u) * np.abs(self.scales)))
+        return float(np.sum(self._rows(u)[0] * np.abs(self.scales)))
 
     def mean_displacement(self, y: float, anchor: float) -> float:
         """sum_k p_k(y) |scale_k anchor + shift_k - anchor|: map k moves the anchor that far."""
-        return float(self._prob_vector(y) @ np.abs(self.scales * anchor + self.shifts - anchor))
+        return float(self._rows(y)[0] @ np.abs(self.scales * anchor + self.shifts - anchor))
 
     def density_l1_gap(self, u: float, v: float) -> float:
-        return float(np.abs(self._prob_vector(u) - self._prob_vector(v)).sum())
+        return float(np.abs(self._rows(u)[0] - self._rows(v)[0]).sum())
 
     def overlap_on(self, u: float, v: float, mean_contraction: float) -> float:
-        pu, pv = self._prob_vector(u), self._prob_vector(v)
+        pu, pv = self._rows(u)[0], self._rows(v)[0]
         gap = abs(u - v)
         contracting = np.array(
             [abs(self.apply(k, u) - self.apply(k, v)) <= mean_contraction * gap + 1e-12
@@ -191,88 +266,7 @@ class FiniteAffineIfs(IfsKernel):
     def discretize(self, n_cells: int, theta_max: float,
                    ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = np.arange(len(self.maps))
-        if not callable(self.probs):
-            return points, np.broadcast_to(self._prob_vector(0.0), (len(ys), points.size))
-        return points, np.stack([self._prob_vector(y) for y in ys])
-
-
-class SwitchingMatrix:
-    """Row-stochastic matrix of continuous functions of the location.
-
-    ``entries[i][j]`` is either a number or a callable y -> probability.
-    ``check_rows`` validates the rows at given locations; ``ModelSpec``
-    checks them on its own location window. A matrix of numbers only is
-    checked at construction; a callable entry is first called by ``check_rows``.
-    ``rows_at`` stacks whole matrices for the grid and the diagnostics;
-    ``switch`` holds one column of entries at a time, each atom's from its
-    own regime's row.
-    """
-
-    def __init__(self, entries: Sequence[Sequence]):
-        self.n_regimes = len(entries)
-        if any(len(row) != self.n_regimes for row in entries):
-            raise ValueError("switching matrix must be square")
-        self._fns = tuple(
-            tuple(e if callable(e) else (lambda y, v=float(e): np.full_like(np.asarray(y, dtype=float), v))
-                  for e in row)
-            for row in entries
-        )
-        if not any(callable(e) for row in entries for e in row):
-            self.check_rows(np.zeros(1))  # rows that ignore the location: one location checks them
-
-    def check_rows(self, ys) -> None:
-        """Raise ValueError unless every row is a probability vector at each of ``ys``."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        rows = self.rows_at(ys)
-        gaps = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
-        if gaps.max() > ROW_SUM_TOL:
-            k = int(np.argmax(gaps))
-            raise ValueError(f"switching rows must sum to 1; off by {gaps[k]:.3e} at y={ys[k]:.6g}")
-        if rows.min() < -ROW_SUM_TOL or rows.max() > 1.0 + ROW_SUM_TOL:
-            raise ValueError("switching entries must lie in [0, 1]")
-
-    def rows_at(self, ys) -> np.ndarray:
-        """Stacked matrices: shape (len(ys), n_regimes, n_regimes)."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        out = np.empty((ys.size, self.n_regimes, self.n_regimes))
-        for i, row in enumerate(self._fns):
-            for j, fn in enumerate(row):
-                out[:, i, j] = fn(ys)
-        return out
-
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """One uniform per atom, whatever the regime count."""
-        return rng.random(out=out)
-
-    def switch(self, regimes: np.ndarray, ys_post: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Post-jump regimes by inverse CDF of the uniforms ``us``.
-
-        For each column j before the last, one full-length array holds every
-        atom's own-row entry: column j of the last row at every atom, then
-        column j of each other row i copied in at the atoms in regime i. The
-        entries are added to one running CDF in the order ``cumsum`` uses, and
-        each atom gets the number of CDF entries its uniform exceeds. Only the
-        entries before the last are needed: a row summing to within
-        ROW_SUM_TOL below 1 leaves a uniform above its last entry, which is
-        given to the last regime. With one regime that leaves nothing to
-        evaluate.
-        """
-        ys_post = np.asarray(ys_post, dtype=float)
-        regimes = np.asarray(regimes, dtype=np.int64)
-        bad = (regimes < 0) | (regimes >= self.n_regimes)
-        if bad.any():
-            raise ValueError(f"regime {regimes[bad].flat[0]} outside 0..{self.n_regimes - 1}")
-        out = np.zeros(ys_post.shape, dtype=np.int64)
-        cdf = 0.0
-        for j in range(self.n_regimes - 1):
-            entry = np.empty(ys_post.shape)
-            np.copyto(entry, self._fns[-1][j](ys_post))
-            for i, row in enumerate(self._fns[:-1]):
-                np.copyto(entry, row[j](ys_post), where=regimes == i)
-            entry += cdf  # the running CDF, built in place of the entries
-            cdf = entry
-            out += us > cdf
-        return out
+        return points, np.broadcast_to(self._rows(ys), (len(ys), points.size))
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,7 @@ class PostJumpKernel:
     """Composite jump: location jump, then regime switch at the new location."""
 
     ifs: IfsKernel
-    switching: SwitchingMatrix
+    switching: ProbabilityRows
 
     def draw(self, rng: np.random.Generator, jump_out: np.ndarray,
              switch_out: np.ndarray) -> None:
@@ -294,7 +288,7 @@ class PostJumpKernel:
         """Post-jump locations and regimes of atoms at pre-jump (ys, regimes)
         from their ``draw`` variates."""
         ys_post = self.ifs.apply(self.ifs.thetas(ys, jump_variates), ys)
-        return ys_post, self.switching.switch(regimes, ys_post, switch_uniforms)
+        return ys_post, self.switching.pick(regimes, ys_post, switch_uniforms)
 
     def sample_vec(self, ys: np.ndarray, regimes: np.ndarray,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .flows import AffineExpFlow, ExpandingFlow, Semiflow
 from .hazard import CumulativeHazard, Intensity
-from .jumps import AdditiveBurstKernel, FiniteAffineIfs, IfsKernel, PostJumpKernel, SwitchingMatrix
+from .jumps import AdditiveBurstKernel, FiniteAffineIfs, IfsKernel, PostJumpKernel, ProbabilityRows
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,10 @@ class ModelSpec:
         if self.flow.contraction is None:
             raise ValueError(f"flow {type(self.flow).__name__} has no contraction envelope")
         object.__setattr__(self, "hazard", CumulativeHazard(self.intensity, self.flow))
+        shape, n = self.jump.switching.shape, self.n_regimes
+        if shape != (n, n):  # a row per regime to switch from, a column per regime to
+            raise ValueError(f"switching law of {shape[0]} x {shape[1]} for a flow of {n} "
+                             f"regimes; need {n} x {n}")
         # switching rows are checked where the model lives: its location window
         self.jump.switching.check_rows(np.linspace(0.0, self.y_max, 64))
 
@@ -110,19 +114,19 @@ def gene_expression_model(kappa: float = 1.0, burst_mean: float = 1.0,
         AffineExpFlow(rates=(kappa,), anchors=(0.0,)),
         rate,
         AdditiveBurstKernel(mean=burst_mean),
-        SwitchingMatrix([[1.0]]),
+        ProbabilityRows([[1.0]]),
         declared,
     )
 
 
-def _ramp_switch() -> SwitchingMatrix:
+def _ramp_switch() -> ProbabilityRows:
     def stay(y):
         return np.clip(np.asarray(y, dtype=float), 0.1, 0.9)
 
     def leave(y):
         return 1.0 - stay(y)
 
-    return SwitchingMatrix([[stay, leave], [0.5, 0.5]])
+    return ProbabilityRows([[stay, leave], [0.5, 0.5]])
 
 
 def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
@@ -148,7 +152,7 @@ def two_regime_model(c0: float = 0.0, c1: float = 1.0, kappa: float = 1.0,
         # worst pair is both rows from the clamp: min(0.1,0.9)+min(0.9,0.1)
         switch_lip, switch_overlap = 2.0, 0.2
     elif switching == "uniform":
-        pi = SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]])
+        pi = ProbabilityRows([[0.5, 0.5], [0.5, 0.5]])
         switch_lip, switch_overlap = 0.0, 1.0
     else:
         raise ValueError(f"unknown switching choice {switching!r}")
@@ -200,7 +204,7 @@ def control_expanding_flow() -> ModelSpec:
         ExpandingFlow(rate=1.0),
         rate,
         AdditiveBurstKernel(mean=1.0),
-        SwitchingMatrix([[1.0]]),
+        ProbabilityRows([[1.0]]),
         declared,
         positive=False,
     )
@@ -226,7 +230,7 @@ def control_supercritical() -> ModelSpec:
         AffineExpFlow(rates=(kappa,), anchors=(0.0,)),
         rate,
         AdditiveBurstKernel(mean=1.0),
-        SwitchingMatrix([[1.0]]),
+        ProbabilityRows([[1.0]]),
         declared,
         positive=False,
     )
@@ -251,7 +255,7 @@ def control_degenerate_switching() -> ModelSpec:
         flow,
         rate,
         FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=None),
-        SwitchingMatrix([[1.0, 0.0], [0.0, 1.0]]),
+        ProbabilityRows([[1.0, 0.0], [0.0, 1.0]]),
         declared,
         positive=False,
     )

@@ -202,19 +202,21 @@ def sample_thetas(ifs: IfsKernel, ys, rng) -> np.ndarray:
 def searchsorted_ifs_draw(ifs: FiniteAffineIfs, ys: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """``sample_thetas`` of a ``FiniteAffineIfs`` as it was written with a binary search:
-    ``searchsorted(cdf, u, side="right")`` against a CDF summed at each call,
-    clipped to the last map."""
+    ``searchsorted(cdf, u, side="right")``, clipped to the last map, against the
+    ``cumsum`` of the per-map entries of ``probs`` (uniform for None). A row with
+    a callable entry is evaluated location by location, at each atom's own."""
     ys = np.asarray(ys, dtype=float)
     last = len(ifs.maps) - 1
-    if not callable(ifs.probs):
-        cdf = np.cumsum(ifs._prob_vector(0.0))
-        out = np.searchsorted(cdf, rng.random(ys.shape), side="right")
-        return np.minimum(out, last).astype(np.int64)
+    probs = (1.0 / (last + 1),) * (last + 1) if ifs.probs is None else ifs.probs
     us = rng.random(ys.shape)
-    locs, inverse = np.unique(ys.ravel(), return_inverse=True)
-    cdfs = np.array([np.cumsum(ifs._prob_vector(y)) for y in locs])
-    out = (cdfs[inverse] <= us.reshape(-1, 1)).sum(axis=1)
-    return np.minimum(out, last).reshape(ys.shape).astype(np.int64)
+    if not any(callable(e) for e in probs):
+        out = np.searchsorted(np.cumsum(probs), us, side="right")
+        return np.minimum(out, last).astype(np.int64)
+    out = np.empty(ys.shape, dtype=np.int64)
+    for at in np.ndindex(ys.shape):
+        cdf = np.cumsum([e(ys[at]) if callable(e) else e for e in probs])
+        out[at] = min(np.searchsorted(cdf, us[at], side="right"), last)
+    return out
 
 
 IFS_THETA_SAMPLES = 20_000

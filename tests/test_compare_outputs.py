@@ -62,12 +62,14 @@ def test_a_non_finite_value_against_a_number_is_the_largest():
 
 def test_every_command_config_and_seed_runs_then_the_pmf_at_each_seed():
     # 4 commands x 3 configs x 2 seeds, oracle at 2 more grid sizes on two
-    # configs, jump_count_pmf at the benchmark's sat-verify sizes, then
-    # diagnostics on 3 negative controls x 2 seeds
+    # configs, jump_count_pmf at the benchmark's sat-verify sizes, diagnostics
+    # on 3 negative controls x 2 seeds, then simulate and oracle on 3 two-regime
+    # variants x 2 seeds
     configs = ["gene_constant.json", "gene_saturating.json", "two_regime.json"]
     runs = compare_outputs.cases(configs)
-    assert len(runs) == 24 + 8 + 2 + 6
+    assert len(runs) == 24 + 8 + 2 + 6 + 12
     assert len({name for _, name, _, _, _ in runs}) == len(runs)
+    runs = runs[:-12]  # the variants are checked below
     assert runs[1] == ("simulate gene_constant.json --seed 7", "simulate-gene_constant-None-7",
                        "gene_constant.json", ["-m", "pdmp_lab.cli", "simulate", "--config",
                                               "config.json", "--out", "out", "--seed", "7"], None)
@@ -86,6 +88,35 @@ def test_every_command_config_and_seed_runs_then_the_pmf_at_each_seed():
     assert runs[-1][2:] == ({"model": {"name": "control-supercritical", "params": {}}, "seed": 7},
                             ["-m", "pdmp_lab.cli", "diagnostics", "--config", "config.json",
                              "--out", "out"], None)
+
+
+def test_two_regime_variants_are_the_option_pairs_no_shipped_config_uses():
+    # simulate and oracle at seeds 1 and 7 on the shipped two_regime config with
+    # its switching and jump options set to each pair no shipped config uses
+    variants = compare_outputs.cases(["two_regime.json"])[-12:]
+    shipped = json.loads((Path(compare_outputs.ROOT) / "configs" / "two_regime.json").read_text())
+    seen = set()
+    for label, name, config, args, nodes in variants:
+        params = config["model"]["params"]
+        pair, command, seed = (params["switching"], params["jumps"]), args[2], args[-1]
+        seen.add((pair, command, seed))
+        assert label == (f"{command} two_regime.json with switching={pair[0]}, jumps={pair[1]} "
+                         f"--seed {seed}")
+        assert args == ["-m", "pdmp_lab.cli", command, "--config", "config.json", "--out", "out",
+                        "--seed", seed] and nodes is None
+        # the shipped config but for the two options
+        assert {**config, "model": {**config["model"], "params": shipped["model"]["params"]}} \
+            == shipped
+    assert seen == {(pair, command, seed) for pair in
+                    [("uniform", "halving"), ("ramp", "bursts"), ("uniform", "bursts")]
+                    for command in ("simulate", "oracle") for seed in ("1", "7")}
+    # no shipped config uses these pairs
+    assert (shipped["model"]["params"]["switching"], shipped["model"]["params"]["jumps"]) \
+        == ("ramp", "halving")
+    assert {(params["switching"], params["jumps"]) for params in
+            (json.loads(path.read_text())["model"]["params"]
+             for path in (Path(compare_outputs.ROOT) / "configs").glob("*.json"))
+            if "switching" in params}.isdisjoint(compare_outputs.VARIANTS)
 
 
 def test_controls_are_the_registered_negative_models():

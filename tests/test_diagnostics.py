@@ -20,7 +20,7 @@ from pdmp_lab.diagnostics import (
 )
 from pdmp_lab.flows import FrozenFlow
 from pdmp_lab.hazard import Intensity
-from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, ProbabilityRows
 from pdmp_lab.models import (
     DeclaredConstants,
     ModelSpec,
@@ -56,7 +56,7 @@ def test_flow_contraction_frozen_flow():
     flow = FrozenFlow()
     intensity = Intensity(1.0)
     model = ModelSpec(name="frozen", flow=flow, intensity=intensity,
-                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), ProbabilityRows([[1.0]])),
                       declared=DeclaredConstants())
     lip, rate = estimate_flow_contraction(model, np.random.default_rng(1))
     assert lip == pytest.approx(1.0, abs=1e-9)
@@ -105,7 +105,7 @@ def test_jump_displacement_identity_map():
     intensity = Intensity(1.0)
     model = ModelSpec(name="idmap", flow=flow, intensity=intensity,
                       jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
-                                          SwitchingMatrix([[1.0]])),
+                                          ProbabilityRows([[1.0]])),
                       declared=DeclaredConstants(jump_displacement=0.0))
     assert jump_displacement_bound(model) == 0.0
 
@@ -148,18 +148,22 @@ def test_ifs_constants_halving_maps():
     assert dp == 1.0
 
 
+def _first_map(y):
+    y = np.asarray(y, dtype=float)
+    return 0.3 + 0.2 * y / (1.0 + y)
+
+
+SLOPED_PROBS = (_first_map, lambda y: 1.0 - _first_map(y))
+
+
 def test_ifs_constants_state_dependent_density():
     # state-dependent selection probabilities: estimate stays below declared
-    def probs(y):
-        q = 0.3 + 0.2 * float(np.asarray(y)) / (1.0 + float(np.asarray(y)))
-        return np.array([q, 1.0 - q])
-
     flow = FrozenFlow()
     intensity = Intensity(1.0)
     model = ModelSpec(
         name="state-dep", flow=flow, intensity=intensity,
-        jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs),
-                            SwitchingMatrix([[1.0]])),
+        jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=SLOPED_PROBS),
+                            ProbabilityRows([[1.0]])),
         declared=DeclaredConstants(jump_mean_contraction=0.5, density_lipschitz=0.4,
                                    density_overlap=0.6))
     lw, lp, dp = estimate_ifs_constants(model, np.random.default_rng(8))
@@ -170,14 +174,10 @@ def test_ifs_constants_state_dependent_density():
 
 
 def _state_dependent_ifs_model():
-    def probs(y):
-        q = 0.3 + 0.2 * float(np.asarray(y)) / (1.0 + float(np.asarray(y)))
-        return np.array([q, 1.0 - q])
-
     return ModelSpec(
         name="state-dep", flow=FrozenFlow(), intensity=Intensity(1.0),
-        jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 0.25)), probs=probs),
-                            SwitchingMatrix([[1.0]])),
+        jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 0.25)), probs=SLOPED_PROBS),
+                            ProbabilityRows([[1.0]])),
         declared=DeclaredConstants(jump_mean_contraction=0.5))
 
 
@@ -323,7 +323,7 @@ def test_empirical_drift_detects_false_constants():
     flow = FrozenFlow()
     intensity = Intensity(1.0)
     model = ModelSpec(name="no-drift", flow=flow, intensity=intensity,
-                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+                      jump=PostJumpKernel(AdditiveBurstKernel(1.0), ProbabilityRows([[1.0]])),
                       declared=DeclaredConstants())
     from pdmp_lab.diagnostics import DriftConstants
     false_constants = DriftConstants(multiplier=0.5, offset=1.0)

@@ -19,7 +19,7 @@ from pdmp_lab.grid import (
     power_iteration,
 )
 from pdmp_lab.hazard import Intensity, quantile_edges, survival_horizon
-from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import AdditiveBurstKernel, FiniteAffineIfs, PostJumpKernel, ProbabilityRows
 from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model, two_regime_model
 from pdmp_lab.simulate import chain_measure, run_ensemble
@@ -116,9 +116,9 @@ def state_dependent_ifs_model():
     flow = AffineExpFlow(rates=(1.0, 2.0), anchors=(0.0, 1.0))
     intensity = Intensity(base=1.0, gain=0.5)
     ifs = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)),
-                          probs=lambda y: [0.2 + 0.6 * y, 0.8 - 0.6 * y])
+                          probs=(lambda y: 0.2 + 0.6 * y, lambda y: 0.8 - 0.6 * y))
     stay = lambda y: np.clip(np.asarray(y, dtype=float), 0.1, 0.9)  # noqa: E731
-    switching = SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])
+    switching = ProbabilityRows([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])
     return ModelSpec(
         name="state-dependent-ifs", flow=flow, intensity=intensity,
         jump=PostJumpKernel(ifs, switching),
@@ -132,7 +132,7 @@ def frozen_saturating_model():
         name="frozen-saturating", flow=FrozenFlow(n_regimes=2),
         intensity=Intensity(base=1.0, gain=0.5),
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5))),
-                            SwitchingMatrix([[0.25, 0.75], [0.6, 0.4]])),
+                            ProbabilityRows([[0.25, 0.75], [0.6, 0.4]])),
         declared=DeclaredConstants(), y_max=1.0)
 
 
@@ -402,7 +402,7 @@ def two_node_model():
     return ModelSpec(
         name="two-node", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.0, 1.0),), probs=(1.0,)),
-                            SwitchingMatrix([[1.0]])),
+                            ProbabilityRows([[1.0]])),
         declared=DeclaredConstants(), y_max=1.0)
 
 
@@ -464,12 +464,13 @@ def test_switching_rows_are_checked_on_the_grid_nodes():
     model = ModelSpec(
         name="stay-ramp", flow=flow, intensity=intensity,
         jump=PostJumpKernel(AdditiveBurstKernel(1.0),
-                            SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
+                            ProbabilityRows([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])),
         declared=DeclaredConstants(), y_max=15.0)
     build_grid_model(model, 120)
     _, post_jump, _, _ = assembly_factors(model, 120)
     assert post_jump.min() >= 0.0
-    with pytest.raises(GridAssemblyError, match=r"y_max=30: switching entries must lie in"):
+    with pytest.raises(GridAssemblyError, match=r"switching rows at nodes to y_max=30: "
+                                               r"probability entries must lie in"):
         build_grid_model(model, 120, y_max=30.0)
 
 

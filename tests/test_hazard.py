@@ -15,7 +15,7 @@ from pdmp_lab.hazard import (
     invert_holding,
     sample_holding_thinning_vec,
 )
-from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, ProbabilityRows
 from pdmp_lab.models import MODEL_REGISTRY, DeclaredConstants, ModelSpec, build_model, two_regime_model
 
 from oracles import (
@@ -494,7 +494,7 @@ def test_every_registered_model_builds():
 def test_pair_without_closed_form_fails_at_model_build(flow, intensity, message):
     with pytest.raises(ValueError, match=f"no closed-form hazard for {message}"):
         ModelSpec(name="no-hazard", flow=flow, intensity=intensity,
-                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), ProbabilityRows([[1.0]])),
                   declared=DeclaredConstants())
 
 

@@ -9,7 +9,7 @@ from pdmp_lab.jumps import (
     AdditiveBurstKernel,
     FiniteAffineIfs,
     PostJumpKernel,
-    SwitchingMatrix,
+    ProbabilityRows,
 )
 from oracles import sample_thetas, sampled_displacements, searchsorted_ifs_draw
 
@@ -48,7 +48,8 @@ class FixedUniform:
         return out
 
 
-@pytest.mark.parametrize("probs", [(0.5, 0.5 - 1e-10), lambda y: (0.5, 0.5 - 1e-10)])
+@pytest.mark.parametrize("probs", [(0.5, 0.5 - 1e-10),
+                                   (0.5, lambda y: np.full_like(y, 0.5 - 1e-10))])
 def test_uniform_past_a_short_cdf_selects_the_last_map(probs):
     # the probabilities sum to within ROW_SUM_TOL below 1, so u can exceed every cdf entry
     kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs)
@@ -74,20 +75,36 @@ class GivenUniforms:
         return out
 
 
-def _three_way(y):
-    q = 0.2 + 0.6 * float(y) / (1.0 + float(y))
-    return np.array([q, 0.5 * (1.0 - q), 0.5 * (1.0 - q)])
+def _first_of_three(y):
+    y = np.asarray(y, dtype=float)
+    return 0.2 + 0.6 * y / (1.0 + y)
+
+
+def _rest_of_three(y):
+    return 0.5 * (1.0 - _first_of_three(y))
+
+
+THREE_WAY = (_first_of_three, _rest_of_three, _rest_of_three)
+
+
+def _row_of(probs, y):
+    """The selection probabilities of ``probs`` at the one location ``y``, entry by entry."""
+    return np.array([e(np.float64(y)) if callable(e) else e for e in probs], dtype=float)
 
 
 IFS_DRAWS = {
     "uniform": (((0.5, 0.0), (0.5, 0.5)), None),
     "constant": (((0.5, 0.0), (1.0, 1.0)), (0.3, 0.7)),
     "constant-three": (((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), (0.2, 0.0, 0.8)),
-    "callable": (((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), _three_way),
+    "callable": (((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), THREE_WAY),
+    "mixed": (((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), (0.25, lambda y: 0.75 - _rest_of_three(y),
+                                                     _rest_of_three)),
     "one-map": (((0.5, 0.0),), (1.0,)),
-    "one-map-callable": (((0.5, 0.0),), lambda y: (1.0,)),
+    "one-map-callable": (((0.5, 0.0),), (np.ones_like,)),
     "short-cdf": (((0.5, 0.0), (0.5, 0.5)), (0.5, 0.5 - 1e-10)),
-    "short-cdf-callable": (((0.5, 0.0), (0.5, 0.5)), lambda y: (0.5, 0.5 - 1e-10)),
+    "short-cdf-callable": (((0.5, 0.0), (0.5, 0.5)),
+                           (lambda y: np.full_like(y, 0.5),
+                            lambda y: np.full_like(y, 0.5 - 1e-10))),
 }
 
 
@@ -104,17 +121,80 @@ def test_ifs_draw_is_bitwise_the_searchsorted_draw(maps, probs):
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
     # uniforms on every CDF entry (a tie goes to the next map), between them,
     # and above the last entry of a short CDF
-    cdf = np.cumsum(kernel._prob_vector(0.5))
+    cdf = np.cumsum(kernel.law.rows_at(0.5)[0, 0])
     us = np.concatenate([[0.0], cdf, cdf - 1e-12, [np.nextafter(1.0, 0.0)]])
     ys = np.full(us.size, 0.5)
     assert np.array_equal(sample_thetas(kernel, ys, GivenUniforms(us)),
                           searchsorted_ifs_draw(kernel, ys, GivenUniforms(us)))
 
 
-@pytest.mark.parametrize("probs", [(1.0,), (1.5, -0.5), (0.6, 0.4 + 2e-9)],
-                         ids=["wrong-shape", "negative", "sum-off"])
-def test_bad_constant_probabilities_fail_at_build(probs):
-    with pytest.raises(ValueError, match="probability vector"):
+def test_place_dependent_draw_evaluates_each_entry_over_all_atoms_at_once():
+    # the check calls every entry once and the inverse-CDF loop each entry before
+    # the last once more, each time over every atom: no call per distinct location
+    # (a single callable returning the whole vector was called once per location)
+    calls = []
+
+    def counted(k, entry):
+        def evaluate(y):
+            calls.append((k, np.shape(y)))
+            return entry(y)
+        return evaluate
+
+    probs = tuple(counted(k, entry) for k, entry in enumerate(THREE_WAY))
+    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=probs)
+    ys = np.random.default_rng(26).uniform(0.0, 8.0, 5000)
+    assert np.unique(ys).size == ys.size
+    draws = sample_thetas(kernel, ys, np.random.default_rng(27))
+    assert sorted(calls) == [(0, (5000,)), (0, (5000,)), (1, (5000,)), (1, (5000,)), (2, (5000,))]
+    assert np.array_equal(draws, searchsorted_ifs_draw(kernel, ys, np.random.default_rng(27)))
+
+
+TIE_ROWS = [[0.25, 0.5, 0.25], [0.0, 0.5, 0.5],
+            [lambda y: np.full_like(y, 0.5), lambda y: np.full_like(y, 0.25), 0.25]]
+
+
+@pytest.mark.parametrize("row, want", [(0, [0, 1, 2]), (1, [1, 1, 2]), (2, [0, 1, 2])])
+def test_a_uniform_on_a_cdf_entry_goes_to_the_next_column_in_both_laws(row, want):
+    # one tie rule, searchsorted(side="right"): uniforms of 0 and on each CDF
+    # entry before the last; a uniform equal to an entry goes to the next column,
+    # so a column of probability 0 is never drawn
+    probs = TIE_ROWS[row]
+    us = np.concatenate([[0.0], np.cumsum(_row_of(probs, 0.5))[:-1]])
+    ys = np.full(us.size, 0.5)
+    ifs = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=probs)
+    assert np.array_equal(sample_thetas(ifs, ys, GivenUniforms(us)), want)
+    switching = ProbabilityRows(TIE_ROWS)
+    assert np.array_equal(switching.pick(np.full(us.size, row), ys, us), want)
+
+
+def test_a_zero_uniform_stays_in_an_absorbing_regime():
+    # the absorbing regime 1 of control-degenerate-switching's law keeps every atom,
+    # u = 0.0 included (a tie at the leading CDF entry 0 used to go to regime 0)
+    law = ProbabilityRows([[1, 0], [0, 1]])
+    assert np.array_equal(law.pick([1], [0.5], [0.0]), [1])
+    assert np.array_equal(law.pick([0, 1, 0, 1], np.zeros(4), [0.0, 0.0, 0.999, 0.999]),
+                          [0, 1, 0, 1])
+
+
+def test_probability_rows_take_any_equal_length():
+    # the row length is the shape: a one-row law of three columns is the map
+    # selection of a three-map IFS; a model asks for its own shape
+    assert ProbabilityRows([[0.2, 0.3, 0.5]]).shape == (1, 3)
+    assert ProbabilityRows([[0.2, 0.8], [1.0, 0.0], [0.5, 0.5]]).shape == (3, 2)
+    for entries in ([[0.5, 0.5], [1.0]], [], [[]]):
+        with pytest.raises(ValueError, match="non-empty and of equal length"):
+            ProbabilityRows(entries)
+
+
+@pytest.mark.parametrize("probs, message", [
+    ((1.0,), "one entry per map"),
+    ((1.5, -0.5), r"entries must lie in \[0, 1\]"),
+    ((0.6, 0.4 + 2e-9), "rows must sum to 1; off by 2.000e-09"),
+    (lambda y: (0.5, 0.5), "one entry per map"),
+], ids=["wrong-shape", "negative", "sum-off", "one-callable"])
+def test_bad_constant_probabilities_fail_at_build(probs, message):
+    # a single callable returning the whole vector is not a form of ``probs``
+    with pytest.raises(ValueError, match=message):
         FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)), probs=probs)
 
 
@@ -125,24 +205,29 @@ def test_an_ifs_without_maps_fails_at_build():
 
 def test_bad_callable_probabilities_fail_at_evaluation():
     kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5)),
-                             probs=lambda y: (0.5, 0.6) if y > 1.0 else (0.5, 0.5))
+                             probs=(0.5, lambda y: np.where(y > 1.0, 0.6, 0.5)))
     assert np.array_equal(sample_thetas(kernel, np.zeros(4), GivenUniforms(np.full(4, 0.75))),
                           np.ones(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="probability vector"):
-        sample_thetas(kernel, np.array([0.0, 2.0]), np.random.default_rng(24))
+    # every evaluation checks the row: a draw, the grid's masses, the scalar constants
+    bad = np.array([0.0, 2.0])
+    for evaluate in (lambda: sample_thetas(kernel, bad, np.random.default_rng(24)),
+                     lambda: kernel.discretize(0, 0.0, bad),
+                     lambda: kernel.mean_contraction(2.0, 0.0),
+                     lambda: kernel.mean_displacement(2.0, 1.0),
+                     lambda: kernel.density_l1_gap(0.0, 2.0),
+                     lambda: kernel.overlap_on(0.0, 2.0, 0.5)):
+        with pytest.raises(ValueError, match=r"rows must sum to 1; off by 1.000e-01 at y=2"):
+            evaluate()
 
 
 def test_state_dependent_selection_is_per_atom_inverse_cdf():
     # one uniform per atom, looked up in the cdf at that atom's own location
-    def probs(y):
-        q = 0.2 + 0.6 * float(y) / (1.0 + float(y))
-        return np.array([q, 0.5 * (1.0 - q), 0.5 * (1.0 - q)])
-
-    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=probs)
+    kernel = FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=THREE_WAY)
     ys = np.random.default_rng(20).choice([0.0, 0.5, 3.0, 7.25], size=2000)
     draws = sample_thetas(kernel, ys, np.random.default_rng(21))
     us = np.random.default_rng(21).random(ys.size)
-    expect = [np.searchsorted(np.cumsum(probs(y)), u, side="right") for y, u in zip(ys, us)]
+    expect = [np.searchsorted(np.cumsum(_row_of(THREE_WAY, y)), u, side="right")
+              for y, u in zip(ys, us)]
     assert draws.dtype == np.int64
     assert np.array_equal(draws, expect)
 
@@ -182,30 +267,30 @@ def test_density_normalization_over_quadrature():
 
 def test_switching_single_regime():
     rng = np.random.default_rng(7)
-    pi = SwitchingMatrix([[1.0]])
-    draws = pi.switch(np.zeros(10, dtype=np.int64), np.full(10, 3.0), pi.draw(rng, np.empty(10)))
+    pi = ProbabilityRows([[1.0]])
+    draws = pi.pick(np.zeros(10, dtype=np.int64), np.full(10, 3.0), pi.draw(rng, np.empty(10)))
     assert np.array_equal(draws, np.zeros(10, dtype=np.int64))
 
 
 def test_switching_uniform_frequencies():
     rng = np.random.default_rng(8)
-    pi = SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]])
-    draws = pi.switch(np.zeros(100_000, dtype=np.int64), np.zeros(100_000),
+    pi = ProbabilityRows([[0.5, 0.5], [0.5, 0.5]])
+    draws = pi.pick(np.zeros(100_000, dtype=np.int64), np.zeros(100_000),
                       pi.draw(rng, np.empty(100_000)))
     assert (draws == 0).mean() == pytest.approx(0.5, abs=0.005)
 
 
 def test_switching_absorbing_row():
     rng = np.random.default_rng(9)
-    pi = SwitchingMatrix([[1.0, 0.0], [1.0, 0.0]])
+    pi = ProbabilityRows([[1.0, 0.0], [1.0, 0.0]])
     ys = np.repeat([0.0, 2.0, 7.5], 2)
-    draws = pi.switch(np.tile([0, 1], 3), ys, pi.draw(rng, np.empty(6)))
+    draws = pi.pick(np.tile([0, 1], 3), ys, pi.draw(rng, np.empty(6)))
     assert np.array_equal(draws, np.zeros(6, dtype=np.int64))
 
 
 def test_switching_row_sum_validation():
     with pytest.raises(ValueError, match="off by 1.000e-01"):
-        SwitchingMatrix([[0.7, 0.2], [0.5, 0.5]])
+        ProbabilityRows([[0.7, 0.2], [0.5, 0.5]])
 
 
 def test_switching_callable_entries_wait_for_check_rows():
@@ -215,7 +300,7 @@ def test_switching_callable_entries_wait_for_check_rows():
         calls.append(np.size(y))
         return np.full_like(np.asarray(y, dtype=float), 0.7)
 
-    pi = SwitchingMatrix([[stay, 0.2], [0.5, 0.5]])
+    pi = ProbabilityRows([[stay, 0.2], [0.5, 0.5]])
     assert calls == []
     with pytest.raises(ValueError, match="off by 1.000e-01"):
         pi.check_rows([0.0, 1.0])
@@ -226,7 +311,7 @@ def test_switching_rows_stochastic_at_random_locations():
     def stay(y):
         return np.clip(np.asarray(y, dtype=float), 0.1, 0.9)
 
-    pi = SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])
+    pi = ProbabilityRows([[stay, lambda y: 1.0 - stay(y)], [0.5, 0.5]])
     rng = np.random.default_rng(10)
     rows = pi.rows_at(rng.uniform(0, 15, 1000))
     assert np.abs(rows.sum(axis=2) - 1.0).max() < 1e-12
@@ -235,12 +320,12 @@ def test_switching_rows_stochastic_at_random_locations():
 
 def test_switching_rejects_labels_outside_the_regimes():
     ys = np.full(3, 0.5)
-    for pi, bad in ((SwitchingMatrix([[1.0]]), 1), (SwitchingMatrix([[1.0]]), -1),
-                    (SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]]), 2),
-                    (SwitchingMatrix([[0.5, 0.5], [0.5, 0.5]]), -3)):
-        n = pi.n_regimes
-        with pytest.raises(ValueError, match=rf"regime {bad} outside 0\.\.{n - 1}"):
-            pi.switch(np.array([0, bad, 0]), ys, pi.draw(np.random.default_rng(14), np.empty(3)))
+    for pi, bad in ((ProbabilityRows([[1.0]]), 1), (ProbabilityRows([[1.0]]), -1),
+                    (ProbabilityRows([[0.5, 0.5], [0.5, 0.5]]), 2),
+                    (ProbabilityRows([[0.5, 0.5], [0.5, 0.5]]), -3)):
+        n = pi.shape[0]
+        with pytest.raises(ValueError, match=rf"row {bad} outside 0\.\.{n - 1}"):
+            pi.pick(np.array([0, bad, 0]), ys, pi.draw(np.random.default_rng(14), np.empty(3)))
 
 
 def _clip_stay(y):
@@ -258,40 +343,42 @@ SWITCHES = {
 
 
 def full_stack_switch(pi, regimes, ys, rng):
-    """The switch draw as it was written before it read only each atom's own row."""
+    """The switch draw as it was written before it read only each atom's own row,
+    with the tie rule of ``searchsorted(cdf, u, side="right")``."""
     rows = pi.rows_at(ys)[np.arange(ys.size), regimes]
     cdf = np.cumsum(rows, axis=1)
     us = rng.random(ys.shape)
-    out = (us[:, None] > cdf).sum(axis=1)
-    return np.minimum(out, pi.n_regimes - 1).astype(np.int64)
+    out = (cdf <= us[:, None]).sum(axis=1)
+    return np.minimum(out, pi.shape[1] - 1).astype(np.int64)
 
 
 @pytest.mark.parametrize("entries", SWITCHES.values(), ids=SWITCHES.keys())
 def test_switch_draw_is_bitwise_the_full_stack_draw(entries):
-    pi = SwitchingMatrix(entries)
+    pi = ProbabilityRows(entries)
     pi.check_rows(np.linspace(0.0, 2.0, 64))
     rng = np.random.default_rng(16)
     n = 20_000
     ys = np.concatenate([np.repeat([0.1, 0.9], 50), rng.uniform(0.0, 2.0, n - 100)])
-    regimes = rng.integers(0, pi.n_regimes, n)
+    regimes = rng.integers(0, pi.shape[0], n)
     new_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    draws = pi.switch(regimes, ys, pi.draw(new_rng, np.empty(n)))
+    draws = pi.pick(regimes, ys, pi.draw(new_rng, np.empty(n)))
     assert draws.dtype == np.int64
     assert np.array_equal(draws, full_stack_switch(pi, regimes, ys, ref_rng))
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_switch_draw_scratch_is_bounded():
-    # one column of own-row entries at a time: 8.5 MB traced here. The full
-    # (n, 2, 2) stack alone took 16 MB, and np.choose over every row's column 10.01 MB
-    pi = SwitchingMatrix(SWITCHES["two-ramp"])
+    # one column of own-row entries at a time: 8.25 MB traced here (8.5 MB with
+    # the label check's two masks). The full (n, 2, 2) stack alone took 16 MB,
+    # and np.choose over every row's column 10.01 MB
+    pi = ProbabilityRows(SWITCHES["two-ramp"])
     rng = np.random.default_rng(18)
     n = 250_000
     ys, regimes = rng.uniform(0.0, 1.2, n), rng.integers(0, 2, n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pi.switch(regimes, ys, pi.draw(rng, np.empty(n)))
+        pi.pick(regimes, ys, pi.draw(rng, np.empty(n)))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -301,7 +388,7 @@ def test_switch_draw_scratch_is_bounded():
 def _toy_post_jump():
     # two maps, two regimes, everything hand-computable
     ifs = FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 1.0)), probs=(0.3, 0.7))
-    pi = SwitchingMatrix([[0.25, 0.75], [0.6, 0.4]])
+    pi = ProbabilityRows([[0.25, 0.75], [0.6, 0.4]])
     return PostJumpKernel(ifs=ifs, switching=pi)
 
 
@@ -311,7 +398,7 @@ def test_post_jump_evaluates_switch_at_post_location():
         return np.where(np.asarray(y, dtype=float) > 1.5, 1.0, 0.0)
 
     ifs = FiniteAffineIfs(maps=((1.0, 2.0),), probs=(1.0,))  # y -> y + 2
-    pi = SwitchingMatrix([[stay, lambda y: 1.0 - stay(y)],
+    pi = ProbabilityRows([[stay, lambda y: 1.0 - stay(y)],
                           [stay, lambda y: 1.0 - stay(y)]])
     kernel = PostJumpKernel(ifs=ifs, switching=pi)
     rng = np.random.default_rng(11)
@@ -336,7 +423,7 @@ def test_post_jump_joint_law_factorizes():
 
 def test_post_jump_deterministic_composition():
     ifs = FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,))
-    pi = SwitchingMatrix([[0.0, 1.0], [0.0, 1.0]])
+    pi = ProbabilityRows([[0.0, 1.0], [0.0, 1.0]])
     kernel = PostJumpKernel(ifs=ifs, switching=pi)
     ys, regimes = kernel.sample_vec(np.array([4.0]), np.array([0]), np.random.default_rng(13))
     assert (ys[0], regimes[0]) == (2.0, 1)
@@ -359,14 +446,14 @@ def test_mean_contraction_of_shipped_kernels():
             assert spread.mean() <= factor * abs(u - v) + 3 * se + 1e-12
 
 
-NEGATIVE_SCALE = FiniteAffineIfs(maps=((0.5, 0.0), (-1.0, 2.0), (0.25, 1.0)), probs=_three_way)
+NEGATIVE_SCALE = FiniteAffineIfs(maps=((0.5, 0.0), (-1.0, 2.0), (0.25, 1.0)), probs=THREE_WAY)
 
 
 def test_mean_contraction_of_a_state_dependent_kernel():
     # sum_k p_k(u) |s_k|: the law at the first point of the pair, a negative scale by its size
     kernel = NEGATIVE_SCALE
     for u, v in ((0.0, 1.0), (3.0, 0.5), (7.25, 7.5)):
-        p = _three_way(u)
+        p = _row_of(THREE_WAY, u)
         assert kernel.mean_contraction(u, v) == p[0] * 0.5 + p[1] * 1.0 + p[2] * 0.25
         assert kernel.mean_contraction(u, v) == kernel.mean_contraction(u, v + 1.0)
 
@@ -374,7 +461,7 @@ def test_mean_contraction_of_a_state_dependent_kernel():
 JUMP_FAMILIES = {
     "bursts": AdditiveBurstKernel(mean=0.7),
     "constant": FiniteAffineIfs(maps=((0.5, 0.0), (1.0, 1.0)), probs=(0.3, 0.7)),
-    "callable": FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=_three_way),
+    "callable": FiniteAffineIfs(maps=((0.5, 0.0), (0.5, 0.5), (1.0, 0.0)), probs=THREE_WAY),
 }
 
 
@@ -405,11 +492,11 @@ def pre_split_jump(kernel, ys, regimes, rng):
 @pytest.mark.parametrize("family", JUMP_FAMILIES.keys())
 def test_split_draw_over_chunks_is_bitwise_each_chunks_sample_vec(family, switches):
     # each chunk draws from its own stream into its slice; one map over all chunks
-    kernel = PostJumpKernel(JUMP_FAMILIES[family], SwitchingMatrix(SWITCHES[switches]))
+    kernel = PostJumpKernel(JUMP_FAMILIES[family], ProbabilityRows(SWITCHES[switches]))
     data = np.random.default_rng(30)
     sizes = (7, 300, 1, 45)
     ys = [np.concatenate([[0.5], data.uniform(0.0, 3.0, n - 1)]) for n in sizes]
-    regimes = [data.integers(0, kernel.switching.n_regimes, n) for n in sizes]
+    regimes = [data.integers(0, kernel.switching.shape[0], n) for n in sizes]
     jump, switch = np.empty(sum(sizes)), np.empty(sum(sizes))
     parts = [slice(stop - n, stop) for n, stop in zip(sizes, np.cumsum(sizes))]
     streams = [np.random.default_rng(40 + k) for k in range(len(sizes))]

@@ -4,7 +4,7 @@ import pytest
 from pdmp_lab.diagnostics import stability_margin
 from pdmp_lab.flows import AffineExpFlow
 from pdmp_lab.hazard import Intensity
-from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, ProbabilityRows
 from pdmp_lab.models import (
     MODEL_REGISTRY,
     DeclaredConstants,
@@ -108,13 +108,13 @@ def switching_window_model(edge, y_max):
     intensity = Intensity(1.0)
     return ModelSpec(name="switching-window", flow=flow, intensity=intensity,
                      jump=PostJumpKernel(AdditiveBurstKernel(1.0),
-                                         SwitchingMatrix([[stay, leave], [0.5, 0.5]])),
+                                         ProbabilityRows([[stay, leave], [0.5, 0.5]])),
                      declared=DeclaredConstants(), y_max=y_max)
 
 
 def test_switching_rows_checked_on_the_whole_model_window():
     # stochastic on [0, 15] only: a window reaching 20 must be rejected
-    with pytest.raises(ValueError, match="switching rows must sum to 1"):
+    with pytest.raises(ValueError, match="rows must sum to 1"):
         switching_window_model(edge=15.0, y_max=20.0)
 
 
@@ -125,6 +125,23 @@ def test_switching_rows_checked_only_on_the_model_window():
     assert np.abs(rows.sum(axis=2) - 1.0).max() == 0.0
 
 
+@pytest.mark.parametrize("rates, entries, message", [
+    ((1.0, 1.0), [[1.0]], "switching law of 1 x 1 for a flow of 2 regimes; need 2 x 2"),
+    ((1.0,), [[0.5, 0.5], [0.5, 0.5]],
+     "switching law of 2 x 2 for a flow of 1 regimes; need 1 x 1"),
+    ((1.0, 1.0), [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]],
+     "switching law of 2 x 3 for a flow of 2 regimes; need 2 x 2"),
+], ids=["one-row-two-regimes", "two-rows-one-regime", "three-columns"])
+def test_switching_law_shape_must_match_the_flow(rates, entries, message):
+    # one row per regime to switch from, one column per regime to switch to; a
+    # 1 x 1 law on two regimes used to build, then die mid-run from regime 1
+    flow = AffineExpFlow(rates=rates, anchors=(0.0,) * len(rates))
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(name="switching-shape", flow=flow, intensity=Intensity(1.0),
+                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), ProbabilityRows(entries)),
+                  declared=DeclaredConstants())
+
+
 def test_switching_entries_checked_on_the_model_window():
     def stay(y):
         return np.where(np.asarray(y, dtype=float) <= 12.0, 0.5, 1.5)
@@ -133,7 +150,7 @@ def test_switching_entries_checked_on_the_model_window():
         return np.where(np.asarray(y, dtype=float) <= 12.0, 0.5, -0.5)
 
     # rows sum to 1 everywhere, but entries leave [0, 1] above 12
-    switching = SwitchingMatrix([[stay, leave], [0.5, 0.5]])
+    switching = ProbabilityRows([[stay, leave], [0.5, 0.5]])
     flow = AffineExpFlow(rates=(1.0, 1.0), anchors=(0.0, 1.0))
     intensity = Intensity(1.0)
     with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
@@ -150,5 +167,5 @@ def test_model_without_declared_bounds_fails_at_build(flow, intensity, message):
     # the assumption suite needs the flow's envelope, so such a model is rejected when built
     with pytest.raises(ValueError, match=message):
         ModelSpec(name="no-bounds", flow=flow, intensity=intensity,
-                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+                  jump=PostJumpKernel(AdditiveBurstKernel(1.0), ProbabilityRows([[1.0]])),
                   declared=DeclaredConstants())

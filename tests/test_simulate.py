@@ -8,7 +8,7 @@ import pytest
 
 from pdmp_lab.flows import FrozenFlow
 from pdmp_lab.hazard import Intensity, invert_holding
-from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import AdditiveBurstKernel, PostJumpKernel, ProbabilityRows
 from pdmp_lab.models import ModelSpec, DeclaredConstants, gene_expression_model, two_regime_model
 from pdmp_lab import simulate
 from pdmp_lab.cli import ETA_TIME, main as cli_main
@@ -41,7 +41,7 @@ def frozen_model(lam=1.0):
     intensity = Intensity(lam)
     return ModelSpec(
         name="frozen", flow=flow, intensity=intensity,
-        jump=PostJumpKernel(AdditiveBurstKernel(1.0), SwitchingMatrix([[1.0]])),
+        jump=PostJumpKernel(AdditiveBurstKernel(1.0), ProbabilityRows([[1.0]])),
         declared=DeclaredConstants())
 
 

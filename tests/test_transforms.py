@@ -3,7 +3,7 @@ import pytest
 
 from pdmp_lab.flows import FrozenFlow
 from pdmp_lab.hazard import Intensity
-from pdmp_lab.jumps import FiniteAffineIfs, PostJumpKernel, SwitchingMatrix
+from pdmp_lab.jumps import FiniteAffineIfs, PostJumpKernel, ProbabilityRows
 from pdmp_lab.metrics import wasserstein1_1d
 from pdmp_lab.models import DeclaredConstants, ModelSpec, gene_expression_model
 from pdmp_lab.simulate import chain_measure, run_ensemble
@@ -35,7 +35,7 @@ def linear_rate_model():
     return ModelSpec(
         name="hand", flow=flow, intensity=intensity,
         jump=PostJumpKernel(FiniteAffineIfs(maps=((0.5, 0.0),), probs=(1.0,)),
-                            SwitchingMatrix([[1.0]])),
+                            ProbabilityRows([[1.0]])),
         declared=DeclaredConstants())
 
 
@@ -101,7 +101,7 @@ def test_occupation_transform_frozen_flow_point_mass():
     intensity = Intensity(lam)
     m = ModelSpec(name="frozen", flow=flow, intensity=intensity,
                   jump=PostJumpKernel(FiniteAffineIfs(maps=((1.0, 0.0),), probs=(1.0,)),
-                                      SwitchingMatrix([[1.0]])),
+                                      ProbabilityRows([[1.0]])),
                   declared=DeclaredConstants())
     mu = WeightedEmpiricalMeasure.from_samples([2.5])
     out, _ = holding_occupation_quadrature(m, mu)

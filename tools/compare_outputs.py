@@ -17,14 +17,19 @@ do, and writes the pmf to ``jump_count_pmf.csv`` with every value as its
 shortest round-trip ``repr``. Last, ``diagnostics`` runs on each registered
 negative control (``CONTROLS``), which no shipped config names, from a config
 generated on both sides, ``{"model": {"name": C, "params": {}}, "seed": s}``
-for each s of ``CONTROL_SEEDS``. Every output file, stdout, stderr and the exit
+for each s of ``CONTROL_SEEDS``. Then ``simulate`` and ``oracle`` run at each of
+``VARIANT_SEEDS`` on generated variants of ``VARIANT_CONFIG``: the working
+tree's config with its model's ``switching`` and ``jumps`` set to each pair of
+``VARIANTS``, the option pairs no shipped config uses, so constant switching
+rows and the burst kernel run beside the shipped ramp and halving maps. Every
+output file, stdout, stderr and the exit
 code are compared. Every run is made; each differing run is printed with each
 of its differing items (exit code, stream or output file) and that item's
 first differing line; a differing CSV or JSON file also gets the largest
 absolute and the largest relative difference over its numbers, so a
 rounding-level move shows its size. Exits 1 when any run differs, 0 when every
-run matches, 2 when REV cannot be extracted. Runs serially; the 40 runs take
-about 30 s on two cores.
+run matches, 2 when REV cannot be extracted. Runs serially; the 52 runs take
+about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -63,14 +68,20 @@ Path("out/jump_count_pmf.csv").write_text("t,count,p\\n" + "".join(
 """
 CONTROLS = ("control-degenerate-switching", "control-expanding-flow", "control-supercritical")
 CONTROL_SEEDS = (1, 7)
+VARIANT_CONFIG = "two_regime.json"
+VARIANTS = (("uniform", "halving"), ("ramp", "bursts"), ("uniform", "bursts"))
+VARIANT_COMMANDS = ("simulate", "oracle")
+VARIANT_SEEDS = (1, 7)
 
 
 def cases(configs: list[str]) -> list[tuple[str, str, str | dict, list[str], int | None]]:
     """(label, run name, config, interpreter arguments, grid nodes) of every run:
     each command on each config at each seed, ``oracle`` at each of
-    ``ORACLE_NODES``, ``jump_count_pmf`` at each seed, then ``diagnostics`` on
-    each negative control at each of ``CONTROL_SEEDS``. A config is a file name
-    under ``configs/`` or, for a control, the generated config itself."""
+    ``ORACLE_NODES``, ``jump_count_pmf`` at each seed, ``diagnostics`` on each
+    negative control at each of ``CONTROL_SEEDS``, then each of
+    ``VARIANT_COMMANDS`` on each of ``VARIANTS`` at each of ``VARIANT_SEEDS``. A
+    config is a file name under ``configs/`` or, for a control or a variant, the
+    generated config itself."""
     def label(what, config, seed, nodes=None):
         return (f"{what} {config}" + ("" if nodes is None else f" at {nodes} nodes")
                 + ("" if seed is None else f" --seed {seed}"))
@@ -92,6 +103,15 @@ def cases(configs: list[str]) -> list[tuple[str, str, str | dict, list[str], int
                {"model": {"name": control, "params": {}}, "seed": seed},
                ["-m", "pdmp_lab.cli", "diagnostics", "--config", "config.json", "--out", "out"],
                None) for control in CONTROLS for seed in CONTROL_SEEDS]
+    shipped = json.loads((ROOT / "configs" / VARIANT_CONFIG).read_text())
+    for switching, jumps in VARIANTS:
+        params = {**shipped["model"]["params"], "switching": switching, "jumps": jumps}
+        config = {**shipped, "model": {**shipped["model"], "params": params}}
+        found += [(f"{command} {VARIANT_CONFIG} with switching={switching}, jumps={jumps} "
+                   f"--seed {seed}", f"{command}-{VARIANT_CONFIG[:-5]}-{switching}-{jumps}-{seed}",
+                   config, ["-m", "pdmp_lab.cli", command, "--config", "config.json", "--out",
+                            "out", "--seed", str(seed)], None)
+                  for command in VARIANT_COMMANDS for seed in VARIANT_SEEDS]
     return found
 
 
